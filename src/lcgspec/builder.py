@@ -28,9 +28,9 @@ from .spectral import (
     SpectralResult,
     TheoremBounds,
     b_coefficient,
-    knuth_bound,
     spectral_test,
     theorem_bounds,
+    within_packing_bound,
 )
 
 _MAX_SHAPE_STEPS = 10_000
@@ -307,12 +307,12 @@ def validate(gen: BuiltGenerator, s_max: int, cap: int | None = None) -> Validat
                         passed=Fraction(res.v_sq) <= Fraction(tb.upper_sq),
                     )
                 )
-        if 2 <= s <= 8:
-            bound = knuth_bound(s, N)
+        within = within_packing_bound(s, N, res.v_sq)
+        if within is not None:
             checks.append(
                 ValidationCheck(
                     name=f"v_{s} within the dimension-{s} packing bound",
-                    passed=res.v <= bound * (1 + 1e-9),
+                    passed=within,
                 )
             )
         rows.append(ValidationRow(s=s, v_sq=res.v_sq, mu=res.mu, checks=tuple(checks),

@@ -45,7 +45,7 @@ from .lattice import (
     shortest_vector,
 )
 from .lcg import LcgParams, check_max_period
-from .spectral import knuth_bound, spectral_test
+from .spectral import knuth_bound, spectral_test, within_packing_bound
 
 EXIT_OK = 0
 EXIT_SCORECARD = 1
@@ -110,12 +110,8 @@ def _bound_marks(result) -> str:
         marks.append(tag if ok else f"{tag} VIOLATED")
     if tb is not None and tb.upper_sq is not None:
         marks.append("upper" if v_sq <= tb.upper_sq else "upper VIOLATED")
-    try:
-        cap = knuth_bound(result.s, result.N)
-    except Unsupported:
-        cap = None
-    if cap is not None:
-        ok = result.v <= cap * (1 + 1e-9)
+    ok = within_packing_bound(result.s, result.N, result.v_sq)
+    if ok is not None:
         marks.append("B" if ok else "B VIOLATED")
     return " ".join(marks) if marks else "-"
 

@@ -3,10 +3,12 @@
 The dual lattice of an LCG in dimension s is spanned by the rows
 (N, 0, ..., 0) and (-(a^(j-1) mod N), ..., 1, ...); its nonzero minimum is the
 spectral value v_s.  The solver is LLL reduction followed by exhaustive
-Fincke-Pohst enumeration.  All Gram-Schmidt data is kept in exact rationals
-and enumeration intervals are derived with integer square roots, so results
-carry no floating-point error at all.  A direct congruence-scanning brute
-force is provided as an independent cross-check.
+Fincke-Pohst enumeration.  Both run on integral Gram-Schmidt data, the Gram
+determinants d_i and lam_ij = d_(j+1) * mu_ij (Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 2.6.7), and enumeration intervals
+are derived with integer square roots, so results carry no floating-point
+error at all.  A direct congruence-scanning brute force is provided as an
+independent cross-check.
 """
 
 from __future__ import annotations
@@ -140,88 +142,91 @@ def dual_basis(a: int, N: int, s: int) -> LatticeBasis:
     return LatticeBasis(tuple(rows))
 
 
-def _gram_schmidt(rows) -> tuple[list[list[Fraction]], list[Fraction]]:
-    """Exact mu coefficients and squared orthogonal-vector norms."""
+def _integral_gs(rows) -> tuple[list[int], list[list[int]]]:
+    """Integral Gram-Schmidt data of `rows` (Cohen, Alg. 2.6.7).
+
+    Returns d[0..n] with d[0] = 1 and d[i+1] the Gram determinant of rows
+    0..i, so |b*_i|^2 = d[i+1] / d[i]; and lam[i][j] = d[j+1] * mu[i][j] for
+    j < i.  Every division below is exact.
+    """
     n = len(rows)
-    mu = [[Fraction(0)] * n for _ in range(n)]
-    bstar: list[list[Fraction]] = []
-    bsq: list[Fraction] = []
-    for i in range(n):
-        v = [Fraction(x) for x in rows[i]]
-        for j in range(i):
-            mu[i][j] = sum(Fraction(x) * y for x, y in zip(rows[i], bstar[j])) / bsq[j]
-            v = [x - mu[i][j] * y for x, y in zip(v, bstar[j])]
-        q = sum(x * x for x in v)
-        if q == 0:
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for k in range(n):
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(rows[k], rows[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+        if d[k + 1] == 0:
             raise InvalidParams("basis rows are linearly dependent")
-        bstar.append(v)
-        bsq.append(q)
-    return mu, bsq
+    return d, lam
+
+
+def _round_half_even(num: int, den: int) -> int:
+    """round(num / den) for den > 0, ties to even like round(Fraction)."""
+    q, r = divmod(num, den)
+    if 2 * r > den or (2 * r == den and q % 2):
+        q += 1
+    return q
 
 
 def lll_reduce(basis: LatticeBasis, delta: Fraction = _DELTA) -> LatticeBasis:
-    """Exact-arithmetic LLL; same lattice, size-reduced rows, Lovasz condition
-    with the given delta (default 99/100)."""
+    """Integral LLL (Cohen, Alg. 2.6.7); same lattice, size-reduced rows,
+    Lovasz condition with the given delta (default 99/100).
+
+    The Gram-Schmidt data is kept as the integers d_i and lam_ij of
+    `_integral_gs` and updated in O(n) per swap, so the reduction is exact.
+    Row k is fully size-reduced (j = k-1..0, ties in rounding to even) before
+    its Lovasz test.
+    """
     delta = Fraction(delta)
-    if not Fraction(1, 4) < delta < 1:
+    dnum, dden = delta.numerator, delta.denominator
+    if not dden < 4 * dnum < 4 * dden:
         raise InvalidParams(f"delta must lie in (1/4, 1), got {delta}")
     b = [list(r) for r in basis.rows]
     n = len(b)
-    mu, bsq = _gram_schmidt(b)
+    d, lam = _integral_gs(b)
     k = 1
     while k < n:
+        lk = lam[k]
         for j in range(k - 1, -1, -1):
-            r = round(mu[k][j])
-            if r:
+            if 2 * abs(lk[j]) > d[j + 1]:  # otherwise round(mu_kj) = 0
+                r = _round_half_even(lk[j], d[j + 1])
                 b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                for jj in range(j):
-                    mu[k][jj] -= r * mu[j][jj]
-                mu[k][j] -= r
-        if bsq[k] >= (delta - mu[k][k - 1] ** 2) * bsq[k - 1]:
+                lj = lam[j]
+                for i in range(j):
+                    lk[i] -= r * lj[i]
+                lk[j] -= r * d[j + 1]
+        lm = lam[k][k - 1]
+        if dden * (d[k + 1] * d[k - 1] + lm * lm) >= dnum * d[k] * d[k]:
             k += 1
-        else:
-            b[k], b[k - 1] = b[k - 1], b[k]
-            mu, bsq = _gram_schmidt(b)
-            k = max(k - 1, 1)
+            continue
+        # swap rows k-1 and k and update d, lam in place (Cohen's SWAPI)
+        b[k], b[k - 1] = b[k - 1], b[k]
+        lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lam[k][: k - 1]
+        B = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        for i in range(k + 1, n):
+            t = lam[i][k]
+            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // d[k]
+            lam[i][k - 1] = (B * t + lm * lam[i][k]) // d[k + 1]
+        d[k] = B
+        k = max(k - 1, 1)
     return LatticeBasis(tuple(tuple(r) for r in b))
-
-
-def _floor_add_sqrt(A: int, T: int, B: int) -> int:
-    """floor((A + sqrt(T)) / B) computed exactly; needs T >= 0, B > 0."""
-    x = (A + math.isqrt(T)) // B
-    while True:
-        y = B * (x + 1) - A
-        if y <= 0 or y * y <= T:
-            x += 1
-        else:
-            break
-    while True:
-        y = B * x - A
-        if y > 0 and y * y > T:
-            x -= 1
-        else:
-            break
-    return x
-
-
-def _interval(c: Fraction, q: Fraction) -> tuple[int, int]:
-    """Integers u with (u + c)^2 <= q, as [lo, hi] (may be empty: lo > hi)."""
-    cp, cr = c.numerator, c.denominator
-    qn, qm = q.numerator, q.denominator
-    T = cr * cr * qn * qm
-    B = cr * qm
-    hi = _floor_add_sqrt(-cp * qm, T, B)
-    lo = -_floor_add_sqrt(cp * qm, T, B)
-    return lo, hi
 
 
 def shortest_vector(basis: LatticeBasis, cap: int | None = None) -> ShortestVectorResult:
     """Exact nonzero minimum of the lattice.
 
     LLL-reduces, seeds the search radius with the shortest reduced row, then
-    enumerates every coefficient vector inside the radius.  Ties are broken by
-    sign-canonicalizing and taking the lexicographically smallest vector.
-    Candidate norms are recomputed in plain integer arithmetic.
+    enumerates every coefficient vector inside the radius (Fincke-Pohst) on
+    the integral Gram-Schmidt data: the partial norm is an exact integer pair
+    (num, den) and each coefficient interval comes from math.isqrt.  Ties are
+    broken by sign-canonicalizing and taking the lexicographically smallest
+    vector.  Candidate norms are recomputed in plain integer arithmetic.
     """
     cap = resolve_enum_cap(cap)
     if basis.dim > cap:
@@ -229,10 +234,9 @@ def shortest_vector(basis: LatticeBasis, cap: int | None = None) -> ShortestVect
     reduced = lll_reduce(basis)
     rows = reduced.rows
     n = reduced.dim
-    mu, bsq = _gram_schmidt(rows)
+    d, lam = _integral_gs(rows)
 
-    radius = min(sum(x * x for x in r) for r in rows)
-    best_nsq = radius
+    best_nsq = min(sum(x * x for x in r) for r in rows)
     best_vec: tuple[int, ...] | None = None
     u = [0] * n
 
@@ -253,29 +257,31 @@ def shortest_vector(basis: LatticeBasis, cap: int | None = None) -> ShortestVect
             best_nsq = nsq
             best_vec = cand
 
-    def rec(i: int, used: Fraction) -> None:
-        rem = best_nsq - used
-        if rem < 0:
-            return
-        c = Fraction(0)
-        for j in range(i + 1, n):
-            if u[j]:
-                c += mu[j][i] * u[j]
-        lo, hi = _interval(c, rem / bsq[i])
+    def rec(i: int, num: int, den: int) -> None:
+        # used = num / den <= best_nsq; level i adds
+        # |b*_i|^2 (u_i + C/D)^2 = (u_i D + C)^2 / (d_i D)
+        rem = best_nsq * den - num
+        D = d[i + 1]
+        tden = d[i] * D
+        C = sum(lam[j][i] * u[j] for j in range(i + 1, n) if u[j])
+        # integers u_i with (u_i D + C)^2 <= rem * tden / den, i.e. |u_i D + C| <= r
+        r = math.isqrt(rem * tden // den)
+        lo, hi = -((r + C) // D), (r - C) // D
         if i == n - 1:
             lo = max(lo, 0)  # half-space is enough: -v is canonicalized to v
         for ui in range(lo, hi + 1):
             u[i] = ui
-            term = bsq[i] * (ui + c) ** 2
-            if used + term > best_nsq:
+            y = ui * D + C
+            nnum, nden = num * tden + y * y * den, den * tden
+            if nnum > best_nsq * nden:
                 continue
             if i == 0:
                 leaf()
             else:
-                rec(i - 1, used + term)
+                rec(i - 1, nnum, nden)
         u[i] = 0
 
-    rec(n - 1, Fraction(0))
+    rec(n - 1, 0, 1)
     assert best_vec is not None  # the shortest reduced row lies inside the radius
     return ShortestVectorResult(norm_sq=best_nsq, vector=best_vec, certified=True)
 

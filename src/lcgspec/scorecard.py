@@ -21,11 +21,11 @@ from fractions import Fraction
 
 from .builder import MultiplierRecipe, build_range, build_single_dimension
 from .empirical import dump_sequence, frequency_test
-from .errors import LcgspecError, TooSmall, Unsupported
+from .errors import LcgspecError, TooSmall
 from .exprparse import parse_endpoint
 from .lattice import brute_force_shortest, dual_basis, shortest_vector
 from .lcg import LcgParams, check_max_period
-from .spectral import knuth_bound, spectral_test
+from .spectral import spectral_test, within_packing_bound
 
 
 @dataclass(frozen=True)
@@ -54,14 +54,6 @@ class _Pool:
         for (a, N, s), v_sq in self.points.items():
             out.setdefault((a, N), {})[s] = v_sq
         return out
-
-
-def _within_cap(s: int, N: int, v_sq: int) -> bool:
-    try:
-        cap = knuth_bound(s, N)
-    except Unsupported:
-        return True
-    return math.sqrt(float(v_sq)) <= cap * (1 + 1e-9)
 
 
 def _max_period_multipliers(N: int) -> list[int]:
@@ -247,7 +239,7 @@ def _c10(pool: _Pool) -> tuple[bool, str]:
         if not 2 <= s <= 8:
             continue
         checked += 1
-        if not _within_cap(s, N, v_sq):
+        if not within_packing_bound(s, N, v_sq):
             return False, f"(a={a}, N={N}, s={s}): v exceeds gamma_s N^(1/s)"
     return checked > 0, f"{checked} points within the packing cap; {built} random builds"
 

@@ -18,16 +18,19 @@ from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, Unsu
 from .lattice import dual_basis, shortest_vector
 from .lcg import PotentialProfile, compute_potential
 
-# Best-known packing constants gamma_s for s = 2..8.
-_GAMMA = {
-    2: (4 / 3) ** 0.25,
-    3: 2 ** (1 / 6),
-    4: 2**0.25,
-    5: 2**0.3,
-    6: (64 / 3) ** (1 / 12),
-    7: 2 ** (3 / 7),
-    8: 2**0.5,
+# gamma_s^(2s) for the best-known packing constants gamma_s, s = 2..8.  They
+# are rational, so the packing bound v_s <= gamma_s N^(1/s), which is
+# v_sq^s <= gamma_s^(2s) N^2, is decided exactly.
+_GAMMA_POW_2S = {
+    2: Fraction(4, 3),
+    3: Fraction(2),
+    4: Fraction(4),
+    5: Fraction(8),
+    6: Fraction(64, 3),
+    7: Fraction(64),
+    8: Fraction(256),
 }
+_GAMMA = {s: float(g) ** (1 / (2 * s)) for s, g in _GAMMA_POW_2S.items()}
 
 
 class Regime(enum.Enum):
@@ -88,6 +91,16 @@ def knuth_bound(s: int, N: int) -> float:
     if N <= 0:
         raise InvalidParams(f"N must be positive, got {N}")
     return _GAMMA[s] * math.exp(_log_int(N) / s)
+
+
+def within_packing_bound(s: int, N: int, v_sq: int) -> bool | None:
+    """Whether v_s <= gamma_s * N^(1/s), decided exactly as
+    v_sq^s * den <= num * N^2 with gamma_s^(2s) = num/den; None outside the
+    tabulated s = 2..8."""
+    g = _GAMMA_POW_2S.get(s)
+    if g is None:
+        return None
+    return v_sq**s * g.denominator <= g.numerator * N * N
 
 
 def classify_regime(s: int, profile: PotentialProfile) -> Regime:

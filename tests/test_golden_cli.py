@@ -1,0 +1,49 @@
+"""Default CLI output, byte for byte, against recorded outputs in tests/golden/.
+
+Each case runs `lcgspec.cli.main` in-process and compares stdout and the exit
+code with `golden/<name>.out`.  `verify-paper` is left out: it prints timings.
+Regenerate the files only when an output change is intended:
+
+    PYTHONPATH=src python tests/test_golden_cli.py
+"""
+
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+from lcgspec.cli import main
+
+GOLDEN = Path(__file__).with_name("golden")
+
+GENERATORS = [("69069", "2^32"), ("3141592621", "10^10"), ("23", "10^8+1"),
+              ("6364136223846793005", "2^64")]
+CASES = {
+    f"analyze_{a}_{fmt}": ["analyze", "--a", a, "--N", N, "--s", "2..8", "--format", fmt]
+    for a, N in GENERATORS
+    for fmt in ("text", "json", "csv")
+}
+CASES["svp_dual_json"] = ["svp", "--a", "3141592621", "--N", "10^10", "--s", "3"]
+CASES["svp_dual_text"] = ["svp", "--a", "6364136223846793005", "--N", "2^64", "--s", "6",
+                          "--format", "text"]
+CASES["svp_basis_json"] = ["svp", "--basis-file", str(GOLDEN / "basis.json")]
+CASES["build_tau6_validate8"] = ["build", "--tau", "6", "--a", "69069", "--validate", "8"]
+
+
+def run(argv):
+    buf = io.StringIO()
+    code = main(argv, out=buf)
+    return f"exit {code}\n" + buf.getvalue()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden(name):
+    want = (GOLDEN / f"{name}.out").read_bytes()
+    assert run(CASES[name]).encode() == want
+
+
+if __name__ == "__main__":
+    for name, argv in sorted(CASES.items()):
+        (GOLDEN / f"{name}.out").write_bytes(run(argv).encode())
+        print(f"wrote {name}.out", file=sys.stderr)

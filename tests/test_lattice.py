@@ -17,9 +17,11 @@ from lcgspec.lattice import (
     int_det,
     lll_reduce,
     resolve_enum_cap,
+    _integral_gs,
     shortest_vector,
 )
-from lcgspec.lattice import _floor_add_sqrt, _gram_schmidt, _interval
+
+import lattice_reference as ref
 
 
 def naive_congruence_min(a, N, s, box):
@@ -89,8 +91,8 @@ def test_canonical():
 
 
 def test_floor_add_sqrt_exact():
-    # floor((A + sqrt(T)) / B) with B > 0, T >= 0, verified by the two
-    # defining inequalities in pure integer arithmetic
+    # the reference enumeration's floor((A + sqrt(T)) / B) with B > 0,
+    # T >= 0, verified by the two defining inequalities in integer arithmetic
     def leq_sqrt(x, T):  # x <= sqrt(T)
         return True if x <= 0 else x * x <= T
 
@@ -99,17 +101,17 @@ def test_floor_add_sqrt_exact():
     cases += [(rng.randint(-100, 100), rng.randint(0, 4000), rng.randint(1, 20))
               for _ in range(600)]
     for A, T, B in cases:
-        k = _floor_add_sqrt(A, T, B)
+        k = ref.floor_add_sqrt(A, T, B)
         assert leq_sqrt(k * B - A, T), (A, T, B, k)
         assert not leq_sqrt((k + 1) * B - A, T), (A, T, B, k)
 
 
 def test_interval_bounds():
-    # integer u with (u + c)^2 <= q
-    assert _interval(Fraction(0), Fraction(4)) == (-2, 2)
-    assert _interval(Fraction(1, 2), Fraction(1, 4)) == (-1, 0)
-    assert _interval(Fraction(-5, 2), Fraction(2)) == (2, 3)
-    lo, hi = _interval(Fraction(1, 3), Fraction(0))
+    # the reference enumeration's integers u with (u + c)^2 <= q
+    assert ref.interval(Fraction(0), Fraction(4)) == (-2, 2)
+    assert ref.interval(Fraction(1, 2), Fraction(1, 4)) == (-1, 0)
+    assert ref.interval(Fraction(-5, 2), Fraction(2)) == (2, 3)
+    lo, hi = ref.interval(Fraction(1, 3), Fraction(0))
     assert lo > hi  # (u + 1/3)^2 <= 0 has no integer solutions
 
 
@@ -163,8 +165,9 @@ def lll_invariants(basis, reduced, delta=Fraction(99, 100)):
     assert all(v.denominator == 1 for row in u for v in row)
     assert abs(det_by_cofactors([[int(v) for v in row] for row in u])) == 1
     assert abs(reduced.det) == abs(basis.det)
-    # size reduction and the Lovasz condition on the exact Gram-Schmidt data
-    mu, bsq = _gram_schmidt(reduced.rows)
+    # size reduction and the Lovasz condition on the reference's rational
+    # Gram-Schmidt data, independent of the integral data under test
+    mu, bsq = ref.gram_schmidt(reduced.rows)
     for i in range(reduced.dim):
         for j in range(i):
             assert abs(mu[i][j]) <= Fraction(1, 2)
@@ -190,6 +193,79 @@ def test_lll_invariants_random():
         produced += 1
         basis = LatticeBasis(rows=rows)
         lll_invariants(basis, lll_reduce(basis))
+
+
+def test_lll_delta_argument():
+    basis = dual_basis(69069, 2**32, 6)
+    for delta in (Fraction(3, 4), Fraction(26, 100), Fraction(999, 1000)):
+        assert lll_reduce(basis, delta).rows == ref.lll_reduce(basis.rows, delta)
+    for bad in (Fraction(1, 4), Fraction(1, 5), 1, 2, Fraction(-1, 2)):
+        with pytest.raises(InvalidParams):
+            lll_reduce(basis, bad)
+
+
+# -- integral Gram-Schmidt -------------------------------------------------
+
+
+def random_bases(seed, count):
+    """`count` seeded non-singular bases of dimension 2..6; small entries give
+    rounding ties, large ones long reductions."""
+    rng = random.Random(seed)
+    while count:
+        dim = rng.randint(2, 6)
+        bound = rng.choice((3, 50, 10**6))
+        rows = tuple(tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(dim))
+        if int_det(rows):
+            count -= 1
+            yield rows
+
+
+def test_integral_gs_matches_rational_reference():
+    bases = [dual_basis(a, N, s).rows for a, N, s in
+             [(26, 625, 3), (69069, 2**32, 6), (6364136223846793005, 2**64, 8)]]
+    bases += list(random_bases(5, 60))
+    for rows in bases:
+        n = len(rows)
+        d, lam = _integral_gs(rows)
+        mu, bsq = ref.gram_schmidt(rows)
+        assert d[0] == 1 and d[n] == int_det(rows) ** 2
+        for i in range(n):
+            assert Fraction(d[i + 1], d[i]) == bsq[i]
+            for j in range(i):
+                assert Fraction(lam[i][j], d[j + 1]) == mu[i][j]
+
+
+def test_integral_gs_rejects_dependent_rows():
+    for rows in [((1, 2), (2, 4)), ((0, 0), (1, 1)), ((1, 0, 0), (0, 1, 0), (1, 1, 0))]:
+        with pytest.raises(InvalidParams):
+            _integral_gs(rows)
+
+
+# -- cross-checks against the rational reference -----------------------------
+
+
+def assert_matches_reference(basis):
+    want_rows = ref.lll_reduce(basis.rows)
+    assert lll_reduce(basis).rows == want_rows, basis.rows
+    got = shortest_vector(basis)
+    assert (got.norm_sq, got.vector) == ref.enumerate_shortest(want_rows), basis.rows
+
+
+def test_matches_reference_on_dual_bases():
+    cases = [(6364136223846793005, 2**64, s) for s in range(2, 11)]
+    cases += [(a, N, s) for a, N in [(69069, 2**32), (3141592621, 10**10), (23, 10**8 + 1)]
+              for s in range(2, 7)]
+    rng = random.Random(20261017)
+    for _ in range(30):
+        N = rng.choice((2**32, 2**48, 10**10, 3**20, 4 * 5**12))
+        cases.append((rng.randrange(2, N), N, rng.randint(2, 6)))
+    for a, N, s in cases:
+        assert_matches_reference(dual_basis(a, N, s))
+
+
+def test_matches_reference_on_random_bases():
+    for rows in random_bases(20261017, 240):
+        assert_matches_reference(LatticeBasis(rows=rows))
 
 
 # -- shortest vector ---------------------------------------------------------
@@ -227,6 +303,19 @@ def test_shortest_vector_named_values():
     assert shortest_vector(dual_basis(5, 16, 2)).vector == (1, 3)
     assert shortest_vector(dual_basis(3, 4, 2)).vector == (1, 1)
     assert shortest_vector(dual_basis(2, 5, 2)).vector == (1, 2)  # tie -> lex least
+
+
+def test_enumeration_keeps_vectors_on_the_radius():
+    # the radius starts at the shortest reduced row, which is already the
+    # minimum; the lex-least minimal vector is found only if points exactly
+    # on the radius are enumerated
+    for a, N, want in [(2, 5, (1, 2)), (4, 5, (0, 1, 1))]:
+        basis = dual_basis(a, N, len(want))
+        rows = lll_reduce(basis).rows
+        got = shortest_vector(basis)
+        assert got.norm_sq == min(sum(x * x for x in r) for r in rows)
+        assert got.vector == want
+    assert (0, 1, 1) not in {canonical(r) for r in lll_reduce(dual_basis(4, 5, 3)).rows}
 
 
 def test_shortest_vector_identity_basis():

@@ -22,6 +22,7 @@ from lcgspec import (
     spectral_test,
     theorem_bounds,
 )
+from lcgspec.spectral import within_packing_bound
 
 getcontext().prec = 80
 _PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944")
@@ -135,6 +136,38 @@ class TestKnuthBound:
         for a, N, s in [(26, 625, 2), (5, 16, 2), (69069, 2**32, 5)]:
             r = spectral_test(a, N, s)
             assert r.v <= knuth_bound(s, N) * (1 + 1e-12)
+
+
+class TestWithinPackingBound:
+    @pytest.mark.parametrize("s", [1, 9, 100])
+    def test_untabulated_dimension(self, s):
+        assert within_packing_bound(s, 100, 1) is None
+
+    def test_exact_at_the_boundary(self):
+        # gamma_8^16 = 256: v_sq^8 <= 256 N^2 holds with equality at N = 1, v_sq = 2
+        assert within_packing_bound(8, 1, 2) is True
+        assert within_packing_bound(8, 1, 3) is False
+        # gamma_6^12 = 64/3: 3 v_sq^6 <= 64 N^2, at N = 27: 3 * 4^6 <= 46656 < 3 * 5^6
+        assert within_packing_bound(6, 27, 4) is True
+        assert within_packing_bound(6, 27, 5) is False
+
+    def test_decides_below_float_resolution(self):
+        # v_sq^2 * 3 <= 4 N^2 fails by one unit of v_sq, a relative excess far
+        # below any float slack
+        N = 10**30
+        v_sq = math.isqrt(4 * N * N // 3) + 1
+        assert 3 * v_sq * v_sq > 4 * N * N
+        assert within_packing_bound(2, N, v_sq) is False
+        assert within_packing_bound(2, N, v_sq - 1) is True
+
+    def test_agrees_with_knuth_bound_away_from_it(self):
+        rng = random.Random(8)
+        for _ in range(300):
+            s, N = rng.randint(2, 8), rng.randint(2, 10**12)
+            v_sq = rng.randint(1, int(knuth_bound(s, N) ** 2 * 2) + 1)
+            v = math.sqrt(v_sq)
+            if abs(v - knuth_bound(s, N)) > 1e-6 * v:
+                assert within_packing_bound(s, N, v_sq) == (v < knuth_bound(s, N))
 
 
 class TestRegime:
