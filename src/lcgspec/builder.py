@@ -94,20 +94,6 @@ class MultiplierRecipe:
 
 
 @dataclass(frozen=True)
-class BuildRequest:
-    """CLI-facing aggregate: single-dimension mode targets s, range mode
-    targets dimensions 2..tau with N = (a-1)^(tau+l) / lambda."""
-
-    mode: str  # "single" | "range"
-    s: int | None = None
-    tau: int | None = None
-    l: int = 0
-    lam: int = 1
-    recipe: MultiplierRecipe = MultiplierRecipe(a=None, d=1, primes=(), exponents=())
-    min_accuracy: int | None = None
-
-
-@dataclass(frozen=True)
 class BuiltGenerator:
     params: LcgParams
     profile: PotentialProfile
@@ -215,19 +201,6 @@ def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
     if lam < 1:
         raise LambdaInvalid(f"need lambda >= 1, got {lam}")
     return _build(t=tau + l, covers=tau, lam=lam, recipe=recipe, min_accuracy=min_accuracy)
-
-
-def build(request: BuildRequest) -> BuiltGenerator:
-    if request.mode == "single":
-        if request.s is None:
-            raise InvalidParams("single mode needs s")
-        return build_single_dimension(request.s, request.recipe, request.min_accuracy)
-    if request.mode == "range":
-        if request.tau is None:
-            raise InvalidParams("range mode needs tau")
-        return build_range(request.tau, request.l, request.lam, request.recipe,
-                           request.min_accuracy)
-    raise InvalidParams(f"unknown build mode {request.mode!r}")
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 from typing import IO, Sequence
 
-from .builder import BuildRequest, MultiplierRecipe, build, validate
+from .builder import MultiplierRecipe, build_range, build_single_dimension, validate
 from .empirical import (
     DEFAULT_BUDGET,
     csv_header,
@@ -26,7 +26,6 @@ from .errors import (
     DimensionTooLarge,
     EmptyBox,
     ExpressionError,
-    FactorizationError,
     InvalidParams,
     LambdaInvalid,
     LcgspecError,
@@ -62,7 +61,7 @@ _DOMAIN_ERRORS = (
     LambdaInvalid,
     EmptyBox,
 )
-_BUDGET_ERRORS = (BudgetExceeded, DimensionTooLarge, FactorizationError)
+_BUDGET_ERRORS = (BudgetExceeded, DimensionTooLarge)
 
 _REGIME_LABEL = {
     "S_EQ_TAU_2": "s = tau = 2",
@@ -226,16 +225,10 @@ def cmd_build(args, out: IO[str]) -> int:
     else:
         raise InvalidParams("a multiplier is required: --a or --primes [--d]")
     min_acc = None if args.min_accuracy is None else parse_int_expr(args.min_accuracy)
-    request = BuildRequest(
-        mode="single" if args.s is not None else "range",
-        s=args.s,
-        tau=args.tau,
-        l=args.l,
-        lam=getattr(args, "lambda"),
-        recipe=recipe,
-        min_accuracy=min_acc,
-    )
-    gen = build(request)
+    if args.s is not None:
+        gen = build_single_dimension(args.s, recipe, min_acc)
+    else:
+        gen = build_range(args.tau, args.l, getattr(args, "lambda"), recipe, min_acc)
     report = validate(gen, args.validate, cap=args.enum_cap) if args.validate else None
 
     if args.format == "json":
@@ -295,8 +288,7 @@ def cmd_uniformity(args, out: IO[str]) -> int:
     reports = []
     for spec in specs:
         alpha, beta, lo_label, hi_label = _parse_interval(spec)
-        reports.append(frequency_test(params, alpha, beta, lo_label, hi_label,
-                                      budget=args.budget))
+        reports.append(frequency_test(params, alpha, beta, lo_label, hi_label))
 
     if args.format == "json":
         _json_out({"a": str(params.a), "N": str(params.N),
@@ -446,8 +438,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="endpoint expressions, e.g. 0.2:0.9 or 1/pi^2:1-1/e (repeatable)")
     p.add_argument("--intervals-file", default=None,
                    help="file with one ALPHA:BETA per line, # comments allowed")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                   help=f"refuse periods above this (default {DEFAULT_BUDGET})")
     p.add_argument("--format", choices=["text", "csv", "json"], default="text")
     p.set_defaults(func=cmd_uniformity)
 
@@ -457,7 +447,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--digits", type=int, default=None,
                    help="decimal digits for x/N (default: exact if terminating)")
     p.add_argument("--per-line", type=int, default=10, help="table values per row (default 10)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                   help=f"refuse counts above this (default {DEFAULT_BUDGET})")
     p.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
     p.add_argument("--format", choices=["csv", "table"], default="csv")
     p.set_defaults(func=cmd_dump)

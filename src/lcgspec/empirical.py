@@ -2,8 +2,9 @@
 
 The frequency test counts orbit values with alpha <= X/N <= beta, comparing
 exact rationals on a closed interval, and reports the deviation of the hit
-rate from the interval width.  On a max-period generator the whole period is
-streamed, never sampled.
+rate from the interval width.  A full period visits every residue of Z_N
+exactly once, so the count is a closed form and no orbit is walked.  Dumps
+stream the orbit itself, so they are bounded by a budget on the count.
 """
 
 from __future__ import annotations
@@ -93,11 +94,13 @@ def frequency_test(
     beta: Fraction | int,
     alpha_label: str = "",
     beta_label: str = "",
-    budget: int = DEFAULT_BUDGET,
 ) -> FrequencyReport:
     """Count n in the full period with alpha <= X_n / N <= beta (closed
     interval, exact rational comparison) and report m and the deviation
     |m/N - (beta - alpha)|.
+
+    The full period is a permutation of Z_N, so m is the number of integers
+    x in [0, N) with ceil(alpha N) <= x <= floor(beta N).
     """
     alpha = Fraction(alpha)
     beta = Fraction(beta)
@@ -105,21 +108,11 @@ def frequency_test(
         raise InvalidParams(
             f"need 0 <= alpha < beta <= 1, got {float(alpha):g}, {float(beta):g}"
         )
-    N = params.N
-    if N > budget:
-        raise BudgetExceeded(f"full period {N} exceeds budget {budget}")
     report = check_max_period(params)
     if not report.ok:
         raise PeriodViolation("; ".join(report.failures))
-    lo = math.ceil(alpha * N)
-    hi = math.floor(beta * N)
-    a, c, x = params.a, params.c, params.x0
-    m = 0
-    if lo <= hi:
-        for _ in range(N):
-            if lo <= x <= hi:
-                m += 1
-            x = (a * x + c) % N
+    N = params.N
+    m = max(0, min(math.floor(beta * N), N - 1) - math.ceil(alpha * N) + 1)
     return FrequencyReport(
         params=params,
         alpha=alpha,

@@ -46,11 +46,11 @@ class DimensionTooLarge(LcgspecError):
 
 
 class BudgetExceeded(LcgspecError):
-    """Full-period enumeration would exceed the configured budget."""
+    """A sequence dump would write more terms than the configured budget."""
 
 
 class FactorizationError(LcgspecError):
-    """Factoring failed within the effort budget; caller may supply factors."""
+    """Factoring failed within the effort budget."""
 
 
 class Unsupported(LcgspecError):

@@ -1,19 +1,17 @@
 """Core congruential recurrence X_{n+1} = (a*X_n + c) mod N.
 
 Everything here is exact integer arithmetic: max-period certification
-(Hull-Dobell conditions), the potential tau(a, N) with its cofactor, full or
-partial orbit generation, and exact decimal rendering of X/N.
+(Hull-Dobell conditions) and the potential tau(a, N) with its cofactor, both
+decided by gcd-stripping N against a-1 without factoring, and exact decimal
+rendering of X/N.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field
-from typing import IO, Iterator
+from dataclasses import dataclass
 
-from . import numtheory
-from .errors import InvalidParams, NoPotential, PeriodViolation, PotentialOne
+from .errors import InvalidParams, NoPotential, PotentialOne
 
 
 @dataclass(frozen=True)
@@ -42,7 +40,6 @@ class LcgParams:
 class MaxPeriodReport:
     ok: bool
     failures: tuple[str, ...]
-    factors: dict[int, int] = field(default_factory=dict, compare=False)
 
 
 @dataclass(frozen=True)
@@ -53,90 +50,49 @@ class PotentialProfile:
     lam: int
 
 
-def step(params: LcgParams, x: int) -> int:
-    """One application of the recurrence to residue x."""
-    if not 0 <= x < params.N:
-        raise InvalidParams(f"residue {x} outside [0, {params.N})")
-    return (params.a * x + params.c) % params.N
+def _strip_shared_primes(a: int, N: int) -> tuple[int, int]:
+    """Strip from N, one gcd per pass, every prime it shares with a-1.
+
+    Returns (r, passes).  r is what is left once gcd(r, a-1) = 1, so r = 1
+    exactly when every prime of N divides a-1.  Each pass divides out up to
+    v_p(a-1) factors of every shared prime p still present, so when r = 1 the
+    pass count is the least t with N | (a-1)^t.
+    """
+    m = a - 1
+    r = N
+    passes = 0
+    while (g := math.gcd(r, m)) > 1:
+        r //= g
+        passes += 1
+    return r, passes
 
 
-def check_max_period(
-    params: LcgParams,
-    factors: dict[int, int] | None = None,
-    trial_bound: int = numtheory.DEFAULT_TRIAL_BOUND,
-    rho_budget: int = numtheory.DEFAULT_RHO_BUDGET,
-) -> MaxPeriodReport:
+def check_max_period(params: LcgParams) -> MaxPeriodReport:
     """Hull-Dobell certificate: the period equals N exactly when
     gcd(c, N) = 1, every prime of N divides a-1, and 4 | N implies 4 | a-1.
-
-    A caller-supplied factorization of N is validated and used as-is.
     """
-    if factors is None:
-        factors = numtheory.factorize(params.N, trial_bound, rho_budget)
-    else:
-        numtheory.validate_factorization(params.N, factors)
     failures = []
     g = math.gcd(params.c, params.N)
     if g != 1:
         failures.append(f"gcd(c, N) = {g} != 1")
-    am1 = params.a - 1
-    for p in sorted(factors):
-        if am1 % p != 0:
-            failures.append(f"prime {p} divides N but not a-1")
-    if params.N % 4 == 0 and am1 % 4 != 0:
+    r, _ = _strip_shared_primes(params.a, params.N)
+    if r > 1:
+        failures.append(f"primes of {r} divide N but not a-1")
+    if params.N % 4 == 0 and (params.a - 1) % 4 != 0:
         failures.append("N divisible by 4 but a-1 is not")
-    return MaxPeriodReport(ok=not failures, failures=tuple(failures), factors=factors)
+    return MaxPeriodReport(ok=not failures, failures=tuple(failures))
 
 
 def compute_potential(a: int, N: int) -> PotentialProfile:
-    """Least tau >= 2 with N | (a-1)^tau, plus the cofactor lam = (a-1)^tau / N.
-
-    Runs on gcds alone (no factorization): each pass strips from the remaining
-    part of N every prime it shares with a-1, so the pass count is exactly tau.
-    """
+    """Least tau >= 2 with N | (a-1)^tau, plus the cofactor lam = (a-1)^tau / N."""
     if N <= 0 or not 2 <= a:
         raise InvalidParams(f"need a >= 2 and N > 0, got a={a}, N={N}")
-    m = a - 1
-    r = N
-    tau = 0
-    cap = N.bit_length() + 1
-    while r > 1:
-        g = math.gcd(r, m)
-        if g == 1:
-            raise NoPotential(f"prime factor of {N} does not divide a-1 = {m}")
-        r //= g
-        tau += 1
-        if tau > cap:  # unreachable: each pass halves r at least
-            raise NoPotential(f"no tau <= {cap} with {N} | (a-1)^tau")
+    r, tau = _strip_shared_primes(a, N)
+    if r > 1:
+        raise NoPotential(f"prime factor of {N} does not divide a-1 = {a - 1}")
     if tau <= 1:
-        raise PotentialOne(f"N = {N} divides a-1 = {m}; potential is 1")
-    lam = m**tau // N
-    return PotentialProfile(tau=tau, lam=lam)
-
-
-def _orbit(params: LcgParams, count: int) -> Iterator[int]:
-    x = params.x0
-    for _ in range(count):
-        x = (params.a * x + params.c) % params.N
-        yield x
-
-
-def generate(params: LcgParams, count: int) -> "SequenceDump":
-    """Values X_1..X_count.  When count = N the orbit must be a full period:
-    any return to x0 before step N raises PeriodViolation, and the final
-    value X_N equals x0 again.
-    """
-    if not 0 <= count <= params.N:
-        raise InvalidParams(f"need 0 <= count <= N, got count={count}")
-    full = count == params.N
-    values = []
-    for n, x in enumerate(_orbit(params, count), start=1):
-        if full and x == params.x0 and n < count:
-            raise PeriodViolation(f"orbit returned to x0 after {n} < N steps")
-        values.append(x)
-    if full and values and values[-1] != params.x0:
-        raise PeriodViolation("orbit did not return to x0 after N steps")
-    return SequenceDump(params=params, values=tuple(values))
+        raise PotentialOne(f"N = {N} divides a-1 = {a - 1}; potential is 1")
+    return PotentialProfile(tau=tau, lam=(a - 1) ** tau // N)
 
 
 def normalize(x: int, N: int, digits: int) -> str:
@@ -167,28 +123,3 @@ def default_digits(N: int) -> int:
     if n == 1:
         return max(d, e, 1)
     return len(str(N)) + 1
-
-
-@dataclass(frozen=True)
-class SequenceDump:
-    """An orbit prefix X_1..X_count together with its parameters."""
-
-    params: LcgParams
-    values: tuple[int, ...]
-
-    def decimals(self, digits: int | None = None) -> tuple[str, ...]:
-        d = default_digits(self.params.N) if digits is None else digits
-        return tuple(normalize(x, self.params.N, d) for x in self.values)
-
-    def to_csv(self, out: IO[str], digits: int | None = None) -> None:
-        """Columns n, x, u where u is the exact decimal of x/N."""
-        w = csv.writer(out, lineterminator="\n")
-        w.writerow(["n", "x", "u"])
-        for n, (x, u) in enumerate(zip(self.values, self.decimals(digits)), start=1):
-            w.writerow([n, x, u])
-
-    def to_text(self, out: IO[str], digits: int | None = None, per_line: int = 10) -> None:
-        """Decimal fractions, `per_line` per row, joined by '; '."""
-        decs = self.decimals(digits)
-        for i in range(0, len(decs), per_line):
-            out.write("; ".join(decs[i : i + per_line]) + "\n")

@@ -1,7 +1,9 @@
-"""Integer factorization and primality helpers.
+"""Primality and factorization helpers.
 
-Trial division up to a configurable bound, then Brent-cycle Pollard rho with a
-step budget.  Everything is deterministic so repeated runs factor the same way.
+`is_probable_prime` checks the primes of a shaped multiplier recipe.
+`factorize` (trial division, then Brent-cycle Pollard rho with a step budget)
+is no longer called by the package: maximum period and the potential are
+decided by gcd-stripping in `lcg`.
 """
 
 from __future__ import annotations
@@ -85,7 +87,9 @@ def factorize(
     """Return {prime: exponent} with product equal to n (n >= 1).
 
     Raises FactorizationError when a composite cofactor survives both the trial
-    bound and the rho budget; the caller can then supply factors explicitly.
+    bound and the rho budget.  Nothing in the package calls it; it stays only
+    because the benchmark tracer (`LAYERS` in bench/lcgbench/tracer.py) looks
+    it up by name, and goes once a benchmark change drops it from there.
     """
     if n < 1:
         raise InvalidParams("factorize expects n >= 1")
@@ -120,15 +124,3 @@ def factorize(
         stack.append(m // d)
     return factors
 
-
-def validate_factorization(n: int, factors: dict[int, int]) -> None:
-    """Check a caller-supplied factorization: primes, positive exponents, product n."""
-    prod = 1
-    for p, e in factors.items():
-        if e < 1:
-            raise InvalidParams(f"exponent of {p} must be >= 1")
-        if not is_probable_prime(p):
-            raise InvalidParams(f"{p} is not prime")
-        prod *= p**e
-    if prod != n:
-        raise InvalidParams(f"factor product {prod} != {n}")

@@ -16,10 +16,8 @@ from lcgspec import (
     theorem_bounds,
 )
 from lcgspec.builder import (
-    BuildRequest,
     BuiltGenerator,
     MultiplierRecipe,
-    build,
     build_range,
     build_single_dimension,
     validate,
@@ -156,24 +154,6 @@ class TestBuildRange:
             build_range(2, -1, 1, MultiplierRecipe(a=26))
         with pytest.raises(LambdaInvalid):
             build_range(2, 0, 0, MultiplierRecipe(a=26))
-
-
-class TestBuildDispatch:
-    def test_single(self):
-        req = BuildRequest(mode="single", s=2, recipe=MultiplierRecipe(a=26))
-        assert build(req).params == LcgParams(26, 1, 625, 0)
-
-    def test_range(self):
-        req = BuildRequest(mode="range", tau=2, l=1, lam=2, recipe=MultiplierRecipe(a=5))
-        assert build(req).params.N == 32
-
-    def test_rejects(self):
-        with pytest.raises(InvalidParams):
-            build(BuildRequest(mode="single", recipe=MultiplierRecipe(a=26)))
-        with pytest.raises(InvalidParams):
-            build(BuildRequest(mode="range", recipe=MultiplierRecipe(a=26)))
-        with pytest.raises(InvalidParams):
-            build(BuildRequest(mode="best", s=2, recipe=MultiplierRecipe(a=26)))
 
 
 class TestCertificateJson:

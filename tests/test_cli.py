@@ -68,7 +68,7 @@ class TestAnalyze:
     def test_require_max_period(self, capsys):
         code, _ = run(["analyze", "--a", "3", "--N", "9", "--require-max-period"])
         assert code == 3
-        assert "prime 3 divides N but not a-1" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: primes of 9 divide N but not a-1\n"
 
     def test_bad_expression(self):
         code, _ = run(["analyze", "--a", "2^^5", "--N", "625"])
@@ -115,6 +115,19 @@ class TestBuild:
         d = json.loads(out)
         assert d["N"] == str(69068**6)
         assert d["uniform_lower_sq"] == "4767764401"
+        code, out = run(["build", "--tau", "2", "--l", "1", "--lambda", "2", "--a", "5",
+                         "--format", "json"])
+        assert code == 0
+        d = json.loads(out)
+        assert (d["N"], d["tau"], d["lambda"]) == ("32", 3, "2")
+
+    def test_modulus_beyond_factoring(self):
+        # N = (p*q)^2 with primes p, q ~ 2^55: decided by gcds, not factoring
+        a = 1298074214633707411535782347800610
+        code, out = run(["build", "--s", "2", "--a", str(a), "--format", "json"])
+        assert code == 0
+        d = json.loads(out)
+        assert (d["N"], d["tau"], d["lambda"]) == (str((a - 1) ** 2), 2, "1")
 
     def test_too_small(self, capsys):
         code, _ = run(["build", "--s", "2", "--a", "3"])
@@ -180,9 +193,15 @@ class TestUniformity:
         assert code == 3
 
     def test_budget(self):
-        code, _ = run(["uniformity", "--a", "69069", "--N", "2^32",
-                       "--interval", "0:1"])
-        assert code == 4
+        # no period budget: the full-period count is a closed form
+        code, out = run(["uniformity", "--a", "69069", "--N", "2^32",
+                         "--interval", "0:1", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["rows"][0]["m"] == "4294967296"
+        code, out = run(["uniformity", "--a", "6364136223846793005", "--N", "2^64",
+                         "--interval", "1/4:1/2", "--format", "json"])
+        assert code == 0
+        assert json.loads(out)["rows"][0]["m"] == str(2**62 + 1)
 
 
 class TestDump:

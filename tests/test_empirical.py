@@ -2,6 +2,7 @@
 
 import io
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +20,7 @@ from lcgspec.empirical import (
     format_fraction,
     frequency_test,
 )
+from lcgspec.numtheory import factorize
 
 P625 = LcgParams(26, 1, 625, 0)
 
@@ -86,15 +88,30 @@ class TestFrequencyTest:
         assert r.delta == r.width
 
     def test_requires_max_period(self):
-        with pytest.raises(PeriodViolation, match="prime 3"):
+        with pytest.raises(PeriodViolation, match=r"^primes of 9 divide N but not a-1$"):
             frequency_test(LcgParams(3, 1, 9, 0), 0, 1)
 
-    def test_budget(self):
-        with pytest.raises(BudgetExceeded):
-            frequency_test(LcgParams(69069, 1, 2**32, 0), 0, 1)
-        # explicit budget overrides the default
-        with pytest.raises(BudgetExceeded):
-            frequency_test(P625, 0, 1, budget=100)
+    def test_closed_form_matches_orbit_walk(self):
+        rng = random.Random(4)
+        cases = 0
+        for _ in range(150):
+            params = _random_max_period(rng)
+            N = params.N
+            x = rng.randrange(N)
+            intervals = [
+                (Fraction(0), Fraction(1)),
+                (Fraction(0), _random_endpoint(rng, N)),
+                (_random_endpoint(rng, N), Fraction(1)),
+                # strictly between two residues: no representable value
+                (Fraction(3 * x + 1, 3 * N), Fraction(3 * x + 2, 3 * N)),
+                tuple(sorted(_random_endpoint(rng, N) for _ in range(2))),
+            ]
+            for alpha, beta in intervals:
+                if alpha >= beta:
+                    continue
+                assert frequency_test(params, alpha, beta).m == _walk_count(params, alpha, beta)
+                cases += 1
+        assert cases >= 500
 
     @pytest.mark.parametrize(
         "alpha,beta",
@@ -103,6 +120,43 @@ class TestFrequencyTest:
     def test_rejects_bad_interval(self, alpha, beta):
         with pytest.raises(InvalidParams, match="need 0 <= alpha < beta <= 1"):
             frequency_test(P625, alpha, beta)
+
+
+def _random_max_period(rng):
+    """LcgParams satisfying Hull-Dobell, read off an explicit prime list."""
+    while True:
+        N = rng.randrange(3, 3000)
+        step = math.prod(factorize(N))
+        if N % 4 == 0:
+            step = math.lcm(step, 4)
+        if step + 1 < N:
+            break
+    a = 1 + step * rng.randrange(1, (N - 2) // step + 1)
+    c = rng.choice([c for c in range(1, min(N, 50)) if math.gcd(c, N) == 1])
+    return LcgParams(a, c, N, rng.randrange(N))
+
+
+def _random_endpoint(rng, N):
+    # on a residue boundary, near one, or anywhere in [0, 1]
+    return rng.choice([
+        Fraction(rng.randrange(N + 1), N),
+        Fraction(rng.randrange(N * 7 + 1), N * 7),
+        Fraction(rng.randrange(10**6 + 1), 10**6),
+    ])
+
+
+def _walk_count(params, alpha, beta):
+    """The frequency count by walking the whole period from x0."""
+    a, c, N, x = params.a, params.c, params.N, params.x0
+    # alpha <= x/N <= beta, cross-multiplied
+    lo_num, lo_den = alpha.numerator * N, alpha.denominator
+    hi_num, hi_den = beta.numerator * N, beta.denominator
+    m = 0
+    for _ in range(N):
+        if lo_num <= x * lo_den and x * hi_den <= hi_num:
+            m += 1
+        x = (a * x + c) % N
+    return m
 
 
 class TestFrequencyReport:
@@ -152,6 +206,9 @@ class TestDumpSequence:
         assert lines[0] == "n,x,u"
         assert lines[1] == "1,1,0.0016"
         assert lines[-1] == "625,0,0"
+        xs = [int(line.split(",")[1]) for line in lines[1:]]
+        assert sorted(xs) == list(range(625))  # visits every residue
+        assert xs[-2:] == [24, 0]
 
     def test_table_format(self):
         buf = io.StringIO()
@@ -176,6 +233,9 @@ class TestDumpSequence:
     def test_full_dump_requires_max_period(self):
         with pytest.raises(PeriodViolation):
             dump_sequence(LcgParams(3, 1, 9, 0), io.StringIO())
+        # period 6 < 15: 0, 1, 5, 6, 10, 11, then back to 0
+        with pytest.raises(PeriodViolation, match=r"^primes of 5 divide N but not a-1$"):
+            dump_sequence(LcgParams(4, 1, 15, 0), io.StringIO())
 
     def test_rejects(self):
         with pytest.raises(InvalidParams):

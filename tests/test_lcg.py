@@ -1,24 +1,17 @@
-import io
 import math
 from fractions import Fraction
 
 import pytest
 
-from lcgspec.errors import (
-    InvalidParams,
-    NoPotential,
-    PeriodViolation,
-    PotentialOne,
-)
+from lcgspec.errors import InvalidParams, NoPotential, PotentialOne
 from lcgspec.lcg import (
     LcgParams,
     check_max_period,
     compute_potential,
     default_digits,
-    generate,
     normalize,
-    step,
 )
+from lcgspec.numtheory import factorize
 
 
 def steps_back_to_seed(params):
@@ -26,7 +19,7 @@ def steps_back_to_seed(params):
     can fall into a cycle that excludes x0 when a is not invertible)."""
     x = params.x0
     for n in range(1, params.N + 1):
-        x = step(params, x)
+        x = (params.a * x + params.c) % params.N
         if x == params.x0:
             return n
     return None
@@ -62,14 +55,6 @@ def test_params_validation():
         LcgParams(2, 1, 1, 0)  # N too small
 
 
-def test_step_examples():
-    p = LcgParams(26, 1, 625, 0)
-    assert step(p, 0) == 1
-    assert step(p, 1) == 27
-    assert step(p, 78) == 154
-    assert step(p, 624) == step(p, -1 % 625)
-
-
 # -- maximum period ------------------------------------------------------
 
 
@@ -92,17 +77,44 @@ def test_max_period_known_good():
 def test_max_period_failure_messages():
     rep = check_max_period(LcgParams(4, 1, 8))
     assert not rep.ok
-    assert "prime 2 divides N but not a-1" in rep.failures
-    assert "N divisible by 4 but a-1 is not" in rep.failures
+    assert rep.failures == (
+        "primes of 8 divide N but not a-1",
+        "N divisible by 4 but a-1 is not",
+    )
     rep = check_max_period(LcgParams(7, 1, 36))
     assert rep.failures == ("N divisible by 4 but a-1 is not",)
 
 
-def test_max_period_accepts_prefactored_modulus():
-    rep = check_max_period(LcgParams(69069, 1, 2**32), factors={2: 32})
-    assert rep.ok and rep.factors == {2: 32}
-    with pytest.raises(InvalidParams):
-        check_max_period(LcgParams(69069, 1, 2**32), factors={2: 31})
+def test_max_period_matches_factored_hull_dobell():
+    # gcd-stripping against Hull-Dobell read off an explicit prime list,
+    # including the exact unstripped part named in the failure message
+    for N in range(3, 400):
+        primes = factorize(N)
+        for a in range(2, N):
+            am1 = a - 1
+            foreign = math.prod(p**e for p, e in primes.items() if am1 % p)
+            expected = []
+            if foreign > 1:
+                expected.append(f"primes of {foreign} divide N but not a-1")
+            if N % 4 == 0 and am1 % 4:
+                expected.append("N divisible by 4 but a-1 is not")
+            for c in (1, 3):
+                if c >= N or math.gcd(c, N) != 1:
+                    continue
+                rep = check_max_period(LcgParams(a, c, N))
+                assert rep.failures == tuple(expected), (a, c, N)
+                assert rep.ok == (not expected)
+
+
+def test_max_period_without_factoring_n():
+    # N = (p*q)^2 with primes p, q ~ 2^55 is beyond trial division and a
+    # bounded Pollard rho; gcd-stripping against a - 1 = p*q takes two passes
+    p, q = 36028797018963971, 36028797018963979
+    a = p * q + 1
+    assert a == 1298074214633707411535782347800610
+    assert check_max_period(LcgParams(a, 1, (a - 1) ** 2)).ok
+    profile = compute_potential(a, (a - 1) ** 2)
+    assert (profile.tau, profile.lam) == (2, 1)
 
 
 # -- potential -----------------------------------------------------------
@@ -155,39 +167,6 @@ def test_potential_error_kinds():
         compute_potential(6, 5)  # N | a-1 at the first power
 
 
-# -- sequence generation -------------------------------------------------
-
-
-def test_generate_full_period():
-    p = LcgParams(26, 1, 625, 0)
-    dump = generate(p, 625)
-    assert len(dump.values) == 625
-    assert sorted(dump.values) == list(range(625))  # visits every residue
-    assert dump.values[:4] == (1, 27, 78, 154)
-    assert dump.values[-2:] == (24, 0)
-
-
-def test_generate_partial_prefix():
-    p = LcgParams(26, 1, 625, 0)
-    assert generate(p, 6).values == (1, 27, 78, 154, 255, 381)
-    assert generate(p, 0).values == ()
-
-
-def test_generate_rejects_early_return():
-    p = LcgParams(4, 1, 15, 0)  # period 6: 0,1,5,6,10,11 then back to 0
-    with pytest.raises(PeriodViolation):
-        generate(p, 15)
-    assert generate(p, 6).values == (1, 5, 6, 10, 11, 0)
-
-
-def test_generate_count_bounds():
-    p = LcgParams(26, 1, 625, 0)
-    with pytest.raises(InvalidParams):
-        generate(p, 626)
-    with pytest.raises(InvalidParams):
-        generate(p, -1)
-
-
 # -- decimal normalization -----------------------------------------------
 
 
@@ -230,17 +209,3 @@ def test_normalize_round_trip_general_nearest():
         u = Fraction(normalize(x, N, d))
         assert round(u * N) == x
 
-
-def test_sequence_dump_formats():
-    p = LcgParams(26, 1, 625, 0)
-    dump = generate(p, 5)
-    buf = io.StringIO()
-    dump.to_csv(buf)
-    lines = buf.getvalue().splitlines()
-    assert lines[0] == "n,x,u"
-    assert lines[1] == "1,1,0.0016"
-    assert lines[5] == "5,255,0.408"
-    buf = io.StringIO()
-    dump.to_text(buf, per_line=3)
-    assert buf.getvalue().splitlines() == ["0.0016; 0.0432; 0.1248", "0.2464; 0.408"]
-    assert dump.decimals() == ("0.0016", "0.0432", "0.1248", "0.2464", "0.408")

@@ -1,11 +1,9 @@
+import math
+
 import pytest
 
 from lcgspec.errors import FactorizationError, InvalidParams
-from lcgspec.numtheory import (
-    factorize,
-    is_probable_prime,
-    validate_factorization,
-)
+from lcgspec.numtheory import factorize, is_probable_prime
 
 
 def sieve(limit):
@@ -55,14 +53,15 @@ def test_factorize_known(n, expected):
 def test_factorize_round_trip_range():
     for n in range(1, 3000):
         factors = factorize(n)
-        validate_factorization(n, factors)
+        assert math.prod(p**e for p, e in factors.items()) == n
+        assert all(is_probable_prime(p) and e >= 1 for p, e in factors.items())
 
 
 def test_factorize_big_composite():
     n = 69068**6
     factors = factorize(n)
     assert factors == {2: 12, 31: 6, 557: 6}
-    validate_factorization(n, factors)
+    assert math.prod(p**e for p, e in factors.items()) == n
 
 
 def test_factorize_rejects_nonpositive():
@@ -78,10 +77,3 @@ def test_factorize_budget_exhaustion():
     hard = (2**61 - 1) * (2**89 - 1)
     with pytest.raises(FactorizationError):
         factorize(hard, trial_bound=1000, rho_budget=50)
-
-
-def test_validate_factorization_rejects_wrong():
-    with pytest.raises(InvalidParams):
-        validate_factorization(12, {2: 1, 3: 1})
-    with pytest.raises(InvalidParams):
-        validate_factorization(12, {4: 1, 3: 1})
