@@ -7,6 +7,7 @@ validation errors, 3 domain errors, 4 budget errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -28,7 +29,6 @@ from .errors import (
     ExpressionError,
     InvalidParams,
     LambdaInvalid,
-    LcgspecError,
     NoPotential,
     PeriodBroken,
     PeriodViolation,
@@ -396,7 +396,10 @@ def _add_generator_args(p: argparse.ArgumentParser, with_c: bool = True) -> None
         p.add_argument("--x0", default="0", help="seed (default 0)")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built on first use and then shared by every `main`
+    call in the process; parse_args keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="lcgspec",
         description="Exact spectral-test analysis and construction of maximum-period "

@@ -15,9 +15,12 @@ from fractions import Fraction
 from typing import IO
 
 from .errors import BudgetExceeded, InvalidParams, PeriodViolation
-from .lcg import LcgParams, check_max_period, default_digits, normalize
+from .lcg import LcgParams, _render_fractions, check_max_period, default_digits
 
 DEFAULT_BUDGET = 10**8
+# Terms stepped and rendered per batch by dump_sequence.  Writes stay one
+# per line or row: a caller's stream may buffer per write, not per byte.
+_DUMP_CHUNK = 512
 
 _ROW_FIELDS = ("alpha", "beta", "m", "m_over_N", "width", "delta")
 
@@ -134,17 +137,25 @@ def dump_sequence(
     budget: int = DEFAULT_BUDGET,
 ) -> None:
     """Stream X_1..X_count (default: the full period) to `out` as CSV rows
-    n,x,u or as '; '-separated decimal fractions, `per_line` per row."""
+    n,x,u or as '; '-separated decimal fractions, `per_line` per row.
+
+    Every argument is checked before anything is written.  Terms are stepped
+    and rendered _DUMP_CHUNK at a time, with one write per CSV line or table
+    row, so memory stays bounded by the chunk (and one row).
+    """
     if fmt not in ("csv", "table"):
         raise InvalidParams(f"unknown dump format {fmt!r}")
+    if digits is not None and digits < 1:
+        raise InvalidParams("digits must be >= 1")
+    if per_line < 1:
+        raise InvalidParams(f"per_line must be >= 1, got {per_line}")
     if count is None:
         count = params.N
     if not 0 <= count <= params.N:
         raise InvalidParams(f"need 0 <= count <= N, got {count}")
     if count > budget:
         raise BudgetExceeded(f"count {count} exceeds budget {budget}")
-    full = count == params.N
-    if full:
+    if count == params.N:
         report = check_max_period(params)
         if not report.ok:
             raise PeriodViolation("; ".join(report.failures))
@@ -152,16 +163,21 @@ def dump_sequence(
     a, c, N, x = params.a, params.c, params.N, params.x0
     if fmt == "csv":
         out.write("n,x,u\n")
-        for n in range(1, count + 1):
+    row: list[str] = []  # table values not yet written
+    for first in range(1, count + 1, _DUMP_CHUNK):
+        xs = []
+        for _ in range(min(_DUMP_CHUNK, count + 1 - first)):
             x = (a * x + c) % N
-            out.write(f"{n},{x},{normalize(x, N, d)}\n")
-    else:
-        line: list[str] = []
-        for n in range(1, count + 1):
-            x = (a * x + c) % N
-            line.append(normalize(x, N, d))
-            if len(line) == per_line:
-                out.write("; ".join(line) + "\n")
-                line.clear()
-        if line:
-            out.write("; ".join(line) + "\n")
+            xs.append(x)
+        us = _render_fractions(xs, N, d)
+        if fmt == "csv":
+            for n, xn, u in zip(range(first, first + len(xs)), xs, us):
+                out.write(f"{n},{xn},{u}\n")
+        else:
+            row += us
+            whole = len(row) - len(row) % per_line
+            for i in range(0, whole, per_line):
+                out.write("; ".join(row[i:i + per_line]) + "\n")
+            del row[:whole]
+    if row:
+        out.write("; ".join(row) + "\n")

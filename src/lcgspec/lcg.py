@@ -70,11 +70,11 @@ def _strip_shared_primes(a: int, N: int) -> tuple[int, int]:
 def check_max_period(params: LcgParams) -> MaxPeriodReport:
     """Hull-Dobell certificate: the period equals N exactly when
     gcd(c, N) = 1, every prime of N divides a-1, and 4 | N implies 4 | a-1.
+
+    The first condition is not re-checked here: `LcgParams` refuses any c
+    with gcd(c, N) != 1, so every params value already meets it.
     """
     failures = []
-    g = math.gcd(params.c, params.N)
-    if g != 1:
-        failures.append(f"gcd(c, N) = {g} != 1")
     r, _ = _strip_shared_primes(params.a, params.N)
     if r > 1:
         failures.append(f"primes of {r} divide N but not a-1")
@@ -103,9 +103,22 @@ def normalize(x: int, N: int, digits: int) -> str:
         raise InvalidParams(f"need 0 <= x < N, got x={x}, N={N}")
     if digits < 1:
         raise InvalidParams("digits must be >= 1")
-    q = x * 10**digits // N
-    frac = str(q).rjust(digits, "0").rstrip("0")
-    return "0." + frac if frac else "0"
+    return _render_fractions([x], N, digits)[0]
+
+
+def _render_fractions(xs: list[int], N: int, digits: int) -> list[str]:
+    """`normalize` of every x in xs, unchecked: the caller guarantees
+    0 <= x < N and digits >= 1.
+
+    When N divides 10^digits (every terminating default), the truncated
+    numerator x * 10^digits // N is the product x * (10^digits // N), so no
+    bignum division is made per value.
+    """
+    scale = 10**digits
+    k, rem = divmod(scale, N)
+    qs = [x * k for x in xs] if rem == 0 else [x * scale // N for x in xs]
+    return ["0." + frac if (frac := str(q).zfill(digits).rstrip("0")) else "0"
+            for q in qs]
 
 
 def default_digits(N: int) -> int:

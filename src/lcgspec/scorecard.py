@@ -19,9 +19,9 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .builder import MultiplierRecipe, build_range, build_single_dimension
+from .builder import MultiplierRecipe, build_range
 from .empirical import dump_sequence, frequency_test
-from .errors import LcgspecError, TooSmall
+from .errors import LcgspecError
 from .exprparse import parse_endpoint
 from .lattice import brute_force_shortest, dual_basis, shortest_vector
 from .lcg import LcgParams, check_max_period

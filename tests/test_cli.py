@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from lcgspec.cli import main
+from lcgspec.cli import build_parser, main
 
 
 def run(argv):
@@ -229,6 +229,16 @@ class TestDump:
                        "--budget", "3"])
         assert code == 4
 
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("flags", [["--digits", "0"], ["--digits", "-1"],
+                                       ["--per-line", "0"], ["--per-line", "-2"]])
+    def test_rejects_before_writing(self, fmt, flags, capsys):
+        code, out = run(["dump", "--a", "26", "--N", "625", "--count", "5",
+                         "--format", fmt] + flags)
+        assert code == 2
+        assert out == ""
+        assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestSvp:
     def test_spectral_lattice(self):
@@ -286,6 +296,45 @@ class TestVerifyPaper:
     def test_malformed_only(self):
         code, _ = run(["verify-paper", "--only", "junk"])
         assert code == 2
+
+
+class TestParserReuse:
+    """`main` shares one parser across calls; no call may see another's state."""
+
+    @staticmethod
+    def fresh(argv):
+        build_parser.cache_clear()
+        return run(argv)
+
+    def test_parser_is_shared(self):
+        assert build_parser() is build_parser()
+
+    def test_interval_list_does_not_leak(self):
+        many = ["uniformity", "--a", "26", "--N", "625", "--interval", "0:1",
+                "--interval", "0:1/2", "--format", "csv"]
+        one = ["uniformity", "--a", "26", "--N", "625", "--interval", "0.2:0.9",
+               "--format", "csv"]
+        want = self.fresh(one)
+        assert len(want[1].splitlines()) == 2
+        run(many)
+        assert run(one) == want
+
+    def test_usage_error_then_valid_call(self):
+        argv = ["analyze", "--a", "26", "--N", "625", "--s", "2..3", "--format", "csv"]
+        want = self.fresh(argv)
+        assert run(["analyze", "--a", "26", "--N", "625", "--bogus"])[0] == 2
+        assert run(["build", "--s", "2", "--tau", "3", "--a", "26"])[0] == 2
+        assert run(argv) == want
+
+    def test_build_modes_alternate(self):
+        single = ["build", "--s", "2", "--a", "26", "--format", "json"]
+        ranged = ["build", "--tau", "3", "--a", "69069", "--format", "json"]
+        want_single, want_range = self.fresh(single), self.fresh(ranged)
+        assert want_single[0] == want_range[0] == 0
+        for _ in range(2):
+            assert run(single) == want_single
+            assert run(ranged) == want_range
+        assert run(single + ["--tau", "3"])[0] == 2
 
 
 class TestHarness:

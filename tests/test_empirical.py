@@ -246,3 +246,12 @@ class TestDumpSequence:
             dump_sequence(P625, io.StringIO(), fmt="yaml")
         with pytest.raises(BudgetExceeded):
             dump_sequence(P625, io.StringIO(), count=5, budget=3)
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    @pytest.mark.parametrize("kwargs", [{"digits": 0}, {"digits": -2},
+                                        {"per_line": 0}, {"per_line": -3}])
+    def test_rejects_before_writing(self, fmt, kwargs):
+        buf = io.StringIO()
+        with pytest.raises(InvalidParams, match="must be >= 1"):
+            dump_sequence(P625, buf, fmt=fmt, count=5, **kwargs)
+        assert buf.getvalue() == ""

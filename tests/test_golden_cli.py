@@ -29,6 +29,25 @@ CASES["svp_dual_text"] = ["svp", "--a", "6364136223846793005", "--N", "2^64", "-
                           "--format", "text"]
 CASES["svp_basis_json"] = ["svp", "--basis-file", str(GOLDEN / "basis.json")]
 CASES["build_tau6_validate8"] = ["build", "--tau", "6", "--a", "69069", "--validate", "8"]
+CASES.update({
+    f"uniformity_26_{fmt}": ["uniformity", "--a", "26", "--N", "625",
+                             "--interval", "0.580815:0.850411", "--interval", "1/pi^2:1-1/e",
+                             "--interval", "0:1", "--format", fmt]
+    for fmt in ("text", "csv", "json")
+})
+# 3^7 has a non-terminating expansion, and its 2187 terms span several
+# rendering chunks and end mid-row in the table
+DUMPS = {
+    "26_625_csv": ["--a", "26", "--N", "625"],
+    "26_625_table": ["--a", "26", "--N", "625", "--format", "table"],
+    "4_3e7_csv": ["--a", "4", "--N", "3^7"],
+    "4_3e7_table": ["--a", "4", "--N", "3^7", "--format", "table"],
+    "26_625_count10": ["--a", "26", "--N", "625", "--count", "10"],
+    "26_625_digits3": ["--a", "26", "--N", "625", "--digits", "3", "--format", "table"],
+    "26_625_per_line3": ["--a", "26", "--N", "625", "--count", "10", "--per-line", "3",
+                         "--format", "table"],
+}
+CASES.update({f"dump_{name}": ["dump"] + argv for name, argv in DUMPS.items()})
 
 
 def run(argv):

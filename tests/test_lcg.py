@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from lcgspec.errors import InvalidParams, NoPotential, PotentialOne
 from lcgspec.lcg import (
     LcgParams,
+    _render_fractions,
     check_max_period,
     compute_potential,
     default_digits,
@@ -180,6 +182,10 @@ def test_potential_error_kinds():
         (8, 16, 4, "0.5"),
         (1, 3, 6, "0.333333"),
         (2, 3, 6, "0.666666"),  # truncated, not rounded
+        (255, 625, 2, "0.4"),  # fewer digits than the exact expansion truncate
+        (1, 625, 2, "0"),
+        (624, 625, 8, "0.9984"),  # more digits add no trailing zeros
+        (2, 3, 1, "0.6"),
     ],
 )
 def test_normalize(x, N, digits, expected):
@@ -209,3 +215,20 @@ def test_normalize_round_trip_general_nearest():
         u = Fraction(normalize(x, N, d))
         assert round(u * N) == x
 
+
+@pytest.mark.parametrize("N", [16, 625, 800, 2**20, 10**6,  # N | 10^d: the x * K path
+                               3, 7, 3**7, 3**12, 10**8 + 1, 3141592621])
+def test_batch_renderer_matches_fraction_truncation(N):
+    rng = random.Random(N)
+    xs = [0, 1, N - 1] + [rng.randrange(N) for _ in range(200)]
+    dd = default_digits(N)
+    for digits in sorted({1, max(1, dd - 2), dd, dd + 3}):
+        got = _render_fractions(xs, N, digits)
+        assert len(got) == len(xs)
+        for x, u in zip(xs, got):
+            want = Fraction(math.floor(Fraction(x, N) * 10**digits), 10**digits)
+            assert Fraction(u) == want
+            int_part, _, frac = u.partition(".")
+            assert int_part == "0" and len(frac) <= digits
+            assert frac == "" or (frac.isdigit() and not frac.endswith("0"))
+            assert normalize(x, N, digits) == u
