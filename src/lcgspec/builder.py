@@ -22,13 +22,19 @@ from .errors import (
     PotentialOne,
     TooSmall,
 )
-from .lcg import LcgParams, PotentialProfile, check_max_period, compute_potential
+from .lcg import (
+    LcgParams,
+    PotentialProfile,
+    _max_period_report,
+    _potential_profile,
+    _strip_shared_primes,
+)
 from .numtheory import is_probable_prime
 from .spectral import (
     SpectralResult,
     TheoremBounds,
     b_coefficient,
-    spectral_test,
+    spectral_profile,
     theorem_bounds,
     within_packing_bound,
 )
@@ -157,11 +163,13 @@ def _build(t: int, covers: int, lam: int, recipe: MultiplierRecipe,
         raise LambdaInvalid(f"lambda = {lam} does not divide (a-1)^{t}")
     N = pw // lam
     params = LcgParams(a=a, c=1, N=N, x0=0)
-    report = check_max_period(params)
+    # one gcd-strip of N decides both the period and the potential
+    r, passes = _strip_shared_primes(a, N)
+    report = _max_period_report(params, r)
     if not report.ok:
         raise PeriodBroken("; ".join(report.failures))
     try:
-        profile = compute_potential(a, N)
+        profile = _potential_profile(a, N, r, passes)
     except (NoPotential, PotentialOne) as exc:
         raise PeriodBroken(str(exc)) from exc
     if (profile.tau, profile.lam) != (t, lam):
@@ -260,8 +268,8 @@ def validate(gen: BuiltGenerator, s_max: int, cap: int | None = None) -> Validat
     a, N = gen.params.a, gen.params.N
     by_s = {tb.s: tb for tb in gen.guaranteed}
     rows = []
-    for s in range(2, s_max + 1):
-        res = spectral_test(a, N, s, cap)
+    for res in spectral_profile(a, N, range(2, s_max + 1), cap):
+        s = res.s
         checks = []
         tb = by_s.get(s)
         if tb is not None:

@@ -44,7 +44,7 @@ from .lattice import (
     shortest_vector,
 )
 from .lcg import LcgParams, check_max_period
-from .spectral import knuth_bound, spectral_test, within_packing_bound
+from .spectral import knuth_bound, spectral_profile, within_packing_bound
 
 EXIT_OK = 0
 EXIT_SCORECARD = 1
@@ -125,7 +125,7 @@ def cmd_analyze(args, out: IO[str]) -> int:
         report = check_max_period(LcgParams(a, c, N, x0))
         if not report.ok:
             raise PeriodViolation("; ".join(report.failures))
-    results = [spectral_test(a, N, s, cap=args.enum_cap) for s in dims]
+    results = spectral_profile(a, N, dims, cap=args.enum_cap)
 
     if args.format == "json":
         _json_out(
@@ -388,12 +388,11 @@ def cmd_verify_paper(args, out: IO[str]) -> int:
 # -- parser ------------------------------------------------------------------
 
 
-def _add_generator_args(p: argparse.ArgumentParser, with_c: bool = True) -> None:
+def _add_generator_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--a", required=True, help="multiplier (integer expression, e.g. 69069)")
     p.add_argument("--N", required=True, help="modulus (integer expression, e.g. 2^32)")
-    if with_c:
-        p.add_argument("--c", default="1", help="increment (default 1)")
-        p.add_argument("--x0", default="0", help="seed (default 0)")
+    p.add_argument("--c", default="1", help="increment (default 1)")
+    p.add_argument("--x0", default="0", help="seed (default 0)")
 
 
 @functools.cache

@@ -76,7 +76,12 @@ def canonical(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Square integer basis, rows linearly independent."""
+    """Square integer basis, rows linearly independent.
+
+    Private caches, never part of equality: `_det`; `_gs`, the integral
+    Gram-Schmidt data (d, lam) of the rows when it is known; and `_reduced`,
+    the latest `lll_reduce` of this basis once one has run.
+    """
 
     rows: tuple[tuple[int, ...], ...]
 
@@ -92,6 +97,22 @@ class LatticeBasis:
         if d == 0:
             raise InvalidParams("basis rows are linearly dependent")
         object.__setattr__(self, "_det", d)
+        object.__setattr__(self, "_gs", None)
+        object.__setattr__(self, "_reduced", None)
+
+    @classmethod
+    def _known(cls, rows: tuple[tuple[int, ...], ...], det: int,
+               gs: tuple[list[int], list[list[int]]] | None = None) -> "LatticeBasis":
+        """A basis built inside this module, whose rows are independent and
+        whose determinant is already known: no checks and no Bareiss.  `gs`
+        is its integral Gram-Schmidt data (d, lam) when that is known too;
+        it is never mutated once attached."""
+        basis = object.__new__(cls)
+        object.__setattr__(basis, "rows", rows)
+        object.__setattr__(basis, "_det", det)
+        object.__setattr__(basis, "_gs", gs)
+        object.__setattr__(basis, "_reduced", None)
+        return basis
 
     @property
     def dim(self) -> int:
@@ -139,7 +160,29 @@ def dual_basis(a: int, N: int, s: int) -> LatticeBasis:
         row[0] = -pow(a, j, N)
         row[j] = 1
         rows.append(tuple(row))
-    return LatticeBasis(tuple(rows))
+    return LatticeBasis._known(tuple(rows), N)  # triangular, diagonal N, 1, ..., 1
+
+
+def extend_dual_basis(basis: LatticeBasis, a: int, N: int) -> LatticeBasis:
+    """Basis of the dual lattice in dimension s+1 from any basis of it in
+    dimension s = basis.dim: every row padded with a zero, plus the row
+    (-(a^s mod N), 0, ..., 0, 1) (the step of Knuth's Algorithm S, TAOCP
+    vol. 2, 3.3.4).  The rows come from the LLL reduction of `basis` when one
+    has run (as `shortest_vector` does), whose Gram-Schmidt data is then
+    extended by the one new row instead of rebuilt.  The determinant is
+    unchanged.
+    """
+    if basis._reduced is not None:  # type: ignore[attr-defined]
+        basis = basis._reduced  # type: ignore[attr-defined]
+    s = basis.dim
+    rows = tuple(r + (0,) for r in basis.rows)
+    rows += ((-pow(a, s, N),) + (0,) * (s - 1) + (1,),)
+    gs = basis._gs  # type: ignore[attr-defined]
+    if gs is not None:
+        d, lam = gs[0] + [0], [r + [0] for r in gs[1]] + [[0] * (s + 1)]
+        _gs_row(rows, s, d, lam)
+        gs = (d, lam)
+    return LatticeBasis._known(rows, basis.det, gs)
 
 
 def _integral_gs(rows) -> tuple[list[int], list[list[int]]]:
@@ -153,17 +196,23 @@ def _integral_gs(rows) -> tuple[list[int], list[list[int]]]:
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
-        for j in range(k + 1):
-            u = sum(x * y for x, y in zip(rows[k], rows[j]))
-            for i in range(j):
-                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-            if j < k:
-                lam[k][j] = u
-            else:
-                d[k + 1] = u
-        if d[k + 1] == 0:
-            raise InvalidParams("basis rows are linearly dependent")
+        _gs_row(rows, k, d, lam)
     return d, lam
+
+
+def _gs_row(rows, k: int, d: list[int], lam: list[list[int]]) -> None:
+    """Fill lam[k][0..k-1] and d[k+1] from rows 0..k, given the data of rows
+    0..k-1."""
+    for j in range(k + 1):
+        u = sum(x * y for x, y in zip(rows[k], rows[j]))
+        for i in range(j):
+            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+        if j < k:
+            lam[k][j] = u
+        else:
+            d[k + 1] = u
+    if d[k + 1] == 0:
+        raise InvalidParams("basis rows are linearly dependent")
 
 
 def _round_half_even(num: int, den: int) -> int:
@@ -180,6 +229,9 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = _DELTA) -> LatticeBasis:
 
     The Gram-Schmidt data is kept as the integers d_i and lam_ij of
     `_integral_gs` and updated in O(n) per swap, so the reduction is exact.
+    It starts from a copy of the data cached on `basis` when there is one,
+    and the final data is cached on the result, so enumeration does not
+    rebuild it; the result is cached on `basis` for `extend_dual_basis`.
     Row k is fully size-reduced (j = k-1..0, ties in rounding to even) before
     its Lovasz test.
     """
@@ -189,7 +241,12 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = _DELTA) -> LatticeBasis:
         raise InvalidParams(f"delta must lie in (1/4, 1), got {delta}")
     b = [list(r) for r in basis.rows]
     n = len(b)
-    d, lam = _integral_gs(b)
+    gs = basis._gs  # type: ignore[attr-defined]
+    if gs is None:
+        d, lam = _integral_gs(b)
+    else:
+        d, lam = gs[0][:], [r[:] for r in gs[1]]
+    sign = 1
     k = 1
     while k < n:
         lk = lam[k]
@@ -214,8 +271,11 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = _DELTA) -> LatticeBasis:
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // d[k]
             lam[i][k - 1] = (B * t + lm * lam[i][k]) // d[k + 1]
         d[k] = B
+        sign = -sign
         k = max(k - 1, 1)
-    return LatticeBasis(tuple(tuple(r) for r in b))
+    reduced = LatticeBasis._known(tuple(tuple(r) for r in b), sign * basis.det, (d, lam))
+    object.__setattr__(basis, "_reduced", reduced)
+    return reduced
 
 
 def shortest_vector(basis: LatticeBasis, cap: int | None = None) -> ShortestVectorResult:
@@ -223,10 +283,11 @@ def shortest_vector(basis: LatticeBasis, cap: int | None = None) -> ShortestVect
 
     LLL-reduces, seeds the search radius with the shortest reduced row, then
     enumerates every coefficient vector inside the radius (Fincke-Pohst) on
-    the integral Gram-Schmidt data: the partial norm is an exact integer pair
-    (num, den) and each coefficient interval comes from math.isqrt.  Ties are
-    broken by sign-canonicalizing and taking the lexicographically smallest
-    vector.  Candidate norms are recomputed in plain integer arithmetic.
+    the integral Gram-Schmidt data that LLL leaves on the reduced basis: the
+    partial norm is an exact integer pair (num, den) and each coefficient
+    interval comes from math.isqrt.  Ties are broken by sign-canonicalizing
+    and taking the lexicographically smallest vector.  Candidate norms are
+    recomputed in plain integer arithmetic.
     """
     cap = resolve_enum_cap(cap)
     if basis.dim > cap:
@@ -234,7 +295,7 @@ def shortest_vector(basis: LatticeBasis, cap: int | None = None) -> ShortestVect
     reduced = lll_reduce(basis)
     rows = reduced.rows
     n = reduced.dim
-    d, lam = _integral_gs(rows)
+    d, lam = reduced._gs  # type: ignore[attr-defined]
 
     best_nsq = min(sum(x * x for x in r) for r in rows)
     best_vec: tuple[int, ...] | None = None

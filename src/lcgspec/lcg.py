@@ -74,8 +74,13 @@ def check_max_period(params: LcgParams) -> MaxPeriodReport:
     The first condition is not re-checked here: `LcgParams` refuses any c
     with gcd(c, N) != 1, so every params value already meets it.
     """
-    failures = []
     r, _ = _strip_shared_primes(params.a, params.N)
+    return _max_period_report(params, r)
+
+
+def _max_period_report(params: LcgParams, r: int) -> MaxPeriodReport:
+    """`check_max_period` given r = _strip_shared_primes(a, N)[0]."""
+    failures = []
     if r > 1:
         failures.append(f"primes of {r} divide N but not a-1")
     if params.N % 4 == 0 and (params.a - 1) % 4 != 0:
@@ -87,7 +92,11 @@ def compute_potential(a: int, N: int) -> PotentialProfile:
     """Least tau >= 2 with N | (a-1)^tau, plus the cofactor lam = (a-1)^tau / N."""
     if N <= 0 or not 2 <= a:
         raise InvalidParams(f"need a >= 2 and N > 0, got a={a}, N={N}")
-    r, tau = _strip_shared_primes(a, N)
+    return _potential_profile(a, N, *_strip_shared_primes(a, N))
+
+
+def _potential_profile(a: int, N: int, r: int, tau: int) -> PotentialProfile:
+    """`compute_potential` given (r, tau) = _strip_shared_primes(a, N)."""
     if r > 1:
         raise NoPotential(f"prime factor of {N} does not divide a-1 = {a - 1}")
     if tau <= 1:

@@ -14,8 +14,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, Unsupported
-from .lattice import dual_basis, shortest_vector
+from .errors import (
+    DimensionTooLarge,
+    InvalidParams,
+    LcgspecError,
+    NoPotential,
+    PotentialOne,
+    Unsupported,
+)
+from .lattice import dual_basis, extend_dual_basis, resolve_enum_cap, shortest_vector
 from .lcg import PotentialProfile, compute_potential
 
 # gamma_s^(2s) for the best-known packing constants gamma_s, s = 2..8.  They
@@ -291,39 +298,64 @@ class SpectralResult:
         }
 
 
-def spectral_test(a: int, N: int, s: int, cap: int | None = None) -> SpectralResult:
-    """Exact v_s via the dual-lattice shortest vector, with mu_s, the regime
-    classification and theorem bounds attached when (a, N) has a potential
-    profile; without one the lattice figures still come back.
+def spectral_profile(a: int, N: int, dims, cap: int | None = None) -> list[SpectralResult]:
+    """Exact v_s for every s of the contiguous range `dims`, each with mu_s,
+    the regime classification and theorem bounds attached when (a, N) has a
+    potential profile; without one the lattice figures still come back.
+
+    The dimensions are solved on one chain of reduced bases: the basis for
+    s+1 is the one `shortest_vector` reduced for s, extended by
+    `extend_dual_basis`, so each LLL run starts from a basis that is already
+    reduced but for its last row.  A range reaching above the enumeration cap
+    is refused before any solver work, naming the first dimension over it.
     """
     if not 2 <= a < N:
         raise InvalidParams(f"need 2 <= a < N, got a={a}, N={N}")
-    res = shortest_vector(dual_basis(a, N, s), cap)
-    v_sq = res.norm_sq
-    profile = regime = bounds = None
+    dims = list(dims)
+    if not dims or dims != list(range(dims[0], dims[0] + len(dims))):
+        raise InvalidParams(f"need a contiguous ascending range of dimensions, got {dims}")
+    basis = dual_basis(a, N, dims[0])  # reports s < 2 ahead of the cap
+    cap = resolve_enum_cap(cap)
+    if dims[-1] > cap:
+        raise DimensionTooLarge(
+            f"dimension {max(dims[0], cap + 1)} exceeds enumeration cap {cap}"
+        )
     try:
         profile = compute_potential(a, N)
     except (NoPotential, PotentialOne):
-        pass
-    if profile is not None:
-        regime = classify_regime(s, profile)
-        bounds = theorem_bounds(a, profile, s)
-        if bounds.theorem_id == 1 and bounds.lower_exact_sq is not None:
-            if v_sq != bounds.lower_exact_sq:
-                raise LcgspecError(
-                    f"solver value {v_sq} contradicts the exact dimension-2 "
-                    f"formula {bounds.lower_exact_sq} for a={a}, N={N}"
-                )
-    return SpectralResult(
-        a=a,
-        N=N,
-        s=s,
-        v_sq=v_sq,
-        v=_sqrt_to_float(v_sq),
-        vector=res.vector,
-        mu=merit(s, v_sq, N),
-        certified=res.certified,
-        profile=profile,
-        regime=regime,
-        bounds=bounds,
-    )
+        profile = None
+    results = []
+    for s in dims:
+        if results:
+            basis = extend_dual_basis(basis, a, N)
+        res = shortest_vector(basis, cap)
+        v_sq = res.norm_sq
+        regime = bounds = None
+        if profile is not None:
+            regime = classify_regime(s, profile)
+            bounds = theorem_bounds(a, profile, s)
+            if bounds.theorem_id == 1 and bounds.lower_exact_sq is not None:
+                if v_sq != bounds.lower_exact_sq:
+                    raise LcgspecError(
+                        f"solver value {v_sq} contradicts the exact dimension-2 "
+                        f"formula {bounds.lower_exact_sq} for a={a}, N={N}"
+                    )
+        results.append(SpectralResult(
+            a=a,
+            N=N,
+            s=s,
+            v_sq=v_sq,
+            v=_sqrt_to_float(v_sq),
+            vector=res.vector,
+            mu=merit(s, v_sq, N),
+            certified=res.certified,
+            profile=profile,
+            regime=regime,
+            bounds=bounds,
+        ))
+    return results
+
+
+def spectral_test(a: int, N: int, s: int, cap: int | None = None) -> SpectralResult:
+    """`spectral_profile` in the one dimension s."""
+    return spectral_profile(a, N, [s], cap)[0]

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from lcgspec import (
+    DimensionTooLarge,
     InvalidParams,
     LambdaInvalid,
     LcgParams,
@@ -13,8 +14,10 @@ from lcgspec import (
     PotentialProfile,
     TooSmall,
     compute_potential,
+    spectral_test,
     theorem_bounds,
 )
+from lcgspec import builder, lattice
 from lcgspec.builder import (
     BuiltGenerator,
     MultiplierRecipe,
@@ -110,6 +113,15 @@ class TestBuildSingleDimension:
         # a = 7: N = 36 is divisible by 4 while a - 1 = 6 is not
         with pytest.raises(PeriodBroken, match="divisible by 4"):
             build_single_dimension(2, MultiplierRecipe(a=7))
+
+    def test_strips_the_modulus_once(self, monkeypatch):
+        calls = []
+        real = builder._strip_shared_primes
+        monkeypatch.setattr(builder, "_strip_shared_primes",
+                            lambda a, N: calls.append(N) or real(a, N))
+        g = build_single_dimension(3, MultiplierRecipe(a=69069))
+        assert calls == [g.params.N] == [69068**3]
+        assert g.profile == compute_potential(69069, g.params.N)
 
     def test_rejects_small_s(self):
         with pytest.raises(InvalidParams):
@@ -257,3 +269,26 @@ class TestValidate:
         g = build_single_dimension(2, MultiplierRecipe(a=26))
         with pytest.raises(InvalidParams):
             validate(g, 1)
+
+    def test_rows_match_per_dimension_solver(self):
+        g = build_range(6, 0, 1, MultiplierRecipe(a=69069))
+        rep = validate(g, 8)
+        assert [r.s for r in rep.rows] == list(range(2, 9))
+        assert [r.result for r in rep.rows] == [
+            spectral_test(69069, g.params.N, s) for s in range(2, 9)
+        ]
+
+    @pytest.mark.parametrize("s_max, cap, env", [(13, None, None), (13, 12, None),
+                                                 (8, None, "5")])
+    def test_cap_refused_before_any_solver_work(self, monkeypatch, s_max, cap, env):
+        def boom(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(lattice, "lll_reduce", boom)
+        if env is not None:
+            monkeypatch.setenv(lattice.ENUM_CAP_ENV, env)
+        g = build_range(6, 0, 1, MultiplierRecipe(a=69069))
+        first, limit = (6, 5) if env else (13, 12)
+        with pytest.raises(DimensionTooLarge,
+                           match=f"^dimension {first} exceeds enumeration cap {limit}$"):
+            validate(g, s_max, cap)

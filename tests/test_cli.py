@@ -80,6 +80,28 @@ class TestAnalyze:
         assert code == 4
         assert "exceeds enumeration cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, env, first, limit", [
+        (["--s", "2..14"], None, 13, 12),
+        (["--enum-cap", "12", "--s", "11..13"], None, 13, 12),
+        (["--s", "2..8"], "5", 6, 5),
+        (["--s", "2..3", "--enum-cap", "1"], None, 2, 1),
+    ])
+    def test_range_over_cap_refused_before_any_solver_work(
+            self, monkeypatch, capsys, flags, env, first, limit):
+        from lcgspec import lattice
+
+        def boom(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(lattice, "lll_reduce", boom)
+        if env is not None:
+            monkeypatch.setenv(lattice.ENUM_CAP_ENV, env)
+        code, out = run(["analyze", "--a", "69069", "--N", "2^32"] + flags)
+        assert (code, out) == (4, "")
+        assert capsys.readouterr().err == (
+            f"error: dimension {first} exceeds enumeration cap {limit}\n"
+        )
+
 
 class TestBuild:
     def test_text(self):

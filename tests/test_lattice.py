@@ -195,6 +195,37 @@ def test_lll_invariants_random():
         lll_invariants(basis, lll_reduce(basis))
 
 
+def test_lll_keeps_gram_schmidt_data_and_determinant():
+    # the data LLL maintains is the integral Gram-Schmidt data of the rows it
+    # returns, and the determinant keeps its sign through the swaps
+    bases = [dual_basis(a, N, s) for a, N, s in
+             [(26, 625, 3), (69069, 2**32, 6), (6364136223846793005, 2**64, 8)]]
+    bases += [LatticeBasis(rows=rows) for rows in random_bases(8, 40)]
+    for basis in bases:
+        reduced = lll_reduce(basis)
+        assert reduced._gs == _integral_gs(reduced.rows)
+        assert reduced.det == int_det(reduced.rows)
+        assert basis._reduced is reduced
+        again = lll_reduce(reduced)  # starts from the cached data
+        assert again.rows == reduced.rows and again._gs == reduced._gs
+
+
+def test_no_bareiss_on_internally_built_bases(monkeypatch):
+    from lcgspec import lattice
+    from lcgspec.spectral import spectral_profile
+
+    want = [shortest_vector(dual_basis(69069, 2**32, s)) for s in range(2, 9)]
+
+    def boom(rows):
+        raise AssertionError("int_det ran")
+
+    monkeypatch.setattr(lattice, "int_det", boom)
+    assert [shortest_vector(dual_basis(69069, 2**32, s)) for s in range(2, 9)] == want
+    assert [r.v_sq for r in spectral_profile(69069, 2**32, range(2, 9))] == [
+        w.norm_sq for w in want
+    ]
+
+
 def test_lll_delta_argument():
     basis = dual_basis(69069, 2**32, 6)
     for delta in (Fraction(3, 4), Fraction(26, 100), Fraction(999, 1000)):

@@ -9,6 +9,7 @@ from fractions import Fraction
 import pytest
 
 from lcgspec import (
+    DimensionTooLarge,
     InvalidParams,
     LcgParams,
     PotentialProfile,
@@ -22,7 +23,18 @@ from lcgspec import (
     spectral_test,
     theorem_bounds,
 )
-from lcgspec.spectral import within_packing_bound
+from lcgspec import lattice
+from lcgspec.lattice import (
+    _integral_gs,
+    brute_force_shortest,
+    dual_basis,
+    extend_dual_basis,
+    int_det,
+    shortest_vector,
+)
+from lcgspec.spectral import spectral_profile, within_packing_bound
+
+import lattice_reference as ref
 
 getcontext().prec = 80
 _PI = Decimal("3.141592653589793238462643383279502884197169399375105820974944")
@@ -415,3 +427,135 @@ class TestBoundSandwich:
             assert r.mu == pytest.approx(merit(s, r.v_sq, N), rel=1e-13)
             if s == 2:
                 assert r.v <= knuth_bound(2, N) * (1 + 1e-12)
+
+
+# the published pairs of the benchmark's `sweep` workload
+SWEEP_PAIRS = [
+    (69069, 2**32),
+    (1664525, 2**32),
+    (25214903917, 2**48),
+    (6364136223846793005, 2**64),
+    (3141592621, 10**10),
+    (23, 10**8 + 1),
+]
+
+
+def radical(n):
+    r, p = 1, 2
+    while p * p <= n:
+        if n % p == 0:
+            r *= p
+            while n % p == 0:
+                n //= p
+        p += 1
+    return r * n if n > 1 else r
+
+
+def max_period_pairs(seed, count, n_max):
+    """`count` seeded (a, N) with 4 <= N <= n_max and maximum period: a-1 a
+    multiple of every prime of N, and of 4 when 4 | N."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < count:
+        N = rng.randint(4, n_max)
+        step = radical(N)
+        if N % 4 == 0:
+            step = math.lcm(step, 4)
+        if step + 1 >= N:
+            continue
+        a = 1 + step * rng.randint(1, (N - 2) // step)
+        assert check_max_period(LcgParams(a, 1, N)).ok
+        pairs.append((a, N))
+    return pairs
+
+
+def per_dimension(a, N, dims):
+    return [spectral_test(a, N, s) for s in dims]
+
+
+class TestSpectralProfile:
+    @pytest.mark.parametrize("a, N", SWEEP_PAIRS)
+    def test_matches_per_dimension_on_sweep_pairs(self, a, N):
+        dims = range(2, 13)
+        assert spectral_profile(a, N, dims) == per_dimension(a, N, dims)
+
+    def test_no_potential(self):
+        got = spectral_profile(23, 10**8 + 1, range(2, 7))
+        assert [r.v_sq for r in got] == [530, 530, 530, 530, 447]
+        assert all(r.profile is None and r.regime is None and r.bounds is None
+                   for r in got)
+
+    @pytest.mark.parametrize("a, N", SWEEP_PAIRS + [(69069, 69068**6), (129, 2**35)])
+    def test_range_starting_above_two(self, a, N):
+        got = spectral_profile(a, N, range(5, 10))
+        assert [r.s for r in got] == [5, 6, 7, 8, 9]
+        assert got == per_dimension(a, N, range(5, 10))
+
+    def test_seeded_max_period_pairs(self):
+        rng = random.Random(6)
+        for a, N in max_period_pairs(6, 200, 2**16):
+            lo = rng.randint(2, 5)
+            dims = range(lo, rng.randint(lo, 9) + 1)
+            got = spectral_profile(a, N, dims)
+            assert got == per_dimension(a, N, dims), (a, N, dims)
+            assert got[0].profile is not None
+
+    def test_small_moduli_against_both_oracles(self):
+        for a, N in max_period_pairs(256, 40, 256):
+            for r in spectral_profile(a, N, range(2, 6)):
+                s = r.s
+                brute = brute_force_shortest(a, N, s, box=N)
+                assert (r.v_sq, r.vector) == (brute.norm_sq, brute.vector), (a, N, s)
+                want = ref.enumerate_shortest(ref.lll_reduce(dual_basis(a, N, s).rows))
+                assert (r.v_sq, r.vector) == want, (a, N, s)
+
+    @pytest.mark.parametrize("a, N", SWEEP_PAIRS + [(26, 625), (69069, 69068**6)])
+    def test_every_chained_basis_spans_the_dual_lattice(self, a, N):
+        # the walk spectral_profile makes, checked at every step on the basis
+        # handed to the solver and on the reduced basis it extends
+        basis = dual_basis(a, N, 2)
+        for s in range(2, 13):
+            shortest_vector(basis)
+            for b in (basis, basis._reduced):
+                assert b.dim == s
+                assert abs(int_det(b.rows)) == N and b.det == int_det(b.rows)
+                for row in b.rows:
+                    assert sum(v * pow(a, j, N) for j, v in enumerate(row)) % N == 0
+                if b._gs is not None:
+                    assert b._gs == _integral_gs(b.rows)
+            basis = extend_dual_basis(basis, a, N)
+
+    def test_compute_potential_runs_once(self, monkeypatch):
+        from lcgspec import spectral
+
+        calls = []
+        real = spectral.compute_potential
+        monkeypatch.setattr(spectral, "compute_potential",
+                            lambda a, N: calls.append(1) or real(a, N))
+        spectral_profile(69069, 2**32, range(2, 9))
+        assert calls == [1]
+
+    def test_rejects(self):
+        for dims in ([], [2, 4], [3, 2], range(4, 2, -1)):
+            with pytest.raises(InvalidParams):
+                spectral_profile(69069, 2**32, dims)
+        with pytest.raises(InvalidParams):
+            spectral_profile(5, 16, range(1, 3))
+        with pytest.raises(InvalidParams):
+            spectral_profile(16, 16, range(2, 3))
+
+    @pytest.mark.parametrize("dims, cap, first", [
+        (range(2, 15), None, 13),
+        (range(11, 14), 12, 13),
+        (range(13, 16), None, 13),
+        (range(2, 4), 1, 2),
+    ])
+    def test_cap_refused_before_any_solver_work(self, monkeypatch, dims, cap, first):
+        def boom(*args, **kwargs):
+            raise AssertionError("the solver ran")
+
+        monkeypatch.setattr(lattice, "lll_reduce", boom)
+        limit = 12 if cap is None else cap
+        with pytest.raises(DimensionTooLarge) as exc:
+            spectral_profile(69069, 2**32, dims, cap)
+        assert str(exc.value) == f"dimension {first} exceeds enumeration cap {limit}"
