@@ -28,6 +28,12 @@ CASES["svp_dual_json"] = ["svp", "--a", "3141592621", "--N", "10^10", "--s", "3"
 CASES["svp_dual_text"] = ["svp", "--a", "6364136223846793005", "--N", "2^64", "--s", "6",
                           "--format", "text"]
 CASES["svp_basis_json"] = ["svp", "--basis-file", str(GOLDEN / "basis.json")]
+CASES["svp_brute_5_16_box4_text"] = ["svp", "--a", "5", "--N", "16", "--s", "2",
+                                     "--brute-box", "4", "--format", "text"]
+CASES["svp_brute_5_16_box3_json"] = ["svp", "--a", "5", "--N", "16", "--s", "2",
+                                     "--brute-box", "3"]
+CASES["svp_brute_26_625_json"] = ["svp", "--a", "26", "--N", "625", "--s", "4",
+                                  "--brute-box", "625", "--format", "json"]
 CASES["build_tau6_validate8"] = ["build", "--tau", "6", "--a", "69069", "--validate", "8"]
 CASES.update({
     f"uniformity_26_{fmt}": ["uniformity", "--a", "26", "--N", "625",

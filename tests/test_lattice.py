@@ -11,6 +11,7 @@ from lcgspec.lattice import (
     DEFAULT_ENUM_CAP,
     ENUM_CAP_ENV,
     LatticeBasis,
+    ShortestVectorResult,
     brute_force_shortest,
     canonical,
     dual_basis,
@@ -35,6 +36,23 @@ def naive_congruence_min(a, N, s, box):
             if best is None or norm < best:
                 best = norm
     return best
+
+
+def naive_box_answers(a, N, s, max_box):
+    """The box oracle's whole answer for every box 1..max_box, by one full
+    scan: entry b is (min norm^2, lexicographically least canonical vector of
+    that norm) over the nonzero m with |m_j| <= b and
+    sum(m_j a^(j-1)) = 0 (mod N), or None when the box holds no such m.
+    Entry 0 is unused.  The canonical form of m is max(m, -m): the first
+    nonzero component made positive.
+    """
+    found = sorted(
+        (sum(v * v for v in m), max(m, tuple(-v for v in m)), max(map(abs, m)))
+        for m in itertools.product(range(-max_box, max_box + 1), repeat=s)
+        if any(m) and sum(v * a**j for j, v in enumerate(m)) % N == 0
+    )
+    return [None] + [next(((nsq, vec) for nsq, vec, width in found if width <= box), None)
+                     for box in range(1, max_box + 1)]
 
 
 def det_by_cofactors(rows):
@@ -386,6 +404,26 @@ def test_brute_force_matches_naive():
             got = brute_force_shortest(a, N, 2, box=N)
             assert got.norm_sq == want, (a, N)
             assert got.certified
+
+
+@pytest.mark.parametrize("s, max_N", [(2, 24), (3, 12)])
+def test_brute_force_whole_answer_matches_naive(s, max_N):
+    # (norm_sq, vector, certified) or EmptyBox for every a and box 1..N
+    uncertified = empty = 0
+    for N in range(2, max_N + 1):
+        for a in range(1, N):
+            answers = naive_box_answers(a, N, s, N)
+            for box in range(1, N + 1):
+                if answers[box] is None:
+                    empty += 1
+                    with pytest.raises(EmptyBox):
+                        brute_force_shortest(a, N, s, box)
+                    continue
+                nsq, vec = answers[box]
+                uncertified += box * box < nsq
+                want = ShortestVectorResult(nsq, vec, box * box >= nsq)
+                assert brute_force_shortest(a, N, s, box) == want, (a, N, s, box)
+    assert uncertified and empty
 
 
 def test_brute_force_certified_semantics():
