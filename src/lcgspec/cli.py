@@ -19,7 +19,6 @@ from .empirical import (
     csv_header,
     csv_row,
     dump_sequence,
-    format_fraction,
     frequency_test,
 )
 from .errors import (
@@ -299,12 +298,7 @@ def cmd_uniformity(args, out: IO[str]) -> int:
             out.write(csv_row(r) + "\n")
     else:
         header = ["alpha", "beta", "m", "m/N", "beta-alpha", "delta"]
-        rows = [[r.alpha_label or format_fraction(r.alpha),
-                 r.beta_label or format_fraction(r.beta),
-                 str(r.m), format_fraction(r.frequency),
-                 format_fraction(r.width), format_fraction(r.delta)]
-                for r in reports]
-        _render_table(header, rows, out)
+        _render_table(header, [list(r.row().values()) for r in reports], out)
     return EXIT_OK
 
 

@@ -26,15 +26,15 @@ _ROW_FIELDS = ("alpha", "beta", "m", "m_over_N", "width", "delta")
 
 
 def format_fraction(value: Fraction | int, digits: int = 12) -> str:
-    """Decimal rendering, truncated at `digits` fractional digits, zeros trimmed."""
+    """Decimal rendering, truncated at `digits` fractional digits, zeros trimmed.
+
+    The sign, then the integer part, then the proper fraction p/q rendered by
+    `lcg._render_fractions` ("0" or "0.ddd", of which the "0" is dropped).
+    """
     value = Fraction(value)
     sign = "-" if value < 0 else ""
-    value = abs(value)
-    ip = int(value)
-    rem = value - ip
-    q = math.floor(rem * 10**digits)
-    frac = str(q).rjust(digits, "0").rstrip("0")
-    return f"{sign}{ip}.{frac}" if frac else f"{sign}{ip}"
+    ip, p = divmod(abs(value.numerator), value.denominator)
+    return f"{sign}{ip}{_render_fractions([p], value.denominator, digits)[0][1:]}"
 
 
 @dataclass(frozen=True)

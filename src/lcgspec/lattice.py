@@ -7,8 +7,11 @@ Fincke-Pohst enumeration.  Both run on integral Gram-Schmidt data, the Gram
 determinants d_i and lam_ij = d_(j+1) * mu_ij (Cohen, A Course in
 Computational Algebraic Number Theory, Alg. 2.6.7), and enumeration intervals
 are derived with integer square roots, so results carry no floating-point
-error at all.  A direct congruence-scanning brute force is provided as an
-independent cross-check.
+error at all.  The dual basis needs no Gram-Schmidt computation: its rows
+N*e_0 and e_j - c_j*e_0, c_j = a^j mod N, have b*_0 = N*e_0 and b*_j = e_j, so
+d = [1, N^2, ..., N^2], lam[k][0] = -N*c_k and every other lam[k][j] is 0.
+A direct congruence-scanning brute force is provided as an independent
+cross-check.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ DEFAULT_ENUM_CAP = 12
 ENUM_CAP_ENV = "LCGSPEC_ENUM_CAP"
 
 _DELTA = Fraction(99, 100)
+_DELTA_PAIR = (_DELTA.numerator, _DELTA.denominator)
 
 
 def resolve_enum_cap(cap: int | None = None) -> int:
@@ -154,13 +158,21 @@ def dual_basis(a: int, N: int, s: int) -> LatticeBasis:
         raise InvalidParams(f"need 1 <= a < N, got a={a}, N={N}")
     if s < 2:
         raise InvalidParams(f"dimension must be >= 2, got {s}")
+    # triangular, diagonal N, 1, ..., 1; Gram-Schmidt data in closed form
+    # (module docstring)
     rows = [(N,) + (0,) * (s - 1)]
+    lam = [[0] * s]
+    c = 1
     for j in range(1, s):
+        c = c * a % N
         row = [0] * s
-        row[0] = -pow(a, j, N)
+        row[0] = -c
         row[j] = 1
         rows.append(tuple(row))
-    return LatticeBasis._known(tuple(rows), N)  # triangular, diagonal N, 1, ..., 1
+        lk = [0] * s
+        lk[0] = -N * c
+        lam.append(lk)
+    return LatticeBasis._known(tuple(rows), N, ([1] + [N * N] * s, lam))
 
 
 def extend_dual_basis(basis: LatticeBasis, a: int, N: int) -> LatticeBasis:
@@ -235,10 +247,13 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = _DELTA) -> LatticeBasis:
     Row k is fully size-reduced (j = k-1..0, ties in rounding to even) before
     its Lovasz test.
     """
-    delta = Fraction(delta)
-    dnum, dden = delta.numerator, delta.denominator
-    if not dden < 4 * dnum < 4 * dden:
-        raise InvalidParams(f"delta must lie in (1/4, 1), got {delta}")
+    if delta is _DELTA:
+        dnum, dden = _DELTA_PAIR
+    else:
+        delta = Fraction(delta)
+        dnum, dden = delta.numerator, delta.denominator
+        if not dden < 4 * dnum < 4 * dden:
+            raise InvalidParams(f"delta must lie in (1/4, 1), got {delta}")
     b = [list(r) for r in basis.rows]
     n = len(b)
     gs = basis._gs  # type: ignore[attr-defined]
@@ -351,11 +366,15 @@ def brute_force_shortest(a: int, N: int, s: int, box: int) -> ShortestVectorResu
     """Independent oracle: scan every nonzero m with |m_j| <= box satisfying
     m_1 + a*m_2 + ... + a^(s-1)*m_s == 0 (mod N), tracking the minimum norm.
 
-    m_1 is solved from the congruence instead of looped, and branches whose
-    partial sum already exceeds the best norm found are skipped (these can
-    never improve on it, so the scan stays exhaustive in effect).  The result
-    is certified only when box >= ceil(sqrt(norm_sq)): any vector sticking out
-    of the box is then provably longer.
+    Only half the box is scanned, m_s >= 0: m and -m are the same answer once
+    sign-canonicalized.  m_1 is solved from the congruence, m_1 == r (mod N)
+    with 0 <= r < N, and only r and r - N are tried: any other m_1 is
+    strictly longer than one of them, which lies in the box whenever it
+    does.  Branches whose partial sum already exceeds the best norm found
+    are skipped.  None of this can change the minimum or which canonical
+    vector attains it, so the scan stays exhaustive in effect.  The result
+    is certified only when box >= ceil(sqrt(norm_sq)): any vector sticking
+    out of the box is then provably longer.
     """
     if N <= 0 or not 1 <= a < N:
         raise InvalidParams(f"need 1 <= a < N, got a={a}, N={N}")
@@ -364,55 +383,47 @@ def brute_force_shortest(a: int, N: int, s: int, box: int) -> ShortestVectorResu
     if box < 1:
         raise InvalidParams(f"box must be >= 1, got {box}")
     powers = [pow(a, j, N) for j in range(s)]
-    best_nsq: int | None = None
+    best_nsq = s * box * box  # the prune bound: no vector in the box is longer
     best_vec: tuple[int, ...] | None = None
 
-    def consider(vec: tuple[int, ...]) -> None:
+    def consider(vec: tuple[int, ...], nsq: int) -> None:
         nonlocal best_nsq, best_vec
-        if not any(vec):
-            return
-        nsq = sum(x * x for x in vec)
         cand = canonical(vec)
-        if best_nsq is None or nsq < best_nsq or (nsq == best_nsq and cand < best_vec):
+        if nsq < best_nsq or (nsq == best_nsq and (best_vec is None or cand < best_vec)):
             best_nsq = nsq
             best_vec = cand
 
     # trivial congruence solutions tighten the prune bound from the start
     if N <= box:
-        consider((N,) + (0,) * (s - 1))
+        consider((N,) + (0,) * (s - 1), N * N)
     if a <= box:
-        consider((a, -1) + (0,) * (s - 2))
+        consider((a, -1) + (0,) * (s - 2), a * a + 1)
 
     m = [0] * s
 
-    def bound() -> int:
-        return best_nsq if best_nsq is not None else s * box * box
-
-    def rec(j: int, acc: int, partial: int) -> None:
-        if j == 0:
-            r = (-acc) % N
-            kmin = -((box - r) // N)
-            kmax = (r + box) // N
-            for k in range(kmin, kmax + 1):
-                m1 = r - k * N
-                if partial + m1 * m1 > bound():
+    def rec(j: int, acc: int, partial: int, signs: tuple[int, ...]) -> None:
+        p = powers[j]
+        for x in range(box + 1):
+            nsq = partial + x * x
+            if nsq > best_nsq:
+                break
+            for v in signs if x else (0,):  # signs is (1,) at the top level
+                v *= x
+                m[j] = v
+                if j > 1:
+                    rec(j - 1, (acc + p * v) % N, nsq, (1, -1))
                     continue
-                m[0] = m1
-                consider(tuple(m))
-            m[0] = 0
-            return
-        d = 0
-        while d <= box and partial + d * d <= bound():
-            m[j] = d
-            rec(j - 1, (acc + powers[j] * d) % N, partial + d * d)
-            if d:
-                m[j] = -d
-                rec(j - 1, (acc - powers[j] * d) % N, partial + d * d)
-            d += 1
+                r = -(acc + p * v) % N
+                if r <= box and 0 < nsq + r * r <= best_nsq:
+                    m[0] = r
+                    consider(tuple(m), nsq + r * r)
+                if N - r <= box and nsq + (N - r) ** 2 <= best_nsq:
+                    m[0] = r - N
+                    consider(tuple(m), nsq + (N - r) ** 2)
         m[j] = 0
 
-    rec(s - 1, 0, 0)
-    if best_nsq is None or best_vec is None:
+    rec(s - 1, 0, 0, (1,))
+    if best_vec is None:
         raise EmptyBox(f"no nonzero solution with coordinates in [-{box}, {box}]")
     return ShortestVectorResult(
         norm_sq=best_nsq, vector=best_vec, certified=box * box >= best_nsq

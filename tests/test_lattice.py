@@ -244,6 +244,33 @@ def test_no_bareiss_on_internally_built_bases(monkeypatch):
     ]
 
 
+def test_dual_basis_gram_schmidt_data_is_closed_form():
+    rng = random.Random(20261018)
+    cases = [(26, 625, 3), (69069, 2**32, 12), (6364136223846793005, 2**64, 12)]
+    for _ in range(120):
+        N = rng.randrange(2, 2**rng.choice((8, 32, 64)) + 1)
+        cases.append((rng.randrange(1, N), N, rng.randint(2, 12)))
+    for a, N, s in cases:
+        basis = dual_basis(a, N, s)
+        assert basis._gs == _integral_gs(basis.rows), (a, N, s)
+
+
+def test_no_gram_schmidt_rebuild_on_dual_bases(monkeypatch):
+    from lcgspec import lattice
+    from lcgspec.spectral import spectral_profile
+
+    want = [shortest_vector(dual_basis(69069, 2**32, s)) for s in range(2, 9)]
+
+    def boom(rows):
+        raise AssertionError("_integral_gs ran")
+
+    monkeypatch.setattr(lattice, "_integral_gs", boom)
+    assert [shortest_vector(dual_basis(69069, 2**32, s)) for s in range(2, 9)] == want
+    assert [r.v_sq for r in spectral_profile(69069, 2**32, range(2, 9))] == [
+        w.norm_sq for w in want
+    ]
+
+
 def test_lll_delta_argument():
     basis = dual_basis(69069, 2**32, 6)
     for delta in (Fraction(3, 4), Fraction(26, 100), Fraction(999, 1000)):
