@@ -214,8 +214,6 @@ def _parse_primes(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def cmd_build(args, out: IO[str]) -> int:
-    if (args.s is None) == (args.tau is None):
-        raise InvalidParams("exactly one of --s (single mode) or --tau (range mode) is required")
     if args.a is not None:
         recipe = MultiplierRecipe(a=parse_int_expr(args.a))
     elif args.primes is not None:
@@ -329,7 +327,11 @@ def cmd_dump(args, out: IO[str]) -> int:
 def cmd_svp(args, out: IO[str]) -> int:
     if args.basis_file:
         with open(args.basis_file, encoding="utf-8") as fh:
-            basis = LatticeBasis.from_json_dict(json.load(fh))
+            try:
+                obj = json.load(fh)
+            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+                raise InvalidParams(f"{args.basis_file}: not a JSON basis file ({exc})") from None
+        basis = LatticeBasis.from_json_dict(obj)
         result = shortest_vector(basis, cap=args.enum_cap)
         method = "enumeration"
     else:

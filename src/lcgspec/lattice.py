@@ -7,8 +7,13 @@ Fincke-Pohst enumeration.  Both run on integral Gram-Schmidt data, the Gram
 determinants d_i and lam_ij = d_(j+1) * mu_ij (Cohen, A Course in
 Computational Algebraic Number Theory, Alg. 2.6.7), and enumeration intervals
 are derived with integer square roots, so results carry no floating-point
-error at all.  The dual basis needs no Gram-Schmidt computation: its rows
-N*e_0 and e_j - c_j*e_0, c_j = a^j mod N, have b*_0 = N*e_0 and b*_j = e_j, so
+error at all.
+
+Every `LatticeBasis` carries that data for its rows, from exactly one
+source: the constructor computes it for rows given from outside, `lll_reduce`
+leaves its own on the basis it returns, `extend_dual_basis` extends it by one
+row, and `dual_basis` writes it down in closed form: the rows N*e_0 and
+e_j - c_j*e_0, c_j = a^j mod N, have b*_0 = N*e_0 and b*_j = e_j, so
 d = [1, N^2, ..., N^2], lam[k][0] = -N*c_k and every other lam[k][j] is 0.
 A direct congruence-scanning brute force is provided as an independent
 cross-check.
@@ -18,16 +23,17 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
-from fractions import Fraction
+import re
+from dataclasses import dataclass, field
 
 from .errors import DimensionTooLarge, EmptyBox, InvalidParams
 
 DEFAULT_ENUM_CAP = 12
 ENUM_CAP_ENV = "LCGSPEC_ENUM_CAP"
 
-_DELTA = Fraction(99, 100)
-_DELTA_PAIR = (_DELTA.numerator, _DELTA.denominator)
+# LLL's Lovasz constant 99/100, as (numerator, denominator)
+_LOVASZ = (99, 100)
+_JSON_INT = re.compile(r"-?[0-9]+")
 
 
 def resolve_enum_cap(cap: int | None = None) -> int:
@@ -43,31 +49,6 @@ def resolve_enum_cap(cap: int | None = None) -> int:
         raise InvalidParams(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
-def int_det(rows: tuple[tuple[int, ...], ...]) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    a = [list(r) for r in rows]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-            a[i][k] = 0
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def canonical(vec: tuple[int, ...]) -> tuple[int, ...]:
     """Sign-normalize: first nonzero component made positive."""
     for x in vec:
@@ -78,42 +59,53 @@ def canonical(vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(vec)
 
 
+def _as_int(x, what: str = "basis entry") -> int:
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise InvalidParams(f"{what} must be an integer, got {x!r}")
+    return x
+
+
+def _json_int(x, what: str = "basis entry") -> int:
+    """A JSON integer, or a decimal-integer string as `to_json_dict` writes."""
+    if isinstance(x, str) and _JSON_INT.fullmatch(x):
+        try:
+            return int(x)
+        except ValueError as exc:  # more digits than int() converts
+            raise InvalidParams(f"{what}: {exc}") from None
+    return _as_int(x, what)
+
+
 @dataclass(frozen=True)
 class LatticeBasis:
-    """Square integer basis, rows linearly independent.
+    """Square integer basis, rows linearly independent, carrying the integral
+    Gram-Schmidt data (d, lam) of its rows (module docstring; `_integral_gs`).
 
-    Private caches, never part of equality: `_det`; `_gs`, the integral
-    Gram-Schmidt data (d, lam) of the rows when it is known; and `_reduced`,
-    the latest `lll_reduce` of this basis once one has run.
+    `_gs` is that data, set once and never mutated; `_reduced` is the latest
+    `lll_reduce` of this basis once one has run.  Neither is part of
+    equality.
     """
 
     rows: tuple[tuple[int, ...], ...]
+    _gs: tuple[list[int], list[list[int]]] = field(init=False, repr=False, compare=False)
+    _reduced: LatticeBasis | None = field(init=False, repr=False, compare=False, default=None)
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(int(x) for x in r) for r in self.rows)
+        rows = tuple(tuple(_as_int(x) for x in r) for r in self.rows)
         object.__setattr__(self, "rows", rows)
         n = len(rows)
         if n < 2:
             raise InvalidParams("lattice dimension must be >= 2")
         if any(len(r) != n for r in rows):
             raise InvalidParams("basis must be square")
-        d = int_det(rows)
-        if d == 0:
-            raise InvalidParams("basis rows are linearly dependent")
-        object.__setattr__(self, "_det", d)
-        object.__setattr__(self, "_gs", None)
-        object.__setattr__(self, "_reduced", None)
+        object.__setattr__(self, "_gs", _integral_gs(rows))
 
     @classmethod
-    def _known(cls, rows: tuple[tuple[int, ...], ...], det: int,
-               gs: tuple[list[int], list[list[int]]] | None = None) -> "LatticeBasis":
-        """A basis built inside this module, whose rows are independent and
-        whose determinant is already known: no checks and no Bareiss.  `gs`
-        is its integral Gram-Schmidt data (d, lam) when that is known too;
-        it is never mutated once attached."""
+    def _known(cls, rows: tuple[tuple[int, ...], ...],
+               gs: tuple[list[int], list[list[int]]]) -> LatticeBasis:
+        """A basis built inside this module from independent rows whose
+        Gram-Schmidt data `gs` is already known: no checks, no rebuild."""
         basis = object.__new__(cls)
         object.__setattr__(basis, "rows", rows)
-        object.__setattr__(basis, "_det", det)
         object.__setattr__(basis, "_gs", gs)
         object.__setattr__(basis, "_reduced", None)
         return basis
@@ -122,18 +114,19 @@ class LatticeBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    @property
-    def det(self) -> int:
-        return self._det  # type: ignore[attr-defined]
-
     def to_json_dict(self) -> dict:
         return {"dim": self.dim, "rows": [[str(x) for x in r] for r in self.rows]}
 
     @staticmethod
-    def from_json_dict(obj: dict) -> "LatticeBasis":
-        rows = tuple(tuple(int(x) for x in r) for r in obj["rows"])
-        basis = LatticeBasis(rows)
-        if "dim" in obj and int(obj["dim"]) != basis.dim:
+    def from_json_dict(obj) -> LatticeBasis:
+        """The inverse of `to_json_dict`: an object with a "rows" list of
+        lists and an optional "dim", every entry a JSON integer or a
+        decimal-integer string."""
+        rows = obj.get("rows") if isinstance(obj, dict) else None
+        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
+            raise InvalidParams('a basis must be a JSON object with a "rows" list of lists')
+        basis = LatticeBasis(tuple(tuple(_json_int(x) for x in r) for r in rows))
+        if "dim" in obj and _json_int(obj["dim"], "dim") != basis.dim:
             raise InvalidParams("dim field disagrees with row count")
         return basis
 
@@ -172,7 +165,7 @@ def dual_basis(a: int, N: int, s: int) -> LatticeBasis:
         lk = [0] * s
         lk[0] = -N * c
         lam.append(lk)
-    return LatticeBasis._known(tuple(rows), N, ([1] + [N * N] * s, lam))
+    return LatticeBasis._known(tuple(rows), ([1] + [N * N] * s, lam))
 
 
 def extend_dual_basis(basis: LatticeBasis, a: int, N: int) -> LatticeBasis:
@@ -181,20 +174,16 @@ def extend_dual_basis(basis: LatticeBasis, a: int, N: int) -> LatticeBasis:
     (-(a^s mod N), 0, ..., 0, 1) (the step of Knuth's Algorithm S, TAOCP
     vol. 2, 3.3.4).  The rows come from the LLL reduction of `basis` when one
     has run (as `shortest_vector` does), whose Gram-Schmidt data is then
-    extended by the one new row instead of rebuilt.  The determinant is
-    unchanged.
+    extended by the one new row instead of rebuilt.
     """
-    if basis._reduced is not None:  # type: ignore[attr-defined]
-        basis = basis._reduced  # type: ignore[attr-defined]
+    if basis._reduced is not None:
+        basis = basis._reduced
     s = basis.dim
     rows = tuple(r + (0,) for r in basis.rows)
     rows += ((-pow(a, s, N),) + (0,) * (s - 1) + (1,),)
-    gs = basis._gs  # type: ignore[attr-defined]
-    if gs is not None:
-        d, lam = gs[0] + [0], [r + [0] for r in gs[1]] + [[0] * (s + 1)]
-        _gs_row(rows, s, d, lam)
-        gs = (d, lam)
-    return LatticeBasis._known(rows, basis.det, gs)
+    d, lam = basis._gs[0] + [0], [r + [0] for r in basis._gs[1]] + [[0] * (s + 1)]
+    _gs_row(rows, s, d, lam)
+    return LatticeBasis._known(rows, (d, lam))
 
 
 def _integral_gs(rows) -> tuple[list[int], list[list[int]]]:
@@ -235,33 +224,21 @@ def _round_half_even(num: int, den: int) -> int:
     return q
 
 
-def lll_reduce(basis: LatticeBasis, delta: Fraction = _DELTA) -> LatticeBasis:
+def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
     """Integral LLL (Cohen, Alg. 2.6.7); same lattice, size-reduced rows,
-    Lovasz condition with the given delta (default 99/100).
+    Lovasz condition with the constant 99/100.
 
     The Gram-Schmidt data is kept as the integers d_i and lam_ij of
     `_integral_gs` and updated in O(n) per swap, so the reduction is exact.
-    It starts from a copy of the data cached on `basis` when there is one,
-    and the final data is cached on the result, so enumeration does not
-    rebuild it; the result is cached on `basis` for `extend_dual_basis`.
-    Row k is fully size-reduced (j = k-1..0, ties in rounding to even) before
-    its Lovasz test.
+    It starts from a copy of the data `basis` carries and leaves the final
+    data on the result, so enumeration does not rebuild it; the result is
+    cached on `basis` for `extend_dual_basis`.  Row k is fully size-reduced
+    (j = k-1..0, ties in rounding to even) before its Lovasz test.
     """
-    if delta is _DELTA:
-        dnum, dden = _DELTA_PAIR
-    else:
-        delta = Fraction(delta)
-        dnum, dden = delta.numerator, delta.denominator
-        if not dden < 4 * dnum < 4 * dden:
-            raise InvalidParams(f"delta must lie in (1/4, 1), got {delta}")
+    dnum, dden = _LOVASZ
     b = [list(r) for r in basis.rows]
     n = len(b)
-    gs = basis._gs  # type: ignore[attr-defined]
-    if gs is None:
-        d, lam = _integral_gs(b)
-    else:
-        d, lam = gs[0][:], [r[:] for r in gs[1]]
-    sign = 1
+    d, lam = basis._gs[0][:], [r[:] for r in basis._gs[1]]
     k = 1
     while k < n:
         lk = lam[k]
@@ -286,9 +263,8 @@ def lll_reduce(basis: LatticeBasis, delta: Fraction = _DELTA) -> LatticeBasis:
             lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // d[k]
             lam[i][k - 1] = (B * t + lm * lam[i][k]) // d[k + 1]
         d[k] = B
-        sign = -sign
         k = max(k - 1, 1)
-    reduced = LatticeBasis._known(tuple(tuple(r) for r in b), sign * basis.det, (d, lam))
+    reduced = LatticeBasis._known(tuple(tuple(r) for r in b), (d, lam))
     object.__setattr__(basis, "_reduced", reduced)
     return reduced
 
@@ -310,7 +286,7 @@ def shortest_vector(basis: LatticeBasis, cap: int | None = None) -> ShortestVect
     reduced = lll_reduce(basis)
     rows = reduced.rows
     n = reduced.dim
-    d, lam = reduced._gs  # type: ignore[attr-defined]
+    d, lam = reduced._gs
 
     best_nsq = min(sum(x * x for x in r) for r in rows)
     best_vec: tuple[int, ...] | None = None

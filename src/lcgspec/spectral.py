@@ -63,8 +63,12 @@ def _log_value(x: int | Fraction) -> float:
     return _log_int(x)
 
 
-def _sqrt_to_float(sq: int | Fraction) -> float:
-    return math.exp(0.5 * _log_value(sq))
+def _sqrt_to_float(sq: int | Fraction) -> float | None:
+    """sqrt(sq) for display; None when it lies beyond float range."""
+    try:
+        return math.exp(0.5 * _log_value(sq))
+    except OverflowError:
+        return None
 
 
 def b_coefficient(s: int) -> int:
@@ -92,12 +96,19 @@ def merit(s: int, v_sq: int | Fraction, N: int) -> float:
 
 
 def knuth_bound(s: int, N: int) -> float:
-    """Unconditional bound gamma_s * N^(1/s) on v_s, tabulated for s = 2..8."""
+    """Unconditional bound gamma_s * N^(1/s) on v_s, tabulated for s = 2..8;
+    Unsupported beyond float range too."""
     if s not in _GAMMA:
         raise Unsupported(f"no tabulated constant for s = {s} (supported: 2..8)")
     if N <= 0:
         raise InvalidParams(f"N must be positive, got {N}")
-    return _GAMMA[s] * math.exp(_log_int(N) / s)
+    try:
+        bound = _GAMMA[s] * math.exp(_log_int(N) / s)
+    except OverflowError:
+        bound = math.inf
+    if math.isinf(bound):
+        raise Unsupported(f"gamma_{s} * N^(1/{s}) lies beyond float range")
+    return bound
 
 
 def within_packing_bound(s: int, N: int, v_sq: int) -> bool | None:
@@ -268,7 +279,7 @@ class SpectralResult:
     N: int
     s: int
     v_sq: int
-    v: float
+    v: float | None  # None beyond float range; v_sq is exact
     vector: tuple[int, ...]
     mu: float
     certified: bool

@@ -4,7 +4,9 @@ This is the solver's earlier exact-rational form: Gram-Schmidt data in
 `Fraction`s, rebuilt in full after every LLL swap, and Fincke-Pohst
 enumeration on those rationals.  It makes the same rounding and swap
 decisions as `lcgspec.lattice`, so the integral solver must return the same
-reduced rows and the same shortest vector on every basis.
+reduced rows and the same shortest vector on every basis.  `int_det`, the
+Bareiss determinant the package once computed for every basis, checks that
+bases span the lattice they should.
 """
 
 import math
@@ -13,6 +15,31 @@ from fractions import Fraction
 from lcgspec.lattice import canonical
 
 DELTA = Fraction(99, 100)
+
+
+def int_det(rows):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    a = [list(r) for r in rows]
+    n = len(a)
+    if n == 0:
+        return 1
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            for i in range(k + 1, n):
+                if a[i][k] != 0:
+                    a[k], a[i] = a[i], a[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+            a[i][k] = 0
+        prev = a[k][k]
+    return sign * a[-1][-1]
 
 
 def gram_schmidt(rows):
@@ -34,7 +61,7 @@ def gram_schmidt(rows):
     return mu, bsq
 
 
-def lll_reduce(rows, delta=DELTA):
+def lll_reduce(rows):
     """LLL on exact rationals: full size reduction of row k (ties in round()
     to even), then the Lovasz test; the Gram-Schmidt data is rebuilt after
     each swap."""
@@ -50,7 +77,7 @@ def lll_reduce(rows, delta=DELTA):
                 for jj in range(j):
                     mu[k][jj] -= r * mu[j][jj]
                 mu[k][j] -= r
-        if bsq[k] >= (delta - mu[k][k - 1] ** 2) * bsq[k - 1]:
+        if bsq[k] >= (DELTA - mu[k][k - 1] ** 2) * bsq[k - 1]:
             k += 1
         else:
             b[k], b[k - 1] = b[k - 1], b[k]

@@ -54,6 +54,33 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["results"][0]["v_sq"] == "2072544"
 
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    def test_values_beyond_float_range(self, fmt):
+        # v_2 = sqrt(1 + (a-2)^2) ~ 2^1030 has no float; the exact fields stay
+        a = 2**1030 + 1
+        code, out = run(["analyze", "--a", "2^1030+1", "--N", "2^2060", "--s", "2",
+                         "--format", fmt])
+        assert code == 0
+        v_sq = str(1 + (a - 2) ** 2)
+        if fmt == "json":
+            r = json.loads(out)["results"][0]
+            assert r["v_sq"] == v_sq and r["v"] is None
+            assert r["bounds"]["lower"] is None and r["bounds"]["upper"] is None
+            assert r["bounds"]["lower_exact_sq"] == v_sq
+        elif fmt == "csv":
+            row = out.splitlines()[1].split(",")
+            assert row[1] == v_sq and row[10] == "-"
+        else:
+            assert f"2  {v_sq}  " in out
+            assert out.splitlines()[-1].split()[-4:] == ["-", "lower", "upper", "B"]
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_build_beyond_float_range(self, fmt):
+        code, out = run(["build", "--s", "2", "--a", "2^1030+1", "--validate", "2",
+                         "--format", fmt])
+        assert code == 0
+        assert str(1 + (2**1030 - 1) ** 2) in out
+
     def test_no_potential_text(self):
         code, out = run(["analyze", "--a", "23", "--N", "10^8+1", "--s", "2"])
         assert code == 0
@@ -295,6 +322,45 @@ class TestSvp:
         d = json.loads(out)
         # minimum norm 10 exceeds box^2 = 9, so the scan cannot certify
         assert d["certified"] is False and d["norm_sq"] == "10"
+
+    def test_basis_file_integer_forms(self, tmp_path):
+        # JSON integers and decimal-integer strings, as to_json_dict writes
+        f = tmp_path / "basis.json"
+        f.write_text(json.dumps({"dim": "2", "rows": [[2, "-1"], ["1", 1]]}))
+        code, out = run(["svp", "--basis-file", str(f)])
+        assert code == 0
+        assert json.loads(out)["norm_sq"] == "2"
+
+    @pytest.mark.parametrize("content", [
+        b"not json",
+        b'{"rows": [[1, 0], [0, 1]]}\xff',  # not UTF-8
+        b"[1,2]",
+        b"{}",
+        b'{"rows": "[[1, 0], [0, 1]]"}',
+        b'{"rows": [1, 2]}',
+        b'{"rows": [[1, "x"], [3, 4]]}',
+        b'{"rows": [[1, " 2"], [3, 4]]}',
+        b'{"rows": [[1, "1_0"], [3, 4]]}',
+        b'{"rows": [[1.5, 0], [0, 1]]}',
+        b'{"rows": [[2.0, 0], [0, 1]]}',
+        b'{"rows": [[true, 0], [0, 1]]}',
+        b'{"rows": [[null, 0], [0, 1]]}',
+        b'{"dim": "x", "rows": [[1, 0], [0, 1]]}',
+        b'{"dim": 2.0, "rows": [[1, 0], [0, 1]]}',
+        b'{"dim": 3, "rows": [[1, 0], [0, 1]]}',
+        b'{"rows": [[1, 2], [2, 4]]}',
+        # more digits than int() converts, as a string and as a JSON number
+        pytest.param(b'{"rows": [["1' + b"0" * 5000 + b'", 0], [0, 1]]}', id="huge-string"),
+        pytest.param(b'{"rows": [[1' + b"0" * 5000 + b', 0], [0, 1]]}', id="huge-number"),
+        pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deep"),
+    ])
+    def test_malformed_basis_file(self, tmp_path, capsys, content):
+        f = tmp_path / "basis.json"
+        f.write_bytes(content)
+        code, out = run(["svp", "--basis-file", str(f)])
+        assert code == 2 and out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_enum_cap_exit(self, capsys):
         code, _ = run(["svp", "--a", "69069", "--N", "2^32", "--s", "6",

@@ -3,6 +3,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -15,7 +16,7 @@ from lcgspec.lattice import (
     brute_force_shortest,
     canonical,
     dual_basis,
-    int_det,
+    extend_dual_basis,
     lll_reduce,
     resolve_enum_cap,
     _integral_gs,
@@ -87,10 +88,10 @@ def invert_rows(rows):
 
 
 def test_int_det_known():
-    assert int_det(((2, 0), (0, 3))) == 6
-    assert int_det(((0, 1), (1, 0))) == -1
-    assert int_det(((625, 0, 0), (-26, 1, 0), (-51, 0, 1))) == 625
-    assert int_det(((1, 2), (2, 4))) == 0
+    assert ref.int_det(((2, 0), (0, 3))) == 6
+    assert ref.int_det(((0, 1), (1, 0))) == -1
+    assert ref.int_det(((625, 0, 0), (-26, 1, 0), (-51, 0, 1))) == 625
+    assert ref.int_det(((1, 2), (2, 4))) == 0
 
 
 def test_int_det_matches_cofactor_oracle():
@@ -98,7 +99,7 @@ def test_int_det_matches_cofactor_oracle():
     for dim in (2, 3, 4, 5):
         for _ in range(40):
             rows = [[rng.randint(-9, 9) for _ in range(dim)] for _ in range(dim)]
-            assert int_det(tuple(map(tuple, rows))) == det_by_cofactors(rows)
+            assert ref.int_det(tuple(map(tuple, rows))) == det_by_cofactors(rows)
 
 
 def test_canonical():
@@ -137,14 +138,22 @@ def test_interval_bounds():
 
 
 def test_lattice_basis_validation():
-    with pytest.raises(InvalidParams):
-        LatticeBasis(rows=((1,),))  # dim < 2
-    with pytest.raises(InvalidParams):
-        LatticeBasis(rows=((1, 0), (0,)))  # ragged
-    with pytest.raises(InvalidParams):
-        LatticeBasis(rows=((1, 2), (2, 4)))  # singular
-    b = LatticeBasis(rows=((1, 0), (0, 1)))
-    assert b.dim == 2 and abs(b.det) == 1
+    for rows, message in [
+        (((1,),), "lattice dimension must be >= 2"),
+        (((1, 0), (0,)), "basis must be square"),
+        (((1, 2), (2, 4)), "basis rows are linearly dependent"),
+        (((1, 0, 0), (0, 1, 0), (1, 1, 0)), "basis rows are linearly dependent"),
+        (((1.5, 0), (0, 1)), "basis entry must be an integer, got 1.5"),
+        (((2.0, 0), (0, 1)), "basis entry must be an integer, got 2.0"),
+        (((True, 0), (0, 1)), "basis entry must be an integer, got True"),
+        (((Fraction(1), 0), (0, 1)), "basis entry must be an integer, got Fraction(1, 1)"),
+        ((("1", 0), (0, 1)), "basis entry must be an integer, got '1'"),
+    ]:
+        with pytest.raises(InvalidParams) as exc:
+            LatticeBasis(rows=rows)
+        assert str(exc.value) == message, rows
+    b = LatticeBasis(rows=[[1, 0], [0, 1]])
+    assert b.dim == 2 and b.rows == ((1, 0), (0, 1))
 
 
 def test_lattice_basis_json_round_trip():
@@ -157,7 +166,7 @@ def test_lattice_basis_json_round_trip():
 def test_dual_basis_shape_and_membership():
     for a, N, s in [(26, 625, 3), (69069, 2**32, 5), (5, 16, 2)]:
         basis = dual_basis(a, N, s)
-        assert abs(basis.det) == N
+        assert abs(ref.int_det(basis.rows)) == N
         assert basis.rows[0] == (N,) + (0,) * (s - 1)
         for row in basis.rows:
             assert sum(v * a**j for j, v in enumerate(row)) % N == 0
@@ -175,14 +184,14 @@ def test_dual_basis_rejects():
 # -- LLL -------------------------------------------------------------------
 
 
-def lll_invariants(basis, reduced, delta=Fraction(99, 100)):
+def lll_invariants(basis, reduced):
     # same lattice: the change of basis is integer with determinant +-1
     inv = invert_rows([list(r) for r in basis.rows])
     u = [[sum(Fraction(rv) * inv[k][j] for k, rv in enumerate(row))
           for j in range(basis.dim)] for row in reduced.rows]
     assert all(v.denominator == 1 for row in u for v in row)
     assert abs(det_by_cofactors([[int(v) for v in row] for row in u])) == 1
-    assert abs(reduced.det) == abs(basis.det)
+    assert abs(ref.int_det(reduced.rows)) == abs(ref.int_det(basis.rows))
     # size reduction and the Lovasz condition on the reference's rational
     # Gram-Schmidt data, independent of the integral data under test
     mu, bsq = ref.gram_schmidt(reduced.rows)
@@ -190,7 +199,7 @@ def lll_invariants(basis, reduced, delta=Fraction(99, 100)):
         for j in range(i):
             assert abs(mu[i][j]) <= Fraction(1, 2)
     for i in range(1, reduced.dim):
-        assert bsq[i] >= (delta - mu[i][i - 1] ** 2) * bsq[i - 1]
+        assert bsq[i] >= (ref.DELTA - mu[i][i - 1] ** 2) * bsq[i - 1]
 
 
 def test_lll_invariants_on_dual_bases():
@@ -206,7 +215,7 @@ def test_lll_invariants_random():
     while produced < 25:
         dim = rng.randint(2, 5)
         rows = tuple(tuple(rng.randint(-50, 50) for _ in range(dim)) for _ in range(dim))
-        if int_det(rows) == 0:
+        if ref.int_det(rows) == 0:
             continue
         produced += 1
         basis = LatticeBasis(rows=rows)
@@ -215,33 +224,17 @@ def test_lll_invariants_random():
 
 def test_lll_keeps_gram_schmidt_data_and_determinant():
     # the data LLL maintains is the integral Gram-Schmidt data of the rows it
-    # returns, and the determinant keeps its sign through the swaps
+    # returns, and |det| stays the same through the swaps
     bases = [dual_basis(a, N, s) for a, N, s in
              [(26, 625, 3), (69069, 2**32, 6), (6364136223846793005, 2**64, 8)]]
     bases += [LatticeBasis(rows=rows) for rows in random_bases(8, 40)]
     for basis in bases:
         reduced = lll_reduce(basis)
         assert reduced._gs == _integral_gs(reduced.rows)
-        assert reduced.det == int_det(reduced.rows)
+        assert abs(ref.int_det(reduced.rows)) == abs(ref.int_det(basis.rows))
         assert basis._reduced is reduced
-        again = lll_reduce(reduced)  # starts from the cached data
+        again = lll_reduce(reduced)  # starts from the data it carries
         assert again.rows == reduced.rows and again._gs == reduced._gs
-
-
-def test_no_bareiss_on_internally_built_bases(monkeypatch):
-    from lcgspec import lattice
-    from lcgspec.spectral import spectral_profile
-
-    want = [shortest_vector(dual_basis(69069, 2**32, s)) for s in range(2, 9)]
-
-    def boom(rows):
-        raise AssertionError("int_det ran")
-
-    monkeypatch.setattr(lattice, "int_det", boom)
-    assert [shortest_vector(dual_basis(69069, 2**32, s)) for s in range(2, 9)] == want
-    assert [r.v_sq for r in spectral_profile(69069, 2**32, range(2, 9))] == [
-        w.norm_sq for w in want
-    ]
 
 
 def test_dual_basis_gram_schmidt_data_is_closed_form():
@@ -271,13 +264,23 @@ def test_no_gram_schmidt_rebuild_on_dual_bases(monkeypatch):
     ]
 
 
-def test_lll_delta_argument():
-    basis = dual_basis(69069, 2**32, 6)
-    for delta in (Fraction(3, 4), Fraction(26, 100), Fraction(999, 1000)):
-        assert lll_reduce(basis, delta).rows == ref.lll_reduce(basis.rows, delta)
-    for bad in (Fraction(1, 4), Fraction(1, 5), 1, 2, Fraction(-1, 2)):
-        with pytest.raises(InvalidParams):
-            lll_reduce(basis, bad)
+def test_every_basis_carries_its_gram_schmidt_data():
+    # whatever built the basis (the constructor, from_json_dict, dual_basis,
+    # extend_dual_basis or lll_reduce), _gs is the data of its rows
+    golden = json.loads((Path(__file__).with_name("golden") / "basis.json").read_text())
+    bases = [LatticeBasis(rows=rows) for rows in random_bases(11, 60)]
+    bases.append(LatticeBasis.from_json_dict(golden))
+    for a, N in [(26, 625), (69069, 2**32), (6364136223846793005, 2**64), (23, 10**8 + 1)]:
+        basis = dual_basis(a, N, 2)
+        bases.append(basis)
+        for _ in range(8):
+            basis = extend_dual_basis(basis, a, N)  # unreduced: pads the rows as given
+            bases.append(basis)
+            basis = extend_dual_basis(lll_reduce(basis), a, N)
+            bases.append(basis)
+    bases += [lll_reduce(b) for b in bases]
+    for basis in bases:
+        assert basis._gs == _integral_gs(basis.rows), basis.rows
 
 
 # -- integral Gram-Schmidt -------------------------------------------------
@@ -291,7 +294,7 @@ def random_bases(seed, count):
         dim = rng.randint(2, 6)
         bound = rng.choice((3, 50, 10**6))
         rows = tuple(tuple(rng.randint(-bound, bound) for _ in range(dim)) for _ in range(dim))
-        if int_det(rows):
+        if ref.int_det(rows):
             count -= 1
             yield rows
 
@@ -304,7 +307,7 @@ def test_integral_gs_matches_rational_reference():
         n = len(rows)
         d, lam = _integral_gs(rows)
         mu, bsq = ref.gram_schmidt(rows)
-        assert d[0] == 1 and d[n] == int_det(rows) ** 2
+        assert d[0] == 1 and d[n] == ref.int_det(rows) ** 2
         for i in range(n):
             assert Fraction(d[i + 1], d[i]) == bsq[i]
             for j in range(i):

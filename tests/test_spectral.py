@@ -29,7 +29,6 @@ from lcgspec.lattice import (
     brute_force_shortest,
     dual_basis,
     extend_dual_basis,
-    int_det,
     shortest_vector,
 )
 from lcgspec.spectral import spectral_profile, within_packing_bound
@@ -142,6 +141,13 @@ class TestKnuthBound:
     def test_rejects_bad_modulus(self):
         with pytest.raises(InvalidParams):
             knuth_bound(2, 0)
+
+    def test_beyond_float_range(self):
+        with pytest.raises(Unsupported):
+            knuth_bound(2, 2**2060)
+        # sqrt(N) still is a float, gamma_2 * sqrt(N) is not
+        with pytest.raises(Unsupported):
+            knuth_bound(2, (17 * 10**307) ** 2)
 
     def test_caps_exact_values(self):
         # every exact spectral value must respect the packing bound
@@ -324,6 +330,16 @@ class TestSpectralTest:
         assert r.profile == PotentialProfile(2, 1)
         assert r.bounds.lower_sq == r.bounds.upper_sq == 577
         assert r.mu == pytest.approx(merit(2, 577, 625), rel=1e-15)
+
+    def test_values_beyond_float_range(self):
+        # v_2 ~ 2^1030: the display floats are None, the exact fields stay
+        a = 2**1030 + 1
+        r = spectral_test(a, 2**2060, 2)
+        assert r.v_sq == 1 + (a - 2) ** 2 and r.vector == (1, a - 2)
+        assert r.v is None and r.to_json_dict()["v"] is None
+        assert r.bounds.lower is None and r.bounds.upper is None
+        assert r.bounds.lower_exact_sq == r.bounds.upper_exact_sq == r.v_sq
+        assert r.mu == pytest.approx(math.pi, rel=1e-12)
 
     def test_small_exact_formula(self):
         r = spectral_test(5, 16, 2)
@@ -518,11 +534,10 @@ class TestSpectralProfile:
             shortest_vector(basis)
             for b in (basis, basis._reduced):
                 assert b.dim == s
-                assert abs(int_det(b.rows)) == N and b.det == int_det(b.rows)
+                assert abs(ref.int_det(b.rows)) == N
                 for row in b.rows:
                     assert sum(v * pow(a, j, N) for j, v in enumerate(row)) % N == 0
-                if b._gs is not None:
-                    assert b._gs == _integral_gs(b.rows)
+                assert b._gs == _integral_gs(b.rows)
             basis = extend_dual_basis(basis, a, N)
 
     def test_compute_potential_runs_once(self, monkeypatch):
