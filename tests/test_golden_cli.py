@@ -35,6 +35,15 @@ CASES["svp_brute_5_16_box3_json"] = ["svp", "--a", "5", "--N", "16", "--s", "2",
 CASES["svp_brute_26_625_json"] = ["svp", "--a", "26", "--N", "625", "--s", "4",
                                   "--brute-box", "625", "--format", "json"]
 CASES["build_tau6_validate8"] = ["build", "--tau", "6", "--a", "69069", "--validate", "8"]
+CASES["build_tau6_validate8_json"] = ["build", "--tau", "6", "--a", "69069", "--validate", "8",
+                                      "--format", "json"]
+# rows past the certificate carry only the packing check, and s = 9 none at all
+CASES["build_s2_26_validate9"] = ["build", "--s", "2", "--a", "26", "--validate", "9"]
+# theorem 3's informational lower~ mark at s = 2, upper-only theorem-7 rows above it
+CASES.update({
+    f"analyze_13_16_{fmt}": ["analyze", "--a", "13", "--N", "16", "--s", "2..4", "--format", fmt]
+    for fmt in ("text", "csv")
+})
 CASES.update({
     f"uniformity_26_{fmt}": ["uniformity", "--a", "26", "--N", "625",
                              "--interval", "0.580815:0.850411", "--interval", "1/pi^2:1-1/e",
