@@ -5,7 +5,8 @@ with gcd(d, prod p_i) = 1; the modulus is then carved out of a power of a-1,
 N = (a-1)^(tau+l) / lambda with 1 <= lambda <= (a-1)^l.  Such pairs land in
 the theorem regimes of `spectral` by construction, so every build ships with
 a certificate of per-dimension bounds, and `validate` re-checks small builds
-against the exact solver.
+against the exact solver.  The bound decisions themselves are made by
+`spectral.check_bounds`, the same checks that mark `analyze`'s output.
 """
 
 from __future__ import annotations
@@ -31,12 +32,13 @@ from .lcg import (
 )
 from .numtheory import is_probable_prime
 from .spectral import (
+    BoundCheck,
     SpectralResult,
     TheoremBounds,
     b_coefficient,
+    check_bounds,
     spectral_profile,
     theorem_bounds,
-    within_packing_bound,
 )
 
 _MAX_SHAPE_STEPS = 10_000
@@ -113,11 +115,11 @@ class BuiltGenerator:
         for tb in self.guaranteed:
             parts = []
             if tb.lower_sq is not None:
-                parts.append(f"v_{tb.s}^2 >= {_sq_str(tb.lower_sq)}")
+                parts.append(f"v_{tb.s}^2 >= {tb.lower_sq}")
             if tb.upper_sq is not None:
-                parts.append(f"v_{tb.s}^2 <= {_sq_str(tb.upper_sq)}")
+                parts.append(f"v_{tb.s}^2 <= {tb.upper_sq}")
             if tb.lower_sq is not None and tb.lower_sq == tb.upper_sq:
-                parts = [f"v_{tb.s}^2 = {_sq_str(tb.lower_sq)}"]
+                parts = [f"v_{tb.s}^2 = {tb.lower_sq}"]
             entry = tb.to_json_dict()
             entry["statement"] = "; ".join(parts) + f" (theorem {tb.theorem_id})"
             cert.append(entry)
@@ -133,18 +135,11 @@ class BuiltGenerator:
             "tau": self.profile.tau,
             "lambda": str(self.profile.lam),
             "covers": {"s_min": 2, "s_max": self.covers_s_max},
-            "uniform_lower_sq": None
-            if self.uniform_lower_sq is None
-            else _sq_str(self.uniform_lower_sq),
+            "uniform_lower_sq": (None if self.uniform_lower_sq is None
+                                 else str(self.uniform_lower_sq)),
             "uniform_lower_unverified": self.uniform_lower_unverified,
             "certificate": self.certificate(),
         }
-
-
-def _sq_str(sq: int | Fraction) -> str:
-    if isinstance(sq, Fraction) and sq.denominator != 1:
-        return f"{sq.numerator}/{sq.denominator}"
-    return str(int(sq))
 
 
 def _build(t: int, covers: int, lam: int, recipe: MultiplierRecipe,
@@ -212,18 +207,11 @@ def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
 
 
 @dataclass(frozen=True)
-class ValidationCheck:
-    name: str
-    passed: bool
-    informational: bool = False
-
-
-@dataclass(frozen=True)
 class ValidationRow:
     s: int
     v_sq: int
     mu: float
-    checks: tuple[ValidationCheck, ...]
+    checks: tuple[BoundCheck, ...]
     result: SpectralResult
 
     @property
@@ -258,44 +246,18 @@ class ValidationReport:
 
 
 def validate(gen: BuiltGenerator, s_max: int, cap: int | None = None) -> ValidationReport:
-    """Run the exact solver for s = 2..s_max and compare against the build's
-    certificate plus the unconditional dimension bound.  Failures are reported,
-    never raised; the unverified lower estimate only produces an informational
-    row.
+    """Run the exact solver for s = 2..s_max and hold each v_s against the
+    build's own certificate (not the bounds the solver attaches, so a forged
+    certificate is caught) plus the packing bound, by `check_bounds`.
+    Failures are reported, never raised; the unverified lower estimate only
+    produces an informational check.
     """
     if s_max < 2:
         raise InvalidParams(f"need s_max >= 2, got {s_max}")
-    a, N = gen.params.a, gen.params.N
     by_s = {tb.s: tb for tb in gen.guaranteed}
-    rows = []
-    for res in spectral_profile(a, N, range(2, s_max + 1), cap):
-        s = res.s
-        checks = []
-        tb = by_s.get(s)
-        if tb is not None:
-            if tb.lower_sq is not None:
-                checks.append(
-                    ValidationCheck(
-                        name=f"v_{s}^2 >= {_sq_str(tb.lower_sq)} (theorem {tb.theorem_id})",
-                        passed=Fraction(res.v_sq) >= Fraction(tb.lower_sq),
-                        informational=tb.lower_unverified,
-                    )
-                )
-            if tb.upper_sq is not None:
-                checks.append(
-                    ValidationCheck(
-                        name=f"v_{s}^2 <= {_sq_str(tb.upper_sq)} (theorem {tb.theorem_id})",
-                        passed=Fraction(res.v_sq) <= Fraction(tb.upper_sq),
-                    )
-                )
-        within = within_packing_bound(s, N, res.v_sq)
-        if within is not None:
-            checks.append(
-                ValidationCheck(
-                    name=f"v_{s} within the dimension-{s} packing bound",
-                    passed=within,
-                )
-            )
-        rows.append(ValidationRow(s=s, v_sq=res.v_sq, mu=res.mu, checks=tuple(checks),
-                                  result=res))
-    return ValidationReport(rows=tuple(rows))
+    N = gen.params.N
+    return ValidationReport(rows=tuple(
+        ValidationRow(s=res.s, v_sq=res.v_sq, mu=res.mu, result=res,
+                      checks=check_bounds(res.s, N, res.v_sq, by_s.get(res.s)))
+        for res in spectral_profile(gen.params.a, N, range(2, s_max + 1), cap)
+    ))

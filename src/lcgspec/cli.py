@@ -7,6 +7,7 @@ validation errors, 3 domain errors, 4 budget errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -40,10 +41,11 @@ from .lattice import (
     LatticeBasis,
     brute_force_shortest,
     dual_basis,
+    resolve_enum_cap,
     shortest_vector,
 )
 from .lcg import LcgParams, check_max_period
-from .spectral import knuth_bound, spectral_profile, within_packing_bound
+from .spectral import check_bounds, knuth_bound, spectral_profile
 
 EXIT_OK = 0
 EXIT_SCORECARD = 1
@@ -98,20 +100,14 @@ def _render_table(header: list[str], rows: list[list[str]], out: IO[str]) -> Non
 # -- analyze -----------------------------------------------------------------
 
 
-def _bound_marks(result) -> str:
+def _bound_marks(result) -> list[str]:
+    """`lower`, `upper` or `B` per `check_bounds` check, `lower~` for the
+    informational one, with " VIOLATED" appended when the check fails."""
     marks = []
-    tb = result.bounds
-    v_sq = Fraction(result.v_sq)
-    if tb is not None and tb.lower_sq is not None:
-        ok = v_sq >= tb.lower_sq
-        tag = "lower~" if tb.lower_unverified else "lower"
-        marks.append(tag if ok else f"{tag} VIOLATED")
-    if tb is not None and tb.upper_sq is not None:
-        marks.append("upper" if v_sq <= tb.upper_sq else "upper VIOLATED")
-    ok = within_packing_bound(result.s, result.N, result.v_sq)
-    if ok is not None:
-        marks.append("B" if ok else "B VIOLATED")
-    return " ".join(marks) if marks else "-"
+    for chk in check_bounds(result.s, result.N, result.v_sq, result.bounds):
+        mark = ("B" if chk.kind == "packing" else chk.kind) + ("~" if chk.informational else "")
+        marks.append(mark if chk.passed else f"{mark} VIOLATED")
+    return marks
 
 
 def cmd_analyze(args, out: IO[str]) -> int:
@@ -160,7 +156,7 @@ def cmd_analyze(args, out: IO[str]) -> int:
                         str(tb.upper_sq) if tb and tb.upper_sq is not None else "-",
                         cap_str(r),
                         "yes" if r.certified else "no",
-                        _bound_marks(r).replace(" ", ";"),
+                        ";".join(_bound_marks(r)) or "-",
                     ]
                 )
                 + "\n"
@@ -188,7 +184,7 @@ def cmd_analyze(args, out: IO[str]) -> int:
                 str(tb.lower_sq) if tb and tb.lower_sq is not None else "-",
                 str(tb.upper_sq) if tb and tb.upper_sq is not None else "-",
                 cap_str(r),
-                _bound_marks(r),
+                " ".join(_bound_marks(r)) or "-",
             ]
         )
         if tb is not None and tb.violations:
@@ -303,21 +299,36 @@ def cmd_uniformity(args, out: IO[str]) -> int:
 # -- dump --------------------------------------------------------------------
 
 
+class _OpenOnWrite(contextlib.AbstractContextManager):
+    """A text file opened (so created or truncated) by its first write, or on
+    a clean exit when nothing was written.  `dump_sequence` checks every
+    argument before it writes, so a refused dump leaves the file as it was."""
+
+    def __init__(self, path: str) -> None:
+        self._path = path
+        self._fh: IO[str] | None = None
+
+    def write(self, text: str) -> int:
+        if self._fh is None:
+            self._fh = open(self._path, "w", encoding="utf-8")
+        return self._fh.write(text)
+
+    def __exit__(self, exc_type, *exc) -> None:
+        if exc_type is None:
+            self.write("")
+        if self._fh is not None:
+            self._fh.close()
+
+
 def cmd_dump(args, out: IO[str]) -> int:
     params = LcgParams(
         parse_int_expr(args.a), parse_int_expr(args.c),
         parse_int_expr(args.N), parse_int_expr(args.x0),
     )
     count = None if args.count is None else parse_int_expr(args.count)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            dump_sequence(params, fh, fmt=args.format, count=count,
-                          digits=args.digits, per_line=args.per_line,
-                          budget=args.budget)
-    else:
-        dump_sequence(params, out, fmt=args.format, count=count,
-                      digits=args.digits, per_line=args.per_line,
-                      budget=args.budget)
+    with _OpenOnWrite(args.output) if args.output else contextlib.nullcontext(out) as sink:
+        dump_sequence(params, sink, fmt=args.format, count=count, digits=args.digits,
+                      per_line=args.per_line, budget=args.budget)
     return EXIT_OK
 
 
@@ -331,8 +342,11 @@ def cmd_svp(args, out: IO[str]) -> int:
                 obj = json.load(fh)
             except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
                 raise InvalidParams(f"{args.basis_file}: not a JSON basis file ({exc})") from None
-        basis = LatticeBasis.from_json_dict(obj)
-        result = shortest_vector(basis, cap=args.enum_cap)
+        rows = obj.get("rows") if isinstance(obj, dict) else None
+        cap = resolve_enum_cap(args.enum_cap)
+        if isinstance(rows, list) and len(rows) > cap:  # before any O(n^3) Gram-Schmidt work
+            raise DimensionTooLarge(f"dimension {len(rows)} exceeds enumeration cap {cap}")
+        result = shortest_vector(LatticeBasis.from_json_dict(obj), cap=cap)
         method = "enumeration"
     else:
         if args.a is None or args.N is None or args.s is None:

@@ -171,6 +171,34 @@ class TheoremBounds:
         }
 
 
+@dataclass(frozen=True)
+class BoundCheck:
+    """One exact check of v_s: `kind` is "lower" or "upper" (a theorem bound)
+    or "packing"; an informational check is reported, never asserted."""
+
+    kind: str
+    name: str
+    passed: bool
+    informational: bool = False
+
+
+def check_bounds(s: int, N: int, v_sq: int, tb: TheoremBounds | None) -> tuple[BoundCheck, ...]:
+    """v_sq held against the lower and upper bounds of `tb` and the packing
+    bound, by exact int/Fraction comparisons; a check is present only when its
+    bound is.  The one place v_sq meets the theorem bounds: `analyze`'s marks
+    and `builder.validate`'s rows both read these checks."""
+    checks = []
+    if tb is not None and tb.lower_sq is not None:
+        checks.append(BoundCheck("lower", f"v_{s}^2 >= {tb.lower_sq} (theorem {tb.theorem_id})",
+                                 v_sq >= tb.lower_sq, tb.lower_unverified))
+    if tb is not None and tb.upper_sq is not None:
+        checks.append(BoundCheck("upper", f"v_{s}^2 <= {tb.upper_sq} (theorem {tb.theorem_id})",
+                                 v_sq <= tb.upper_sq))
+    if (ok := within_packing_bound(s, N, v_sq)) is not None:
+        checks.append(BoundCheck("packing", f"v_{s} within the dimension-{s} packing bound", ok))
+    return tuple(checks)
+
+
 def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
     """Select and evaluate the estimate matching (s, tau, lambda).
 

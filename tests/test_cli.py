@@ -129,6 +129,33 @@ class TestAnalyze:
             f"error: dimension {first} exceeds enumeration cap {limit}\n"
         )
 
+    def test_violated_marks(self, monkeypatch):
+        # forged bounds: s = 3 (v^2 = 6) misses both theorem bounds, s = 4
+        # (v^2 = 4) misses an unverified lower one
+        import dataclasses
+
+        from lcgspec import spectral
+
+        real = spectral.theorem_bounds
+        forged = {3: dict(lower_sq=7, upper_sq=5), 4: dict(lower_sq=5, lower_unverified=True)}
+
+        def theorem_bounds(a, profile, s):
+            return dataclasses.replace(real(a, profile, s), **forged.get(s, {}))
+
+        monkeypatch.setattr(spectral, "theorem_bounds", theorem_bounds)
+        argv = ["analyze", "--a", "26", "--N", "625", "--s", "2..4"]
+        code, out = run(argv)
+        assert code == 0
+        rows = out.splitlines()[3:]
+        assert rows[0].endswith("  lower upper B")
+        assert rows[1].endswith("  lower VIOLATED upper VIOLATED B")
+        assert rows[2].endswith("  lower~ VIOLATED upper B")
+        code, out = run(argv + ["--format", "csv"])
+        assert code == 0
+        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == [
+            "lower;upper;B", "lower VIOLATED;upper VIOLATED;B", "lower~ VIOLATED;upper;B",
+        ]
+
 
 class TestBuild:
     def test_text(self):
@@ -288,6 +315,30 @@ class TestDump:
         assert out == ""
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags, code", [
+        (["--digits", "0"], 2),
+        (["--per-line", "0", "--format", "table"], 2),
+        (["--count", "10^9"], 2),
+        (["--count", "10", "--budget", "3"], 4),
+        (["--a", "4", "--N", "16"], 3),  # not of maximum period
+    ])
+    def test_refusal_leaves_output_file_alone(self, tmp_path, flags, code):
+        kept, absent = tmp_path / "keep.txt", tmp_path / "absent.txt"
+        kept.write_bytes(b"earlier contents\n")
+        for path in (kept, absent):
+            got = run(["dump", "--a", "26", "--N", "625"] + flags + ["-o", str(path)])
+            assert got == (code, "")
+        assert kept.read_bytes() == b"earlier contents\n"
+        assert not absent.exists()
+
+    def test_empty_dump_still_writes_its_file(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("earlier contents\n")
+        code, out = run(["dump", "--a", "26", "--N", "625", "--count", "0",
+                         "--format", "table", "-o", str(path)])
+        assert (code, out) == (0, "")
+        assert path.read_text() == ""
+
 
 class TestSvp:
     def test_spectral_lattice(self):
@@ -361,6 +412,24 @@ class TestSvp:
         assert code == 2 and out == ""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+
+    @pytest.mark.parametrize("dim, flags, cap", [(13, [], 12), (5, ["--enum-cap", "4"], 4)])
+    def test_basis_file_over_cap_refused_before_gram_schmidt(
+            self, tmp_path, monkeypatch, capsys, dim, flags, cap):
+        from lcgspec import lattice
+
+        def boom(rows):
+            raise AssertionError("Gram-Schmidt data was computed")
+
+        monkeypatch.setattr(lattice, "_integral_gs", boom)
+        monkeypatch.delenv(lattice.ENUM_CAP_ENV, raising=False)
+        f = tmp_path / "basis.json"
+        f.write_text(json.dumps({"rows": [[int(i == j) for j in range(dim)]
+                                          for i in range(dim)]}))
+        assert run(["svp", "--basis-file", str(f)] + flags) == (4, "")
+        assert capsys.readouterr().err == (
+            f"error: dimension {dim} exceeds enumeration cap {cap}\n"
+        )
 
     def test_enum_cap_exit(self, capsys):
         code, _ = run(["svp", "--a", "69069", "--N", "2^32", "--s", "6",

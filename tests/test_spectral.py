@@ -31,7 +31,7 @@ from lcgspec.lattice import (
     extend_dual_basis,
     shortest_vector,
 )
-from lcgspec.spectral import spectral_profile, within_packing_bound
+from lcgspec.spectral import BoundCheck, check_bounds, spectral_profile, within_packing_bound
 
 import lattice_reference as ref
 
@@ -186,6 +186,48 @@ class TestWithinPackingBound:
             v = math.sqrt(v_sq)
             if abs(v - knuth_bound(s, N)) > 1e-6 * v:
                 assert within_packing_bound(s, N, v_sq) == (v < knuth_bound(s, N))
+
+
+class TestCheckBounds:
+    PACKING_2 = BoundCheck("packing", "v_2 within the dimension-2 packing bound", True)
+
+    def test_bounds_met_with_equality(self):
+        # theorem 1 at a = 26: v_2^2 = 577 is both bounds
+        tb = theorem_bounds(26, PotentialProfile(2, 1), 2)
+        assert check_bounds(2, 625, 577, tb) == (
+            BoundCheck("lower", "v_2^2 >= 577 (theorem 1)", True),
+            BoundCheck("upper", "v_2^2 <= 577 (theorem 1)", True),
+            self.PACKING_2,
+        )
+
+    @pytest.mark.parametrize("forged_a, lower, upper", [(27, False, True), (25, True, False)])
+    def test_forged_bounds_fail(self, forged_a, lower, upper):
+        # the theorem-1 bounds of a neighbouring multiplier, 1 + (a-2)^2, held
+        # against v_2^2 = 577 of a = 26
+        tb = theorem_bounds(forged_a, PotentialProfile(2, 1), 2)
+        sq = 1 + (forged_a - 2) ** 2
+        assert check_bounds(2, 625, 577, tb) == (
+            BoundCheck("lower", f"v_2^2 >= {sq} (theorem 1)", lower),
+            BoundCheck("upper", f"v_2^2 <= {sq} (theorem 1)", upper),
+            self.PACKING_2,
+        )
+
+    @pytest.mark.parametrize("v_sq, passed", [(10, True), (1, False)])
+    def test_unverified_lower_bound_is_informational(self, v_sq, passed):
+        # theorem 3 at a = 13, N = 16: lower 122/81, compared exactly; no upper
+        tb = theorem_bounds(13, PotentialProfile(2, 9), 2)
+        assert check_bounds(2, 16, v_sq, tb) == (
+            BoundCheck("lower", "v_2^2 >= 122/81 (theorem 3)", passed, informational=True),
+            BoundCheck("packing", "v_2 within the dimension-2 packing bound", True),
+        )
+
+    def test_only_applicable_checks(self):
+        upper_only = theorem_bounds(13, PotentialProfile(2, 9), 3)  # theorem 7
+        assert [c.kind for c in check_bounds(3, 16, 6, upper_only)] == ["upper", "packing"]
+        assert check_bounds(8, 625, 4, None) == (
+            BoundCheck("packing", "v_8 within the dimension-8 packing bound", True),
+        )
+        assert check_bounds(9, 625, 4, None) == ()
 
 
 class TestRegime:
