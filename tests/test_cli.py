@@ -4,6 +4,7 @@ Everything goes through `main(argv, out)` so exit codes and stdout are
 captured in-process; stderr diagnostics are checked via capsys.
 """
 
+import dataclasses
 import io
 import json
 
@@ -132,8 +133,6 @@ class TestAnalyze:
     def test_violated_marks(self, monkeypatch):
         # forged bounds: s = 3 (v^2 = 6) misses both theorem bounds, s = 4
         # (v^2 = 4) misses an unverified lower one
-        import dataclasses
-
         from lcgspec import spectral
 
         real = spectral.theorem_bounds
