@@ -12,8 +12,9 @@ against the exact solver.  The bound decisions themselves are made by
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     InvalidParams,
@@ -44,20 +45,20 @@ from .spectral import (
 _MAX_SHAPE_STEPS = 10_000
 
 
-@dataclass(frozen=True)
-class MultiplierRecipe:
-    """Either an explicit multiplier `a`, or the shape d * prod(p_i^r_i) + 1."""
+class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
+    """Either an explicit multiplier `a`, or the shape d * prod(p_i^r_i) + 1.
 
-    a: int | None = None
-    d: int = 1
-    primes: tuple[int, ...] = ()
-    exponents: tuple[int, ...] = ()
+    Every construction is checked, `_make` and `_replace` included."""
 
-    def __post_init__(self) -> None:
+    __slots__ = ()
+
+    def __new__(cls, a: int | None = None, d: int = 1, primes: tuple[int, ...] = (),
+                exponents: tuple[int, ...] = ()) -> MultiplierRecipe:
+        self = super().__new__(cls, a, d, primes, exponents)
         if self.a is not None:
             if self.a < 2:
                 raise InvalidParams(f"need a >= 2, got {self.a}")
-            return
+            return self
         if self.d < 1:
             raise InvalidParams(f"need d >= 1, got {self.d}")
         if len(self.primes) != len(self.exponents):
@@ -72,6 +73,9 @@ class MultiplierRecipe:
         kernel = self.kernel()
         if math.gcd(self.d, kernel) != 1:
             raise InvalidParams(f"gcd(d, prod primes) = {math.gcd(self.d, kernel)} != 1")
+        return self
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def kernel(self) -> int:
         k = 1
@@ -101,8 +105,7 @@ class MultiplierRecipe:
         raise TooSmall(f"no multiplier of this shape clears min_accuracy={min_accuracy}")
 
 
-@dataclass(frozen=True)
-class BuiltGenerator:
+class BuiltGenerator(NamedTuple):
     params: LcgParams
     profile: PotentialProfile
     covers_s_max: int
@@ -206,8 +209,7 @@ def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
     return _build(t=tau + l, covers=tau, lam=lam, recipe=recipe, min_accuracy=min_accuracy)
 
 
-@dataclass(frozen=True)
-class ValidationRow:
+class ValidationRow(NamedTuple):
     s: int
     v_sq: int
     mu: float
@@ -219,8 +221,7 @@ class ValidationRow:
         return all(c.passed for c in self.checks if not c.informational)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     rows: tuple[ValidationRow, ...]
 
     @property

@@ -10,9 +10,8 @@ stream the orbit itself, so they are bounded by a budget on the count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import IO
+from typing import IO, NamedTuple
 
 from .errors import BudgetExceeded, InvalidParams, PeriodViolation
 from .lcg import LcgParams, _render_fractions, check_max_period, default_digits
@@ -37,8 +36,7 @@ def format_fraction(value: Fraction | int, digits: int = 12) -> str:
     return f"{sign}{ip}{_render_fractions([p], value.denominator, digits)[0][1:]}"
 
 
-@dataclass(frozen=True)
-class FrequencyReport:
+class FrequencyReport(NamedTuple):
     params: LcgParams
     alpha: Fraction
     beta: Fraction
@@ -70,16 +68,7 @@ class FrequencyReport:
         }
 
     def to_json_dict(self) -> dict:
-        r = self.row()
-        return {
-            "alpha": r["alpha"],
-            "beta": r["beta"],
-            "m": str(self.m),
-            "N": str(self.N),
-            "m_over_N": r["m_over_N"],
-            "width": r["width"],
-            "delta": r["delta"],
-        }
+        return {**self.row(), "N": str(self.N)}
 
 
 def csv_header() -> str:
@@ -116,15 +105,7 @@ def frequency_test(
         raise PeriodViolation("; ".join(report.failures))
     N = params.N
     m = max(0, min(math.floor(beta * N), N - 1) - math.ceil(alpha * N) + 1)
-    return FrequencyReport(
-        params=params,
-        alpha=alpha,
-        beta=beta,
-        alpha_label=alpha_label,
-        beta_label=beta_label,
-        m=m,
-        N=N,
-    )
+    return FrequencyReport(params, alpha, beta, alpha_label, beta_label, m, N)
 
 
 def dump_sequence(

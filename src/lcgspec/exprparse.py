@@ -1,7 +1,8 @@
 """Tiny expression grammars for CLI flags.
 
 Integer mode accepts decimal literals with ^ + - * and parentheses, all in
-exact arbitrary-precision arithmetic ("2^32", "10^8+1", "(69068)^6").
+exact arbitrary-precision arithmetic ("2^32", "10^8+1", "(69068)^6"); no literal
+or result may have more digits than Python's int-to-str limit, so each prints.
 
 Endpoint mode additionally accepts '/', decimal fractions and the constants
 pi and e, for interval bounds like "1/pi^2" or "1-1/e".  Decimal literals are
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 
 from .errors import ExpressionError
@@ -23,6 +25,8 @@ _TOKEN = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|(pi|e)|([()+*/^-])|(\S)")
 _MAX_RESULT_BITS = 4_000_000
 
 SYMBOLIC_DIGITS = 12
+# Python's limit on digits converted between int and str (0: none; absent before 3.10.7)
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -129,6 +133,8 @@ class _Parser:
     def atom(self):
         kind, text = self.take()
         if kind == "int":
+            if (limit := _max_str_digits()) and len(text) > limit:
+                raise ExpressionError(f"integer literal has more than {limit} digits")
             return Fraction(int(text)), False
         if kind == "dec":
             if not self.allow_rational:
@@ -151,7 +157,11 @@ def parse_int_expr(text: str) -> int:
     """Exact integer value of a flag expression like "2^32" or "10^8+1"."""
     value, _ = _Parser(text, allow_rational=False).parse()
     assert value.denominator == 1
-    return value.numerator
+    n = value.numerator
+    # |n| < 2^(3 * limit) < 10^limit needs no power of ten
+    if (limit := _max_str_digits()) and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+        raise ExpressionError(f"expression result has more than {limit} digits")
+    return n
 
 
 def parse_endpoint(text: str, symbolic_digits: int = SYMBOLIC_DIGITS) -> Fraction:

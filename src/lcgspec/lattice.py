@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import os
 import re
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import DimensionTooLarge, EmptyBox, InvalidParams
 
@@ -75,29 +75,25 @@ def _json_int(x, what: str = "basis entry") -> int:
     return _as_int(x, what)
 
 
-@dataclass(frozen=True)
 class LatticeBasis:
     """Square integer basis, rows linearly independent, carrying the integral
     Gram-Schmidt data (d, lam) of its rows (module docstring; `_integral_gs`).
 
-    `_gs` is that data, set once and never mutated; `_reduced` is the latest
-    `lll_reduce` of this basis once one has run.  Neither is part of
-    equality.
+    `rows` is read-only.  `_gs` is that data, set once and never mutated;
+    `_reduced` is the latest `lll_reduce` of this basis once one has run.
+    Two bases are equal, and hash alike, exactly when their `rows` are equal.
     """
 
-    rows: tuple[tuple[int, ...], ...]
-    _gs: tuple[list[int], list[list[int]]] = field(init=False, repr=False, compare=False)
-    _reduced: LatticeBasis | None = field(init=False, repr=False, compare=False, default=None)
+    __slots__ = ("_rows", "_gs", "_reduced")
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(_as_int(x) for x in r) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows: tuple[tuple[int, ...], ...]) -> None:
+        rows = tuple(tuple(_as_int(x) for x in r) for r in rows)
         n = len(rows)
         if n < 2:
             raise InvalidParams("lattice dimension must be >= 2")
         if any(len(r) != n for r in rows):
             raise InvalidParams("basis must be square")
-        object.__setattr__(self, "_gs", _integral_gs(rows))
+        self._rows, self._gs, self._reduced = rows, _integral_gs(rows), None
 
     @classmethod
     def _known(cls, rows: tuple[tuple[int, ...], ...],
@@ -105,10 +101,21 @@ class LatticeBasis:
         """A basis built inside this module from independent rows whose
         Gram-Schmidt data `gs` is already known: no checks, no rebuild."""
         basis = object.__new__(cls)
-        object.__setattr__(basis, "rows", rows)
-        object.__setattr__(basis, "_gs", gs)
-        object.__setattr__(basis, "_reduced", None)
+        basis._rows, basis._gs, basis._reduced = rows, gs, None
         return basis
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        return self._rows
+
+    def __eq__(self, other):
+        return self._rows == other._rows if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._rows)
+
+    def __repr__(self) -> str:
+        return f"LatticeBasis(rows={self._rows!r})"
 
     @property
     def dim(self) -> int:
@@ -131,8 +138,7 @@ class LatticeBasis:
         return basis
 
 
-@dataclass(frozen=True)
-class ShortestVectorResult:
+class ShortestVectorResult(NamedTuple):
     norm_sq: int
     vector: tuple[int, ...]
     certified: bool
@@ -265,7 +271,7 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
         d[k] = B
         k = max(k - 1, 1)
     reduced = LatticeBasis._known(tuple(tuple(r) for r in b), (d, lam))
-    object.__setattr__(basis, "_reduced", reduced)
+    basis._reduced = reduced
     return reduced
 
 

@@ -9,41 +9,41 @@ rendering of X/N.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .errors import InvalidParams, NoPotential, PotentialOne
 
 
-@dataclass(frozen=True)
-class LcgParams:
-    """Parameters (a, c, N, x0) with 0 < N, 2 <= a < N, 1 <= c < N, gcd(c,N)=1."""
+class LcgParams(namedtuple("LcgParams", "a c N x0")):
+    """Parameters (a, c, N, x0) with 0 < N, 2 <= a < N, 1 <= c < N, gcd(c,N)=1.
 
-    a: int
-    c: int
-    N: int
-    x0: int = 0
+    Every construction is checked, `_make` and `_replace` included."""
 
-    def __post_init__(self) -> None:
-        if self.N <= 0:
-            raise InvalidParams(f"N must be positive, got {self.N}")
-        if not 2 <= self.a < self.N:
-            raise InvalidParams(f"need 2 <= a < N, got a={self.a}, N={self.N}")
-        if not 1 <= self.c < self.N:
-            raise InvalidParams(f"need 1 <= c < N, got c={self.c}, N={self.N}")
-        if math.gcd(self.c, self.N) != 1:
-            raise InvalidParams(f"gcd(c, N) = {math.gcd(self.c, self.N)} != 1")
-        if not 0 <= self.x0 < self.N:
-            raise InvalidParams(f"need 0 <= x0 < N, got x0={self.x0}")
+    __slots__ = ()
+
+    def __new__(cls, a: int, c: int, N: int, x0: int = 0) -> LcgParams:
+        if N <= 0:
+            raise InvalidParams(f"N must be positive, got {N}")
+        if not 2 <= a < N:
+            raise InvalidParams(f"need 2 <= a < N, got a={a}, N={N}")
+        if not 1 <= c < N:
+            raise InvalidParams(f"need 1 <= c < N, got c={c}, N={N}")
+        if math.gcd(c, N) != 1:
+            raise InvalidParams(f"gcd(c, N) = {math.gcd(c, N)} != 1")
+        if not 0 <= x0 < N:
+            raise InvalidParams(f"need 0 <= x0 < N, got x0={x0}")
+        return super().__new__(cls, a, c, N, x0)
+
+    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-@dataclass(frozen=True)
-class MaxPeriodReport:
+class MaxPeriodReport(NamedTuple):
     ok: bool
     failures: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class PotentialProfile:
+class PotentialProfile(NamedTuple):
     """tau = least t with N | (a-1)^t, lam = (a-1)^tau / N."""
 
     tau: int

@@ -16,8 +16,8 @@ import io
 import math
 import random
 import time
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .builder import MultiplierRecipe, build_range, validate
 from .empirical import dump_sequence, frequency_test
@@ -28,8 +28,7 @@ from .lcg import LcgParams, check_max_period
 from .spectral import spectral_profile, spectral_test, within_packing_bound
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     cid: int
     title: str
     passed: bool

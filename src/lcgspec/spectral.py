@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     DimensionTooLarge,
@@ -130,8 +130,7 @@ def classify_regime(s: int, profile: PotentialProfile) -> Regime:
     return Regime.S_LT_TAU if s < tau else Regime.S_GT_TAU
 
 
-@dataclass(frozen=True)
-class TheoremBounds:
+class TheoremBounds(NamedTuple):
     """Proven estimates on v_s (and the induced mu_s window) for one regime.
 
     Square bounds are exact integers whenever the estimate is an integer
@@ -171,8 +170,7 @@ class TheoremBounds:
         }
 
 
-@dataclass(frozen=True)
-class BoundCheck:
+class BoundCheck(NamedTuple):
     """One exact check of v_s: `kind` is "lower" or "upper" (a theorem bound)
     or "packing"; an informational check is reported, never asserted."""
 
@@ -299,8 +297,7 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
     )
 
 
-@dataclass(frozen=True)
-class SpectralResult:
+class SpectralResult(NamedTuple):
     """Exact spectral value of (a, N) in dimension s plus derived figures."""
 
     a: int

@@ -4,7 +4,6 @@ Everything goes through `main(argv, out)` so exit codes and stdout are
 captured in-process; stderr diagnostics are checked via capsys.
 """
 
-import dataclasses
 import io
 import json
 
@@ -102,6 +101,22 @@ class TestAnalyze:
         code, _ = run(["analyze", "--a", "2^^5", "--N", "625"])
         assert code == 2
 
+    @pytest.mark.parametrize("a, N, message", [
+        ("(2^5000)^2+1", "((2^5000)^2)^2", "expression result has more than 4300 digits"),
+        ("5", "7" * 5000, "integer literal has more than 4300 digits"),
+        ("5", "2^10000*2^10000", "expression result has more than 4300 digits"),
+    ], ids=["power", "literal", "product"])
+    def test_integers_too_long_to_print(self, capsys, a, N, message):
+        code, out = run(["analyze", "--a", a, "--N", N, "--s", "2"])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_integer_at_the_print_limit(self):
+        N = "9" * 4300
+        code, out = run(["analyze", "--a", "5", "--N", N, "--s", "2"])
+        assert code == 0
+        assert out.startswith(f"a = 5, N = {N}\n")
+
     def test_enum_cap(self, capsys):
         code, _ = run(["analyze", "--a", "69069", "--N", "2^32", "--s", "6",
                        "--enum-cap", "2"])
@@ -139,7 +154,7 @@ class TestAnalyze:
         forged = {3: dict(lower_sq=7, upper_sq=5), 4: dict(lower_sq=5, lower_unverified=True)}
 
         def theorem_bounds(a, profile, s):
-            return dataclasses.replace(real(a, profile, s), **forged.get(s, {}))
+            return real(a, profile, s)._replace(**forged.get(s, {}))
 
         monkeypatch.setattr(spectral, "theorem_bounds", theorem_bounds)
         argv = ["analyze", "--a", "26", "--N", "625", "--s", "2..4"]

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -50,6 +51,34 @@ def test_parse_int_expr_guards_blowup():
         parse_int_expr("(10^1000)^100000")
     with pytest.raises(ExpressionError):
         parse_int_expr("2^(10^7)")
+
+
+def test_parse_int_expr_refuses_integers_too_long_to_print():
+    limit = sys.get_int_max_str_digits()  # 4300 unless the interpreter was told otherwise
+    assert parse_int_expr("9" * limit) == 10**limit - 1
+    assert parse_int_expr(f"10^{limit}-1") == 10**limit - 1
+    assert parse_int_expr(f"-(10^{limit}-1)") == 1 - 10**limit
+    assert parse_int_expr("0" * limit) == 0
+    half = f"2^{limit * 2}"  # about 0.6 * limit digits
+    for text in ("1" + "0" * limit, "0" * (limit + 1), f"10^{limit}", f"-10^{limit}",
+                 f"{half}*{half}", f"{half}*{half}+{half}"):
+        with pytest.raises(ExpressionError, match=f"more than {limit} digits"):
+            parse_int_expr(text)
+    with pytest.raises(ExpressionError, match="integer literal"):
+        parse_endpoint("1/" + "3" * (limit + 1))
+
+
+def test_digit_limit_follows_the_interpreter(monkeypatch):
+    import lcgspec.exprparse as exprparse
+
+    monkeypatch.setattr(exprparse, "_max_str_digits", lambda: 0)  # no limit
+    assert parse_int_expr("10^4300") == 10**4300
+    monkeypatch.setattr(exprparse, "_max_str_digits", lambda: 5)
+    assert parse_int_expr("99999") == 99999
+    with pytest.raises(ExpressionError, match="integer literal has more than 5 digits"):
+        parse_int_expr("100000")
+    with pytest.raises(ExpressionError, match="expression result has more than 5 digits"):
+        parse_int_expr("10^5")
 
 
 def test_decimal_endpoints_are_binary_doubles():

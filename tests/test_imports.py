@@ -5,6 +5,8 @@ must be read somewhere in the module, or be listed in its `__all__`.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -47,3 +49,13 @@ def test_scan_flags_unused_and_honours_all():
         "    return json.dumps(A)\n"
     )
     assert unused_imports(source) == ["C (line 3)", "os (line 2)"]
+
+
+def test_cli_import_skips_dataclasses_and_inspect():
+    # both cost more than the rest of the package's import; a fresh
+    # interpreter shows what `import lcgspec.cli` really loads
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import lcgspec.cli; "
+            "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+                         check=True, capture_output=True, text=True).stdout
+    assert out == "False False\n"
