@@ -24,6 +24,7 @@ from .errors import (
     PotentialOne,
     TooSmall,
 )
+from .exprparse import _digit_limit_exceeded
 from .lcg import (
     LcgParams,
     PotentialProfile,
@@ -160,6 +161,8 @@ def _build(t: int, covers: int, lam: int, recipe: MultiplierRecipe,
     if pw % lam != 0:
         raise LambdaInvalid(f"lambda = {lam} does not divide (a-1)^{t}")
     N = pw // lam
+    if limit := _digit_limit_exceeded(N):
+        raise InvalidParams(f"modulus N = (a-1)^{t}/lambda has more than {limit} digits")
     params = LcgParams(a=a, c=1, N=N, x0=0)
     # one gcd-strip of N decides both the period and the potential
     r, passes = _strip_shared_primes(a, N)

@@ -171,6 +171,7 @@ def cmd_analyze(args, out: IO[str]) -> int:
         out.write("tau undefined (no potential); theorem bounds omitted\n")
     header = ["s", "v^2", "lg v", "mu", "regime", "thm", "lower^2", "upper^2", "B-bound", "checks"]
     rows = []
+    notes = []
     for r in results:
         tb = r.bounds
         rows.append(
@@ -188,8 +189,9 @@ def cmd_analyze(args, out: IO[str]) -> int:
             ]
         )
         if tb is not None and tb.violations:
-            rows.append(["", f"(s={r.s}: " + "; ".join(tb.violations) + ")", "", "", "", "", "", "", "", ""])
+            notes.append(f"(s={r.s}: " + "; ".join(tb.violations) + ")\n")
     _render_table(header, rows, out)
+    out.writelines(notes)
     return EXIT_OK
 
 
@@ -405,6 +407,10 @@ def _add_generator_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--x0", default="0", help="seed (default 0)")
 
 
+# each command's parser by name, filled by build_parser
+_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and then shared by every `main`
@@ -481,14 +487,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", default=None, help="comma-separated criterion numbers, e.g. 1,3,7")
     p.set_defaults(func=cmd_verify_paper)
 
+    _COMMANDS.clear()
+    _COMMANDS.update(sub.choices)
     return parser
+
+
+def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)` with one argparse pass when argv[0]
+    names a command: the top-level parser would only hand the rest to that
+    command's parser, and report what it leaves over."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    if not argv or argv[0] not in _COMMANDS:
+        return parser.parse_args(argv)
+    args, extras = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
 
 
 def main(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
     out = sys.stdout if out is None else out
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:

@@ -9,7 +9,6 @@ stream the orbit itself, so they are bounded by a budget on the count.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import IO, NamedTuple
 
@@ -24,16 +23,18 @@ _DUMP_CHUNK = 512
 _ROW_FIELDS = ("alpha", "beta", "m", "m_over_N", "width", "delta")
 
 
-def format_fraction(value: Fraction | int, digits: int = 12) -> str:
-    """Decimal rendering, truncated at `digits` fractional digits, zeros trimmed.
+def _render_ratio(p: int, q: int, digits: int) -> str:
+    """p/q (q > 0, the pair need not be reduced) as `format_fraction` renders it:
+    the sign, then the integer part, then the proper fraction rendered by
+    `lcg._render_fractions` ("0" or "0.ddd", of which the "0" is dropped)."""
+    ip, r = divmod(abs(p), q)
+    return f"{'-' if p < 0 else ''}{ip}{_render_fractions([r], q, digits)[0][1:]}"
 
-    The sign, then the integer part, then the proper fraction p/q rendered by
-    `lcg._render_fractions` ("0" or "0.ddd", of which the "0" is dropped).
-    """
+
+def format_fraction(value: Fraction | int, digits: int = 12) -> str:
+    """Decimal rendering, truncated at `digits` fractional digits, zeros trimmed."""
     value = Fraction(value)
-    sign = "-" if value < 0 else ""
-    ip, p = divmod(abs(value.numerator), value.denominator)
-    return f"{sign}{ip}{_render_fractions([p], value.denominator, digits)[0][1:]}"
+    return _render_ratio(value.numerator, value.denominator, digits)
 
 
 class FrequencyReport(NamedTuple):
@@ -58,13 +59,19 @@ class FrequencyReport(NamedTuple):
         return abs(self.frequency - self.width)
 
     def row(self, digits: int = 12) -> dict[str, str]:
+        # the same figures as the Fraction properties, from integer pairs:
+        # width = wn/den and delta = |m/N - width| over the denominator N*den
+        an, ad = self.alpha.numerator, self.alpha.denominator
+        bn, bd = self.beta.numerator, self.beta.denominator
+        m, N = self.m, self.N
+        wn, den = bn * ad - an * bd, ad * bd
         return {
-            "alpha": self.alpha_label or format_fraction(self.alpha, digits),
-            "beta": self.beta_label or format_fraction(self.beta, digits),
-            "m": str(self.m),
-            "m_over_N": format_fraction(self.frequency, digits),
-            "width": format_fraction(self.width, digits),
-            "delta": format_fraction(self.delta, digits),
+            "alpha": self.alpha_label or _render_ratio(an, ad, digits),
+            "beta": self.beta_label or _render_ratio(bn, bd, digits),
+            "m": str(m),
+            "m_over_N": _render_ratio(m, N, digits),
+            "width": _render_ratio(wn, den, digits),
+            "delta": _render_ratio(abs(m * den - wn * N), N * den, digits),
         }
 
     def to_json_dict(self) -> dict:
@@ -94,17 +101,19 @@ def frequency_test(
     The full period is a permutation of Z_N, so m is the number of integers
     x in [0, N) with ceil(alpha N) <= x <= floor(beta N).
     """
-    alpha = Fraction(alpha)
-    beta = Fraction(beta)
-    if not 0 <= alpha < beta <= 1:
-        raise InvalidParams(
-            f"need 0 <= alpha < beta <= 1, got {float(alpha):g}, {float(beta):g}"
-        )
+    alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
+    beta = beta if isinstance(beta, Fraction) else Fraction(beta)
+    an, ad = alpha.numerator, alpha.denominator
+    bn, bd = beta.numerator, beta.denominator
+    if not (an >= 0 and an * bd < bn * ad and bn <= bd):
+        raise InvalidParams(f"need 0 <= alpha < beta <= 1, got "
+                            f"{alpha_label or alpha}, {beta_label or beta}")
     report = check_max_period(params)
     if not report.ok:
         raise PeriodViolation("; ".join(report.failures))
     N = params.N
-    m = max(0, min(math.floor(beta * N), N - 1) - math.ceil(alpha * N) + 1)
+    # ceil(alpha N) <= x <= floor(beta N), x < N
+    m = max(0, min(bn * N // bd, N - 1) + (-an * N // ad) + 1)
     return FrequencyReport(params, alpha, beta, alpha_label, beta_label, m, N)
 
 

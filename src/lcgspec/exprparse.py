@@ -3,13 +3,16 @@
 Integer mode accepts decimal literals with ^ + - * and parentheses, all in
 exact arbitrary-precision arithmetic ("2^32", "10^8+1", "(69068)^6"); no literal
 or result may have more digits than Python's int-to-str limit, so each prints.
+Its values are plain ints throughout.
 
 Endpoint mode additionally accepts '/', decimal fractions and the constants
-pi and e, for interval bounds like "1/pi^2" or "1-1/e".  Decimal literals are
-read as IEEE-754 doubles, then handled exactly; this reproduces published
-interval counts whose endpoints were binary floats (0.2 reads as the double
-just above 1/5).  Expressions involving pi or e are rounded to a configurable
-number of decimal digits (default 12) before exact comparison.
+pi and e, for interval bounds like "1/pi^2" or "1-1/e".  A value stays an int
+until '/', a negative exponent, a decimal literal or pi/e makes it a Fraction.
+Decimal literals are read as IEEE-754 doubles, then handled exactly; this
+reproduces published interval counts whose endpoints were binary floats (0.2
+reads as the double just above 1/5).  Expressions involving pi or e are
+rounded to a configurable number of decimal digits (default 12) before exact
+comparison.
 """
 
 from __future__ import annotations
@@ -25,8 +28,18 @@ _TOKEN = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|(pi|e)|([()+*/^-])|(\S)")
 _MAX_RESULT_BITS = 4_000_000
 
 SYMBOLIC_DIGITS = 12
+_CONSTANTS = {"pi": Fraction(math.pi), "e": Fraction(math.e)}
 # Python's limit on digits converted between int and str (0: none; absent before 3.10.7)
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _digit_limit_exceeded(n: int) -> int:
+    """Python's int-to-str digit limit when n has more digits than it, else 0."""
+    limit = _max_str_digits()
+    # |n| < 2^(3 * limit) < 10^limit needs no power of ten
+    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+        return limit
+    return 0
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -50,8 +63,15 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
+def _bits(v: int | Fraction) -> int:
+    """Bit length of an int, or of the larger part of a Fraction."""
+    if type(v) is int:
+        return v.bit_length()
+    return max(v.numerator.bit_length(), v.denominator.bit_length())
+
+
 class _Parser:
-    """Recursive descent; values are (Fraction, symbolic_taint)."""
+    """Recursive descent; values are (int or Fraction, symbolic_taint)."""
 
     def __init__(self, text: str, allow_rational: bool):
         self.text = text
@@ -71,7 +91,7 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def parse(self) -> tuple[Fraction, bool]:
+    def parse(self) -> tuple[int | Fraction, bool]:
         value = self.expr()
         if self.pos != len(self.tokens):
             raise ExpressionError(f"trailing input in {self.text!r}")
@@ -91,12 +111,15 @@ class _Parser:
         while self.peek_op() in ("*", "/"):
             op = self.take()[1]
             w, wt = self.unary()
+            if op == "/" and not self.allow_rational:
+                raise ExpressionError("'/' is not valid in an integer expression")
+            # a product or quotient has at most the bits of both operands
+            if _bits(v) + _bits(w) > _MAX_RESULT_BITS:
+                raise ExpressionError("expression result too large")
             if op == "/":
-                if not self.allow_rational:
-                    raise ExpressionError("'/' is not valid in an integer expression")
                 if w == 0:
                     raise ExpressionError("division by zero")
-                v = v / w
+                v = Fraction(v, w)
             else:
                 v = v * w
             t = t or wt
@@ -117,17 +140,16 @@ class _Parser:
             e, et = self.unary()
             if et or e.denominator != 1:
                 raise ExpressionError("exponent must be an integer")
-            n = e.numerator
-            if n < 0 and not self.allow_rational:
+            e = e.numerator
+            if e < 0 and not self.allow_rational:
                 raise ExpressionError("negative exponent in an integer expression")
-            if abs(n) > 10_000:
-                raise ExpressionError(f"exponent {n} too large")
-            base_bits = max(v.numerator.bit_length(), v.denominator.bit_length())
-            if base_bits * abs(n) > _MAX_RESULT_BITS:
+            if abs(e) > 10_000:
+                raise ExpressionError(f"exponent {e} too large")
+            if _bits(v) * abs(e) > _MAX_RESULT_BITS:
                 raise ExpressionError("expression result too large")
-            if v == 0 and n < 0:
+            if v == 0 and e < 0:
                 raise ExpressionError("division by zero")
-            v = v**n
+            v = Fraction(v) ** e if e < 0 else v**e
         return v, t
 
     def atom(self):
@@ -135,7 +157,7 @@ class _Parser:
         if kind == "int":
             if (limit := _max_str_digits()) and len(text) > limit:
                 raise ExpressionError(f"integer literal has more than {limit} digits")
-            return Fraction(int(text)), False
+            return int(text), False
         if kind == "dec":
             if not self.allow_rational:
                 raise ExpressionError("decimal literal in an integer expression")
@@ -143,7 +165,7 @@ class _Parser:
         if kind == "name":
             if not self.allow_rational:
                 raise ExpressionError(f"{text!r} is not valid in an integer expression")
-            return Fraction(math.pi if text == "pi" else math.e), True
+            return _CONSTANTS[text], True
         if kind == "op" and text == "(":
             v = self.expr()
             nk, nt = self.take()
@@ -155,11 +177,8 @@ class _Parser:
 
 def parse_int_expr(text: str) -> int:
     """Exact integer value of a flag expression like "2^32" or "10^8+1"."""
-    value, _ = _Parser(text, allow_rational=False).parse()
-    assert value.denominator == 1
-    n = value.numerator
-    # |n| < 2^(3 * limit) < 10^limit needs no power of ten
-    if (limit := _max_str_digits()) and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
+    n, _ = _Parser(text, allow_rational=False).parse()
+    if limit := _digit_limit_exceeded(n):
         raise ExpressionError(f"expression result has more than {limit} digits")
     return n
 
@@ -169,5 +188,5 @@ def parse_endpoint(text: str, symbolic_digits: int = SYMBOLIC_DIGITS) -> Fractio
     value, tainted = _Parser(text, allow_rational=True).parse()
     if tainted:
         scale = 10**symbolic_digits
-        value = Fraction(round(value * scale), scale)
-    return value
+        return Fraction(round(value * scale), scale)
+    return Fraction(value) if type(value) is int else value

@@ -224,6 +224,16 @@ class TestBuild:
         assert code == 2
         assert "below the theorem threshold" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_modulus_too_long_to_print(self, capsys, fmt):
+        # a = 10^3000 parses, but N = (a-1)^2 has 6000 digits
+        code, out = run(["build", "--s", "2", "--a", "10^3000", "--format", fmt])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: modulus N = (a-1)^2/lambda has more than 4300 digits\n")
+        code, out = run(["build", "--s", "2", "--a", "10^2000", "--format", fmt])
+        assert code == 0 and str((10**2000 - 1) ** 2) in out
+
     def test_s_and_tau_are_exclusive(self):
         code, _ = run(["build", "--s", "2", "--tau", "3", "--a", "26"])
         assert code == 2
@@ -277,6 +287,17 @@ class TestUniformity:
                        "--interval", "nonsense"])
         assert code == 2
         assert "bad interval" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("interval, shown", [
+        ("10^400:10^401", "10^400, 10^401"),  # beyond float range
+        ("1/2:1/pi", "1/2, 1/pi"),
+        ("0.9:0.2", "0.9, 0.2"),
+    ])
+    def test_bad_interval_is_shown_as_given(self, capsys, interval, shown):
+        code, out = run(["uniformity", "--a", "5", "--N", "16", "--c", "1",
+                         "--interval", interval])
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == f"error: need 0 <= alpha < beta <= 1, got {shown}\n"
 
     def test_non_max_period_is_domain_error(self, capsys):
         code, _ = run(["uniformity", "--a", "3", "--N", "9", "--interval", "0:1"])

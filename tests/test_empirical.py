@@ -145,6 +145,39 @@ def _random_endpoint(rng, N):
     ])
 
 
+def _max_period_from_primes(rng):
+    """A maximum-period generator whose N is 2^i 5^j (x/N terminates) or has
+    another prime too; a - 1 is a multiple of every prime of N, and of 4
+    when 4 divides N."""
+    primes = [2, 5] if rng.random() < 0.5 else rng.sample([2, 3, 5, 7, 11, 13, 10007], 2)
+    exps = [rng.randrange(1, 12) for _ in primes]
+    N = math.prod(p**e for p, e in zip(primes, exps))
+    step = math.lcm(math.prod(primes), 4 if N % 4 == 0 else 1)
+    if step + 1 >= N:
+        return _max_period_from_primes(rng)
+    a = 1 + step * rng.randrange(1, (N - 2) // step + 1)
+    return LcgParams(a, 1, N, rng.randrange(N))
+
+
+def _reference_endpoint(rng, N):
+    # a residue boundary, a small rational, a double, or 1/pi rounded to 12 digits
+    return rng.choice([
+        Fraction(rng.randrange(N + 1), N),
+        Fraction(rng.randrange(N + 1) * 3 + 1, 3 * N + 3),
+        Fraction(rng.randrange(61), 60),
+        Fraction(rng.random()),
+        Fraction(round(Fraction(1 / math.pi) * 10**12), 10**12),
+    ])
+
+
+def _reference_decimal(value, digits):
+    """`format_fraction` on Fractions: truncate toward zero, trim zeros."""
+    whole = abs(value)
+    ip = math.floor(whole)
+    tail = str(math.floor((whole - ip) * 10**digits)).zfill(digits).rstrip("0")
+    return ("-" if value < 0 else "") + str(ip) + (f".{tail}" if tail else "")
+
+
 def _walk_count(params, alpha, beta):
     """The frequency count by walking the whole period from x0."""
     a, c, N, x = params.a, params.c, params.N, params.x0
@@ -172,6 +205,32 @@ class TestFrequencyReport:
         d = frequency_test(P625, 0, 1).to_json_dict()
         assert d["m"] == "625" and d["N"] == "625"
         assert d["delta"] == "0"
+
+    def test_count_and_row_match_fraction_reference(self):
+        rng = random.Random(12)
+        cases = terminating = 0
+        while cases < 1000:
+            params = _max_period_from_primes(rng)
+            N = params.N
+            alpha, beta = sorted(_reference_endpoint(rng, N) for _ in range(2))
+            if alpha == beta:
+                continue
+            digits = rng.choice([12, 12, rng.randrange(1, 25)])
+            r = frequency_test(params, alpha, beta)
+            m = max(0, min(math.floor(beta * N), N - 1) - math.ceil(alpha * N) + 1)
+            assert r.m == m, (N, alpha, beta)
+            width = beta - alpha
+            assert r.row(digits) == {
+                "alpha": _reference_decimal(alpha, digits),
+                "beta": _reference_decimal(beta, digits),
+                "m": str(m),
+                "m_over_N": _reference_decimal(Fraction(m, N), digits),
+                "width": _reference_decimal(width, digits),
+                "delta": _reference_decimal(abs(Fraction(m, N) - width), digits),
+            }, (N, alpha, beta, digits)
+            cases += 1
+            terminating += 10**40 % N == 0
+        assert 300 <= terminating <= 700
 
     def test_csv(self):
         assert csv_header() == "alpha,beta,m,m_over_N,width,delta"

@@ -1,9 +1,11 @@
 import math
+import random
 import sys
 from fractions import Fraction
 
 import pytest
 
+import expr_reference
 from lcgspec.errors import ExpressionError
 from lcgspec.exprparse import parse_endpoint, parse_int_expr
 
@@ -51,6 +53,64 @@ def test_parse_int_expr_guards_blowup():
         parse_int_expr("(10^1000)^100000")
     with pytest.raises(ExpressionError):
         parse_int_expr("2^(10^7)")
+
+
+
+def test_products_are_bounded_before_they_are_made():
+    # three factors of 2^1999801 each: the third * would make ~6M bits
+    part = "(2^9999)^200"
+    with pytest.raises(ExpressionError, match="expression result too large"):
+        parse_int_expr(f"{part}*{part}*{part}")
+    with pytest.raises(ExpressionError, match="expression result too large"):
+        parse_endpoint(f"1/{part}/{part}/{part}")
+    # a quotient's bits are bounded the same way as a product's
+    with pytest.raises(ExpressionError, match="expression result too large"):
+        parse_endpoint(f"{part}*{part}/({part})")
+
+
+@pytest.mark.parametrize("rational", [False, True], ids=["int", "endpoint"])
+def test_matches_fraction_reference(rational):
+    rng = random.Random(f"exprparse:{rational}")
+    parse = parse_endpoint if rational else parse_int_expr
+    checked = refused = 0
+    for _ in range(1500):
+        tree = expr_reference.random_tree(rng, rational)
+        text = expr_reference.render(tree, rng)
+        try:
+            want = expr_reference.endpoint(tree) if rational else expr_reference.evaluate(tree)[0]
+        except ZeroDivisionError:
+            with pytest.raises(ExpressionError, match="division by zero"):
+                parse(text)
+            refused += 1
+            continue
+        got = parse(text)
+        assert got == want, text
+        assert type(got) is (Fraction if rational else int), text
+        checked += 1
+    assert checked + refused == 1500 and checked >= 1200
+
+
+def test_reference_covers_every_rational_path():
+    rng = random.Random("exprparse:True")
+    kinds = set()
+
+    def walk(tree):
+        kinds.add(tree[0] if tree[0] != "pow" or tree[2] >= 0 else "pow<0")
+        for sub in tree[1:]:
+            if isinstance(sub, tuple):
+                walk(sub)
+
+    for _ in range(200):
+        walk(expr_reference.random_tree(rng, True))
+    assert {"int", "dec", "name", "neg", "pow", "pow<0", "+", "-", "*", "/"} <= kinds
+
+
+def test_values_stay_integers_until_a_rational_step():
+    assert type(parse_endpoint("2^3-7")) is Fraction  # the result type is fixed
+    for text in ("1/2", "2^-1", "0.5", "pi", "e"):
+        assert type(parse_endpoint(text)) is Fraction
+    assert parse_endpoint("2^(4/2)") == 4  # an integral rational is a valid exponent
+    assert parse_endpoint("(6/3)^-1") == Fraction(1, 2)
 
 
 def test_parse_int_expr_refuses_integers_too_long_to_print():

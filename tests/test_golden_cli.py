@@ -1,15 +1,20 @@
 """Default CLI output, byte for byte, against recorded outputs in tests/golden/.
 
 Each case runs `lcgspec.cli.main` in-process and compares stdout and the exit
-code with `golden/<name>.out`.  `verify-paper` is left out: it prints timings.
-Regenerate the files only when an output change is intended:
+code with `golden/<name>.out`, and stderr with `golden/<name>.err` (empty when
+that file is absent).  argparse wraps usage lines to the terminal width, so
+every case runs with COLUMNS=80.  `verify-paper` is left out: it prints
+timings.  Regenerate the files only when an output change is intended:
 
     PYTHONPATH=src python tests/test_golden_cli.py
 """
 
+import contextlib
 import io
+import os
 import sys
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -63,21 +68,37 @@ DUMPS = {
                          "--format", "table"],
 }
 CASES.update({f"dump_{name}": ["dump"] + argv for name, argv in DUMPS.items()})
+# usage errors: argparse's messages on stderr, exit 2, nothing on stdout
+CASES.update({
+    "usage_unrecognized_flag": ["uniformity", "--a", "5", "--N", "16", "--interval", "0:1",
+                                "--bogus", "x"],
+    "usage_no_arguments": [],
+    "usage_unknown_command": ["frobnicate", "--a", "5"],
+    "usage_uniformity_without_a": ["uniformity", "--N", "16", "--interval", "0:1"],
+    "usage_build_s_and_tau": ["build", "--s", "2", "--tau", "3"],
+})
 
 
 def run(argv):
-    buf = io.StringIO()
-    code = main(argv, out=buf)
-    return f"exit {code}\n" + buf.getvalue()
+    """(exit line and stdout, stderr) of one in-process CLI call."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stderr(err):
+        code = main(argv, out=out)
+    return f"exit {code}\n" + out.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden(name):
-    want = (GOLDEN / f"{name}.out").read_bytes()
-    assert run(CASES[name]).encode() == want
+    out, err = run(CASES[name])
+    assert out.encode() == (GOLDEN / f"{name}.out").read_bytes()
+    err_file = GOLDEN / f"{name}.err"
+    assert err.encode() == (err_file.read_bytes() if err_file.exists() else b"")
 
 
 if __name__ == "__main__":
     for name, argv in sorted(CASES.items()):
-        (GOLDEN / f"{name}.out").write_bytes(run(argv).encode())
-        print(f"wrote {name}.out", file=sys.stderr)
+        out, err = run(argv)
+        (GOLDEN / f"{name}.out").write_bytes(out.encode())
+        if err:
+            (GOLDEN / f"{name}.err").write_bytes(err.encode())
+        print(f"wrote {name}", file=sys.stderr)

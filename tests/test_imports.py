@@ -51,6 +51,31 @@ def test_scan_flags_unused_and_honours_all():
     assert unused_imports(source) == ["C (line 3)", "os (line 2)"]
 
 
+# what `import lcgspec.cli` adds to a bare `python -I`: the stdlib by
+# top-level name (as of 3.11; a version may load fewer), the package in full
+CLI_STDLIB = {"__future__", "_decimal", "_json", "argparse", "decimal", "fractions",
+              "gettext", "json", "numbers"}
+CLI_PACKAGE = {"lcgspec", "lcgspec.builder", "lcgspec.cli", "lcgspec.empirical",
+               "lcgspec.errors", "lcgspec.exprparse", "lcgspec.lattice", "lcgspec.lcg",
+               "lcgspec.numtheory", "lcgspec.spectral"}
+
+
+def test_cli_import_builds_no_parser_and_loads_nothing_new():
+    # the parser is built by the first `main` call, not on import, and the
+    # modules the import loads are pinned: start-up time follows them
+    code = ("import sys; base = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
+            "import lcgspec.cli as cli; "
+            "print(cli.build_parser.cache_info().currsize, len(cli._COMMANDS)); "
+            "print(' '.join(sorted(set(sys.modules) - base)))")
+    out = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
+                         check=True, capture_output=True, text=True).stdout
+    built, loaded = out.splitlines()
+    assert built == "0 0"
+    package = {m for m in loaded.split() if m.split(".")[0] == "lcgspec"}
+    assert package == CLI_PACKAGE
+    assert {m.split(".")[0] for m in loaded.split()} - {"lcgspec"} <= CLI_STDLIB
+
+
 def test_cli_import_skips_dataclasses_and_inspect():
     # both cost more than the rest of the package's import; a fresh
     # interpreter shows what `import lcgspec.cli` really loads
