@@ -12,6 +12,7 @@ import functools
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, Sequence
 
 from .builder import MultiplierRecipe, build_range, build_single_dimension, validate
@@ -72,9 +73,51 @@ _REGIME_LABEL = {
 }
 
 
+# json's spelling of the floats that float.__repr__ writes as words
+_FLOAT_WORDS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_text(obj, indent: str) -> str:
+    """`obj` as JSON, each line of a nested container opening with `indent`
+    (a newline and the container's own indentation)."""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is dict:
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        # _quote refuses a key that is not a str, sorted a mix of key types
+        return "{" + inner + ("," + inner).join(
+            [_quote(k) + ": " + _json_text(obj[k], inner) for k in sorted(obj)]
+        ) + indent + "}"
+    if t is list or t is tuple:
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        return "[" + inner + ("," + inner).join(
+            [_json_text(v, inner) for v in obj]
+        ) + indent + "]"
+    if t is float:
+        text = float.__repr__(obj)
+        return _FLOAT_WORDS.get(text, text)
+    if t is int:
+        return int.__repr__(obj)
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    raise TypeError(f"{t.__name__} is not a JSON output type")
+
+
 def _json_out(obj, out: IO[str]) -> None:
-    # sort_keys + fixed separators keep repeated runs byte-identical
-    out.write(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write `obj` and a newline: the same bytes as `json.dumps(obj, indent=2,
+    sort_keys=True)`, so repeated runs are byte-identical.  Before Python
+    3.13, `json` uses its C encoder only without `indent`, so that call runs
+    a pure-Python generator chain; this writer joins each container once.
+    Values are dicts with str keys, lists, tuples, str, int, float, bool and
+    None, each of exactly that type; any other raises TypeError."""
+    out.write(_json_text(obj, "\n") + "\n")
 
 
 def _parse_s_range(text: str) -> list[int]:

@@ -13,6 +13,7 @@ from fractions import Fraction
 from typing import IO, NamedTuple
 
 from .errors import BudgetExceeded, InvalidParams, PeriodViolation
+from .exprparse import _digit_limit_exceeded
 from .lcg import LcgParams, _render_fractions, check_max_period, default_digits
 
 DEFAULT_BUDGET = 10**8
@@ -29,6 +30,18 @@ def _render_ratio(p: int, q: int, digits: int) -> str:
     `lcg._render_fractions` ("0" or "0.ddd", of which the "0" is dropped)."""
     ip, r = divmod(abs(p), q)
     return f"{'-' if p < 0 else ''}{ip}{_render_fractions([r], q, digits)[0][1:]}"
+
+
+def _describe_endpoint(value: Fraction, label: str) -> str:
+    """The caller's label, else the value, by its bit lengths when a part
+    has more digits than Python converts to str."""
+    if label:
+        return label
+    n, d = value.numerator, value.denominator
+    if _digit_limit_exceeded(n) or _digit_limit_exceeded(d):
+        sign = "-" if n < 0 else ""
+        return f"{sign}<{n.bit_length()}-bit numerator / {d.bit_length()}-bit denominator>"
+    return str(value)
 
 
 def format_fraction(value: Fraction | int, digits: int = 12) -> str:
@@ -107,7 +120,8 @@ def frequency_test(
     bn, bd = beta.numerator, beta.denominator
     if not (an >= 0 and an * bd < bn * ad and bn <= bd):
         raise InvalidParams(f"need 0 <= alpha < beta <= 1, got "
-                            f"{alpha_label or alpha}, {beta_label or beta}")
+                            f"{_describe_endpoint(alpha, alpha_label)}, "
+                            f"{_describe_endpoint(beta, beta_label)}")
     report = check_max_period(params)
     if not report.ok:
         raise PeriodViolation("; ".join(report.failures))

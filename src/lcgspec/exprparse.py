@@ -102,6 +102,11 @@ class _Parser:
         while self.peek_op() in ("+", "-"):
             op = self.take()[1]
             w, wt = self.term()
+            # a sum of rationals has at most the bits of both operands and one
+            # more; a sum of ints has one more than the larger
+            if (type(v) is not int or type(w) is not int) and (
+                    _bits(v) + _bits(w) + 1 > _MAX_RESULT_BITS):
+                raise ExpressionError("expression result too large")
             v = v + w if op == "+" else v - w
             t = t or wt
         return v, t

@@ -121,6 +121,18 @@ class TestFrequencyTest:
         with pytest.raises(InvalidParams, match="need 0 <= alpha < beta <= 1"):
             frequency_test(P625, alpha, beta)
 
+    def test_refuses_unprintable_endpoints_by_their_bit_lengths(self):
+        # 10^5000 has more digits than Python converts to str by default
+        big = 10**5000
+        with pytest.raises(InvalidParams) as exc:
+            frequency_test(LcgParams(5, 1, 16, 0), Fraction(big), big * 10)
+        assert str(exc.value) == (
+            f"need 0 <= alpha < beta <= 1, got <{big.bit_length()}-bit numerator / "
+            f"1-bit denominator>, <{(big * 10).bit_length()}-bit numerator / 1-bit denominator>")
+        with pytest.raises(InvalidParams, match=r"^need 0 <= alpha < beta <= 1, got "
+                                                 r"1/2, -<16610-bit numerator / 1-bit denominator>$"):
+            frequency_test(LcgParams(5, 1, 16, 0), Fraction(1, 2), -big)
+
 
 def _random_max_period(rng):
     """LcgParams satisfying Hull-Dobell, read off an explicit prime list."""

@@ -68,6 +68,21 @@ def test_products_are_bounded_before_they_are_made():
         parse_endpoint(f"{part}*{part}/({part})")
 
 
+def test_rational_sums_are_bounded_before_they_are_made():
+    # coprime denominators of ~2.1M and ~2.06M bits: the sum's denominator
+    # would be their product, above the 4M-bit result limit
+    big = "1/(2^1000)^2100"
+    other = "1/(3^1000)^1300"
+    for text in (f"{big}+{other}", f"{big}-{other}", f"{other}-{big}"):
+        with pytest.raises(ExpressionError, match="expression result too large"):
+            parse_endpoint(text)
+    # within the limit a rational sum is exact
+    assert parse_endpoint("1/(2^1000)^100-1/(3^1000)^60") == (
+        Fraction(1, 2**100000) - Fraction(1, 3**60000))
+    # a sum of ints grows by at most one bit and is not refused
+    assert parse_endpoint("(2^1000)^3000+(2^1000)^3000") == 2**3000001
+
+
 @pytest.mark.parametrize("rational", [False, True], ids=["int", "endpoint"])
 def test_matches_fraction_reference(rational):
     rng = random.Random(f"exprparse:{rational}")
