@@ -222,14 +222,6 @@ def _gs_row(rows, k: int, d: list[int], lam: list[list[int]]) -> None:
         raise InvalidParams("basis rows are linearly dependent")
 
 
-def _round_half_even(num: int, den: int) -> int:
-    """round(num / den) for den > 0, ties to even like round(Fraction)."""
-    q, r = divmod(num, den)
-    if 2 * r > den or (2 * r == den and q % 2):
-        q += 1
-    return q
-
-
 def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
     """Integral LLL (Cohen, Alg. 2.6.7); same lattice, size-reduced rows,
     Lovasz condition with the constant 99/100.
@@ -238,39 +230,73 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
     `_integral_gs` and updated in O(n) per swap, so the reduction is exact.
     It starts from a copy of the data `basis` carries and leaves the final
     data on the result, so enumeration does not rebuild it; the result is
-    cached on `basis` for `extend_dual_basis`.  Row k is fully size-reduced
+    cached on `basis` for `extend_dual_basis`.  Row k is size-reduced
     (j = k-1..0, ties in rounding to even) before its Lovasz test.
+
+    Column j of row k is clean when 2|lam_kj| <= d_(j+1), so that reducing
+    it would subtract 0 times row j.  lo[k] records that columns j < lo[k]
+    of row k are clean: the scan of row k stops at lo[k] unless it reduced a
+    column, which rewrites the columns below it, and then goes on to 0.
+    Only a swap at k dirties what a scan left clean: it rewrites d_k and the
+    two exchanged rows, and in every row i > k only columns k-1 and k.  When
+    row k is scanned, rows 0..k-1 are size-reduced (LLL's invariant), so
+    after the scan both rows a swap exchanges are clean below column k-1.
+    A skipped column would have been tested and left alone, so the result
+    is the one the full scan gives.
     """
     dnum, dden = _LOVASZ
-    b = [list(r) for r in basis.rows]
+    b = list(basis.rows)  # tuples until size reduction makes a row a list
     n = len(b)
     d, lam = basis._gs[0][:], [r[:] for r in basis._gs[1]]
+    lo = [0] * n
     k = 1
     while k < n:
+        bk = b[k]
         lk = lam[k]
-        for j in range(k - 1, -1, -1):
-            if 2 * abs(lk[j]) > d[j + 1]:  # otherwise round(mu_kj) = 0
-                r = _round_half_even(lk[j], d[j + 1])
-                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+        k1 = j = k - 1
+        stop = lo[k]
+        while j >= stop:
+            x = lk[j]
+            D = d[j + 1]
+            if 2 * abs(x) > D:  # otherwise round(mu_kj) = 0
+                q, r = divmod(x, D)  # round(x / D), ties to even
+                if 2 * r > D or (2 * r == D and q & 1):
+                    q += 1
+                bk = [y - q * z for y, z in zip(bk, b[j])]
                 lj = lam[j]
                 for i in range(j):
-                    lk[i] -= r * lj[i]
-                lk[j] -= r * d[j + 1]
-        lm = lam[k][k - 1]
-        if dden * (d[k + 1] * d[k - 1] + lm * lm) >= dnum * d[k] * d[k]:
+                    lk[i] -= q * lj[i]
+                lk[j] = x - q * D
+                stop = 0
+            j -= 1
+        b[k], lo[k] = bk, k
+        lm = lk[k1]
+        d0 = d[k1]  # d_(k-1), d_k, d_(k+1)
+        d1 = d[k]
+        d2 = d[k + 1]
+        g = d0 * d2 + lm * lm
+        if dden * g >= dnum * d1 * d1:
             k += 1
             continue
-        # swap rows k-1 and k and update d, lam in place (Cohen's SWAPI)
-        b[k], b[k - 1] = b[k - 1], b[k]
-        lam[k][: k - 1], lam[k - 1][: k - 1] = lam[k - 1][: k - 1], lam[k][: k - 1]
-        B = (d[k - 1] * d[k + 1] + lm * lm) // d[k]
+        # swap rows k-1 and k and update d, lam in place (Cohen's SWAPI); the
+        # two lam rows trade their columns 0..k-2, so trade the lists and
+        # restore column k-1: lam_(k,k-1) stays lm, the diagonal stays 0
+        b[k], b[k1] = b[k1], bk
+        lk1 = lam[k] = lam[k1]
+        lam[k1] = lk
+        lk1[k1], lk[k1] = lm, 0
+        B = g // d1
         for i in range(k + 1, n):
-            t = lam[i][k]
-            lam[i][k] = (d[k + 1] * lam[i][k - 1] - lm * t) // d[k]
-            lam[i][k - 1] = (B * t + lm * lam[i][k]) // d[k + 1]
+            li = lam[i]
+            t = li[k]
+            li[k] = v = (d2 * li[k1] - lm * t) // d1
+            li[k1] = (B * t + lm * v) // d2
+            if lo[i] > k1:
+                lo[i] = k1
         d[k] = B
-        k = max(k - 1, 1)
-    reduced = LatticeBasis._known(tuple(tuple(r) for r in b), (d, lam))
+        lo[k1] = lo[k] = k1
+        k = k1 or 1
+    reduced = LatticeBasis._known(tuple(map(tuple, b)), (d, lam))
     basis._reduced = reduced
     return reduced
 
@@ -291,52 +317,52 @@ def shortest_vector(basis: LatticeBasis, cap: int | None = None) -> ShortestVect
         raise DimensionTooLarge(f"dimension {basis.dim} exceeds enumeration cap {cap}")
     reduced = lll_reduce(basis)
     rows = reduced.rows
-    n = reduced.dim
+    n = len(rows)
     d, lam = reduced._gs
 
-    best_nsq = min(sum(x * x for x in r) for r in rows)
+    best_nsq = min([sum([x * x for x in r]) for r in rows])
     best_vec: tuple[int, ...] | None = None
     u = [0] * n
 
-    def leaf() -> None:
-        nonlocal best_nsq, best_vec
-        v = [0] * n
-        for j in range(n):
-            if u[j]:
-                for t in range(n):
-                    v[t] += u[j] * rows[j][t]
-        if not any(v):
-            return
-        nsq = sum(x * x for x in v)
-        if nsq > best_nsq:
-            return
-        cand = canonical(tuple(v))
-        if best_vec is None or nsq < best_nsq or (nsq == best_nsq and cand < best_vec):
-            best_nsq = nsq
-            best_vec = cand
-
     def rec(i: int, num: int, den: int) -> None:
+        nonlocal best_nsq, best_vec
         # used = num / den <= best_nsq; level i adds
         # |b*_i|^2 (u_i + C/D)^2 = (u_i D + C)^2 / (d_i D)
         rem = best_nsq * den - num
         D = d[i + 1]
         tden = d[i] * D
-        C = sum(lam[j][i] * u[j] for j in range(i + 1, n) if u[j])
+        C = 0
+        for j in range(i + 1, n):
+            C += lam[j][i] * u[j]
         # integers u_i with (u_i D + C)^2 <= rem * tden / den, i.e. |u_i D + C| <= r
         r = math.isqrt(rem * tden // den)
         lo, hi = -((r + C) // D), (r - C) // D
-        if i == n - 1:
-            lo = max(lo, 0)  # half-space is enough: -v is canonicalized to v
+        if i == n - 1 and lo < 0:
+            lo = 0  # half-space is enough: -v is canonicalized to v
         for ui in range(lo, hi + 1):
             u[i] = ui
             y = ui * D + C
             nnum, nden = num * tden + y * y * den, den * tden
             if nnum > best_nsq * nden:
                 continue
-            if i == 0:
-                leaf()
-            else:
+            if i:
                 rec(i - 1, nnum, nden)
+                continue
+            # a leaf: the lattice vector sum(u_j * row_j), nonzero unless u is,
+            # since the rows are independent
+            v = None
+            for c, row in zip(u, rows):
+                if c:
+                    v = [c * z for z in row] if v is None else [x + c * z for x, z in zip(v, row)]
+            if v is None:
+                continue
+            nsq = sum([x * x for x in v])
+            if nsq > best_nsq:
+                continue
+            cand = canonical(v)
+            if best_vec is None or nsq < best_nsq or cand < best_vec:
+                best_nsq = nsq
+                best_vec = cand
         u[i] = 0
 
     rec(n - 1, 0, 1)

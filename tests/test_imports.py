@@ -84,3 +84,54 @@ def test_cli_import_skips_dataclasses_and_inspect():
     out = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
                          check=True, capture_output=True, text=True).stdout
     assert out == "False False\n"
+
+
+def non_integer_arithmetic(source: str) -> list[str]:
+    """What in `source` could bring a float or a rational into integer code:
+    an import of fractions or decimal, a float or complex literal, the names
+    float, Fraction and round, and true division."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [alias.name for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, (float, complex)):
+            found.append((node.lineno, f"literal {node.value!r} (line {node.lineno})"))
+            continue
+        elif isinstance(node, ast.Name):
+            names = [node.id]
+        elif isinstance(node, ast.Attribute):
+            names = [node.attr]
+        elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+            found.append((node.lineno, f"true division (line {node.lineno})"))
+            continue
+        else:
+            continue
+        found += [(node.lineno, f"{name} (line {node.lineno})") for name in names
+                  if name.split(".")[0] in {"fractions", "decimal", "float", "Fraction", "round"}]
+    return [text for _, text in sorted(found)]
+
+
+def test_lattice_module_is_integer_only():
+    # the solver decides every answer in integers: no floating point and no
+    # Fraction anywhere in the search
+    assert non_integer_arithmetic((PACKAGE / "lattice.py").read_text(encoding="utf-8")) == []
+
+
+def test_integer_scan_flags_each_kind():
+    source = (
+        "import fractions\n"
+        "from decimal import Decimal\n"
+        "x = 0.5\n"
+        "y = float(3) + round(x)\n"
+        "z = fractions.Fraction(1, 2)\n"
+        "w = 1 / 2\n"
+        "w /= 2\n"
+        "ok = 7 // 2 + divmod(7, 2)[0]  # float\n"
+    )
+    assert non_integer_arithmetic(source) == [
+        "fractions (line 1)", "decimal (line 2)", "literal 0.5 (line 3)",
+        "float (line 4)", "round (line 4)", "Fraction (line 5)", "fractions (line 5)",
+        "true division (line 6)", "true division (line 7)",
+    ]

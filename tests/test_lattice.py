@@ -1,3 +1,4 @@
+import copy
 import itertools
 import json
 import math
@@ -345,6 +346,45 @@ def test_matches_reference_on_dual_bases():
 def test_matches_reference_on_random_bases():
     for rows in random_bases(20261017, 240):
         assert_matches_reference(LatticeBasis(rows=rows))
+
+
+# the published multipliers of the benchmark's `sweep`, and 69069 over the
+# modulus 69068^6 (~2^96.5) of the paper's 6-dimensional build
+CHAIN_MULTIPLIERS = [(69069, 2**32), (1664525, 2**32), (25214903917, 2**48),
+                     (6364136223846793005, 2**64), (3141592621, 10**10), (23, 10**8 + 1),
+                     (69069, 69068**6)]
+
+
+def chained_bases(a, N, dims=range(2, 13)):
+    """The bases `spectral_profile` reduces for s in `dims`: each the LLL
+    reduction of the one before, extended by a row, so all rows but the last
+    are already reduced."""
+    basis = dual_basis(a, N, dims[0])
+    for _ in dims:
+        yield basis
+        basis = extend_dual_basis(lll_reduce(basis), a, N)
+
+
+@pytest.mark.parametrize("a, N", CHAIN_MULTIPLIERS)
+def test_matches_reference_on_chained_bases(a, N):
+    for basis in chained_bases(a, N):
+        reduced = lll_reduce(basis)
+        assert reduced.rows == ref.lll_reduce(basis.rows), basis.dim
+        assert reduced._gs == _integral_gs(reduced.rows), basis.dim
+
+
+def test_lll_leaves_its_input_unchanged():
+    bases = [dual_basis(a, N, s) for a, N, s in
+             [(26, 625, 3), (69069, 2**32, 6), (6364136223846793005, 2**64, 8)]]
+    bases += [b for a, N in CHAIN_MULTIPLIERS[:4] for b in chained_bases(a, N, range(2, 9))]
+    bases += [LatticeBasis(rows=rows) for rows in random_bases(31, 60)]
+    for basis in bases:
+        rows, gs = copy.deepcopy(basis.rows), copy.deepcopy(basis._gs)
+        reduced = lll_reduce(basis)
+        assert basis.rows == rows and basis._gs == gs, rows
+        # the result shares no mutable list with its input
+        assert reduced._gs[0] is not basis._gs[0]
+        assert not {id(r) for r in reduced._gs[1]} & {id(r) for r in basis._gs[1]}
 
 
 # -- shortest vector ---------------------------------------------------------
