@@ -111,8 +111,17 @@ class BuiltGenerator(NamedTuple):
     profile: PotentialProfile
     covers_s_max: int
     guaranteed: tuple[TheoremBounds, ...]
-    uniform_lower_sq: int | Fraction | None
-    uniform_lower_unverified: bool
+
+    @property
+    def uniform_lower_sq(self) -> int | Fraction | None:
+        """The weakest certified lower bound on v_s^2 over the covered s, or
+        None when some dimension has no lower bound."""
+        lows = [tb.lower_sq for tb in self.guaranteed]
+        return None if None in lows else min(lows)
+
+    @property
+    def uniform_lower_unverified(self) -> bool:
+        return any(tb.lower_unverified for tb in self.guaranteed)
 
     def certificate(self) -> list[dict]:
         cert = []
@@ -124,13 +133,13 @@ class BuiltGenerator(NamedTuple):
                 parts.append(f"v_{tb.s}^2 <= {tb.upper_sq}")
             if tb.lower_sq is not None and tb.lower_sq == tb.upper_sq:
                 parts = [f"v_{tb.s}^2 = {tb.lower_sq}"]
-            entry = tb.to_json_dict()
+            entry = tb.to_json_dict(self.params.N)
             entry["statement"] = "; ".join(parts) + f" (theorem {tb.theorem_id})"
             cert.append(entry)
         return cert
 
     def to_json_dict(self) -> dict:
-        p = self.params
+        p, uniform = self.params, self.uniform_lower_sq
         return {
             "a": str(p.a),
             "c": str(p.c),
@@ -139,8 +148,7 @@ class BuiltGenerator(NamedTuple):
             "tau": self.profile.tau,
             "lambda": str(self.profile.lam),
             "covers": {"s_min": 2, "s_max": self.covers_s_max},
-            "uniform_lower_sq": (None if self.uniform_lower_sq is None
-                                 else str(self.uniform_lower_sq)),
+            "uniform_lower_sq": None if uniform is None else str(uniform),
             "uniform_lower_unverified": self.uniform_lower_unverified,
             "certificate": self.certificate(),
         }
@@ -177,17 +185,11 @@ def _build(t: int, covers: int, lam: int, recipe: MultiplierRecipe,
         raise PeriodBroken(
             f"requested potential ({t}, {lam}) but built ({profile.tau}, {profile.lam})"
         )
-    guaranteed = tuple(theorem_bounds(a, profile, s) for s in range(2, covers + 1))
-    lows = [tb.lower_sq for tb in guaranteed]
-    uniform = None if any(x is None for x in lows) else min(lows)
-    unverified = any(tb.lower_unverified for tb in guaranteed)
     return BuiltGenerator(
         params=params,
         profile=profile,
         covers_s_max=covers,
-        guaranteed=guaranteed,
-        uniform_lower_sq=uniform,
-        uniform_lower_unverified=unverified,
+        guaranteed=tuple(theorem_bounds(a, profile, s) for s in range(2, covers + 1)),
     )
 
 
@@ -213,11 +215,8 @@ def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
 
 
 class ValidationRow(NamedTuple):
-    s: int
-    v_sq: int
-    mu: float
-    checks: tuple[BoundCheck, ...]
     result: SpectralResult
+    checks: tuple[BoundCheck, ...]
 
     @property
     def ok(self) -> bool:
@@ -236,9 +235,9 @@ class ValidationReport(NamedTuple):
             "ok": self.ok,
             "rows": [
                 {
-                    "s": r.s,
-                    "v_sq": str(r.v_sq),
-                    "mu": r.mu,
+                    "s": r.result.s,
+                    "v_sq": str(r.result.v_sq),
+                    "mu": r.result.mu,
                     "checks": [
                         {"name": c.name, "passed": c.passed, "informational": c.informational}
                         for c in r.checks
@@ -261,7 +260,6 @@ def validate(gen: BuiltGenerator, s_max: int, cap: int | None = None) -> Validat
     by_s = {tb.s: tb for tb in gen.guaranteed}
     N = gen.params.N
     return ValidationReport(rows=tuple(
-        ValidationRow(s=res.s, v_sq=res.v_sq, mu=res.mu, result=res,
-                      checks=check_bounds(res.s, N, res.v_sq, by_s.get(res.s)))
+        ValidationRow(res, check_bounds(res.s, N, res.v_sq, by_s.get(res.s)))
         for res in spectral_profile(gen.params.a, N, range(2, s_max + 1), cap)
     ))

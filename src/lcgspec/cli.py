@@ -267,7 +267,8 @@ def cmd_build(args, out: IO[str]) -> int:
         gen = build_single_dimension(args.s, recipe, min_acc)
     else:
         gen = build_range(args.tau, args.l, getattr(args, "lambda"), recipe, min_acc)
-    report = validate(gen, args.validate, cap=args.enum_cap) if args.validate else None
+    report = (None if args.validate is None
+              else validate(gen, args.validate, cap=args.enum_cap))
 
     if args.format == "json":
         payload = gen.to_json_dict()
@@ -280,9 +281,9 @@ def cmd_build(args, out: IO[str]) -> int:
     out.write(f"X_(n+1) = ({p.a} * X_n + {p.c}) mod {p.N}\n")
     out.write(f"tau = {gen.profile.tau}, lambda = {gen.profile.lam}, "
               f"guaranteed dimensions 2..{gen.covers_s_max}\n")
-    if gen.uniform_lower_sq is not None:
+    if (uniform := gen.uniform_lower_sq) is not None:
         tag = " (unverified)" if gen.uniform_lower_unverified else ""
-        out.write(f"uniform lower bound: v_s^2 >= {gen.uniform_lower_sq} "
+        out.write(f"uniform lower bound: v_s^2 >= {uniform} "
                   f"for 2 <= s <= {gen.covers_s_max}{tag}\n")
     for entry in gen.certificate():
         out.write("  " + entry["statement"] + "\n")
@@ -290,7 +291,8 @@ def cmd_build(args, out: IO[str]) -> int:
         out.write(f"validation up to s = {args.validate}: "
                   f"{'ok' if report.ok else 'FAILED'}\n")
         for row in report.rows:
-            out.write(f"  s={row.s} v^2={row.v_sq} mu={row.mu:.4f}\n")
+            r = row.result
+            out.write(f"  s={r.s} v^2={r.v_sq} mu={r.mu:.4f}\n")
             for chk in row.checks:
                 status = "ok" if chk.passed else ("unverified" if chk.informational else "FAILED")
                 out.write(f"    {chk.name}: {status}\n")
@@ -311,7 +313,7 @@ def _parse_interval(text: str) -> tuple[Fraction, Fraction, str, str]:
 
 def cmd_uniformity(args, out: IO[str]) -> int:
     specs = list(args.interval or [])
-    if args.intervals_file:
+    if args.intervals_file is not None:
         with open(args.intervals_file, encoding="utf-8") as fh:
             for line in fh:
                 line = line.strip()
@@ -371,7 +373,8 @@ def cmd_dump(args, out: IO[str]) -> int:
         parse_int_expr(args.N), parse_int_expr(args.x0),
     )
     count = None if args.count is None else parse_int_expr(args.count)
-    with _OpenOnWrite(args.output) if args.output else contextlib.nullcontext(out) as sink:
+    with (contextlib.nullcontext(out) if args.output is None
+          else _OpenOnWrite(args.output)) as sink:
         dump_sequence(params, sink, fmt=args.format, count=count, digits=args.digits,
                       per_line=args.per_line, budget=args.budget)
     return EXIT_OK
@@ -381,7 +384,7 @@ def cmd_dump(args, out: IO[str]) -> int:
 
 
 def cmd_svp(args, out: IO[str]) -> int:
-    if args.basis_file:
+    if args.basis_file is not None:
         with open(args.basis_file, encoding="utf-8") as fh:
             try:
                 obj = json.load(fh)
@@ -422,7 +425,7 @@ def cmd_verify_paper(args, out: IO[str]) -> int:
     from . import scorecard
 
     only = None
-    if args.only:
+    if args.only is not None:
         try:
             only = {int(x) for x in args.only.split(",")}
         except ValueError:

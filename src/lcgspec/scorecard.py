@@ -36,23 +36,12 @@ class CheckResult(NamedTuple):
     elapsed: float
 
 
-class _Pool:
-    """Spectral points (a, N, s) -> v^2 shared across criteria."""
-
-    def __init__(self) -> None:
-        self.points: dict[tuple[int, int, int], int] = {}
-
-    def add(self, a: int, N: int, s: int, v_sq: int) -> None:
-        self.points[(a, N, s)] = v_sq
-
-    def add_result(self, r) -> None:
-        self.add(r.a, r.N, r.s, r.v_sq)
-
-    def groups(self) -> dict[tuple[int, int], dict[int, int]]:
-        out: dict[tuple[int, int], dict[int, int]] = {}
-        for (a, N, s), v_sq in self.points.items():
-            out.setdefault((a, N), {})[s] = v_sq
-        return out
+def _by_generator(pool: dict) -> dict[tuple[int, int], dict[int, int]]:
+    """The pool's points grouped by generator: (a, N) -> {s: v^2}."""
+    out: dict[tuple[int, int], dict[int, int]] = {}
+    for (a, N, s), v_sq in pool.items():
+        out.setdefault((a, N), {})[s] = v_sq
+    return out
 
 
 def _max_period_multipliers(N: int) -> list[int]:
@@ -62,11 +51,11 @@ def _max_period_multipliers(N: int) -> list[int]:
 # -- criteria ------------------------------------------------------------
 
 
-def _c1(pool: _Pool) -> tuple[bool, str]:
+def _c1(pool: dict) -> tuple[bool, str]:
     t0 = time.perf_counter()
     r = spectral_test(3141592621, 10**10, 3)
     dt = time.perf_counter() - t0
-    pool.add_result(r)
+    pool[r.a, r.N, r.s] = r.v_sq
     want = 227**2 + 983**2 + 130**2
     ok = (
         r.v_sq == want == 1034718
@@ -77,18 +66,19 @@ def _c1(pool: _Pool) -> tuple[bool, str]:
     return ok, f"v^2 = {r.v_sq}, vector = {r.vector}, {dt:.3f} s"
 
 
-def _c2(pool: _Pool) -> tuple[bool, str]:
+def _c2(pool: dict) -> tuple[bool, str]:
     r = spectral_test(1664525, 2**32, 2)
-    pool.add_result(r)
-    ok = r.v_sq == 4938916874 and abs(r.mu - 3.61) <= 0.01 and r.certified
-    return ok, f"v_2^2 = {r.v_sq}, mu_2 = {r.mu:.4f}"
+    pool[r.a, r.N, r.s] = r.v_sq
+    mu = r.mu
+    ok = r.v_sq == 4938916874 and abs(mu - 3.61) <= 0.01 and r.certified
+    return ok, f"v_2^2 = {r.v_sq}, mu_2 = {mu:.4f}"
 
 
-def _c3(pool: _Pool) -> tuple[bool, str]:
+def _c3(pool: dict) -> tuple[bool, str]:
     r1 = spectral_test(69069, 2**32, 2)
     r2, r3 = spectral_profile(69069, 69068**2, range(2, 4))
     for r in (r1, r2, r3):
-        pool.add_result(r)
+        pool[r.a, r.N, r.s] = r.v_sq
     cap_ok = (
         r3.bounds is not None
         and r3.bounds.theorem_id == 7
@@ -103,7 +93,7 @@ def _c3(pool: _Pool) -> tuple[bool, str]:
     )
 
 
-def _c4(pool: _Pool) -> tuple[bool, str]:
+def _c4(pool: dict) -> tuple[bool, str]:
     t0 = time.perf_counter()
     checked = 0
     for a in range(5, 2001):
@@ -111,7 +101,7 @@ def _c4(pool: _Pool) -> tuple[bool, str]:
         # N = (a-1)^2 has maximum period iff a is even or a = 1 (mod 4)
         if am1 % 2 == 1 or am1 % 4 == 0:
             r = spectral_test(a, am1 * am1, 2)
-            pool.add_result(r)
+            pool[r.a, r.N, r.s] = r.v_sq
             if r.v_sq != 1 + (a - 2) ** 2:
                 return False, f"a = {a}: v_2^2 = {r.v_sq} != 1 + (a-2)^2"
             checked += 1
@@ -119,18 +109,18 @@ def _c4(pool: _Pool) -> tuple[bool, str]:
     return dt < 60.0, f"{checked} multipliers, all exactly 1 + (a-2)^2, {dt:.1f} s"
 
 
-def _c5(pool: _Pool) -> tuple[bool, str]:
+def _c5(pool: dict) -> tuple[bool, str]:
     got = []
     for r in spectral_profile(23, 10**8 + 1, range(2, 7)):
-        pool.add_result(r)
+        pool[r.a, r.N, r.s] = r.v_sq
         got.append(r.v_sq)
     return got == [530, 530, 530, 530, 447], f"v_s^2 for s = 2..6: {got}"
 
 
-def _c6(pool: _Pool) -> tuple[bool, str]:
+def _c6(pool: dict) -> tuple[bool, str]:
     got = {}
     for r in spectral_profile(129, 2**35, range(2, 7)):
-        pool.add_result(r)
+        pool[r.a, r.N, r.s] = r.v_sq
         got[r.s] = r
     lower_ok = (
         got[5].bounds is not None
@@ -150,7 +140,7 @@ _INTERVAL_ROWS = (
 )
 
 
-def _c7(pool: _Pool) -> tuple[bool, str]:
+def _c7(pool: dict) -> tuple[bool, str]:
     params = LcgParams(26, 1, 625, 0)
     got = []
     for lo, hi, want_m, want_delta in _INTERVAL_ROWS:
@@ -167,7 +157,7 @@ def _c7(pool: _Pool) -> tuple[bool, str]:
     return True, f"m = {got[0]}, {got[1]}, {got[2]}; deltas match printed digits"
 
 
-def _c8(pool: _Pool) -> tuple[bool, str]:
+def _c8(pool: dict) -> tuple[bool, str]:
     buf = io.StringIO()
     dump_sequence(LcgParams(26, 1, 625, 0), buf, fmt="table", per_line=10)
     lines = buf.getvalue().splitlines()
@@ -179,7 +169,7 @@ def _c8(pool: _Pool) -> tuple[bool, str]:
     return ok, f"first ten {first_ten == want_first}, last two = {last_two}"
 
 
-def _c9(pool: _Pool) -> tuple[bool, str]:
+def _c9(pool: dict) -> tuple[bool, str]:
     pairs = 0
     instances = 0
     for N in range(4, 257):
@@ -189,7 +179,7 @@ def _c9(pool: _Pool) -> tuple[bool, str]:
                 enum = shortest_vector(dual_basis(a, N, s))
                 brute = brute_force_shortest(a, N, s, box=N)
                 instances += 1
-                pool.add(a, N, s, enum.norm_sq)
+                pool[a, N, s] = enum.norm_sq
                 if not (enum.certified and brute.certified):
                     return False, f"(a={a}, N={N}, s={s}): not certified"
                 if enum.norm_sq != brute.norm_sq:
@@ -217,7 +207,7 @@ def _random_build(rng: random.Random):
     return build_range(t, l, 1, recipe)
 
 
-def _c10(pool: _Pool) -> tuple[bool, str]:
+def _c10(pool: dict) -> tuple[bool, str]:
     rng = random.Random(414213562)
     built = 0
     while built < 100:
@@ -229,9 +219,9 @@ def _c10(pool: _Pool) -> tuple[bool, str]:
         a, N = gen.params.a, gen.params.N
         for s in {2, gen.covers_s_max}:
             r = spectral_test(a, N, s)
-            pool.add_result(r)
+            pool[r.a, r.N, r.s] = r.v_sq
     checked = 0
-    for (a, N, s), v_sq in pool.points.items():
+    for (a, N, s), v_sq in pool.items():
         if not 2 <= s <= 8:
             continue
         checked += 1
@@ -246,13 +236,13 @@ _BATTERY = (
 )
 
 
-def _c11(pool: _Pool) -> tuple[bool, str]:
+def _c11(pool: dict) -> tuple[bool, str]:
     for a, N, dims in _BATTERY:
         for r in spectral_profile(a, N, dims):
-            pool.add_result(r)
+            pool[r.a, r.N, r.s] = r.v_sq
     groups = 0
     comparisons = 0
-    for (a, N), by_s in pool.groups().items():
+    for (a, N), by_s in _by_generator(pool).items():
         dims = sorted(by_s)
         if len(dims) < 2:
             continue
@@ -266,7 +256,7 @@ def _c11(pool: _Pool) -> tuple[bool, str]:
     return groups > 0, f"non-increasing over {groups} generators ({comparisons} steps)"
 
 
-def _c12(pool: _Pool) -> tuple[bool, str]:
+def _c12(pool: dict) -> tuple[bool, str]:
     gen = build_range(6, 0, 1, MultiplierRecipe(a=69069))
     a = 69069
     if gen.params.N != 69068**6 or gen.profile.tau != 6 or gen.profile.lam != 1:
@@ -284,8 +274,8 @@ def _c12(pool: _Pool) -> tuple[bool, str]:
     report = validate(gen, 6)
     for row in report.rows:
         if len(row.checks) != 3 or not row.ok:
-            return False, f"s = {row.s}: v_s^2 = {row.v_sq} fails {row.checks}"
-    v_sq = [row.v_sq for row in report.rows]
+            return False, f"s = {row.result.s}: v_s^2 = {row.result.v_sq} fails {row.checks}"
+    v_sq = [row.result.v_sq for row in report.rows]
     return min(v_sq) >= uniform, (
         f"v_s^2 >= {uniform} = (69069 - 20)^2 certified for 2 <= s <= 6, "
         f"N = 69068^6 (~2^96.5); solver v_s^2 = {v_sq}"
@@ -309,7 +299,7 @@ _CRITERIA = (
 
 
 def run_all(only: set[int] | None = None) -> list[CheckResult]:
-    pool = _Pool()
+    pool: dict[tuple[int, int, int], int] = {}  # (a, N, s) -> v^2, shared by the criteria
     results = []
     for cid, title, fn in _CRITERIA:
         if only is not None and cid not in only:

@@ -131,39 +131,36 @@ def classify_regime(s: int, profile: PotentialProfile) -> Regime:
 
 
 class TheoremBounds(NamedTuple):
-    """Proven estimates on v_s (and the induced mu_s window) for one regime.
-
-    Square bounds are exact integers whenever the estimate is an integer
-    expression.  `lower_unverified` marks the one estimate encoded from its
-    source without independent verification; it is reported but must not be
-    hard-asserted.
+    """Proven estimates on v_s for one regime, as exact squares: an int
+    whenever the estimate is an integer expression, else a Fraction, and
+    None for a side whose preconditions fail.  The record holds only these
+    exact values; the roots and the mu_s window they induce are computed by
+    `to_json_dict` when rendered.  `lower_unverified` marks the one estimate
+    encoded from its source without independent verification; it is
+    reported but must not be hard-asserted.
     """
 
     theorem_id: int
     s: int
-    lower: float | None
-    upper: float | None
-    lower_exact_sq: int | None
-    upper_exact_sq: int | None
-    mu_lower: float | None
-    mu_upper: float | None
+    lower_sq: int | Fraction | None
+    upper_sq: int | Fraction | None
     conditions_met: tuple[str, ...]
     violations: tuple[str, ...]
     lower_unverified: bool = False
-    # squared bounds as exact rationals, even when not integer expressions
-    lower_sq: int | Fraction | None = None
-    upper_sq: int | Fraction | None = None
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, N: int) -> dict:
+        """The bounds of a generator with modulus N, with their display
+        roots and the mu_s window they induce."""
+        lo, hi = self.lower_sq, self.upper_sq
         return {
             "theorem": self.theorem_id,
             "s": self.s,
-            "lower": self.lower,
-            "upper": self.upper,
-            "lower_exact_sq": None if self.lower_exact_sq is None else str(self.lower_exact_sq),
-            "upper_exact_sq": None if self.upper_exact_sq is None else str(self.upper_exact_sq),
-            "mu_lower": self.mu_lower,
-            "mu_upper": self.mu_upper,
+            "lower": None if lo is None else _sqrt_to_float(lo),
+            "upper": None if hi is None else _sqrt_to_float(hi),
+            "lower_exact_sq": str(lo) if isinstance(lo, int) else None,
+            "upper_exact_sq": str(hi) if isinstance(hi, int) else None,
+            "mu_lower": None if lo is None else merit(self.s, lo, N),
+            "mu_upper": None if hi is None else merit(self.s, hi, N),
             "conditions_met": list(self.conditions_met),
             "violations": list(self.violations),
             "lower_unverified": self.lower_unverified,
@@ -207,10 +204,8 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
     if a < 2 or s < 2 or tau < 2 or lam < 1:
         raise InvalidParams("need a >= 2, s >= 2, tau >= 2, lambda >= 1")
     am1 = a - 1
-    pw = am1**tau
-    if pw % lam != 0:
+    if am1**tau % lam != 0:
         raise InvalidParams(f"lambda = {lam} does not divide (a-1)^tau")
-    N = pw // lam
     regime = classify_regime(s, profile)
 
     met: list[str] = []
@@ -274,49 +269,49 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
         theorem_id = 7
         upper_sq = math.comb(2 * tau, tau)  # sum of C(tau, k)^2
 
-    def _f(x: int | Fraction | None) -> float | None:
-        return None if x is None else _sqrt_to_float(x)
-
-    def _m(x: int | Fraction | None) -> float | None:
-        return None if x is None else merit(s, x, N)
-
     return TheoremBounds(
         theorem_id=theorem_id,
         s=s,
-        lower=_f(lower_sq),
-        upper=_f(upper_sq),
-        lower_exact_sq=lower_sq if isinstance(lower_sq, int) else None,
-        upper_exact_sq=upper_sq if isinstance(upper_sq, int) else None,
-        mu_lower=_m(lower_sq),
-        mu_upper=_m(upper_sq),
+        lower_sq=lower_sq,
+        upper_sq=upper_sq,
         conditions_met=tuple(met),
         violations=tuple(bad),
         lower_unverified=lower_unverified,
-        lower_sq=lower_sq,
-        upper_sq=upper_sq,
     )
 
 
 class SpectralResult(NamedTuple):
-    """Exact spectral value of (a, N) in dimension s plus derived figures."""
+    """Exact spectral value of (a, N) in dimension s; the display figures
+    `v`, `lg_v` and `mu` and the `regime` are computed when read."""
 
     a: int
     N: int
     s: int
     v_sq: int
-    v: float | None  # None beyond float range; v_sq is exact
     vector: tuple[int, ...]
-    mu: float
     certified: bool
     profile: PotentialProfile | None
-    regime: Regime | None
     bounds: TheoremBounds | None
+
+    @property
+    def v(self) -> float | None:
+        """sqrt(v_sq); None beyond float range."""
+        return _sqrt_to_float(self.v_sq)
 
     @property
     def lg_v(self) -> float:
         return 0.5 * _log_value(self.v_sq) / math.log(10)
 
+    @property
+    def mu(self) -> float:
+        return merit(self.s, self.v_sq, self.N)
+
+    @property
+    def regime(self) -> Regime | None:
+        return None if self.profile is None else classify_regime(self.s, self.profile)
+
     def to_json_dict(self) -> dict:
+        profile, regime = self.profile, self.regime
         return {
             "a": str(self.a),
             "N": str(self.N),
@@ -327,17 +322,17 @@ class SpectralResult(NamedTuple):
             "vector": [str(x) for x in self.vector],
             "mu": self.mu,
             "certified": self.certified,
-            "tau": None if self.profile is None else self.profile.tau,
-            "lambda": None if self.profile is None else str(self.profile.lam),
-            "regime": None if self.regime is None else self.regime.value,
-            "bounds": None if self.bounds is None else self.bounds.to_json_dict(),
+            "tau": None if profile is None else profile.tau,
+            "lambda": None if profile is None else str(profile.lam),
+            "regime": None if regime is None else regime.value,
+            "bounds": None if self.bounds is None else self.bounds.to_json_dict(self.N),
         }
 
 
 def spectral_profile(a: int, N: int, dims, cap: int | None = None) -> list[SpectralResult]:
-    """Exact v_s for every s of the contiguous range `dims`, each with mu_s,
-    the regime classification and theorem bounds attached when (a, N) has a
-    potential profile; without one the lattice figures still come back.
+    """Exact v_s for every s of the contiguous range `dims`, with the potential
+    profile and theorem bounds attached when (a, N) has a profile; without
+    one the lattice figures still come back.
 
     The dimensions are solved on one chain of reduced bases: the basis for
     s+1 is the one `shortest_vector` reduced for s, extended by
@@ -366,27 +361,23 @@ def spectral_profile(a: int, N: int, dims, cap: int | None = None) -> list[Spect
             basis = extend_dual_basis(basis, a, N)
         res = shortest_vector(basis, cap)
         v_sq = res.norm_sq
-        regime = bounds = None
+        bounds = None
         if profile is not None:
-            regime = classify_regime(s, profile)
             bounds = theorem_bounds(a, profile, s)
-            if bounds.theorem_id == 1 and bounds.lower_exact_sq is not None:
-                if v_sq != bounds.lower_exact_sq:
+            if bounds.theorem_id == 1 and bounds.lower_sq is not None:
+                if v_sq != bounds.lower_sq:
                     raise LcgspecError(
                         f"solver value {v_sq} contradicts the exact dimension-2 "
-                        f"formula {bounds.lower_exact_sq} for a={a}, N={N}"
+                        f"formula {bounds.lower_sq} for a={a}, N={N}"
                     )
         results.append(SpectralResult(
             a=a,
             N=N,
             s=s,
             v_sq=v_sq,
-            v=_sqrt_to_float(v_sq),
             vector=res.vector,
-            mu=merit(s, v_sq, N),
             certified=res.certified,
             profile=profile,
-            regime=regime,
             bounds=bounds,
         ))
     return results

@@ -1,12 +1,14 @@
 """Rational reference for the lattice solver, kept as a test oracle.
 
 This is the solver's earlier exact-rational form: Gram-Schmidt data in
-`Fraction`s, rebuilt in full after every LLL swap, and Fincke-Pohst
-enumeration on those rationals.  It makes the same rounding and swap
-decisions as `lcgspec.lattice`, so the integral solver must return the same
-reduced rows and the same shortest vector on every basis.  `int_det`, the
-Bareiss determinant the package once computed for every basis, checks that
-bases span the lattice they should.
+`Fraction`s, updated by Cohen's rational SWAP after every LLL swap, and
+Fincke-Pohst enumeration on those rationals.  It makes the same rounding and
+swap decisions as `lcgspec.lattice`, so the integral solver must return the
+same reduced rows and the same shortest vector on every basis.
+`lll_reduce_rebuilt` rebuilds the whole Gram-Schmidt data after each swap
+instead; it is slow, and checks the swap update on small bases.  `int_det`,
+the Bareiss determinant the package once computed for every basis, checks
+that bases span the lattice they should.
 """
 
 import math
@@ -61,22 +63,55 @@ def gram_schmidt(rows):
     return mu, bsq
 
 
+def _size_reduce(b, mu, k):
+    """Full size reduction of row k against rows k-1..0, ties in round() to
+    even."""
+    for j in range(k - 1, -1, -1):
+        r = round(mu[k][j])
+        if r:
+            b[k] = [x - r * y for x, y in zip(b[k], b[j])]
+            for jj in range(j):
+                mu[k][jj] -= r * mu[j][jj]
+            mu[k][j] -= r
+
+
 def lll_reduce(rows):
-    """LLL on exact rationals: full size reduction of row k (ties in round()
-    to even), then the Lovasz test; the Gram-Schmidt data is rebuilt after
-    each swap."""
+    """LLL on exact rationals: full size reduction of row k, then the Lovasz
+    test; a swap of rows k-1 and k updates the Gram-Schmidt data in O(n)
+    (Cohen, A Course in Computational Algebraic Number Theory, Alg. 2.6.3)."""
     b = [list(r) for r in rows]
     n = len(b)
     mu, bsq = gram_schmidt(b)
     k = 1
     while k < n:
-        for j in range(k - 1, -1, -1):
-            r = round(mu[k][j])
-            if r:
-                b[k] = [x - r * y for x, y in zip(b[k], b[j])]
-                for jj in range(j):
-                    mu[k][jj] -= r * mu[j][jj]
-                mu[k][j] -= r
+        _size_reduce(b, mu, k)
+        m = mu[k][k - 1]
+        if bsq[k] >= (DELTA - m**2) * bsq[k - 1]:
+            k += 1
+            continue
+        b[k], b[k - 1] = b[k - 1], b[k]
+        mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
+        B = bsq[k] + m * m * bsq[k - 1]
+        mu[k][k - 1] = m * bsq[k - 1] / B
+        bsq[k] = bsq[k - 1] * bsq[k] / B
+        bsq[k - 1] = B
+        for i in range(k + 1, n):
+            t = mu[i][k]
+            mu[i][k] = mu[i][k - 1] - m * t
+            mu[i][k - 1] = t + mu[k][k - 1] * mu[i][k]
+        k = max(k - 1, 1)
+    return tuple(tuple(r) for r in b)
+
+
+def lll_reduce_rebuilt(rows):
+    """`lll_reduce` with the Gram-Schmidt data rebuilt from the rows after
+    each swap, as an oracle for the swap update."""
+    b = [list(r) for r in rows]
+    n = len(b)
+    mu, bsq = gram_schmidt(b)
+    k = 1
+    while k < n:
+        _size_reduce(b, mu, k)
         if bsq[k] >= (DELTA - mu[k][k - 1] ** 2) * bsq[k - 1]:
             k += 1
         else:

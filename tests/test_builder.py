@@ -186,9 +186,8 @@ class TestCertificateJson:
             profile=PotentialProfile(2, 9),
             covers_s_max=2,
             guaranteed=(theorem_bounds(13, PotentialProfile(2, 9), 2),),
-            uniform_lower_sq=Fraction(122, 81),
-            uniform_lower_unverified=True,
         )
+        assert g.uniform_lower_sq == Fraction(122, 81) and g.uniform_lower_unverified
         d = g.to_json_dict()
         assert d["uniform_lower_sq"] == "122/81"
         assert "v_2^2 >= 122/81" in d["certificate"][0]["statement"]
@@ -199,7 +198,7 @@ class TestValidate:
         g = build_single_dimension(2, MultiplierRecipe(a=26))
         rep = validate(g, 3)
         assert rep.ok
-        assert [r.s for r in rep.rows] == [2, 3]
+        assert [r.result.s for r in rep.rows] == [2, 3]
         names = [c.name for c in rep.rows[0].checks]
         assert names == [
             "v_2^2 >= 577 (theorem 1)",
@@ -215,15 +214,15 @@ class TestValidate:
         g = build_single_dimension(2, MultiplierRecipe(a=1664525))
         rep = validate(g, 3)
         assert rep.ok
-        assert rep.rows[0].v_sq == 1 + 1664523**2
+        assert rep.rows[0].result.v_sq == 1 + 1664523**2
 
     def test_beyond_tabulated_dimensions(self):
         g = build_single_dimension(2, MultiplierRecipe(a=26))
         rep = validate(g, 9)
         assert rep.ok
-        assert rep.rows[-1].s == 9
+        assert rep.rows[-1].result.s == 9
         assert rep.rows[-1].checks == ()  # no certificate, no tabulated constant
-        assert rep.rows[-1].v_sq == 4
+        assert rep.rows[-1].result.v_sq == 4
 
     def test_reports_failures_without_raising(self):
         good = build_single_dimension(2, MultiplierRecipe(a=26))
@@ -233,8 +232,6 @@ class TestValidate:
             profile=good.profile,
             covers_s_max=2,
             guaranteed=(theorem_bounds(27, PotentialProfile(2, 1), 2),),
-            uniform_lower_sq=626,
-            uniform_lower_unverified=False,
         )
         rep = validate(fake, 2)
         assert not rep.ok
@@ -250,8 +247,6 @@ class TestValidate:
             profile=PotentialProfile(2, 9),
             covers_s_max=2,
             guaranteed=(theorem_bounds(13, PotentialProfile(2, 9), 2),),
-            uniform_lower_sq=Fraction(122, 81),
-            uniform_lower_unverified=True,
         )
         rep = validate(g, 2)
         assert rep.ok
@@ -273,7 +268,7 @@ class TestValidate:
     def test_rows_match_per_dimension_solver(self):
         g = build_range(6, 0, 1, MultiplierRecipe(a=69069))
         rep = validate(g, 8)
-        assert [r.s for r in rep.rows] == list(range(2, 9))
+        assert [r.result.s for r in rep.rows] == list(range(2, 9))
         assert [r.result for r in rep.rows] == [
             spectral_test(69069, g.params.N, s) for s in range(2, 9)
         ]

@@ -6,6 +6,7 @@ captured in-process; stderr diagnostics are checked via capsys.
 
 import io
 import json
+import math
 
 import pytest
 
@@ -169,6 +170,18 @@ class TestAnalyze:
         assert [line.split(",")[-1] for line in out.splitlines()[1:]] == [
             "lower;upper;B", "lower VIOLATED;upper VIOLATED;B", "lower~ VIOLATED;upper;B",
         ]
+        # the JSON bounds are rendered from the forged squares, roots and
+        # mu window included
+        code, out = run(argv + ["--format", "json"])
+        assert code == 0
+        got = [r["bounds"] for r in json.loads(out)["results"]]
+        for s, (lo, hi) in zip((2, 3, 4), [(577, 577), (7, 5), (5, 6)]):
+            b = got[s - 2]
+            assert (b["lower_exact_sq"], b["upper_exact_sq"]) == (str(lo), str(hi)), s
+            assert (b["lower"], b["upper"]) == pytest.approx((math.sqrt(lo), math.sqrt(hi))), s
+            assert (b["mu_lower"], b["mu_upper"]) == (spectral.merit(s, lo, 625),
+                                                      spectral.merit(s, hi, 625)), s
+        assert [b["lower_unverified"] for b in got] == [False, False, True]
 
 
 class TestBuild:
@@ -488,6 +501,26 @@ class TestVerifyPaper:
     def test_malformed_only(self):
         code, _ = run(["verify-paper", "--only", "junk"])
         assert code == 2
+
+
+_NO_FILE = "error: [Errno 2] No such file or directory: ''\n"
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["build", "--s", "2", "--a", "26", "--validate", "0"],
+     "error: need s_max >= 2, got 0\n"),
+    (["verify-paper", "--only", ""], "error: bad --only list ''; use e.g. 1,3,7\n"),
+    (["dump", "--a", "26", "--N", "625", "--count", "3", "-o", ""], _NO_FILE),
+    (["uniformity", "--a", "26", "--N", "625", "--interval", "0:1", "--intervals-file", ""],
+     _NO_FILE),
+    (["svp", "--a", "5", "--N", "16", "--s", "2", "--basis-file", ""], _NO_FILE),
+], ids=["validate-0", "only-empty", "output-empty", "intervals-file-empty",
+        "basis-file-empty"])
+def test_zero_or_empty_value_is_not_absent(capsys, argv, err):
+    # a given 0 or "" is checked like any other value, never read as a
+    # missing option
+    assert run(argv) == (2, "")
+    assert capsys.readouterr().err == err
 
 
 class TestParserReuse:

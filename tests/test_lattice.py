@@ -373,6 +373,18 @@ def test_matches_reference_on_chained_bases(a, N):
         assert reduced._gs == _integral_gs(reduced.rows), basis.dim
 
 
+def test_reference_swap_update_matches_rebuild():
+    # the rational reference updates its Gram-Schmidt data at each swap; the
+    # one that rebuilds it instead is slow, so they are compared on small
+    # bases only
+    bases = [dual_basis(a, N, s).rows for a, N, s in
+             [(26, 625, 3), (69069, 2**32, 6), (6364136223846793005, 2**64, 8)]]
+    bases += [b.rows for b in chained_bases(69069, 2**32, range(2, 9))]
+    bases += list(random_bases(7, 60))
+    for rows in bases:
+        assert ref.lll_reduce(rows) == ref.lll_reduce_rebuilt(rows), rows
+
+
 def test_lll_leaves_its_input_unchanged():
     bases = [dual_basis(a, N, s) for a, N, s in
              [(26, 625, 3), (69069, 2**32, 6), (6364136223846793005, 2**64, 8)]]

@@ -256,11 +256,12 @@ class TestTheoremBounds:
         tb = theorem_bounds(26, PotentialProfile(2, 1), 2)
         assert tb.theorem_id == 1
         assert tb.lower_sq == tb.upper_sq == 577
-        assert tb.lower_exact_sq == tb.upper_exact_sq == 577
+        d = tb.to_json_dict(625)
+        assert d["lower_exact_sq"] == d["upper_exact_sq"] == "577"
         assert tb.conditions_met == ("a >= 5",)
         assert tb.violations == ()
         assert not tb.lower_unverified
-        assert tb.lower == pytest.approx(577**0.5)
+        assert d["lower"] == pytest.approx(577**0.5)
 
     def test_exact_dimension_two_small_a(self):
         tb = theorem_bounds(4, PotentialProfile(2, 1), 2)
@@ -303,7 +304,8 @@ class TestTheoremBounds:
         tb = theorem_bounds(5, PotentialProfile(3, 2), 3)
         assert tb.theorem_id == 5
         assert tb.lower_sq == Fraction(4, 4) == 1
-        assert tb.lower_exact_sq is None  # rational form, not an int expression
+        # rational form, not an int expression
+        assert tb.to_json_dict(32)["lower_exact_sq"] is None
         assert tb.upper_sq == (4 // 2) ** 2 * math.comb(4, 2) == 24
         assert not tb.lower_unverified
         assert spectral_test(5, 32, 3).v_sq == 6
@@ -338,13 +340,14 @@ class TestTheoremBounds:
         assert tb.upper_sq == math.comb(4, 2) == 6
         tb = theorem_bounds(129, PotentialProfile(5, 1), 6)
         assert tb.theorem_id == 7
-        assert tb.upper_exact_sq == math.comb(10, 5) == 252
+        assert tb.to_json_dict(128**5)["upper_exact_sq"] == str(math.comb(10, 5)) == "252"
 
     def test_mu_window_consistent(self):
         tb = theorem_bounds(129, PotentialProfile(5, 1), 5)
         N = 128**5
-        assert tb.mu_lower == pytest.approx(merit(5, 14161, N), rel=1e-13)
-        assert tb.mu_upper == pytest.approx(merit(5, 16642, N), rel=1e-13)
+        d = tb.to_json_dict(N)
+        assert d["mu_lower"] == pytest.approx(merit(5, 14161, N), rel=1e-13)
+        assert d["mu_upper"] == pytest.approx(merit(5, 16642, N), rel=1e-13)
 
     def test_rejects(self):
         with pytest.raises(InvalidParams):
@@ -355,11 +358,28 @@ class TestTheoremBounds:
             theorem_bounds(5, PotentialProfile(2, 1), 1)
 
     def test_json_dict(self):
-        d = theorem_bounds(26, PotentialProfile(2, 1), 2).to_json_dict()
+        d = theorem_bounds(26, PotentialProfile(2, 1), 2).to_json_dict(625)
         assert d["theorem"] == 1
         assert d["lower_exact_sq"] == "577"
         assert d["violations"] == []
         json.dumps(d)
+
+    def test_json_follows_replaced_bounds(self):
+        # every rendered bound field is derived from lower_sq/upper_sq, so a
+        # replaced bound leaves no stale copy behind
+        tb = theorem_bounds(26, PotentialProfile(2, 1), 2)
+        tb = tb._replace(lower_sq=7, upper_sq=Fraction(9, 4))
+        d = tb.to_json_dict(625)
+        assert (d["lower_exact_sq"], d["upper_exact_sq"]) == ("7", None)
+        assert d["lower"] == pytest.approx(7**0.5, rel=1e-15)
+        assert d["upper"] == pytest.approx(1.5, rel=1e-15)
+        assert d["mu_lower"] == merit(2, 7, 625)
+        assert d["mu_upper"] == merit(2, Fraction(9, 4), 625)
+        d = tb._replace(lower_sq=None, upper_sq=700).to_json_dict(625)
+        assert (d["lower_exact_sq"], d["upper_exact_sq"]) == (None, "700")
+        assert d["lower"] is None and d["mu_lower"] is None
+        assert d["upper"] == pytest.approx(700**0.5, rel=1e-15)
+        assert d["mu_upper"] == merit(2, 700, 625)
 
 
 class TestSpectralTest:
@@ -379,8 +399,9 @@ class TestSpectralTest:
         r = spectral_test(a, 2**2060, 2)
         assert r.v_sq == 1 + (a - 2) ** 2 and r.vector == (1, a - 2)
         assert r.v is None and r.to_json_dict()["v"] is None
-        assert r.bounds.lower is None and r.bounds.upper is None
-        assert r.bounds.lower_exact_sq == r.bounds.upper_exact_sq == r.v_sq
+        d = r.bounds.to_json_dict(r.N)
+        assert d["lower"] is None and d["upper"] is None
+        assert d["lower_exact_sq"] == d["upper_exact_sq"] == str(r.v_sq)
         assert r.mu == pytest.approx(math.pi, rel=1e-12)
 
     def test_small_exact_formula(self):
