@@ -25,6 +25,7 @@ from .errors import (
     TooSmall,
 )
 from .exprparse import _digit_limit_exceeded
+from .lattice import DEFAULT_ENUM_CAP
 from .lcg import (
     LcgParams,
     PotentialProfile,
@@ -124,18 +125,9 @@ class BuiltGenerator(NamedTuple):
         return any(tb.lower_unverified for tb in self.guaranteed)
 
     def certificate(self) -> list[dict]:
-        cert = []
-        for tb in self.guaranteed:
-            parts = []
-            if tb.lower_sq is not None:
-                parts.append(f"v_{tb.s}^2 >= {tb.lower_sq}")
-            if tb.upper_sq is not None:
-                parts.append(f"v_{tb.s}^2 <= {tb.upper_sq}")
-            if tb.lower_sq is not None and tb.lower_sq == tb.upper_sq:
-                parts = [f"v_{tb.s}^2 = {tb.lower_sq}"]
-            entry = tb.to_json_dict(self.params.N)
-            entry["statement"] = "; ".join(parts) + f" (theorem {tb.theorem_id})"
-            cert.append(entry)
+        cert = [tb.to_json_dict(self.params.N) for tb in self.guaranteed]
+        for entry, tb in zip(cert, self.guaranteed):
+            entry["statement"] = tb.statement()
         return cert
 
     def to_json_dict(self) -> dict:
@@ -248,7 +240,7 @@ class ValidationReport(NamedTuple):
         }
 
 
-def validate(gen: BuiltGenerator, s_max: int, cap: int | None = None) -> ValidationReport:
+def validate(gen: BuiltGenerator, s_max: int, cap: int = DEFAULT_ENUM_CAP) -> ValidationReport:
     """Run the exact solver for s = 2..s_max and hold each v_s against the
     build's own certificate (not the bounds the solver attaches, so a forged
     certificate is caught) plus the packing bound, by `check_bounds`.

@@ -39,10 +39,11 @@ from .errors import (
 )
 from .exprparse import parse_endpoint, parse_int_expr
 from .lattice import (
+    DEFAULT_ENUM_CAP,
     LatticeBasis,
+    _check_dual_params,
     brute_force_shortest,
     dual_basis,
-    resolve_enum_cap,
     shortest_vector,
 )
 from .lcg import LcgParams, check_max_period
@@ -120,7 +121,7 @@ def _json_out(obj, out: IO[str]) -> None:
     out.write(_json_text(obj, "\n") + "\n")
 
 
-def _parse_s_range(text: str) -> list[int]:
+def _parse_s_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
     try:
         lo_i = int(lo)
@@ -129,7 +130,7 @@ def _parse_s_range(text: str) -> list[int]:
         raise InvalidParams(f"bad dimension range {text!r}; use S or LO..HI")
     if lo_i < 2 or hi_i < lo_i:
         raise InvalidParams(f"need 2 <= LO <= HI, got {text!r}")
-    return list(range(lo_i, hi_i + 1))
+    return range(lo_i, hi_i + 1)
 
 
 def _render_table(header: list[str], rows: list[list[str]], out: IO[str]) -> None:
@@ -285,8 +286,8 @@ def cmd_build(args, out: IO[str]) -> int:
         tag = " (unverified)" if gen.uniform_lower_unverified else ""
         out.write(f"uniform lower bound: v_s^2 >= {uniform} "
                   f"for 2 <= s <= {gen.covers_s_max}{tag}\n")
-    for entry in gen.certificate():
-        out.write("  " + entry["statement"] + "\n")
+    for tb in gen.guaranteed:
+        out.write("  " + tb.statement() + "\n")
     if report is not None:
         out.write(f"validation up to s = {args.validate}: "
                   f"{'ok' if report.ok else 'FAILED'}\n")
@@ -384,6 +385,7 @@ def cmd_dump(args, out: IO[str]) -> int:
 
 
 def cmd_svp(args, out: IO[str]) -> int:
+    cap = args.enum_cap
     if args.basis_file is not None:
         with open(args.basis_file, encoding="utf-8") as fh:
             try:
@@ -391,7 +393,6 @@ def cmd_svp(args, out: IO[str]) -> int:
             except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
                 raise InvalidParams(f"{args.basis_file}: not a JSON basis file ({exc})") from None
         rows = obj.get("rows") if isinstance(obj, dict) else None
-        cap = resolve_enum_cap(args.enum_cap)
         if isinstance(rows, list) and len(rows) > cap:  # before any O(n^3) Gram-Schmidt work
             raise DimensionTooLarge(f"dimension {len(rows)} exceeds enumeration cap {cap}")
         result = shortest_vector(LatticeBasis.from_json_dict(obj), cap=cap)
@@ -404,7 +405,10 @@ def cmd_svp(args, out: IO[str]) -> int:
             result = brute_force_shortest(a, N, s, box=parse_int_expr(args.brute_box))
             method = "brute-force"
         else:
-            result = shortest_vector(dual_basis(a, N, s), cap=args.enum_cap)
+            _check_dual_params(a, N, s)  # parameter errors, then the cap, then the basis
+            if s > cap:
+                raise DimensionTooLarge(f"dimension {s} exceeds enumeration cap {cap}")
+            result = shortest_vector(dual_basis(a, N, s), cap=cap)
             method = "enumeration"
 
     if args.format == "json":
@@ -467,14 +471,15 @@ def build_parser() -> argparse.ArgumentParser:
                     "linear congruential generators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    enum_cap = dict(type=int, default=DEFAULT_ENUM_CAP,
+                    help=f"max enumeration dimension (default {DEFAULT_ENUM_CAP})")
 
     p = sub.add_parser("analyze", help="spectral figures v_s^2, merit and bounds per dimension")
     _add_generator_args(p)
     p.add_argument("--s", default="2", help="dimension or range, e.g. 3 or 2..6")
     p.add_argument("--require-max-period", action="store_true",
                    help="fail (exit 3) unless the generator has maximum period")
-    p.add_argument("--enum-cap", type=int, default=None,
-                   help="max enumeration dimension (default 12 or LCGSPEC_ENUM_CAP)")
+    p.add_argument("--enum-cap", **enum_cap)
     p.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p.set_defaults(func=cmd_analyze)
 
@@ -492,7 +497,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require a - b_s to exceed this integer expression")
     p.add_argument("--validate", type=int, default=None, metavar="SMAX",
                    help="run the solver for s = 2..SMAX against the certificate")
-    p.add_argument("--enum-cap", type=int, default=None)
+    p.add_argument("--enum-cap", **enum_cap)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_build)
 
@@ -525,7 +530,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, default=None, help="dimension for the dual spectral lattice")
     p.add_argument("--brute-box", default=None, metavar="B",
                    help="use the coordinate-box oracle with |m_i| <= B instead of enumeration")
-    p.add_argument("--enum-cap", type=int, default=None)
+    p.add_argument("--enum-cap", **enum_cap)
     p.add_argument("--format", choices=["text", "json"], default="json")
     p.set_defaults(func=cmd_svp)
 

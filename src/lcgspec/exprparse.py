@@ -11,8 +11,7 @@ until '/', a negative exponent, a decimal literal or pi/e makes it a Fraction.
 Decimal literals are read as IEEE-754 doubles, then handled exactly; this
 reproduces published interval counts whose endpoints were binary floats (0.2
 reads as the double just above 1/5).  Expressions involving pi or e are
-rounded to a configurable number of decimal digits (default 12) before exact
-comparison.
+rounded to SYMBOLIC_DIGITS (12) decimal digits before exact comparison.
 """
 
 from __future__ import annotations
@@ -188,10 +187,10 @@ def parse_int_expr(text: str) -> int:
     return n
 
 
-def parse_endpoint(text: str, symbolic_digits: int = SYMBOLIC_DIGITS) -> Fraction:
+def parse_endpoint(text: str) -> Fraction:
     """Exact rational for an interval endpoint expression."""
     value, tainted = _Parser(text, allow_rational=True).parse()
     if tainted:
-        scale = 10**symbolic_digits
+        scale = 10**SYMBOLIC_DIGITS
         return Fraction(round(value * scale), scale)
     return Fraction(value) if type(value) is int else value

@@ -22,31 +22,16 @@ cross-check.
 from __future__ import annotations
 
 import math
-import os
 import re
 from typing import NamedTuple
 
 from .errors import DimensionTooLarge, EmptyBox, InvalidParams
 
 DEFAULT_ENUM_CAP = 12
-ENUM_CAP_ENV = "LCGSPEC_ENUM_CAP"
 
 # LLL's Lovasz constant 99/100, as (numerator, denominator)
 _LOVASZ = (99, 100)
 _JSON_INT = re.compile(r"-?[0-9]+")
-
-
-def resolve_enum_cap(cap: int | None = None) -> int:
-    """Explicit argument, else the LCGSPEC_ENUM_CAP env var, else 12."""
-    if cap is not None:
-        return cap
-    raw = os.environ.get(ENUM_CAP_ENV)
-    if raw is None or raw == "":
-        return DEFAULT_ENUM_CAP
-    try:
-        return int(raw)
-    except ValueError:
-        raise InvalidParams(f"{ENUM_CAP_ENV} must be an integer, got {raw!r}") from None
 
 
 def canonical(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -151,12 +136,17 @@ class ShortestVectorResult(NamedTuple):
         }
 
 
-def dual_basis(a: int, N: int, s: int) -> LatticeBasis:
-    """Rows spanning {m : m_1 + a*m_2 + ... + a^(s-1)*m_s == 0 (mod N)}."""
+def _check_dual_params(a: int, N: int, s: int) -> None:
+    """Refuse the (a, N, s) that no dual lattice has, in O(1)."""
     if N <= 0 or not 1 <= a < N:
         raise InvalidParams(f"need 1 <= a < N, got a={a}, N={N}")
     if s < 2:
         raise InvalidParams(f"dimension must be >= 2, got {s}")
+
+
+def dual_basis(a: int, N: int, s: int) -> LatticeBasis:
+    """Rows spanning {m : m_1 + a*m_2 + ... + a^(s-1)*m_s == 0 (mod N)}."""
+    _check_dual_params(a, N, s)
     # triangular, diagonal N, 1, ..., 1; Gram-Schmidt data in closed form
     # (module docstring)
     rows = [(N,) + (0,) * (s - 1)]
@@ -301,7 +291,7 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
     return reduced
 
 
-def shortest_vector(basis: LatticeBasis, cap: int | None = None) -> ShortestVectorResult:
+def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> ShortestVectorResult:
     """Exact nonzero minimum of the lattice.
 
     LLL-reduces, seeds the search radius with the shortest reduced row, then
@@ -312,7 +302,6 @@ def shortest_vector(basis: LatticeBasis, cap: int | None = None) -> ShortestVect
     and taking the lexicographically smallest vector.  Candidate norms are
     recomputed in plain integer arithmetic.
     """
-    cap = resolve_enum_cap(cap)
     if basis.dim > cap:
         raise DimensionTooLarge(f"dimension {basis.dim} exceeds enumeration cap {cap}")
     reduced = lll_reduce(basis)
@@ -384,10 +373,7 @@ def brute_force_shortest(a: int, N: int, s: int, box: int) -> ShortestVectorResu
     is certified only when box >= ceil(sqrt(norm_sq)): any vector sticking
     out of the box is then provably longer.
     """
-    if N <= 0 or not 1 <= a < N:
-        raise InvalidParams(f"need 1 <= a < N, got a={a}, N={N}")
-    if s < 2:
-        raise InvalidParams(f"dimension must be >= 2, got {s}")
+    _check_dual_params(a, N, s)
     if box < 1:
         raise InvalidParams(f"box must be >= 1, got {box}")
     powers = [pow(a, j, N) for j in range(s)]

@@ -22,7 +22,7 @@ from .errors import (
     PotentialOne,
     Unsupported,
 )
-from .lattice import dual_basis, extend_dual_basis, resolve_enum_cap, shortest_vector
+from .lattice import DEFAULT_ENUM_CAP, dual_basis, extend_dual_basis, shortest_vector
 from .lcg import PotentialProfile, compute_potential
 
 # gamma_s^(2s) for the best-known packing constants gamma_s, s = 2..8.  They
@@ -147,6 +147,16 @@ class TheoremBounds(NamedTuple):
     conditions_met: tuple[str, ...]
     violations: tuple[str, ...]
     lower_unverified: bool = False
+
+    def statement(self) -> str:
+        """The bounds as one line, e.g. `v_3^2 >= 5; v_3^2 <= 9 (theorem 2)`."""
+        v, lo, hi = f"v_{self.s}^2", self.lower_sq, self.upper_sq
+        if lo is not None and lo == hi:
+            return f"{v} = {lo} (theorem {self.theorem_id})"
+        parts = [] if lo is None else [f"{v} >= {lo}"]
+        if hi is not None:
+            parts.append(f"{v} <= {hi}")
+        return "; ".join(parts) + f" (theorem {self.theorem_id})"
 
     def to_json_dict(self, N: int) -> dict:
         """The bounds of a generator with modulus N, with their display
@@ -329,7 +339,7 @@ class SpectralResult(NamedTuple):
         }
 
 
-def spectral_profile(a: int, N: int, dims, cap: int | None = None) -> list[SpectralResult]:
+def spectral_profile(a: int, N: int, dims, cap: int = DEFAULT_ENUM_CAP) -> list[SpectralResult]:
     """Exact v_s for every s of the contiguous range `dims`, with the potential
     profile and theorem bounds attached when (a, N) has a profile; without
     one the lattice figures still come back.
@@ -338,25 +348,29 @@ def spectral_profile(a: int, N: int, dims, cap: int | None = None) -> list[Spect
     s+1 is the one `shortest_vector` reduced for s, extended by
     `extend_dual_basis`, so each LLL run starts from a basis that is already
     reduced but for its last row.  A range reaching above the enumeration cap
-    is refused before any solver work, naming the first dimension over it.
+    is refused from its endpoints, before any basis is built, naming the
+    first dimension over it.
     """
     if not 2 <= a < N:
         raise InvalidParams(f"need 2 <= a < N, got a={a}, N={N}")
-    dims = list(dims)
-    if not dims or dims != list(range(dims[0], dims[0] + len(dims))):
+    if not isinstance(dims, range):  # a range is checked without listing it
+        dims = list(dims)
+    run = range(dims[0], dims[0] + len(dims)) if dims else range(0)
+    if not run or (run != dims if isinstance(dims, range) else list(run) != dims):
         raise InvalidParams(f"need a contiguous ascending range of dimensions, got {dims}")
-    basis = dual_basis(a, N, dims[0])  # reports s < 2 ahead of the cap
-    cap = resolve_enum_cap(cap)
-    if dims[-1] > cap:
+    if run[0] < 2:
+        raise InvalidParams(f"dimension must be >= 2, got {run[0]}")
+    if run[-1] > cap:
         raise DimensionTooLarge(
-            f"dimension {max(dims[0], cap + 1)} exceeds enumeration cap {cap}"
+            f"dimension {max(run[0], cap + 1)} exceeds enumeration cap {cap}"
         )
+    basis = dual_basis(a, N, run[0])
     try:
         profile = compute_potential(a, N)
     except (NoPotential, PotentialOne):
         profile = None
     results = []
-    for s in dims:
+    for s in run:
         if results:
             basis = extend_dual_basis(basis, a, N)
         res = shortest_vector(basis, cap)
@@ -383,6 +397,6 @@ def spectral_profile(a: int, N: int, dims, cap: int | None = None) -> list[Spect
     return results
 
 
-def spectral_test(a: int, N: int, s: int, cap: int | None = None) -> SpectralResult:
+def spectral_test(a: int, N: int, s: int, cap: int = DEFAULT_ENUM_CAP) -> SpectralResult:
     """`spectral_profile` in the one dimension s."""
-    return spectral_profile(a, N, [s], cap)[0]
+    return spectral_profile(a, N, range(s, s + 1), cap)[0]

@@ -4,7 +4,9 @@ This is the solver's earlier exact-rational form: Gram-Schmidt data in
 `Fraction`s, updated by Cohen's rational SWAP after every LLL swap, and
 Fincke-Pohst enumeration on those rationals.  It makes the same rounding and
 swap decisions as `lcgspec.lattice`, so the integral solver must return the
-same reduced rows and the same shortest vector on every basis.
+same reduced rows and the same shortest vector on every basis.  Both LLLs
+count their swaps against the classical bound (`swap_bound`), so a fault in
+the oracle itself fails instead of looping.
 `lll_reduce_rebuilt` rebuilds the whole Gram-Schmidt data after each swap
 instead; it is slow, and checks the swap update on small bases.  `int_det`,
 the Bareiss determinant the package once computed for every basis, checks
@@ -75,6 +77,27 @@ def _size_reduce(b, mu, k):
             mu[k][j] -= r
 
 
+def potential(bsq):
+    """D = d_1 * ... * d_(n-1) for squared Gram-Schmidt norms `bsq`, where
+    d_i = bsq[0] * ... * bsq[i-1] is the Gram determinant of the first i
+    rows: a positive integer for integer rows."""
+    D = d = Fraction(1)
+    for q in bsq[:-1]:
+        d *= q
+        D *= d
+    assert D.denominator == 1 and D >= 1, "Gram determinants of integer rows are integers"
+    return D
+
+
+def swap_bound(bsq):
+    """Most swaps LLL with DELTA = 99/100 can make on integer rows whose
+    squared Gram-Schmidt norms are `bsq`.  A swap of rows k-1 and k
+    multiplies d_k by less than DELTA and leaves every other d_i alone, so
+    after t swaps 1 <= D < (99/100)^t * D_0 (`potential`), and
+    t < log(D_0) / log(100/99) < 69 * bits(D_0)."""
+    return 69 * potential(bsq).numerator.bit_length()
+
+
 def lll_reduce(rows):
     """LLL on exact rationals: full size reduction of row k, then the Lovasz
     test; a swap of rows k-1 and k updates the Gram-Schmidt data in O(n)
@@ -82,6 +105,7 @@ def lll_reduce(rows):
     b = [list(r) for r in rows]
     n = len(b)
     mu, bsq = gram_schmidt(b)
+    D, swaps_left = potential(bsq), swap_bound(bsq)
     k = 1
     while k < n:
         _size_reduce(b, mu, k)
@@ -92,6 +116,9 @@ def lll_reduce(rows):
         b[k], b[k - 1] = b[k - 1], b[k]
         mu[k][:k - 1], mu[k - 1][:k - 1] = mu[k - 1][:k - 1], mu[k][:k - 1]
         B = bsq[k] + m * m * bsq[k - 1]
+        # a wrong update shows as a non-integral D long before the bound
+        D, swaps_left = D * B / bsq[k - 1], swaps_left - 1
+        assert D.denominator == 1 and swaps_left >= 0, "the swap update broke LLL's bounds"
         mu[k][k - 1] = m * bsq[k - 1] / B
         bsq[k] = bsq[k - 1] * bsq[k] / B
         bsq[k - 1] = B
@@ -109,12 +136,15 @@ def lll_reduce_rebuilt(rows):
     b = [list(r) for r in rows]
     n = len(b)
     mu, bsq = gram_schmidt(b)
+    swaps_left = swap_bound(bsq)
     k = 1
     while k < n:
         _size_reduce(b, mu, k)
         if bsq[k] >= (DELTA - mu[k][k - 1] ** 2) * bsq[k - 1]:
             k += 1
         else:
+            swaps_left -= 1
+            assert swaps_left >= 0, "more swaps than LLL can make"
             b[k], b[k - 1] = b[k - 1], b[k]
             mu, bsq = gram_schmidt(b)
             k = max(k - 1, 1)

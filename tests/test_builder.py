@@ -1,6 +1,7 @@
 """Tests for generator construction and certificate validation."""
 
 import json
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -273,17 +274,39 @@ class TestValidate:
             spectral_test(69069, g.params.N, s) for s in range(2, 9)
         ]
 
-    @pytest.mark.parametrize("s_max, cap, env", [(13, None, None), (13, 12, None),
-                                                 (8, None, "5")])
-    def test_cap_refused_before_any_solver_work(self, monkeypatch, s_max, cap, env):
+    def test_over_cap_refused_before_any_basis_or_list(self, monkeypatch):
+        from lcgspec import spectral
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a dual basis was built")
+
+        g = build_range(6, 0, 1, MultiplierRecipe(a=69069))
+        monkeypatch.setattr(spectral, "dual_basis", boom)
+        tracemalloc.start()
+        try:
+            with pytest.raises(DimensionTooLarge,
+                               match="^dimension 13 exceeds enumeration cap 12$"):
+                validate(g, 100000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 1024  # a list of the 10^5 dimensions alone takes 3.6 MiB
+
+    # the default cap, one passed by keyword, one passed by position
+    @pytest.mark.parametrize("s_max, cap, by_position", [(13, None, None), (13, 12, None),
+                                                         (8, None, 5)])
+    def test_cap_refused_before_any_solver_work(self, monkeypatch, s_max, cap, by_position):
         def boom(*args, **kwargs):
             raise AssertionError("the solver ran")
 
         monkeypatch.setattr(lattice, "lll_reduce", boom)
-        if env is not None:
-            monkeypatch.setenv(lattice.ENUM_CAP_ENV, env)
         g = build_range(6, 0, 1, MultiplierRecipe(a=69069))
-        first, limit = (6, 5) if env else (13, 12)
+        first, limit = (6, 5) if by_position else (13, 12)
         with pytest.raises(DimensionTooLarge,
                            match=f"^dimension {first} exceeds enumeration cap {limit}$"):
-            validate(g, s_max, cap)
+            if by_position:
+                validate(g, s_max, by_position)
+            elif cap:
+                validate(g, s_max, cap=cap)
+            else:
+                validate(g, s_max)

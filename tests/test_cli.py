@@ -7,6 +7,7 @@ captured in-process; stderr diagnostics are checked via capsys.
 import io
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -124,22 +125,22 @@ class TestAnalyze:
         assert code == 4
         assert "exceeds enumeration cap" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("flags, env, first, limit", [
+    @pytest.mark.parametrize("flags, cap, first, limit", [
         (["--s", "2..14"], None, 13, 12),
         (["--enum-cap", "12", "--s", "11..13"], None, 13, 12),
         (["--s", "2..8"], "5", 6, 5),
         (["--s", "2..3", "--enum-cap", "1"], None, 2, 1),
     ])
     def test_range_over_cap_refused_before_any_solver_work(
-            self, monkeypatch, capsys, flags, env, first, limit):
+            self, monkeypatch, capsys, flags, cap, first, limit):
         from lcgspec import lattice
 
         def boom(*args, **kwargs):
             raise AssertionError("the solver ran")
 
         monkeypatch.setattr(lattice, "lll_reduce", boom)
-        if env is not None:
-            monkeypatch.setenv(lattice.ENUM_CAP_ENV, env)
+        if cap is not None:
+            flags = ["--enum-cap", cap] + flags
         code, out = run(["analyze", "--a", "69069", "--N", "2^32"] + flags)
         assert (code, out) == (4, "")
         assert capsys.readouterr().err == (
@@ -470,7 +471,6 @@ class TestSvp:
             raise AssertionError("Gram-Schmidt data was computed")
 
         monkeypatch.setattr(lattice, "_integral_gs", boom)
-        monkeypatch.delenv(lattice.ENUM_CAP_ENV, raising=False)
         f = tmp_path / "basis.json"
         f.write_text(json.dumps({"rows": [[int(i == j) for j in range(dim)]
                                           for i in range(dim)]}))
@@ -484,6 +484,43 @@ class TestSvp:
                        "--enum-cap", "2"])
         assert code == 4
         assert "exceeds enumeration cap" in capsys.readouterr().err
+
+
+# over the cap by far: each refusal must cost the same as one just over it
+@pytest.mark.parametrize("argv, code, err", [
+    (["analyze", "--a", "69069", "--N", "2^32", "--s", "3000"], 4,
+     "error: dimension 3000 exceeds enumeration cap 12\n"),
+    (["analyze", "--a", "69069", "--N", "2^32", "--s", "2..100000"], 4,
+     "error: dimension 13 exceeds enumeration cap 12\n"),
+    (["build", "--s", "2", "--a", "26", "--validate", "100000"], 4,
+     "error: dimension 13 exceeds enumeration cap 12\n"),
+    (["svp", "--a", "5", "--N", "16", "--s", "3000"], 4,
+     "error: dimension 3000 exceeds enumeration cap 12\n"),
+    # a parameter error still wins over the cap
+    (["svp", "--a", "0", "--N", "16", "--s", "20"], 2,
+     "error: need 1 <= a < N, got a=0, N=16\n"),
+    (["svp", "--a", "5", "--N", "16", "--s", "1"], 2,
+     "error: dimension must be >= 2, got 1\n"),
+], ids=["analyze-3000", "analyze-2..100000", "build-validate-100000", "svp-3000",
+        "svp-a-0", "svp-s-1"])
+def test_refusal_builds_nothing_sized_by_the_dimension(monkeypatch, capsys, argv, code, err):
+    from lcgspec import cli, spectral
+
+    def boom(*args, **kwargs):
+        raise AssertionError("a dual basis was built")
+
+    run(["analyze", "--a", "5", "--N", "16"])  # the shared parser, built once
+    monkeypatch.setattr(cli, "dual_basis", boom)
+    monkeypatch.setattr(spectral, "dual_basis", boom)
+    tracemalloc.start()
+    try:
+        result = run(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == (code, "")
+    assert capsys.readouterr().err == err
+    assert peak < 256 * 1024  # a list of the 10^5 dimensions alone takes 3.6 MiB
 
 
 class TestVerifyPaper:

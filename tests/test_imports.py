@@ -1,7 +1,10 @@
-"""Every module-level import in the package is used.
+"""Every module-level import in the package is used, and no module reads
+the process environment.
 
-A stdlib `ast` scan: a name bound by a top-level `import` or `from ... import`
-must be read somewhere in the module, or be listed in its `__all__`.
+Stdlib `ast` scans: a name bound by a top-level `import` or `from ... import`
+must be read somewhere in the module, or be listed in its `__all__`; and no
+module touches `os.environ`, `os.getenv`, `os.putenv` or their kin, so every
+setting arrives as a flag or an argument.
 """
 
 import ast
@@ -49,6 +52,49 @@ def test_scan_flags_unused_and_honours_all():
         "    return json.dumps(A)\n"
     )
     assert unused_imports(source) == ["C (line 3)", "os (line 2)"]
+
+
+ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
+
+
+def environment_access(source: str) -> list[str]:
+    """Each use in `source` of the process environment through `os`: one of
+    ENVIRONMENT as an attribute of `os` (under any name it is imported as),
+    or imported from `os` by name."""
+    tree = ast.parse(source)
+    modules = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.Import) for alias in node.names if alias.name == "os"}
+    found = []
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+                and isinstance(node.value, ast.Name) and node.value.id in modules):
+            found.append((node.lineno, f"{node.value.id}.{node.attr} (line {node.lineno})"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [(node.lineno, f"{alias.name} (line {node.lineno})")
+                      for alias in node.names if alias.name in ENVIRONMENT]
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_access(path):
+    assert environment_access(path.read_text(encoding="utf-8")) == []
+
+
+def test_environment_scan_flags_each_kind():
+    source = (
+        "import os\n"
+        "import os as system, json\n"
+        "from os import environ, getenv as ge, path\n"
+        "x = os.environ.get('A')\n"
+        "y = os.getenv('B')\n"
+        "os.putenv('C', '1')\n"
+        "z = system.environ['D']\n"
+        "w = os.path.join('a', 'b') + json.environ  # os.environ\n"
+    )
+    assert environment_access(source) == [
+        "environ (line 3)", "getenv (line 3)", "os.environ (line 4)", "os.getenv (line 5)",
+        "os.putenv (line 6)", "system.environ (line 7)",
+    ]
 
 
 # what `import lcgspec.cli` adds to a bare `python -I`: the stdlib by

@@ -11,7 +11,6 @@ import pytest
 from lcgspec.errors import DimensionTooLarge, EmptyBox, InvalidParams
 from lcgspec.lattice import (
     DEFAULT_ENUM_CAP,
-    ENUM_CAP_ENV,
     LatticeBasis,
     ShortestVectorResult,
     brute_force_shortest,
@@ -19,7 +18,6 @@ from lcgspec.lattice import (
     dual_basis,
     extend_dual_basis,
     lll_reduce,
-    resolve_enum_cap,
     _integral_gs,
     shortest_vector,
 )
@@ -461,19 +459,16 @@ def test_shortest_vector_json():
     assert d == {"norm_sq": "10", "vector": ["1", "3"], "certified": True}
 
 
-def test_enum_cap_and_env(monkeypatch):
-    monkeypatch.delenv(ENUM_CAP_ENV, raising=False)
-    assert resolve_enum_cap() == DEFAULT_ENUM_CAP
-    assert resolve_enum_cap(5) == 5
-    monkeypatch.setenv(ENUM_CAP_ENV, "3")
-    assert resolve_enum_cap() == 3
+def test_enum_cap():
+    assert DEFAULT_ENUM_CAP == 12
+    # the default cap, then an explicit one, each refusing the dimension above it
+    with pytest.raises(DimensionTooLarge, match="^dimension 13 exceeds enumeration cap 12$"):
+        shortest_vector(dual_basis(26, 625, 13))
+    with pytest.raises(DimensionTooLarge, match="^dimension 6 exceeds enumeration cap 5$"):
+        shortest_vector(dual_basis(26, 625, 6), cap=5)
     with pytest.raises(DimensionTooLarge):
-        shortest_vector(dual_basis(26, 625, 4))
-    # an explicit cap wins over the environment
+        shortest_vector(dual_basis(26, 625, 4), cap=3)
     assert shortest_vector(dual_basis(26, 625, 4), cap=4).certified
-    monkeypatch.setenv(ENUM_CAP_ENV, "junk")
-    with pytest.raises(InvalidParams):
-        resolve_enum_cap()
 
 
 # -- box oracle --------------------------------------------------------------

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import tracemalloc
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -622,6 +623,46 @@ class TestSpectralProfile:
         with pytest.raises(InvalidParams):
             spectral_profile(16, 16, range(2, 3))
 
+    @pytest.mark.parametrize("a, N, dims, exc, message", [
+        (16, 16, range(1, 100001), InvalidParams, "need 2 <= a < N, got a=16, N=16"),
+        (5, 16, range(100000, 1, -1), InvalidParams,
+         "need a contiguous ascending range of dimensions, got range(100000, 1, -1)"),
+        (5, 16, [2, 10**9], InvalidParams,
+         "need a contiguous ascending range of dimensions, got [2, 1000000000]"),
+        (5, 16, range(1, 100001), InvalidParams, "dimension must be >= 2, got 1"),
+        (5, 16, range(3000, 3001), DimensionTooLarge, "dimension 3000 exceeds enumeration cap 12"),
+        (5, 16, range(2, 100001), DimensionTooLarge, "dimension 13 exceeds enumeration cap 12"),
+    ])
+    def test_refused_from_the_endpoints(self, monkeypatch, a, N, dims, exc, message):
+        # in this order, and before a dual basis or a list of the dimensions exists
+        from lcgspec import spectral
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a dual basis was built")
+
+        monkeypatch.setattr(spectral, "dual_basis", boom)
+        tracemalloc.start()
+        try:
+            with pytest.raises(exc) as info:
+                spectral_profile(a, N, dims)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(info.value) == message
+        assert peak < 256 * 1024
+
+    def test_spectral_test_over_cap_builds_no_basis(self, monkeypatch):
+        from lcgspec import spectral
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a dual basis was built")
+
+        monkeypatch.setattr(spectral, "dual_basis", boom)
+        with pytest.raises(DimensionTooLarge, match="^dimension 3000 exceeds enumeration cap 12$"):
+            spectral_test(5, 16, 3000)
+        with pytest.raises(DimensionTooLarge, match="^dimension 6 exceeds enumeration cap 5$"):
+            spectral_test(5, 16, 6, cap=5)
+
     @pytest.mark.parametrize("dims, cap, first", [
         (range(2, 15), None, 13),
         (range(11, 14), 12, 13),
@@ -629,11 +670,12 @@ class TestSpectralProfile:
         (range(2, 4), 1, 2),
     ])
     def test_cap_refused_before_any_solver_work(self, monkeypatch, dims, cap, first):
+        # cap None: the default, by leaving the argument out
         def boom(*args, **kwargs):
             raise AssertionError("the solver ran")
 
         monkeypatch.setattr(lattice, "lll_reduce", boom)
         limit = 12 if cap is None else cap
         with pytest.raises(DimensionTooLarge) as exc:
-            spectral_profile(69069, 2**32, dims, cap)
+            spectral_profile(69069, 2**32, dims, *([] if cap is None else [cap]))
         assert str(exc.value) == f"dimension {first} exceeds enumeration cap {limit}"
