@@ -26,13 +26,7 @@ from .errors import (
 )
 from .exprparse import _digit_limit_exceeded
 from .lattice import DEFAULT_ENUM_CAP
-from .lcg import (
-    LcgParams,
-    PotentialProfile,
-    _max_period_report,
-    _potential_profile,
-    _strip_shared_primes,
-)
+from .lcg import LcgParams, PotentialProfile, check_max_period, compute_potential
 from .numtheory import is_probable_prime
 from .spectral import (
     BoundCheck,
@@ -45,6 +39,10 @@ from .spectral import (
 )
 
 _MAX_SHAPE_STEPS = 10_000
+# Largest exponent t = tau+l a build takes.  No larger t can succeed: N keeps
+# at least (a-1)^2 of (a-1)^t and a - 1 > b_t > 2^t/(2t+2), so N would have
+# over 6000 digits, more than Python converts to str by default.
+_MAX_EXPONENT = 10_000
 
 
 class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
@@ -149,6 +147,8 @@ class BuiltGenerator(NamedTuple):
 def _build(t: int, covers: int, lam: int, recipe: MultiplierRecipe,
            min_accuracy: int | None) -> BuiltGenerator:
     """Common core: N = (a-1)^t / lam with bound coverage for s in 2..covers."""
+    if t > _MAX_EXPONENT:
+        raise InvalidParams(f"need tau+l <= {_MAX_EXPONENT}, got {t}")
     b = b_coefficient(t)
     a = recipe.resolve(b, min_accuracy)
     a_min = 5 if (t == 2 and lam == 1) else b + 1
@@ -164,13 +164,11 @@ def _build(t: int, covers: int, lam: int, recipe: MultiplierRecipe,
     if limit := _digit_limit_exceeded(N):
         raise InvalidParams(f"modulus N = (a-1)^{t}/lambda has more than {limit} digits")
     params = LcgParams(a=a, c=1, N=N, x0=0)
-    # one gcd-strip of N decides both the period and the potential
-    r, passes = _strip_shared_primes(a, N)
-    report = _max_period_report(params, r)
+    report = check_max_period(params)
     if not report.ok:
         raise PeriodBroken("; ".join(report.failures))
     try:
-        profile = _potential_profile(a, N, r, passes)
+        profile = compute_potential(a, N)
     except (NoPotential, PotentialOne) as exc:
         raise PeriodBroken(str(exc)) from exc
     if (profile.tau, profile.lam) != (t, lam):

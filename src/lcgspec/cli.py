@@ -16,13 +16,7 @@ from json.encoder import encode_basestring_ascii as _quote
 from typing import IO, Sequence
 
 from .builder import MultiplierRecipe, build_range, build_single_dimension, validate
-from .empirical import (
-    DEFAULT_BUDGET,
-    csv_header,
-    csv_row,
-    dump_sequence,
-    frequency_test,
-)
+from .empirical import DEFAULT_BUDGET, dump_sequence, frequency_test
 from .errors import (
     BudgetExceeded,
     DimensionTooLarge,
@@ -41,6 +35,7 @@ from .exprparse import parse_endpoint, parse_int_expr
 from .lattice import (
     DEFAULT_ENUM_CAP,
     LatticeBasis,
+    _check_cap,
     _check_dual_params,
     brute_force_shortest,
     dual_basis,
@@ -316,10 +311,11 @@ def cmd_uniformity(args, out: IO[str]) -> int:
     specs = list(args.interval or [])
     if args.intervals_file is not None:
         with open(args.intervals_file, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line and not line.startswith("#"):
-                    specs.append(line)
+            try:
+                specs += [line for line in map(str.strip, fh)
+                          if line and not line.startswith("#")]
+            except UnicodeDecodeError as exc:
+                raise InvalidParams(f"{args.intervals_file}: not UTF-8 text ({exc})") from None
     if not specs:
         raise InvalidParams("no intervals given; use --interval or --intervals-file")
     params = LcgParams(
@@ -335,9 +331,10 @@ def cmd_uniformity(args, out: IO[str]) -> int:
         _json_out({"a": str(params.a), "N": str(params.N),
                    "rows": [r.to_json_dict() for r in reports]}, out)
     elif args.format == "csv":
-        out.write(csv_header() + "\n")
-        for r in reports:
-            out.write(csv_row(r) + "\n")
+        rows = [r.row() for r in reports]
+        out.write(",".join(rows[0]) + "\n")
+        for row in rows:
+            out.write(",".join(row.values()) + "\n")
     else:
         header = ["alpha", "beta", "m", "m/N", "beta-alpha", "delta"]
         _render_table(header, [list(r.row().values()) for r in reports], out)
@@ -393,8 +390,8 @@ def cmd_svp(args, out: IO[str]) -> int:
             except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
                 raise InvalidParams(f"{args.basis_file}: not a JSON basis file ({exc})") from None
         rows = obj.get("rows") if isinstance(obj, dict) else None
-        if isinstance(rows, list) and len(rows) > cap:  # before any O(n^3) Gram-Schmidt work
-            raise DimensionTooLarge(f"dimension {len(rows)} exceeds enumeration cap {cap}")
+        if isinstance(rows, list):  # before any O(n^3) Gram-Schmidt work
+            _check_cap(len(rows), cap)
         result = shortest_vector(LatticeBasis.from_json_dict(obj), cap=cap)
         method = "enumeration"
     else:
@@ -402,12 +399,11 @@ def cmd_svp(args, out: IO[str]) -> int:
             raise InvalidParams("need --basis-file, or --a --N --s")
         a, N, s = parse_int_expr(args.a), parse_int_expr(args.N), args.s
         if args.brute_box is not None:
-            result = brute_force_shortest(a, N, s, box=parse_int_expr(args.brute_box))
+            result = brute_force_shortest(a, N, s, box=parse_int_expr(args.brute_box), cap=cap)
             method = "brute-force"
         else:
             _check_dual_params(a, N, s)  # parameter errors, then the cap, then the basis
-            if s > cap:
-                raise DimensionTooLarge(f"dimension {s} exceeds enumeration cap {cap}")
+            _check_cap(s, cap)
             result = shortest_vector(dual_basis(a, N, s), cap=cap)
             method = "enumeration"
 

@@ -21,15 +21,13 @@ DEFAULT_BUDGET = 10**8
 # per line or row: a caller's stream may buffer per write, not per byte.
 _DUMP_CHUNK = 512
 
-_ROW_FIELDS = ("alpha", "beta", "m", "m_over_N", "width", "delta")
-
 
 def _render_ratio(p: int, q: int, digits: int) -> str:
-    """p/q (q > 0, the pair need not be reduced) as `format_fraction` renders it:
-    the sign, then the integer part, then the proper fraction rendered by
-    `lcg._render_fractions` ("0" or "0.ddd", of which the "0" is dropped)."""
-    ip, r = divmod(abs(p), q)
-    return f"{'-' if p < 0 else ''}{ip}{_render_fractions([r], q, digits)[0][1:]}"
+    """p/q (p >= 0 < q, not necessarily reduced) truncated at `digits`
+    fractional digits: the integer part, then `lcg._render_fractions` of the
+    remainder ("0" or "0.ddd") with its "0" dropped."""
+    ip, r = divmod(p, q)
+    return f"{ip}{_render_fractions([r], q, digits)[0][1:]}"
 
 
 def _describe_endpoint(value: Fraction, label: str) -> str:
@@ -44,12 +42,6 @@ def _describe_endpoint(value: Fraction, label: str) -> str:
     return str(value)
 
 
-def format_fraction(value: Fraction | int, digits: int = 12) -> str:
-    """Decimal rendering, truncated at `digits` fractional digits, zeros trimmed."""
-    value = Fraction(value)
-    return _render_ratio(value.numerator, value.denominator, digits)
-
-
 class FrequencyReport(NamedTuple):
     params: LcgParams
     alpha: Fraction
@@ -57,47 +49,30 @@ class FrequencyReport(NamedTuple):
     alpha_label: str
     beta_label: str
     m: int
-    N: int
 
-    @property
-    def frequency(self) -> Fraction:
-        return Fraction(self.m, self.N)
-
-    @property
-    def width(self) -> Fraction:
-        return self.beta - self.alpha
+    def _ratios(self) -> dict[str, tuple[int, int]]:
+        """Every figure of `row`, in its field order, as an unreduced pair
+        (p, q), p >= 0 < q: width over ad*bd, delta = |m/N - width| over N*ad*bd."""
+        an, ad = self.alpha.numerator, self.alpha.denominator
+        bn, bd = self.beta.numerator, self.beta.denominator
+        m, N = self.m, self.params.N
+        wn, den = bn * ad - an * bd, ad * bd
+        return {"alpha": (an, ad), "beta": (bn, bd), "m": (m, 1), "m_over_N": (m, N),
+                "width": (wn, den), "delta": (abs(m * den - wn * N), N * den)}
 
     @property
     def delta(self) -> Fraction:
-        return abs(self.frequency - self.width)
+        return Fraction(*self._ratios()["delta"])
 
     def row(self, digits: int = 12) -> dict[str, str]:
-        # the same figures as the Fraction properties, from integer pairs:
-        # width = wn/den and delta = |m/N - width| over the denominator N*den
-        an, ad = self.alpha.numerator, self.alpha.denominator
-        bn, bd = self.beta.numerator, self.beta.denominator
-        m, N = self.m, self.N
-        wn, den = bn * ad - an * bd, ad * bd
-        return {
-            "alpha": self.alpha_label or _render_ratio(an, ad, digits),
-            "beta": self.beta_label or _render_ratio(bn, bd, digits),
-            "m": str(m),
-            "m_over_N": _render_ratio(m, N, digits),
-            "width": _render_ratio(wn, den, digits),
-            "delta": _render_ratio(abs(m * den - wn * N), N * den, digits),
-        }
+        """The figures as decimal strings, an endpoint's label in place of
+        its value when one was given."""
+        labels = {"alpha": self.alpha_label, "beta": self.beta_label}
+        return {field: labels.get(field) or _render_ratio(p, q, digits)
+                for field, (p, q) in self._ratios().items()}
 
     def to_json_dict(self) -> dict:
-        return {**self.row(), "N": str(self.N)}
-
-
-def csv_header() -> str:
-    return ",".join(_ROW_FIELDS)
-
-
-def csv_row(report: FrequencyReport, digits: int = 12) -> str:
-    row = report.row(digits)
-    return ",".join(row[f] for f in _ROW_FIELDS)
+        return {**self.row(), "N": str(self.params.N)}
 
 
 def frequency_test(
@@ -128,7 +103,7 @@ def frequency_test(
     N = params.N
     # ceil(alpha N) <= x <= floor(beta N), x < N
     m = max(0, min(bn * N // bd, N - 1) + (-an * N // ad) + 1)
-    return FrequencyReport(params, alpha, beta, alpha_label, beta_label, m, N)
+    return FrequencyReport(params, alpha, beta, alpha_label, beta_label, m)
 
 
 def dump_sequence(

@@ -46,7 +46,7 @@ class DimensionTooLarge(LcgspecError):
 
 
 class BudgetExceeded(LcgspecError):
-    """A sequence dump would write more terms than the configured budget."""
+    """A sequence dump or a box scan would take more than its budget."""
 
 
 class FactorizationError(LcgspecError):

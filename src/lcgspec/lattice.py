@@ -15,8 +15,8 @@ leaves its own on the basis it returns, `extend_dual_basis` extends it by one
 row, and `dual_basis` writes it down in closed form: the rows N*e_0 and
 e_j - c_j*e_0, c_j = a^j mod N, have b*_0 = N*e_0 and b*_j = e_j, so
 d = [1, N^2, ..., N^2], lam[k][0] = -N*c_k and every other lam[k][j] is 0.
-A direct congruence-scanning brute force is provided as an independent
-cross-check.
+A direct congruence-scanning brute force, bounded by the same cap and by a
+step budget, is provided as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,9 +25,12 @@ import math
 import re
 from typing import NamedTuple
 
-from .errors import DimensionTooLarge, EmptyBox, InvalidParams
+from .errors import BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams
 
 DEFAULT_ENUM_CAP = 12
+# loop steps `brute_force_shortest` may take with N below 2^1024, about a
+# second of scanning; a step works mod N, so a larger N gets fewer
+_BOX_SCAN_STEPS = 1_000_000
 
 # LLL's Lovasz constant 99/100, as (numerator, denominator)
 _LOVASZ = (99, 100)
@@ -35,7 +38,7 @@ _JSON_INT = re.compile(r"-?[0-9]+")
 
 
 def canonical(vec: tuple[int, ...]) -> tuple[int, ...]:
-    """Sign-normalize: first nonzero component made positive."""
+    """Sign-canonicalize: first nonzero component made positive."""
     for x in vec:
         if x > 0:
             return tuple(vec)
@@ -51,7 +54,7 @@ def _as_int(x, what: str = "basis entry") -> int:
 
 
 def _json_int(x, what: str = "basis entry") -> int:
-    """A JSON integer, or a decimal-integer string as `to_json_dict` writes."""
+    """A JSON integer, or a decimal-integer string."""
     if isinstance(x, str) and _JSON_INT.fullmatch(x):
         try:
             return int(x)
@@ -106,14 +109,11 @@ class LatticeBasis:
     def dim(self) -> int:
         return len(self.rows)
 
-    def to_json_dict(self) -> dict:
-        return {"dim": self.dim, "rows": [[str(x) for x in r] for r in self.rows]}
-
     @staticmethod
     def from_json_dict(obj) -> LatticeBasis:
-        """The inverse of `to_json_dict`: an object with a "rows" list of
-        lists and an optional "dim", every entry a JSON integer or a
-        decimal-integer string."""
+        """The basis a JSON object describes: a "rows" list of lists and an
+        optional "dim", every entry a JSON integer or a decimal-integer
+        string."""
         rows = obj.get("rows") if isinstance(obj, dict) else None
         if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
             raise InvalidParams('a basis must be a JSON object with a "rows" list of lists')
@@ -142,6 +142,12 @@ def _check_dual_params(a: int, N: int, s: int) -> None:
         raise InvalidParams(f"need 1 <= a < N, got a={a}, N={N}")
     if s < 2:
         raise InvalidParams(f"dimension must be >= 2, got {s}")
+
+
+def _check_cap(dim: int, cap: int) -> None:
+    """Refuse a dimension above the enumeration cap, before any work on it."""
+    if dim > cap:
+        raise DimensionTooLarge(f"dimension {dim} exceeds enumeration cap {cap}")
 
 
 def dual_basis(a: int, N: int, s: int) -> LatticeBasis:
@@ -302,8 +308,7 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
     and taking the lexicographically smallest vector.  Candidate norms are
     recomputed in plain integer arithmetic.
     """
-    if basis.dim > cap:
-        raise DimensionTooLarge(f"dimension {basis.dim} exceeds enumeration cap {cap}")
+    _check_cap(basis.dim, cap)
     reduced = lll_reduce(basis)
     rows = reduced.rows
     n = len(rows)
@@ -359,7 +364,8 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
     return ShortestVectorResult(norm_sq=best_nsq, vector=best_vec, certified=True)
 
 
-def brute_force_shortest(a: int, N: int, s: int, box: int) -> ShortestVectorResult:
+def brute_force_shortest(a: int, N: int, s: int, box: int,
+                         cap: int = DEFAULT_ENUM_CAP) -> ShortestVectorResult:
     """Independent oracle: scan every nonzero m with |m_j| <= box satisfying
     m_1 + a*m_2 + ... + a^(s-1)*m_s == 0 (mod N), tracking the minimum norm.
 
@@ -372,10 +378,16 @@ def brute_force_shortest(a: int, N: int, s: int, box: int) -> ShortestVectorResu
     vector attains it, so the scan stays exhaustive in effect.  The result
     is certified only when box >= ceil(sqrt(norm_sq)): any vector sticking
     out of the box is then provably longer.
+
+    A dimension above `cap` is refused before any work.  A scan is refused
+    once its loops have taken _BOX_SCAN_STEPS // (1 + bitlength(N) // 1024)
+    steps: each loop stops at what was left when it began, and is charged
+    for its steps when it ends.
     """
     _check_dual_params(a, N, s)
     if box < 1:
         raise InvalidParams(f"box must be >= 1, got {box}")
+    _check_cap(s, cap)
     powers = [pow(a, j, N) for j in range(s)]
     best_nsq = s * box * box  # the prune bound: no vector in the box is longer
     best_vec: tuple[int, ...] | None = None
@@ -394,10 +406,13 @@ def brute_force_shortest(a: int, N: int, s: int, box: int) -> ShortestVectorResu
         consider((a, -1) + (0,) * (s - 2), a * a + 1)
 
     m = [0] * s
+    budget = left = _BOX_SCAN_STEPS // (1 + N.bit_length() // 1024)
 
     def rec(j: int, acc: int, partial: int, signs: tuple[int, ...]) -> None:
+        nonlocal left
         p = powers[j]
-        for x in range(box + 1):
+        stop = box + 1 if box < left else left
+        for x in range(stop):
             nsq = partial + x * x
             if nsq > best_nsq:
                 break
@@ -414,6 +429,10 @@ def brute_force_shortest(a: int, N: int, s: int, box: int) -> ShortestVectorResu
                 if N - r <= box and nsq + (N - r) ** 2 <= best_nsq:
                     m[0] = r - N
                     consider(tuple(m), nsq + (N - r) ** 2)
+        else:
+            if stop <= box:
+                raise BudgetExceeded(f"box scan exceeds its budget of {budget} steps")
+        left -= x + 1
         m[j] = 0
 
     rec(s - 1, 0, 0, (1,))

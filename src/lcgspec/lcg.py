@@ -75,11 +75,6 @@ def check_max_period(params: LcgParams) -> MaxPeriodReport:
     with gcd(c, N) != 1, so every params value already meets it.
     """
     r, _ = _strip_shared_primes(params.a, params.N)
-    return _max_period_report(params, r)
-
-
-def _max_period_report(params: LcgParams, r: int) -> MaxPeriodReport:
-    """`check_max_period` given r = _strip_shared_primes(a, N)[0]."""
     failures = []
     if r > 1:
         failures.append(f"primes of {r} divide N but not a-1")
@@ -92,11 +87,7 @@ def compute_potential(a: int, N: int) -> PotentialProfile:
     """Least tau >= 2 with N | (a-1)^tau, plus the cofactor lam = (a-1)^tau / N."""
     if N <= 0 or not 2 <= a:
         raise InvalidParams(f"need a >= 2 and N > 0, got a={a}, N={N}")
-    return _potential_profile(a, N, *_strip_shared_primes(a, N))
-
-
-def _potential_profile(a: int, N: int, r: int, tau: int) -> PotentialProfile:
-    """`compute_potential` given (r, tau) = _strip_shared_primes(a, N)."""
+    r, tau = _strip_shared_primes(a, N)
     if r > 1:
         raise NoPotential(f"prime factor of {N} does not divide a-1 = {a - 1}")
     if tau <= 1:
@@ -104,20 +95,11 @@ def _potential_profile(a: int, N: int, r: int, tau: int) -> PotentialProfile:
     return PotentialProfile(tau=tau, lam=(a - 1) ** tau // N)
 
 
-def normalize(x: int, N: int, digits: int) -> str:
-    """Exact decimal rendering of x/N, truncated (never rounded) to `digits`
-    fractional digits, trailing zeros trimmed; "0" when nothing remains.
-    """
-    if not 0 <= x < N:
-        raise InvalidParams(f"need 0 <= x < N, got x={x}, N={N}")
-    if digits < 1:
-        raise InvalidParams("digits must be >= 1")
-    return _render_fractions([x], N, digits)[0]
-
-
 def _render_fractions(xs: list[int], N: int, digits: int) -> list[str]:
-    """`normalize` of every x in xs, unchecked: the caller guarantees
-    0 <= x < N and digits >= 1.
+    """Exact decimal rendering of x/N for every x in xs, truncated (never
+    rounded) to `digits` fractional digits, trailing zeros trimmed; "0" when
+    nothing remains.  Unchecked: the caller guarantees 0 <= x < N and
+    digits >= 1.
 
     When N divides 10^digits (every terminating default), the truncated
     numerator x * 10^digits // N is the product x * (10^digits // N), so no

@@ -14,15 +14,8 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .errors import (
-    DimensionTooLarge,
-    InvalidParams,
-    LcgspecError,
-    NoPotential,
-    PotentialOne,
-    Unsupported,
-)
-from .lattice import DEFAULT_ENUM_CAP, dual_basis, extend_dual_basis, shortest_vector
+from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, Unsupported
+from .lattice import DEFAULT_ENUM_CAP, _check_cap, dual_basis, extend_dual_basis, shortest_vector
 from .lcg import PotentialProfile, compute_potential
 
 # gamma_s^(2s) for the best-known packing constants gamma_s, s = 2..8.  They
@@ -73,10 +66,13 @@ def _sqrt_to_float(sq: int | Fraction) -> float | None:
 
 def b_coefficient(s: int) -> int:
     """Largest magnitude among the negative coefficients of (x - 1)^s,
-    i.e. max over odd k of C(s, k)."""
+    i.e. max over odd k of C(s, k).  C(s, k) grows up to k = s // 2, and
+    C(s, s // 2) = C(s, s // 2 + 1) for odd s, so the odd k nearest the
+    middle is s // 2, or s // 2 - 1 when both s and s // 2 are even."""
     if s < 2:
         raise InvalidParams(f"need s >= 2, got {s}")
-    return max(math.comb(s, k) for k in range(1, s + 1, 2))
+    k = s // 2
+    return math.comb(s, k - 1 if s % 4 == 0 else k)
 
 
 def merit(s: int, v_sq: int | Fraction, N: int) -> float:
@@ -339,7 +335,8 @@ class SpectralResult(NamedTuple):
         }
 
 
-def spectral_profile(a: int, N: int, dims, cap: int = DEFAULT_ENUM_CAP) -> list[SpectralResult]:
+def spectral_profile(a: int, N: int, dims: range,
+                     cap: int = DEFAULT_ENUM_CAP) -> list[SpectralResult]:
     """Exact v_s for every s of the contiguous range `dims`, with the potential
     profile and theorem bounds attached when (a, N) has a profile; without
     one the lattice figures still come back.
@@ -353,24 +350,19 @@ def spectral_profile(a: int, N: int, dims, cap: int = DEFAULT_ENUM_CAP) -> list[
     """
     if not 2 <= a < N:
         raise InvalidParams(f"need 2 <= a < N, got a={a}, N={N}")
-    if not isinstance(dims, range):  # a range is checked without listing it
-        dims = list(dims)
-    run = range(dims[0], dims[0] + len(dims)) if dims else range(0)
-    if not run or (run != dims if isinstance(dims, range) else list(run) != dims):
+    # no len(): it overflows on a range longer than sys.maxsize
+    if not isinstance(dims, range) or not dims or (dims.step != 1 and dims[0] != dims[-1]):
         raise InvalidParams(f"need a contiguous ascending range of dimensions, got {dims}")
-    if run[0] < 2:
-        raise InvalidParams(f"dimension must be >= 2, got {run[0]}")
-    if run[-1] > cap:
-        raise DimensionTooLarge(
-            f"dimension {max(run[0], cap + 1)} exceeds enumeration cap {cap}"
-        )
-    basis = dual_basis(a, N, run[0])
+    if dims[0] < 2:
+        raise InvalidParams(f"dimension must be >= 2, got {dims[0]}")
+    _check_cap(max(dims[0], min(dims[-1], cap + 1)), cap)  # the first one over the cap, if any
+    basis = dual_basis(a, N, dims[0])
     try:
         profile = compute_potential(a, N)
     except (NoPotential, PotentialOne):
         profile = None
     results = []
-    for s in run:
+    for s in dims:
         if results:
             basis = extend_dual_basis(basis, a, N)
         res = shortest_vector(basis, cap)

@@ -18,7 +18,7 @@ from lcgspec import (
     spectral_test,
     theorem_bounds,
 )
-from lcgspec import builder, lattice
+from lcgspec import lattice
 from lcgspec.builder import (
     BuiltGenerator,
     MultiplierRecipe,
@@ -115,18 +115,16 @@ class TestBuildSingleDimension:
         with pytest.raises(PeriodBroken, match="divisible by 4"):
             build_single_dimension(2, MultiplierRecipe(a=7))
 
-    def test_strips_the_modulus_once(self, monkeypatch):
-        calls = []
-        real = builder._strip_shared_primes
-        monkeypatch.setattr(builder, "_strip_shared_primes",
-                            lambda a, N: calls.append(N) or real(a, N))
-        g = build_single_dimension(3, MultiplierRecipe(a=69069))
-        assert calls == [g.params.N] == [69068**3]
-        assert g.profile == compute_potential(69069, g.params.N)
-
     def test_rejects_small_s(self):
         with pytest.raises(InvalidParams):
             build_single_dimension(1, MultiplierRecipe(a=26))
+
+    def test_rejects_huge_exponent_at_once(self):
+        # refused before b_t, a number of about t bits, is made
+        with pytest.raises(InvalidParams, match=r"^need tau\+l <= 10000, got 10001$"):
+            build_single_dimension(10001, MultiplierRecipe(a=2**32 + 1))
+        with pytest.raises(InvalidParams, match=rf"^need tau\+l <= 10000, got {10**23 + 2}$"):
+            build_range(2, 10**23, 1, MultiplierRecipe(primes=(2,), exponents=(7,)))
 
 
 class TestBuildRange:

@@ -317,6 +317,13 @@ class TestUniformity:
         code, _ = run(["uniformity", "--a", "3", "--N", "9", "--interval", "0:1"])
         assert code == 3
 
+    def test_intervals_file_not_utf8(self, tmp_path, capsys):
+        f = tmp_path / "intervals.txt"
+        f.write_bytes(b"\xff0:1\n")
+        assert run(["uniformity", "--a", "5", "--N", "16", "--intervals-file", str(f)]) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {f}: not UTF-8 text (") and "Traceback" not in err
+
     def test_budget(self):
         # no period budget: the full-period count is a closed form
         code, out = run(["uniformity", "--a", "69069", "--N", "2^32",
@@ -423,8 +430,25 @@ class TestSvp:
         # minimum norm 10 exceeds box^2 = 9, so the scan cannot certify
         assert d["certified"] is False and d["norm_sq"] == "10"
 
+    @pytest.mark.parametrize("flags, err", [
+        (["--s", "3000", "--brute-box", "1"], "dimension 3000 exceeds enumeration cap 12"),
+        (["--s", "5", "--brute-box", "1", "--enum-cap", "4"],
+         "dimension 5 exceeds enumeration cap 4"),
+    ])
+    def test_brute_box_over_cap(self, capsys, flags, err):
+        assert run(["svp", "--a", "5", "--N", "16"] + flags) == (4, "")
+        assert capsys.readouterr().err == f"error: {err}\n"
+
+    def test_brute_box_over_budget(self, monkeypatch, capsys):
+        from lcgspec import lattice
+
+        monkeypatch.setattr(lattice, "_BOX_SCAN_STEPS", 1000)
+        argv = ["svp", "--a", "1000000007", "--N", "10^18", "--s", "2", "--brute-box", "10^9"]
+        assert run(argv) == (4, "")
+        assert capsys.readouterr().err == "error: box scan exceeds its budget of 1000 steps\n"
+
     def test_basis_file_integer_forms(self, tmp_path):
-        # JSON integers and decimal-integer strings, as to_json_dict writes
+        # JSON integers and decimal-integer strings
         f = tmp_path / "basis.json"
         f.write_text(json.dumps({"dim": "2", "rows": [[2, "-1"], ["1", 1]]}))
         code, out = run(["svp", "--basis-file", str(f)])

@@ -13,19 +13,15 @@ from lcgspec import (
     LcgParams,
     PeriodViolation,
 )
-from lcgspec.empirical import (
-    csv_header,
-    csv_row,
-    dump_sequence,
-    format_fraction,
-    frequency_test,
-)
+from lcgspec.empirical import _render_ratio, dump_sequence, frequency_test
 from lcgspec.numtheory import factorize
 
 P625 = LcgParams(26, 1, 625, 0)
 
 
 class TestFormatFraction:
+    """`_render_ratio`, which renders every figure of a `FrequencyReport` row."""
+
     @pytest.mark.parametrize(
         "value,digits,expected",
         [
@@ -33,7 +29,7 @@ class TestFormatFraction:
             (Fraction(7, 10), 12, "0.7"),
             (Fraction(0), 12, "0"),
             (Fraction(5), 12, "5"),
-            (Fraction(-1, 4), 12, "-0.25"),
+            (Fraction(1, 4), 12, "0.25"),
             (Fraction(1, 3), 4, "0.3333"),
             (Fraction(2, 3), 3, "0.666"),  # truncated, not rounded
             (Fraction(168, 625), 12, "0.2688"),
@@ -41,14 +37,17 @@ class TestFormatFraction:
         ],
     )
     def test_rendering(self, value, digits, expected):
-        assert format_fraction(value, digits) == expected
+        value = Fraction(value)
+        assert _render_ratio(value.numerator, value.denominator, digits) == expected
+        # the pair need not be reduced
+        assert _render_ratio(7 * value.numerator, 7 * value.denominator, digits) == expected
 
 
 class TestFrequencyTest:
     def test_decimal_endpoints(self):
         r = frequency_test(P625, Fraction(0.580815), Fraction(0.850411))
         assert r.m == 168
-        assert r.frequency == Fraction(168, 625)
+        assert r.row()["m_over_N"] == "0.2688"
         assert float(r.delta) == pytest.approx(0.000796, abs=5e-7)
 
     def test_symbolic_endpoints_rounded(self):
@@ -71,7 +70,7 @@ class TestFrequencyTest:
     def test_whole_interval(self):
         r = frequency_test(P625, 0, 1)
         assert r.m == 625
-        assert r.width == 1
+        assert r.row()["width"] == "1"
         assert r.delta == 0
 
     def test_closed_decile_overlap(self):
@@ -85,7 +84,7 @@ class TestFrequencyTest:
     def test_interval_with_no_representable_value(self):
         r = frequency_test(P625, Fraction(1, 1000), Fraction(1, 999))
         assert r.m == 0
-        assert r.delta == r.width
+        assert r.delta == Fraction(1, 999) - Fraction(1, 1000)
 
     def test_requires_max_period(self):
         with pytest.raises(PeriodViolation, match=r"^primes of 9 divide N but not a-1$"):
@@ -183,11 +182,10 @@ def _reference_endpoint(rng, N):
 
 
 def _reference_decimal(value, digits):
-    """`format_fraction` on Fractions: truncate toward zero, trim zeros."""
-    whole = abs(value)
-    ip = math.floor(whole)
-    tail = str(math.floor((whole - ip) * 10**digits)).zfill(digits).rstrip("0")
-    return ("-" if value < 0 else "") + str(ip) + (f".{tail}" if tail else "")
+    """A value >= 0 in decimal: truncate toward zero, trim zeros."""
+    ip = math.floor(value)
+    tail = str(math.floor((value - ip) * 10**digits)).zfill(digits).rstrip("0")
+    return str(ip) + (f".{tail}" if tail else "")
 
 
 def _walk_count(params, alpha, beta):
@@ -211,12 +209,14 @@ class TestFrequencyReport:
         assert row["alpha"] == "1/5"  # label wins over rendering
         assert row["beta"] == "0.9"
         assert row["m"] == "438"
-        assert set(row) == {"alpha", "beta", "m", "m_over_N", "width", "delta"}
+        assert list(row) == ["alpha", "beta", "m", "m_over_N", "width", "delta"]
 
     def test_json_dict(self):
         d = frequency_test(P625, 0, 1).to_json_dict()
         assert d["m"] == "625" and d["N"] == "625"
         assert d["delta"] == "0"
+        assert frequency_test(P625, 0, 1)._fields == (
+            "params", "alpha", "beta", "alpha_label", "beta_label", "m")
 
     def test_count_and_row_match_fraction_reference(self):
         rng = random.Random(12)
@@ -232,6 +232,7 @@ class TestFrequencyReport:
             m = max(0, min(math.floor(beta * N), N - 1) - math.ceil(alpha * N) + 1)
             assert r.m == m, (N, alpha, beta)
             width = beta - alpha
+            assert r.delta == abs(Fraction(m, N) - width)
             assert r.row(digits) == {
                 "alpha": _reference_decimal(alpha, digits),
                 "beta": _reference_decimal(beta, digits),
@@ -245,7 +246,7 @@ class TestFrequencyReport:
         assert 300 <= terminating <= 700
 
     def test_csv(self):
-        assert csv_header() == "alpha,beta,m,m_over_N,width,delta"
+        # `uniformity --format csv` writes the row's keys, then its values
         r = frequency_test(
             P625,
             Fraction(0.580815),
@@ -253,7 +254,9 @@ class TestFrequencyReport:
             alpha_label="0.580815",
             beta_label="0.850411",
         )
-        assert csv_row(r) == "0.580815,0.850411,168,0.2688,0.269596,0.000796"
+        row = r.row()
+        assert ",".join(row) == "alpha,beta,m,m_over_N,width,delta"
+        assert ",".join(row.values()) == "0.580815,0.850411,168,0.2688,0.269596,0.000796"
 
 
 class TestDumpSequence:

@@ -1,20 +1,23 @@
-"""Every module-level import in the package is used, and no module reads
-the process environment.
+"""Every module-level import in the package is used, every public name has
+a caller, and no module reads the process environment.
 
 Stdlib `ast` scans: a name bound by a top-level `import` or `from ... import`
-must be read somewhere in the module, or be listed in its `__all__`; and no
+must be read somewhere in the module, or be listed in its `__all__`; a public
+function, class or method must be read somewhere outside the tests; and no
 module touches `os.environ`, `os.getenv`, `os.putenv` or their kin, so every
 setting arrives as a flag or an argument.
 """
 
 import ast
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "lcgspec"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "lcgspec"
 
 
 def unused_imports(source: str) -> list[str]:
@@ -52,6 +55,78 @@ def test_scan_flags_unused_and_honours_all():
         "    return json.dumps(A)\n"
     )
     assert unused_imports(source) == ["C (line 3)", "os (line 2)"]
+
+
+def names_read(source: str, strings: bool = False) -> set[str]:
+    """Every name `source` reads, as a variable or an attribute, and with
+    `strings` every word of its string constants too."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            found.update(re.findall(r"\w+", node.value))
+    return found
+
+
+def public_names_without_caller(modules: dict[str, str], read: set[str]) -> list[str]:
+    """Each public module-level function or class of `modules` (name ->
+    source), and each public method of such a class, whose name neither a
+    module other than `__init__` reads nor `read` holds."""
+    for name, source in modules.items():
+        if name != "__init__":
+            read = read | names_read(source)
+    missing = []
+    for name, source in modules.items():
+        for node in ast.parse(source).body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            defs = [(node.name, node.name)]
+            if isinstance(node, ast.ClassDef):
+                defs += [(f"{node.name}.{sub.name}", sub.name) for sub in node.body
+                         if isinstance(sub, ast.FunctionDef)]
+            missing += [f"{name}.{qual}" for qual, short in defs
+                        if not short.startswith("_") and short not in read]
+    return sorted(missing)
+
+
+def test_every_public_name_has_a_caller():
+    # a reader outside the tests: the package itself (not `__init__`'s
+    # re-exports), the README, or the benchmark, whose tracer names the
+    # functions it wraps in strings
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    read = set(re.findall(r"\w+", (ROOT / "README.md").read_text(encoding="utf-8")))
+    for path in (ROOT / "bench").rglob("*.py"):
+        read |= names_read(path.read_text(encoding="utf-8"), strings=True)
+    assert public_names_without_caller(modules, read) == []
+
+
+def test_caller_scan_flags_each_kind():
+    modules = {
+        "__init__": "from .a import dead, K\n__all__ = ['dead', 'K']\n",
+        "a": (
+            "def dead():\n"
+            "    'K.unused is named here, in a docstring'\n"
+            "def alive():\n"
+            "    return K().used()\n"
+            "def documented():\n"
+            "    pass\n"
+            "class K:\n"
+            "    def used(self):\n"
+            "        return alive()\n"
+            "    def unused(self):\n"
+            "        pass\n"
+            "    def _private(self):\n"
+            "        pass\n"
+            "class Dead:\n"
+            "    pass\n"
+        ),
+    }
+    assert public_names_without_caller(modules, {"documented"}) == [
+        "a.Dead", "a.K.unused", "a.dead",
+    ]
 
 
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from lcgspec.errors import DimensionTooLarge, EmptyBox, InvalidParams
+from lcgspec import lattice
+from lcgspec.errors import BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams
 from lcgspec.lattice import (
     DEFAULT_ENUM_CAP,
     LatticeBasis,
@@ -156,10 +157,10 @@ def test_lattice_basis_validation():
 
 
 def test_lattice_basis_json_round_trip():
+    # entries as decimal-integer strings, which hold any size of integer
     basis = dual_basis(69069, 69068**6, 4)
-    again = LatticeBasis.from_json_dict(json.loads(json.dumps(basis.to_json_dict())))
-    assert again == basis
-    assert all(isinstance(v, str) for v in basis.to_json_dict()["rows"][0])
+    obj = {"dim": basis.dim, "rows": [[str(x) for x in r] for r in basis.rows]}
+    assert LatticeBasis.from_json_dict(json.loads(json.dumps(obj))) == basis
 
 
 def test_dual_basis_shape_and_membership():
@@ -515,6 +516,40 @@ def test_brute_force_empty_box():
         brute_force_shortest(2, 5, 2, box=1)
     with pytest.raises(InvalidParams):
         brute_force_shortest(2, 5, 2, box=0)
+
+
+def test_brute_force_enum_cap():
+    # the one cap, checked before the scan, which recurses once per coordinate
+    with pytest.raises(DimensionTooLarge, match="^dimension 3000 exceeds enumeration cap 12$"):
+        brute_force_shortest(5, 16, 3000, box=1)
+    with pytest.raises(DimensionTooLarge, match="^dimension 5 exceeds enumeration cap 4$"):
+        brute_force_shortest(5, 16, 5, box=1, cap=4)
+    assert brute_force_shortest(5, 16, 4, box=16, cap=4) == brute_force_shortest(5, 16, 4, box=16)
+
+
+def test_brute_force_step_budget(monkeypatch):
+    # below some budget the scan is refused, from it on the answer is whole
+    want = brute_force_shortest(26, 625, 3, box=30)
+    outcomes = []
+    for steps in range(1, 301):
+        monkeypatch.setattr(lattice, "_BOX_SCAN_STEPS", steps)
+        try:
+            outcomes.append(brute_force_shortest(26, 625, 3, box=30) == want)
+        except BudgetExceeded as exc:
+            assert str(exc) == f"box scan exceeds its budget of {steps} steps"
+            outcomes.append(False)
+    first = outcomes.index(True)
+    assert 10 < first and all(outcomes[first:])
+
+
+def test_brute_force_budget_stops_a_long_loop(monkeypatch):
+    # one loop over 10^9 + 1 values of m_2, none pruned: refused at the budget
+    monkeypatch.setattr(lattice, "_BOX_SCAN_STEPS", 1000)
+    with pytest.raises(BudgetExceeded, match="^box scan exceeds its budget of 1000 steps$"):
+        brute_force_shortest(10**9 + 7, 10**18, 2, box=10**9)
+    # a step works mod N, so a larger N gets fewer: 13288 bits, 1000 // 13
+    with pytest.raises(BudgetExceeded, match="^box scan exceeds its budget of 76 steps$"):
+        brute_force_shortest(10**9 + 7, 10**4000, 2, box=10**9)
 
 
 def test_brute_force_ties_canonical():

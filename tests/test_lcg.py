@@ -11,7 +11,6 @@ from lcgspec.lcg import (
     check_max_period,
     compute_potential,
     default_digits,
-    normalize,
 )
 from lcgspec.numtheory import factorize
 
@@ -189,7 +188,8 @@ def test_potential_error_kinds():
     ],
 )
 def test_normalize(x, N, digits, expected):
-    assert normalize(x, N, digits) == expected
+    # x/N truncated and trimmed, by the renderer every dump and report uses
+    assert _render_fractions([x], N, digits) == [expected]
 
 
 def test_default_digits():
@@ -204,7 +204,7 @@ def test_normalize_round_trip_terminating():
     for N in (16, 625, 800, 10**6):
         d = default_digits(N)
         for x in range(0, N, max(1, N // 97)):
-            u = Fraction(normalize(x, N, d))
+            u = Fraction(_render_fractions([x], N, d)[0])
             assert u * N == x
 
 
@@ -212,7 +212,7 @@ def test_normalize_round_trip_general_nearest():
     N = 3141592621
     d = default_digits(N)
     for x in (0, 1, 17, N // 2, N - 1):
-        u = Fraction(normalize(x, N, d))
+        u = Fraction(_render_fractions([x], N, d)[0])
         assert round(u * N) == x
 
 
@@ -231,4 +231,4 @@ def test_batch_renderer_matches_fraction_truncation(N):
             int_part, _, frac = u.partition(".")
             assert int_part == "0" and len(frac) <= digits
             assert frac == "" or (frac.isdigit() and not frac.endswith("0"))
-            assert normalize(x, N, digits) == u
+            assert _render_fractions([x], N, digits) == [u]

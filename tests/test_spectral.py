@@ -70,6 +70,10 @@ class TestBCoefficient:
         for s in range(2, 21):
             assert b_coefficient(s) == expand_negative_max(s)
 
+    @pytest.mark.parametrize("s", [21, 22, 23, 24, 99, 100, 101, 102, 1000, 1001])
+    def test_matches_max_over_odd_k(self, s):
+        assert b_coefficient(s) == max(math.comb(s, k) for k in range(1, s + 1, 2))
+
     def test_known_values(self):
         table = [2, 3, 4, 10, 20, 35, 56, 126, 252, 462, 792, 1716, 3432, 6435]
         assert [b_coefficient(s) for s in range(2, 16)] == table
@@ -615,7 +619,8 @@ class TestSpectralProfile:
         assert calls == [1]
 
     def test_rejects(self):
-        for dims in ([], [2, 4], [3, 2], range(4, 2, -1)):
+        # a range only: a list is refused even when it is contiguous
+        for dims in ([], [2, 4], [3, 2], range(4, 2, -1), [2, 3], range(2, 6, 2)):
             with pytest.raises(InvalidParams):
                 spectral_profile(69069, 2**32, dims)
         with pytest.raises(InvalidParams):
@@ -632,6 +637,8 @@ class TestSpectralProfile:
         (5, 16, range(1, 100001), InvalidParams, "dimension must be >= 2, got 1"),
         (5, 16, range(3000, 3001), DimensionTooLarge, "dimension 3000 exceeds enumeration cap 12"),
         (5, 16, range(2, 100001), DimensionTooLarge, "dimension 13 exceeds enumeration cap 12"),
+        # longer than sys.maxsize, so len() would overflow
+        (5, 16, range(2, 10**23), DimensionTooLarge, "dimension 13 exceeds enumeration cap 12"),
     ])
     def test_refused_from_the_endpoints(self, monkeypatch, a, N, dims, exc, message):
         # in this order, and before a dual basis or a list of the dimensions exists
