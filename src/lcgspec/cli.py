@@ -1,7 +1,8 @@
 """Command-line front end: analyze, build, uniformity, dump, svp, verify-paper.
 
 Exit codes: 0 success, 1 failed verification scorecard, 2 usage or
-validation errors, 3 domain errors, 4 budget errors.
+validation errors, 3 domain errors, 4 budget errors, 5 the output could not
+be written.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
@@ -49,6 +51,7 @@ EXIT_SCORECARD = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
+EXIT_OUTPUT = 5
 
 _USAGE_ERRORS = (InvalidParams, ExpressionError, TooSmall, Unsupported)
 _DOMAIN_ERRORS = (
@@ -126,6 +129,15 @@ def _parse_s_range(text: str) -> range:
     if lo_i < 2 or hi_i < lo_i:
         raise InvalidParams(f"need 2 <= LO <= HI, got {text!r}")
     return range(lo_i, hi_i + 1)
+
+
+def _open_named(path: str, mode: str = "r") -> IO[str]:
+    """The named file, opened as UTF-8 text.  Failing to open it is a usage
+    error (exit 2); an OSError after that exits 5."""
+    try:
+        return open(path, mode, encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParams(str(exc)) from None
 
 
 def _render_table(header: list[str], rows: list[list[str]], out: IO[str]) -> None:
@@ -310,7 +322,7 @@ def _parse_interval(text: str) -> tuple[Fraction, Fraction, str, str]:
 def cmd_uniformity(args, out: IO[str]) -> int:
     specs = list(args.interval or [])
     if args.intervals_file is not None:
-        with open(args.intervals_file, encoding="utf-8") as fh:
+        with _open_named(args.intervals_file) as fh:
             try:
                 specs += [line for line in map(str.strip, fh)
                           if line and not line.startswith("#")]
@@ -355,7 +367,7 @@ class _OpenOnWrite(contextlib.AbstractContextManager):
 
     def write(self, text: str) -> int:
         if self._fh is None:
-            self._fh = open(self._path, "w", encoding="utf-8")
+            self._fh = _open_named(self._path, "w")
         return self._fh.write(text)
 
     def __exit__(self, exc_type, *exc) -> None:
@@ -384,7 +396,7 @@ def cmd_dump(args, out: IO[str]) -> int:
 def cmd_svp(args, out: IO[str]) -> int:
     cap = args.enum_cap
     if args.basis_file is not None:
-        with open(args.basis_file, encoding="utf-8") as fh:
+        with _open_named(args.basis_file) as fh:
             try:
                 obj = json.load(fh)
             except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
@@ -554,6 +566,18 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     return args
 
 
+def _drop_unwritten(stream: IO[str]) -> None:
+    """Point `stream`'s file at the null device when what it still holds
+    cannot be written, so the interpreter's final flush has nothing to fail
+    on and prints nothing."""
+    try:
+        stream.flush()
+    except OSError:
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stream.fileno())
+        os.close(null)
+
+
 def main(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
     out = sys.stdout if out is None else out
     try:
@@ -561,7 +585,10 @@ def main(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args, out)
+        code = args.func(args, out)
+        if out is sys.stdout:  # a write failure still in the buffer is this call's
+            out.flush()
+        return code
     except _USAGE_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -572,8 +599,12 @@ def main(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        # The output failed.  A reader that has gone is no error to report.
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: {exc}", file=sys.stderr)
+        if out is sys.stdout:
+            _drop_unwritten(out)
+        return EXIT_OUTPUT
 
 
 if __name__ == "__main__":

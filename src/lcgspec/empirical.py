@@ -14,20 +14,22 @@ from typing import IO, NamedTuple
 
 from .errors import BudgetExceeded, InvalidParams, PeriodViolation
 from .exprparse import _digit_limit_exceeded
-from .lcg import LcgParams, _render_fractions, check_max_period, default_digits
+from .lcg import LcgParams, _fraction_digits, check_max_period, default_digits
 
 DEFAULT_BUDGET = 10**8
-# Terms stepped and rendered per batch by dump_sequence.  Writes stay one
-# per line or row: a caller's stream may buffer per write, not per byte.
+# Terms per chunk of dump_sequence (a table chunk is rounded down to whole
+# rows, and is one row when a row is longer).  Writes stay one per line or
+# row: a caller's stream may buffer per write, not per byte.
 _DUMP_CHUNK = 512
 
 
 def _render_ratio(p: int, q: int, digits: int) -> str:
     """p/q (p >= 0 < q, not necessarily reduced) truncated at `digits`
-    fractional digits: the integer part, then `lcg._render_fractions` of the
-    remainder ("0" or "0.ddd") with its "0" dropped."""
+    fractional digits: the integer part, then `lcg._fraction_digits` of the
+    remainder after a point, when it left any."""
     ip, r = divmod(p, q)
-    return f"{ip}{_render_fractions([r], q, digits)[0][1:]}"
+    f = _fraction_digits([r], q, digits)[0]
+    return f"{ip}.{f}" if f else str(ip)
 
 
 def _describe_endpoint(value: Fraction, label: str) -> str:
@@ -118,9 +120,12 @@ def dump_sequence(
     """Stream X_1..X_count (default: the full period) to `out` as CSV rows
     n,x,u or as '; '-separated decimal fractions, `per_line` per row.
 
-    Every argument is checked before anything is written.  Terms are stepped
-    and rendered _DUMP_CHUNK at a time, with one write per CSV line or table
-    row, so memory stays bounded by the chunk (and one row).
+    Every argument is checked before anything is written.  The first chunk
+    of L terms (_DUMP_CHUNK, rounded down to whole table rows) is stepped one
+    term at a time; every later chunk comes from the one before by the
+    jump-ahead X_(n+L) = A*X_n + C mod N, with A = a^L mod N and
+    C = X_L - A*X_0 mod N, an exact identity for any (a, c, N).  Each line or
+    row is one write, and memory stays bounded by the chunk.
     """
     if fmt not in ("csv", "table"):
         raise InvalidParams(f"unknown dump format {fmt!r}")
@@ -139,24 +144,36 @@ def dump_sequence(
         if not report.ok:
             raise PeriodViolation("; ".join(report.failures))
     d = default_digits(params.N) if digits is None else digits
-    a, c, N, x = params.a, params.c, params.N, params.x0
-    if fmt == "csv":
-        out.write("n,x,u\n")
-    row: list[str] = []  # table values not yet written
-    for first in range(1, count + 1, _DUMP_CHUNK):
-        xs = []
-        for _ in range(min(_DUMP_CHUNK, count + 1 - first)):
-            x = (a * x + c) % N
-            xs.append(x)
-        us = _render_fractions(xs, N, d)
-        if fmt == "csv":
-            for n, xn, u in zip(range(first, first + len(xs)), xs, us):
-                out.write(f"{n},{xn},{u}\n")
+    a, c, N, x0 = params
+    write = out.write
+    csv = fmt == "csv"
+    if csv:
+        write("n,x,u\n")
+    if count == 0:
+        return
+    L = min(count, _DUMP_CHUNK if csv else max(1, _DUMP_CHUNK // per_line) * per_line)
+    xs, x = [], x0
+    for _ in range(L):
+        x = (a * x + c) % N
+        xs.append(x)
+    A = pow(a, L, N)
+    C = (x - A * x0) % N
+    first = 1  # index of xs[0]
+    while True:
+        fs = _fraction_digits(xs, N, d)
+        if csv:
+            lines = [f"{n},{xn},0.{f}\n" if f else f"{n},{xn},0\n"
+                     for n, xn, f in zip(range(first, first + len(xs)), xs, fs)]
+            for line in lines:
+                write(line)
         else:
-            row += us
-            whole = len(row) - len(row) % per_line
-            for i in range(0, whole, per_line):
-                out.write("; ".join(row[i:i + per_line]) + "\n")
-            del row[:whole]
-    if row:
-        out.write("; ".join(row) + "\n")
+            for i in range(0, len(fs), per_line):
+                row = fs[i:i + per_line]
+                if "" in row:  # an x/N that truncates to 0
+                    write("; ".join(f"0.{f}" if f else "0" for f in row) + "\n")
+                else:
+                    write("0." + "; 0.".join(row) + "\n")
+        first += L
+        if first > count:
+            return
+        xs = [(A * y + C) % N for y in xs[:count + 1 - first]]

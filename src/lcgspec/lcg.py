@@ -95,11 +95,11 @@ def compute_potential(a: int, N: int) -> PotentialProfile:
     return PotentialProfile(tau=tau, lam=(a - 1) ** tau // N)
 
 
-def _render_fractions(xs: list[int], N: int, digits: int) -> list[str]:
-    """Exact decimal rendering of x/N for every x in xs, truncated (never
-    rounded) to `digits` fractional digits, trailing zeros trimmed; "0" when
-    nothing remains.  Unchecked: the caller guarantees 0 <= x < N and
-    digits >= 1.
+def _fraction_digits(xs: list[int], N: int, digits: int) -> list[str]:
+    """The fractional digits of x/N for every x in xs, truncated (never
+    rounded) to `digits` digits, trailing zeros trimmed; "" when nothing
+    remains.  The caller adds the prefix: x/N is "0." + f, or "0" when f is
+    empty.  Unchecked: the caller guarantees 0 <= x < N and digits >= 1.
 
     When N divides 10^digits (every terminating default), the truncated
     numerator x * 10^digits // N is the product x * (10^digits // N), so no
@@ -108,8 +108,7 @@ def _render_fractions(xs: list[int], N: int, digits: int) -> list[str]:
     scale = 10**digits
     k, rem = divmod(scale, N)
     qs = [x * k for x in xs] if rem == 0 else [x * scale // N for x in xs]
-    return ["0." + frac if (frac := str(q).zfill(digits).rstrip("0")) else "0"
-            for q in qs]
+    return [str(q).zfill(digits).rstrip("0") for q in qs]
 
 
 def default_digits(N: int) -> int:

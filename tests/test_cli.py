@@ -7,10 +7,15 @@ captured in-process; stderr diagnostics are checked via capsys.
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import lcgspec
 from lcgspec.cli import build_parser, main
 
 
@@ -394,6 +399,64 @@ class TestDump:
                          "--format", "table", "-o", str(path)])
         assert (code, out) == (0, "")
         assert path.read_text() == ""
+
+
+def cli_process(argv, stdout=subprocess.PIPE, unbuffered=False):
+    """`python -m lcgspec.cli argv` in a child process, its stdout buffered
+    unless `unbuffered`, its stderr piped."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(lcgspec.__file__).parent.parent)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "lcgspec.cli", *argv],
+                            stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+class TestOutputFailure:
+    """Output that cannot be written exits 5; a named file that cannot be
+    opened stays a usage error (exit 2)."""
+
+    BIG_DUMP = ["dump", "--a", "5", "--N", "2^20"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_output_file(self, capsys):
+        assert run(["dump", "--a", "5", "--N", "16", "-o", "/dev/full"]) == (5, "")
+        assert capsys.readouterr().err == "error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout(self):
+        # the one error line, and nothing more when the interpreter exits
+        with open("/dev/full", "w") as full, \
+                cli_process(["dump", "--a", "5", "--N", "16"], stdout=full) as proc:
+            err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (5, b"error: [Errno 28] No space left on device\n")
+
+    @pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+    def test_closed_pipe_ends_dump_quietly(self, unbuffered):
+        with cli_process(self.BIG_DUMP, unbuffered=unbuffered) as proc:
+            assert proc.stdout.readline() == b"n,x,u\n"
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (5, b"")
+
+    def test_pipe_closed_before_a_short_answer(self):
+        # the answer fits stdout's buffer, so only the flush in `main` meets
+        # the closed pipe
+        with cli_process(["analyze", "--a", "26", "--N", "625", "--s", "2"]) as proc:
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (5, b"")
+
+    @pytest.mark.parametrize("argv", [
+        ["uniformity", "--a", "26", "--N", "625", "--intervals-file"],
+        ["svp", "--basis-file"],
+        ["dump", "--a", "26", "--N", "625", "--count", "3", "-o"],
+    ], ids=["intervals-file", "basis-file", "output"])
+    def test_unopenable_file_is_usage_error(self, tmp_path, capsys, argv):
+        missing = tmp_path / "no-such-dir" / "file"
+        assert run(argv + [str(missing)]) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n")
 
 
 class TestSvp:

@@ -153,7 +153,7 @@ def files(tmp_path):
 
 class _Alarm(BaseException):
     """Raised when a call outlives the alarm; `main` catches no BaseException
-    (a TimeoutError would read as an OSError, exit 2)."""
+    (a TimeoutError would read as an OSError, exit 5)."""
 
 
 def _timeout(signum, frame):

@@ -3,6 +3,7 @@
 import io
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,8 @@ from lcgspec import (
     LcgParams,
     PeriodViolation,
 )
-from lcgspec.empirical import _render_ratio, dump_sequence, frequency_test
+from lcgspec.empirical import _DUMP_CHUNK, _render_ratio, dump_sequence, frequency_test
+from lcgspec.lcg import default_digits
 from lcgspec.numtheory import factorize
 
 P625 = LcgParams(26, 1, 625, 0)
@@ -329,3 +331,118 @@ class TestDumpSequence:
         with pytest.raises(InvalidParams, match="must be >= 1"):
             dump_sequence(P625, buf, fmt=fmt, count=5, **kwargs)
         assert buf.getvalue() == ""
+
+
+def naive_dump(params, fmt="csv", count=None, digits=None, per_line=10):
+    """The dump stepped one term at a time, each Fraction(x, N) truncated to
+    `digits` digits: the reference for the chunked, jump-ahead dump."""
+    a, c, N, x = params
+    count = N if count is None else count
+    d = default_digits(N) if digits is None else digits
+    us, lines = [], ["n,x,u"]
+    for n in range(1, count + 1):
+        x = (a * x + c) % N
+        q = math.floor(Fraction(x, N) * 10**d)
+        frac = str(q).zfill(d).rstrip("0")
+        us.append("0." + frac if frac else "0")
+        lines.append(f"{n},{x},{us[-1]}")
+    if fmt == "table":
+        lines = ["; ".join(us[i:i + per_line]) for i in range(0, count, per_line)]
+    return "".join(line + "\n" for line in lines)
+
+
+def assert_same_text(got, want, case):
+    """got == want, reported by the first line that differs (a plain assert
+    would diff whole dumps)."""
+    if got != want:
+        g, w = got.splitlines(), want.splitlines()
+        i = next((i for i, pair in enumerate(zip(g, w)) if pair[0] != pair[1]),
+                 min(len(g), len(w)))
+        pytest.fail(f"{case}: line {i + 1} is {g[i:i + 1]}, want {w[i:i + 1]} "
+                    f"({len(g)} lines, want {len(w)})")
+
+
+def chunk_terms(fmt, per_line):
+    """Terms per chunk of a dump: _DUMP_CHUNK, cut to whole table rows."""
+    return _DUMP_CHUNK if fmt == "csv" else max(1, _DUMP_CHUNK // per_line) * per_line
+
+
+class TestDumpMatchesNaiveStepping:
+    """Every chunk after the first is jumped ahead from the one before; the
+    output must equal stepping one term at a time, at every chunk edge."""
+
+    GENERATORS = [
+        LcgParams(5, 1, 2**13, 0),  # maximum period, exact digits
+        LcgParams(4, 7, 3**8, 5),  # maximum period, digits that never end
+        LcgParams(7, 1, 2000, 0),  # period 20: x = 0 recurs inside a chunk
+    ]
+
+    @pytest.mark.parametrize("params", GENERATORS, ids=["2^13", "3^8", "short-period"])
+    @pytest.mark.parametrize("fmt, per_line", [("csv", 10), ("table", 10), ("table", 7),
+                                               ("table", 3), ("table", 600), ("table", 1000)])
+    def test_counts_around_chunk_edges(self, params, fmt, per_line):
+        L = chunk_terms(fmt, per_line)
+        counts = {0, 1, L - 1, L, L + 1, 2 * L + 1, 3 * L + per_line // 2}
+        if params.N > 2000:  # a short period forbids the whole-period dump
+            counts.add(params.N)
+        for count in sorted(k for k in counts if k <= params.N):
+            buf = io.StringIO()
+            dump_sequence(params, buf, fmt=fmt, count=count, per_line=per_line)
+            assert_same_text(buf.getvalue(), naive_dump(params, fmt, count, per_line=per_line),
+                             f"count {count}")
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_one_digit_renders_many_zeros(self, fmt):
+        # at one digit every x < N/10 renders as "0", so most table rows mix
+        # "0" with "0.d" values
+        params = self.GENERATORS[0]
+        buf = io.StringIO()
+        dump_sequence(params, buf, fmt=fmt, digits=1, per_line=7)
+        text = buf.getvalue()
+        assert_same_text(text, naive_dump(params, fmt, digits=1, per_line=7), "full period")
+        assert text.count(",0\n" if fmt == "csv" else "; 0;") > 100
+
+    def test_random_generators(self):
+        rng = random.Random(24)
+        for _ in range(40):
+            N = rng.randrange(3, 3000)
+            a, c = rng.randrange(2, N), rng.randrange(1, N)
+            if math.gcd(c, N) != 1:
+                continue
+            params = LcgParams(a, c, N, rng.randrange(N))
+            fmt, per_line = rng.choice(["csv", "table"]), rng.choice([1, 7, 513])
+            count = rng.randrange(N)  # partial: no period check
+            digits = rng.choice([None, 1, 3, 25])
+            buf = io.StringIO()
+            dump_sequence(params, buf, fmt=fmt, count=count, digits=digits,
+                          per_line=per_line)
+            assert_same_text(buf.getvalue(), naive_dump(params, fmt, count, digits, per_line),
+                             f"{params} {fmt} count {count} digits {digits} per_line {per_line}")
+
+
+class CountingWriter:
+    """A stream that keeps only how many writes it took."""
+
+    def __init__(self):
+        self.writes = 0
+
+    def write(self, text):
+        self.writes += 1
+        return len(text)
+
+
+@pytest.mark.parametrize("fmt, per_line", [("csv", 10), ("table", 10), ("table", 600)])
+def test_full_dump_writes_each_line_once_in_bounded_memory(fmt, per_line):
+    # one write per CSV line (and the header) or table row, and memory held
+    # to a chunk: the whole period as a list would take several MiB
+    params = LcgParams(5, 1, 2**16, 0)
+    sink = CountingWriter()
+    tracemalloc.start()
+    try:
+        dump_sequence(params, sink, fmt=fmt, per_line=per_line)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    N = params.N
+    assert sink.writes == (N + 1 if fmt == "csv" else -(-N // per_line))
+    assert peak < 1024 * 1024

@@ -7,7 +7,7 @@ import pytest
 from lcgspec.errors import InvalidParams, NoPotential, PotentialOne
 from lcgspec.lcg import (
     LcgParams,
-    _render_fractions,
+    _fraction_digits,
     check_max_period,
     compute_potential,
     default_digits,
@@ -171,6 +171,12 @@ def test_potential_error_kinds():
 # -- decimal normalization -----------------------------------------------
 
 
+def render(x, N, digits):
+    """x/N as every dump and report prints it: "0." + its digits, or "0"."""
+    f = _fraction_digits([x], N, digits)[0]
+    return "0." + f if f else "0"
+
+
 @pytest.mark.parametrize(
     "x,N,digits,expected",
     [
@@ -189,7 +195,7 @@ def test_potential_error_kinds():
 )
 def test_normalize(x, N, digits, expected):
     # x/N truncated and trimmed, by the renderer every dump and report uses
-    assert _render_fractions([x], N, digits) == [expected]
+    assert render(x, N, digits) == expected
 
 
 def test_default_digits():
@@ -204,7 +210,7 @@ def test_normalize_round_trip_terminating():
     for N in (16, 625, 800, 10**6):
         d = default_digits(N)
         for x in range(0, N, max(1, N // 97)):
-            u = Fraction(_render_fractions([x], N, d)[0])
+            u = Fraction(render(x, N, d))
             assert u * N == x
 
 
@@ -212,7 +218,7 @@ def test_normalize_round_trip_general_nearest():
     N = 3141592621
     d = default_digits(N)
     for x in (0, 1, 17, N // 2, N - 1):
-        u = Fraction(_render_fractions([x], N, d)[0])
+        u = Fraction(render(x, N, d))
         assert round(u * N) == x
 
 
@@ -223,12 +229,11 @@ def test_batch_renderer_matches_fraction_truncation(N):
     xs = [0, 1, N - 1] + [rng.randrange(N) for _ in range(200)]
     dd = default_digits(N)
     for digits in sorted({1, max(1, dd - 2), dd, dd + 3}):
-        got = _render_fractions(xs, N, digits)
+        got = _fraction_digits(xs, N, digits)
         assert len(got) == len(xs)
-        for x, u in zip(xs, got):
+        for x, frac in zip(xs, got):
             want = Fraction(math.floor(Fraction(x, N) * 10**digits), 10**digits)
-            assert Fraction(u) == want
-            int_part, _, frac = u.partition(".")
-            assert int_part == "0" and len(frac) <= digits
+            assert Fraction(int(frac or "0"), 10**len(frac)) == want
+            assert len(frac) <= digits
             assert frac == "" or (frac.isdigit() and not frac.endswith("0"))
-            assert _render_fractions([x], N, digits) == [u]
+            assert _fraction_digits([x], N, digits) == [frac]
