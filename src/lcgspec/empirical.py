@@ -4,31 +4,37 @@ The frequency test counts orbit values with alpha <= X/N <= beta, comparing
 exact rationals on a closed interval, and reports the deviation of the hit
 rate from the interval width.  A full period visits every residue of Z_N
 exactly once, so the count is a closed form and no orbit is walked.  Dumps
-stream the orbit itself, so they are bounded by a budget on the count.
+stream the orbit itself, so they are bounded by a budget on the count; a
+long dump shares its rendering with a second interpreter.
 """
 
 from __future__ import annotations
 
+import os
+import sys
 from fractions import Fraction
 from typing import IO, NamedTuple
 
+from . import _chunks
 from .errors import BudgetExceeded, InvalidParams, PeriodViolation
-from .exprparse import _digit_limit_exceeded
-from .lcg import LcgParams, _fraction_digits, check_max_period, default_digits
+from .exprparse import _digit_limit_exceeded, _max_str_digits
+from .lcg import LcgParams, check_max_period, default_digits
 
 DEFAULT_BUDGET = 10**8
-# Terms per chunk of dump_sequence (a table chunk is rounded down to whole
-# rows, and is one row when a row is longer).  Writes stay one per line or
-# row: a caller's stream may buffer per write, not per byte.
-_DUMP_CHUNK = 512
+# The most digits per value when Python sets no int-to-str limit: its default
+_DIGITS_WITHOUT_LIMIT = 4300
+# Dumps of at least this many terms share their rendering with a worker
+# interpreter on a host with a second CPU.  Below it the worker's start-up
+# and the pipe cost more than the chunks it renders.
+_WORKER_MIN_TERMS = 2**19
 
 
 def _render_ratio(p: int, q: int, digits: int) -> str:
     """p/q (p >= 0 < q, not necessarily reduced) truncated at `digits`
-    fractional digits: the integer part, then `lcg._fraction_digits` of the
-    remainder after a point, when it left any."""
+    fractional digits: the integer part, then `_chunks._fraction_digits` of
+    the remainder after a point, when it left any."""
     ip, r = divmod(p, q)
-    f = _fraction_digits([r], q, digits)[0]
+    f = _chunks._fraction_digits([r], q, digits)[0]
     return f"{ip}.{f}" if f else str(ip)
 
 
@@ -108,6 +114,45 @@ def frequency_test(
     return FrequencyReport(params, alpha, beta, alpha_label, beta_label, m)
 
 
+def _digit_count(N: int, digits: int | None) -> int:
+    """`digits`, or the default for N, refused when above Python's
+    int-to-str limit (4300 when there is none): a value may have that many."""
+    limit = _max_str_digits() or _DIGITS_WITHOUT_LIMIT
+    if digits is not None:
+        if digits > limit:
+            raise InvalidParams(f"digits must be <= {limit}, got {digits}")
+        return digits
+    # every N above 10^limit has a default above it, and N < 2^(3 * limit)
+    # < 10^limit needs no power of ten
+    if (N.bit_length() <= 3 * limit or N <= 10**limit) and (d := default_digits(N)) <= limit:
+        return d
+    raise InvalidParams(f"the default digit count for this N exceeds {limit}; "
+                        f"give digits <= {limit}")
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _start_worker(params: LcgParams, count: int, digits: int, per_line: int, fmt: str):
+    """`_chunks` run as a script in a bare interpreter, rendering the
+    odd-numbered chunks of this dump; None when the dump is too short to
+    share, only one CPU is usable, or the worker cannot start (no
+    interpreter path, or an OSError)."""
+    if count < _WORKER_MIN_TERMS or _usable_cpus() < 2 or not sys.executable:
+        return None
+    import subprocess  # here: `import lcgspec.cli` loads no process machinery
+
+    args = _chunks.script_args(*params, count, digits, per_line, fmt)
+    try:
+        return subprocess.Popen([sys.executable, "-I", "-S", *args], stdin=subprocess.DEVNULL,
+                                stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+    except OSError:
+        return None
+
+
 def dump_sequence(
     params: LcgParams,
     out: IO[str],
@@ -120,12 +165,16 @@ def dump_sequence(
     """Stream X_1..X_count (default: the full period) to `out` as CSV rows
     n,x,u or as '; '-separated decimal fractions, `per_line` per row.
 
-    Every argument is checked before anything is written.  The first chunk
-    of L terms (_DUMP_CHUNK, rounded down to whole table rows) is stepped one
-    term at a time; every later chunk comes from the one before by the
-    jump-ahead X_(n+L) = A*X_n + C mod N, with A = a^L mod N and
-    C = X_L - A*X_0 mod N, an exact identity for any (a, c, N).  Each line or
-    row is one write, and memory stays bounded by the chunk.
+    Every argument is checked before anything is written, `digits` (given or
+    the default) against Python's int-to-str limit too.  The terms come in
+    chunks (`_chunks`: the first stepped term by term, every later one by
+    jump-ahead).  A dump of at least _WORKER_MIN_TERMS terms on a host with a
+    second usable CPU starts a worker interpreter that renders the
+    odd-numbered chunks; this process renders the even-numbered ones, and
+    any the worker did not deliver, so the output never depends on it.  The
+    worker is reaped before this returns or raises.  Each line or row is one
+    write, in order (a caller's stream may buffer per write, not per byte),
+    and memory stays bounded by a chunk.
     """
     if fmt not in ("csv", "table"):
         raise InvalidParams(f"unknown dump format {fmt!r}")
@@ -133,6 +182,7 @@ def dump_sequence(
         raise InvalidParams("digits must be >= 1")
     if per_line < 1:
         raise InvalidParams(f"per_line must be >= 1, got {per_line}")
+    d = _digit_count(params.N, digits)
     if count is None:
         count = params.N
     if not 0 <= count <= params.N:
@@ -143,37 +193,30 @@ def dump_sequence(
         report = check_max_period(params)
         if not report.ok:
             raise PeriodViolation("; ".join(report.failures))
-    d = default_digits(params.N) if digits is None else digits
     a, c, N, x0 = params
     write = out.write
     csv = fmt == "csv"
-    if csv:
-        write("n,x,u\n")
-    if count == 0:
-        return
-    L = min(count, _DUMP_CHUNK if csv else max(1, _DUMP_CHUNK // per_line) * per_line)
-    xs, x = [], x0
-    for _ in range(L):
-        x = (a * x + c) % N
-        xs.append(x)
-    A = pow(a, L, N)
-    C = (x - A * x0) % N
-    first = 1  # index of xs[0]
-    while True:
-        fs = _fraction_digits(xs, N, d)
+    worker = _start_worker(params, count, d, per_line, fmt)
+    try:
         if csv:
-            lines = [f"{n},{xn},0.{f}\n" if f else f"{n},{xn},0\n"
-                     for n, xn, f in zip(range(first, first + len(xs)), xs, fs)]
+            write("n,x,u\n")
+        pipe = worker and worker.stdout
+        L = _chunks.chunk_terms(count, csv, per_line)
+        xs, A, C = _chunks.first_chunk(a, c, N, x0, L)
+        for first, xs in _chunks.every_other_chunk(xs, 1, count, L, A, C, N):
+            for line in _chunks.render(first, xs, N, d, per_line, csv):
+                write(line)
+            odd = first + L  # the first term of the next, odd-numbered chunk
+            if odd > count:
+                break
+            lines = pipe and _chunks.receive(pipe)
+            if not lines:  # no worker, or it ended early: render that chunk here
+                pipe = None
+                ys = _chunks.jump(xs, A, C, N)[:count + 1 - odd]
+                lines = _chunks.render(odd, ys, N, d, per_line, csv)
             for line in lines:
                 write(line)
-        else:
-            for i in range(0, len(fs), per_line):
-                row = fs[i:i + per_line]
-                if "" in row:  # an x/N that truncates to 0
-                    write("; ".join(f"0.{f}" if f else "0" for f in row) + "\n")
-                else:
-                    write("0." + "; 0.".join(row) + "\n")
-        first += L
-        if first > count:
-            return
-        xs = [(A * y + C) % N for y in xs[:count + 1 - first]]
+    finally:
+        if worker is not None:
+            worker.stdout.close()  # a worker still writing fails, and ends
+            worker.wait()

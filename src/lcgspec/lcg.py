@@ -2,8 +2,8 @@
 
 Everything here is exact integer arithmetic: max-period certification
 (Hull-Dobell conditions) and the potential tau(a, N) with its cofactor, both
-decided by gcd-stripping N against a-1 without factoring, and exact decimal
-rendering of X/N.
+decided by gcd-stripping N against a-1 without factoring, and the digit
+count that renders X/N exactly.
 """
 
 from __future__ import annotations
@@ -93,22 +93,6 @@ def compute_potential(a: int, N: int) -> PotentialProfile:
     if tau <= 1:
         raise PotentialOne(f"N = {N} divides a-1 = {a - 1}; potential is 1")
     return PotentialProfile(tau=tau, lam=(a - 1) ** tau // N)
-
-
-def _fraction_digits(xs: list[int], N: int, digits: int) -> list[str]:
-    """The fractional digits of x/N for every x in xs, truncated (never
-    rounded) to `digits` digits, trailing zeros trimmed; "" when nothing
-    remains.  The caller adds the prefix: x/N is "0." + f, or "0" when f is
-    empty.  Unchecked: the caller guarantees 0 <= x < N and digits >= 1.
-
-    When N divides 10^digits (every terminating default), the truncated
-    numerator x * 10^digits // N is the product x * (10^digits // N), so no
-    bignum division is made per value.
-    """
-    scale = 10**digits
-    k, rem = divmod(scale, N)
-    qs = [x * k for x in xs] if rem == 0 else [x * scale // N for x in xs]
-    return [str(q).zfill(digits).rstrip("0") for q in qs]
 
 
 def default_digits(N: int) -> int:

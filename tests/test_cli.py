@@ -376,6 +376,28 @@ class TestDump:
         assert out == ""
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["--N", "2^9999", "--count", "1"],
+         "the default digit count for this N exceeds 4300; give digits <= 4300"),
+        (["--N", "16", "--count", "2", "--digits", "5000"], "digits must be <= 4300, got 5000"),
+    ], ids=["default", "given"])
+    def test_digits_above_the_print_limit(self, capsys, argv, message):
+        # each value is a decimal of that many digits, more than Python prints
+        assert run(["dump", "--a", "5"] + argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_huge_digit_count_is_refused_at_once(self):
+        # refused before 10^digits is built, which would never finish
+        argv = ["dump", "--a", "5", "--N", "16", "--count", "2", "--digits",
+                "99999999999999999999"]
+        with cli_process(argv) as proc:
+            try:
+                out, err = proc.communicate(timeout=30)
+            finally:
+                proc.kill()
+        assert (proc.returncode, out, err) == (
+            2, b"", b"error: digits must be <= 4300, got 99999999999999999999\n")
+
     @pytest.mark.parametrize("flags, code", [
         (["--digits", "0"], 2),
         (["--per-line", "0", "--format", "table"], 2),
@@ -437,6 +459,16 @@ class TestOutputFailure:
             assert proc.stdout.readline() == b"n,x,u\n"
             proc.stdout.close()
             err = proc.stderr.read()
+        assert (proc.wait(timeout=60), err) == (5, b"")
+
+    def test_head_ends_a_long_dump_quietly(self):
+        # `lcgspec dump ... | head -2`: the dump is long enough for its worker
+        with cli_process(self.BIG_DUMP) as proc:
+            head = subprocess.run(["head", "-2"], stdin=proc.stdout, capture_output=True,
+                                  timeout=60)
+            proc.stdout.close()
+            err = proc.stderr.read()
+        assert head.stdout == b"n,x,u\n1,1,0.00000095367431640625\n"
         assert (proc.wait(timeout=60), err) == (5, b"")
 
     def test_pipe_closed_before_a_short_answer(self):

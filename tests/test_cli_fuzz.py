@@ -98,12 +98,15 @@ def _uniformity(rng, files):
 
 
 def _dump(rng, files):
-    argv = ["dump"] + _generator(rng)
+    # now and then a modulus whose default digit count is more than Python prints
+    generator = _generator(rng) if rng.random() < 0.9 else ["--a", "5", "--N", "2^9999"]
+    argv = ["dump"] + generator
     if rng.random() < 0.5:
         argv += ["--count", _int(rng, ["0", "1", "10", "100", "1000", "10^9", "2^64"])]
     else:
         argv += ["--budget", _int(rng, ["1", "100", "1000"])]
-    return (argv + _maybe(rng, "--digits", SMALL, 0.3) + _maybe(rng, "--per-line", SMALL, 0.3)
+    return (argv + _maybe(rng, "--digits", SMALL + ["5000", "99999999999999999999999"], 0.3)
+            + _maybe(rng, "--per-line", SMALL, 0.3)
             + (["-o", rng.choice([files["output"], ""])] if rng.random() < 0.2 else []))
 
 

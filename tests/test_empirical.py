@@ -3,6 +3,10 @@
 import io
 import math
 import random
+import shutil
+import subprocess
+import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -14,7 +18,9 @@ from lcgspec import (
     LcgParams,
     PeriodViolation,
 )
-from lcgspec.empirical import _DUMP_CHUNK, _render_ratio, dump_sequence, frequency_test
+from lcgspec import _chunks, empirical
+from lcgspec._chunks import _CHUNK
+from lcgspec.empirical import _render_ratio, dump_sequence, frequency_test
 from lcgspec.lcg import default_digits
 from lcgspec.numtheory import factorize
 
@@ -363,8 +369,8 @@ def assert_same_text(got, want, case):
 
 
 def chunk_terms(fmt, per_line):
-    """Terms per chunk of a dump: _DUMP_CHUNK, cut to whole table rows."""
-    return _DUMP_CHUNK if fmt == "csv" else max(1, _DUMP_CHUNK // per_line) * per_line
+    """Terms per chunk of a dump: _CHUNK, cut to whole table rows."""
+    return _CHUNK if fmt == "csv" else max(1, _CHUNK // per_line) * per_line
 
 
 class TestDumpMatchesNaiveStepping:
@@ -431,8 +437,7 @@ class CountingWriter:
         return len(text)
 
 
-@pytest.mark.parametrize("fmt, per_line", [("csv", 10), ("table", 10), ("table", 600)])
-def test_full_dump_writes_each_line_once_in_bounded_memory(fmt, per_line):
+def assert_writes_each_line_once_in_bounded_memory(fmt, per_line):
     # one write per CSV line (and the header) or table row, and memory held
     # to a chunk: the whole period as a list would take several MiB
     params = LcgParams(5, 1, 2**16, 0)
@@ -446,3 +451,180 @@ def test_full_dump_writes_each_line_once_in_bounded_memory(fmt, per_line):
     N = params.N
     assert sink.writes == (N + 1 if fmt == "csv" else -(-N // per_line))
     assert peak < 1024 * 1024
+
+
+@pytest.mark.parametrize("fmt, per_line", [("csv", 10), ("table", 10), ("table", 600)])
+def test_full_dump_writes_each_line_once_in_bounded_memory(fmt, per_line):
+    assert_writes_each_line_once_in_bounded_memory(fmt, per_line)
+
+
+class TestDigitLimit:
+    """A digit count, given or the default, is refused above Python's
+    int-to-str limit (4300 when there is none) before anything is written."""
+
+    LIMIT = sys.get_int_max_str_digits()  # 4300 unless the interpreter was told otherwise
+
+    @pytest.mark.parametrize("digits", [LIMIT + 1, 5000, 99999999999999999999])
+    def test_given_digits_above_the_limit(self, digits):
+        buf = io.StringIO()
+        with pytest.raises(InvalidParams, match=f"^digits must be <= {self.LIMIT}, got {digits}$"):
+            dump_sequence(LcgParams(5, 1, 16, 0), buf, count=2, digits=digits)
+        assert buf.getvalue() == ""
+
+    @pytest.mark.parametrize("N", [2**9999, 3 * 10**(LIMIT - 1) + 1, 3**9100],
+                             ids=["terminating", "non-terminating", "above-10^limit"])
+    def test_default_digits_above_the_limit(self, N):
+        buf = io.StringIO()
+        with pytest.raises(InvalidParams, match="^the default digit count for this N exceeds "
+                                                f"{self.LIMIT}; give digits <= {self.LIMIT}$"):
+            dump_sequence(LcgParams(5, 1, N, 0), buf, count=1)
+        assert buf.getvalue() == ""
+
+    def test_digits_at_the_limit(self):
+        params = LcgParams(5, 1, 2**self.LIMIT, 0)  # default: exactly LIMIT digits
+        buf = io.StringIO()
+        dump_sequence(params, buf, count=2)
+        assert buf.getvalue() == naive_dump(params, count=2)
+
+    def test_limit_follows_the_interpreter(self):
+        params = LcgParams(5, 1, 16, 0)
+        try:
+            sys.set_int_max_str_digits(0)  # no limit: refused above 4300
+            with pytest.raises(InvalidParams, match="^digits must be <= 4300, got 4301$"):
+                dump_sequence(params, io.StringIO(), count=2, digits=4301)
+            sys.set_int_max_str_digits(6000)
+            buf = io.StringIO()
+            dump_sequence(params, buf, count=2, digits=5000)
+            assert buf.getvalue() == naive_dump(params, count=2, digits=5000)
+        finally:
+            sys.set_int_max_str_digits(self.LIMIT)
+
+
+@pytest.fixture
+def workers(monkeypatch):
+    """Every dump of a term or more starts a worker, as if a second CPU were
+    usable; the list of the workers started."""
+    monkeypatch.setattr(empirical, "_WORKER_MIN_TERMS", 1)
+    monkeypatch.setattr(empirical, "_usable_cpus", lambda: 2)
+    started = []
+    popen = subprocess.Popen
+
+    def spy(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(subprocess, "Popen", spy)
+    return started
+
+
+@pytest.fixture
+def renders(monkeypatch):
+    """How many chunks this process renders (the worker's are its own)."""
+    calls = []
+    render = _chunks.render
+
+    def counted(*args):
+        calls.append(args[0])
+        return render(*args)
+
+    monkeypatch.setattr(_chunks, "render", counted)
+    return calls
+
+
+class TestDumpWorker:
+    """A long dump shares its chunks with a worker interpreter: this process
+    renders the even-numbered ones, the worker the odd-numbered ones, and the
+    output equals stepping one term at a time whatever the worker does."""
+
+    GENERATORS = TestDumpMatchesNaiveStepping.GENERATORS[:2]
+
+    @pytest.mark.parametrize("params", GENERATORS, ids=["2^13", "3^8"])
+    @pytest.mark.parametrize("fmt, per_line", [("csv", 10), ("table", 7)])
+    @pytest.mark.parametrize("chunks, extra", [(4, 0), (5, 0), (4, 7), (3, 7), (None, 0)],
+                             ids=["even", "odd", "partial-last-here", "partial-last-in-worker",
+                                  "full-period"])
+    def test_output_equals_naive_stepping(self, workers, renders, params, fmt, per_line,
+                                          chunks, extra):
+        L = chunk_terms(fmt, per_line)
+        count = params.N if chunks is None else chunks * L + extra
+        buf = io.StringIO()
+        dump_sequence(params, buf, fmt=fmt, count=count, per_line=per_line)
+        assert_same_text(buf.getvalue(), naive_dump(params, fmt, count, per_line=per_line),
+                         f"count {count}")
+        assert [w.returncode for w in workers] == [0]
+        total = -(-count // L)
+        assert len(renders) == -(-total // 2)  # the even-numbered chunks only
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_one_digit(self, workers, fmt):
+        params = self.GENERATORS[1]
+        buf = io.StringIO()
+        dump_sequence(params, buf, fmt=fmt, digits=1, per_line=7)
+        assert_same_text(buf.getvalue(), naive_dump(params, fmt, digits=1, per_line=7),
+                         "full period")
+        assert [w.returncode for w in workers] == [0]
+
+    @pytest.mark.parametrize("fmt, per_line", [("csv", 10), ("table", 10), ("table", 600)])
+    def test_writes_each_line_once_in_bounded_memory(self, workers, fmt, per_line):
+        assert_writes_each_line_once_in_bounded_memory(fmt, per_line)
+        assert [w.returncode for w in workers] == [0]
+
+    def test_short_dumps_and_one_cpu_start_none(self, workers, monkeypatch):
+        params = self.GENERATORS[0]
+        monkeypatch.setattr(empirical, "_WORKER_MIN_TERMS", 1001)
+        dump_sequence(params, io.StringIO(), count=1000)
+        monkeypatch.setattr(empirical, "_usable_cpus", lambda: 1)
+        dump_sequence(params, io.StringIO())
+        assert workers == []
+
+    def check_falls_back(self, renders, fmt="csv", per_line=10):
+        params = self.GENERATORS[0]
+        buf = io.StringIO()
+        dump_sequence(params, buf, fmt=fmt, per_line=per_line)
+        assert_same_text(buf.getvalue(), naive_dump(params, fmt, per_line=per_line),
+                         "full period")
+        assert len(renders) == -(-params.N // chunk_terms(fmt, per_line))  # every chunk
+
+    @pytest.mark.skipif(shutil.which("false") is None, reason="no false(1)")
+    def test_worker_that_exits_at_once(self, workers, renders, monkeypatch):
+        monkeypatch.setattr(sys, "executable", shutil.which("false"))
+        self.check_falls_back(renders)
+        assert [w.returncode for w in workers] == [1]
+
+    @pytest.mark.parametrize("fmt", ["csv", "table"])
+    def test_worker_that_sends_a_short_block(self, workers, renders, monkeypatch, tmp_path,
+                                             fmt):
+        script = tmp_path / "short.py"
+        script.write_text("import sys\n"
+                          "sys.stdout.buffer.write((100).to_bytes(8, 'little') + b'1,1,0\\n')\n")
+        monkeypatch.setattr(_chunks, "__file__", str(script))
+        self.check_falls_back(renders, fmt)
+        assert [w.returncode for w in workers] == [0]
+
+    def test_worker_that_cannot_start(self, workers, renders, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise OSError("no more processes")
+
+        monkeypatch.setattr(subprocess, "Popen", refuse)
+        self.check_falls_back(renders)
+
+    @pytest.mark.parametrize("k", [0, 3 * _CHUNK])
+    def test_broken_pipe_reaps_the_worker(self, workers, k):
+        class BreakingWriter:
+            """A stream whose write k+1 fails, as a pipe whose reader left."""
+
+            def __init__(self):
+                self.left, self.broke_at = k, None
+
+            def write(self, text):
+                if not self.left:
+                    self.broke_at = time.monotonic()
+                    raise BrokenPipeError(32, "Broken pipe")
+                self.left -= 1
+                return len(text)
+
+        sink = BreakingWriter()
+        with pytest.raises(BrokenPipeError):
+            dump_sequence(LcgParams(5, 1, 2**16, 0), sink)
+        assert time.monotonic() - sink.broke_at < 1.0
+        assert len(workers) == 1 and workers[0].returncode is not None

@@ -176,9 +176,9 @@ def test_environment_scan_flags_each_kind():
 # top-level name (as of 3.11; a version may load fewer), the package in full
 CLI_STDLIB = {"__future__", "_decimal", "_json", "argparse", "decimal", "fractions",
               "gettext", "json", "numbers"}
-CLI_PACKAGE = {"lcgspec", "lcgspec.builder", "lcgspec.cli", "lcgspec.empirical",
-               "lcgspec.errors", "lcgspec.exprparse", "lcgspec.lattice", "lcgspec.lcg",
-               "lcgspec.numtheory", "lcgspec.spectral"}
+CLI_PACKAGE = {"lcgspec", "lcgspec._chunks", "lcgspec.builder", "lcgspec.cli",
+               "lcgspec.empirical", "lcgspec.errors", "lcgspec.exprparse", "lcgspec.lattice",
+               "lcgspec.lcg", "lcgspec.numtheory", "lcgspec.spectral"}
 
 
 def test_cli_import_builds_no_parser_and_loads_nothing_new():

@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from lcgspec._chunks import _fraction_digits
 from lcgspec.errors import InvalidParams, NoPotential, PotentialOne
 from lcgspec.lcg import (
     LcgParams,
-    _fraction_digits,
     check_max_period,
     compute_potential,
     default_digits,
