@@ -4,9 +4,13 @@ Each case runs `lcgspec.cli.main` in-process and compares stdout and the exit
 code with `golden/<name>.out`, and stderr with `golden/<name>.err` (empty when
 that file is absent).  argparse wraps usage lines to the terminal width, so
 every case runs with COLUMNS=80.  `verify-paper` is left out: it prints
-timings.  Regenerate the files only when an output change is intended:
+timings.  Record a new case, or re-record one whose output change is
+intended, by naming it:
 
-    PYTHONPATH=src python tests/test_golden_cli.py
+    PYTHONPATH=src python tests/test_golden_cli.py [NAME ...]
+
+With no names, only the cases with no `.out` file yet are written.  A case
+whose stderr is now empty loses its `.err` file.
 """
 
 import contextlib
@@ -47,6 +51,19 @@ CASES["build_s2_26_validate9"] = ["build", "--s", "2", "--a", "26", "--validate"
 # theorem 3's informational lower~ mark at s = 2, upper-only theorem-7 rows above it
 CASES.update({
     f"analyze_13_16_{fmt}": ["analyze", "--a", "13", "--N", "16", "--s", "2..4", "--format", fmt]
+    for fmt in ("text", "csv")
+})
+# theorem 1 (tau = 2), theorem 2 at s = tau = 6, theorem 5 with a rational
+# lower bound, and B-bound "-" past s = 8 with a note per dimension
+ANALYZE_ROWS = {
+    "69069_69068e2": ["--a", "69069", "--N", "69068^2", "--s", "2..4"],
+    "69069_69068e6": ["--a", "69069", "--N", "69068^6", "--s", "2..8"],
+    "9_2e10": ["--a", "9", "--N", "2^10", "--s", "2..5"],
+    "69069_s7_10": ["--a", "69069", "--N", "2^32", "--s", "7..10"],
+}
+CASES.update({
+    f"analyze_{name}_{fmt}": ["analyze"] + argv + ["--format", fmt]
+    for name, argv in ANALYZE_ROWS.items()
     for fmt in ("text", "csv")
 })
 CASES.update({
@@ -95,10 +112,22 @@ def test_golden(name):
     assert err.encode() == (err_file.read_bytes() if err_file.exists() else b"")
 
 
-if __name__ == "__main__":
-    for name, argv in sorted(CASES.items()):
-        out, err = run(argv)
+def record(names):
+    """Write the `.out` (and `.err`, or remove a stale one) of each case named,
+    or of each case with no `.out` file when none is named."""
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        raise SystemExit(f"no such case: {' '.join(unknown)}")
+    for name in sorted(names or [n for n in CASES if not (GOLDEN / f"{n}.out").exists()]):
+        out, err = run(CASES[name])
         (GOLDEN / f"{name}.out").write_bytes(out.encode())
+        err_file = GOLDEN / f"{name}.err"
         if err:
-            (GOLDEN / f"{name}.err").write_bytes(err.encode())
+            err_file.write_bytes(err.encode())
+        else:
+            err_file.unlink(missing_ok=True)
         print(f"wrote {name}", file=sys.stderr)
+
+
+if __name__ == "__main__":
+    record(sys.argv[1:])
