@@ -24,9 +24,8 @@ from .errors import (
     PotentialOne,
     TooSmall,
 )
-from .exprparse import _digit_limit_exceeded
 from .lattice import DEFAULT_ENUM_CAP
-from .lcg import LcgParams, PotentialProfile, check_max_period, compute_potential
+from .lcg import LcgParams, PotentialProfile, _power_quotient, check_max_period, compute_potential
 from .numtheory import is_probable_prime
 from .spectral import (
     BoundCheck,
@@ -154,15 +153,14 @@ def _build(t: int, covers: int, lam: int, recipe: MultiplierRecipe,
     a_min = 5 if (t == 2 and lam == 1) else b + 1
     if a < a_min:
         raise TooSmall(f"a = {a} below the theorem threshold {a_min} for tau+l = {t}")
-    am1 = a - 1
-    if not 1 <= lam <= am1 ** (t - covers):
-        raise LambdaInvalid(f"lambda = {lam} outside [1, (a-1)^{t - covers}]")
-    pw = am1**t
-    if pw % lam != 0:
+    am1, k = a - 1, t - covers
+    # lam <= (a-1)^k holds when lam has at most k*(bits(a-1) - 1) bits; a
+    # longer lam is held against a power of fewer than 2*bits(lam) bits
+    if lam < 1 or (lam.bit_length() > k * (am1.bit_length() - 1) and lam > am1**k):
+        raise LambdaInvalid(f"lambda = {lam} outside [1, (a-1)^{k}]")
+    if pow(am1, t, lam) != 0:
         raise LambdaInvalid(f"lambda = {lam} does not divide (a-1)^{t}")
-    N = pw // lam
-    if limit := _digit_limit_exceeded(N):
-        raise InvalidParams(f"modulus N = (a-1)^{t}/lambda has more than {limit} digits")
+    N = _power_quotient(am1, t, lam, f"modulus N = (a-1)^{t}/lambda")
     params = LcgParams(a=a, c=1, N=N, x0=0)
     report = check_max_period(params)
     if not report.ok:

@@ -15,7 +15,7 @@ import os
 import sys
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
-from typing import IO, Sequence
+from typing import IO, Callable, Sequence
 
 from .builder import MultiplierRecipe, build_range, build_single_dimension, validate
 from .empirical import DEFAULT_BUDGET, dump_sequence, frequency_test
@@ -140,6 +140,20 @@ def _open_named(path: str, mode: str = "r") -> IO[str]:
         raise InvalidParams(str(exc)) from None
 
 
+def _write_table(columns, records, fmt: str, out: IO[str]) -> None:
+    """One row per record: csv lines, or for "text" an aligned table of the
+    columns that have a text name.  A column is (csv name, text name or None,
+    cell), and cell(record, fmt) is the cell's text."""
+    if fmt == "csv":
+        out.write(",".join(name for name, _, _ in columns) + "\n")
+        for rec in records:
+            out.write(",".join(cell(rec, fmt) for _, _, cell in columns) + "\n")
+        return
+    shown = [(text, cell) for _, text, cell in columns if text is not None]
+    _render_table([text for text, _ in shown],
+                  [[cell(rec, fmt) for _, cell in shown] for rec in records], out)
+
+
 def _render_table(header: list[str], rows: list[list[str]], out: IO[str]) -> None:
     widths = [len(h) for h in header]
     for row in rows:
@@ -151,14 +165,49 @@ def _render_table(header: list[str], rows: list[list[str]], out: IO[str]) -> Non
 # -- analyze -----------------------------------------------------------------
 
 
-def _bound_marks(result) -> list[str]:
+def _decimals(field: str) -> Callable[[object, str], str]:
+    """The cell of a float field: 6 decimals in csv, 4 in text."""
+    return lambda r, fmt: format(getattr(r, field), ".6f" if fmt == "csv" else ".4f")
+
+
+def _dash(value) -> str:
+    return "-" if value is None else str(value)
+
+
+def _knuth_cell(r, fmt: str) -> str:
+    try:
+        return f"{knuth_bound(r.s, r.N):.4f}"
+    except Unsupported:
+        return "-"
+
+
+def _checks_cell(r, fmt: str) -> str:
     """`lower`, `upper` or `B` per `check_bounds` check, `lower~` for the
-    informational one, with " VIOLATED" appended when the check fails."""
+    informational one, " VIOLATED" appended when the check fails; joined by
+    ";" in csv and by spaces in text, "-" when there is none."""
     marks = []
-    for chk in check_bounds(result.s, result.N, result.v_sq, result.bounds):
+    for chk in check_bounds(r.s, r.N, r.v_sq, r.bounds):
         mark = ("B" if chk.kind == "packing" else chk.kind) + ("~" if chk.informational else "")
         marks.append(mark if chk.passed else f"{mark} VIOLATED")
-    return marks
+    return (";" if fmt == "csv" else " ").join(marks) or "-"
+
+
+_ANALYZE_COLUMNS = (
+    ("s", "s", lambda r, fmt: str(r.s)),
+    ("v_sq", "v^2", lambda r, fmt: str(r.v_sq)),
+    ("lg_v", "lg v", _decimals("lg_v")),
+    ("mu", "mu", _decimals("mu")),
+    ("regime", "regime", lambda r, fmt: "-" if r.regime is None else (
+        r.regime.value if fmt == "csv" else _REGIME_LABEL[r.regime.value])),
+    ("tau", None, lambda r, fmt: _dash(r.profile and r.profile.tau)),
+    ("lambda", None, lambda r, fmt: _dash(r.profile and r.profile.lam)),
+    ("theorem", "thm", lambda r, fmt: _dash(r.bounds and r.bounds.theorem_id)),
+    ("lower_sq", "lower^2", lambda r, fmt: _dash(r.bounds and r.bounds.lower_sq)),
+    ("upper_sq", "upper^2", lambda r, fmt: _dash(r.bounds and r.bounds.upper_sq)),
+    ("knuth_bound", "B-bound", _knuth_cell),
+    ("certified", None, lambda r, fmt: "yes" if r.certified else "no"),
+    ("checks", "checks", _checks_cell),
+)
 
 
 def cmd_analyze(args, out: IO[str]) -> int:
@@ -180,69 +229,17 @@ def cmd_analyze(args, out: IO[str]) -> int:
         )
         return EXIT_OK
 
-    def cap_str(r) -> str:
-        try:
-            return f"{knuth_bound(r.s, r.N):.4f}"
-        except Unsupported:
-            return "-"
-
     if args.format == "csv":
-        out.write(
-            "s,v_sq,lg_v,mu,regime,tau,lambda,theorem,lower_sq,upper_sq,knuth_bound,certified,checks\n"
-        )
-        for r in results:
-            tb = r.bounds
-            out.write(
-                ",".join(
-                    [
-                        str(r.s),
-                        str(r.v_sq),
-                        f"{r.lg_v:.6f}",
-                        f"{r.mu:.6f}",
-                        r.regime.value if r.regime else "-",
-                        str(r.profile.tau) if r.profile else "-",
-                        str(r.profile.lam) if r.profile else "-",
-                        str(tb.theorem_id) if tb else "-",
-                        str(tb.lower_sq) if tb and tb.lower_sq is not None else "-",
-                        str(tb.upper_sq) if tb and tb.upper_sq is not None else "-",
-                        cap_str(r),
-                        "yes" if r.certified else "no",
-                        ";".join(_bound_marks(r)) or "-",
-                    ]
-                )
-                + "\n"
-            )
+        _write_table(_ANALYZE_COLUMNS, results, "csv", out)
         return EXIT_OK
-
     out.write(f"a = {a}, N = {N}\n")
-    if results[0].profile is not None:
-        pr = results[0].profile
+    if (pr := results[0].profile) is not None:
         out.write(f"tau = {pr.tau}, lambda = {pr.lam}\n")
     else:
         out.write("tau undefined (no potential); theorem bounds omitted\n")
-    header = ["s", "v^2", "lg v", "mu", "regime", "thm", "lower^2", "upper^2", "B-bound", "checks"]
-    rows = []
-    notes = []
-    for r in results:
-        tb = r.bounds
-        rows.append(
-            [
-                str(r.s),
-                str(r.v_sq),
-                f"{r.lg_v:.4f}",
-                f"{r.mu:.4f}",
-                _REGIME_LABEL[r.regime.value] if r.regime else "-",
-                str(tb.theorem_id) if tb else "-",
-                str(tb.lower_sq) if tb and tb.lower_sq is not None else "-",
-                str(tb.upper_sq) if tb and tb.upper_sq is not None else "-",
-                cap_str(r),
-                " ".join(_bound_marks(r)) or "-",
-            ]
-        )
-        if tb is not None and tb.violations:
-            notes.append(f"(s={r.s}: " + "; ".join(tb.violations) + ")\n")
-    _render_table(header, rows, out)
-    out.writelines(notes)
+    _write_table(_ANALYZE_COLUMNS, results, "text", out)
+    out.writelines(f"(s={r.s}: " + "; ".join(r.bounds.violations) + ")\n"
+                   for r in results if r.bounds is not None and r.bounds.violations)
     return EXIT_OK
 
 
@@ -319,6 +316,14 @@ def _parse_interval(text: str) -> tuple[Fraction, Fraction, str, str]:
     return parse_endpoint(lo), parse_endpoint(hi), lo.strip(), hi.strip()
 
 
+# the fields of FrequencyReport.row(), each cell read from that row
+_UNIFORMITY_COLUMNS = tuple(
+    (field, text, lambda row, fmt, field=field: row[field])
+    for field, text in [("alpha", "alpha"), ("beta", "beta"), ("m", "m"),
+                        ("m_over_N", "m/N"), ("width", "beta-alpha"), ("delta", "delta")]
+)
+
+
 def cmd_uniformity(args, out: IO[str]) -> int:
     specs = list(args.interval or [])
     if args.intervals_file is not None:
@@ -342,14 +347,8 @@ def cmd_uniformity(args, out: IO[str]) -> int:
     if args.format == "json":
         _json_out({"a": str(params.a), "N": str(params.N),
                    "rows": [r.to_json_dict() for r in reports]}, out)
-    elif args.format == "csv":
-        rows = [r.row() for r in reports]
-        out.write(",".join(rows[0]) + "\n")
-        for row in rows:
-            out.write(",".join(row.values()) + "\n")
     else:
-        header = ["alpha", "beta", "m", "m/N", "beta-alpha", "delta"]
-        _render_table(header, [list(r.row().values()) for r in reports], out)
+        _write_table(_UNIFORMITY_COLUMNS, [r.row() for r in reports], args.format, out)
     return EXIT_OK
 
 

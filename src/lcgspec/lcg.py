@@ -13,6 +13,7 @@ from collections import namedtuple
 from typing import NamedTuple
 
 from .errors import InvalidParams, NoPotential, PotentialOne
+from .exprparse import _digit_limit_exceeded, _max_str_digits
 
 
 class LcgParams(namedtuple("LcgParams", "a c N x0")):
@@ -83,8 +84,24 @@ def check_max_period(params: LcgParams) -> MaxPeriodReport:
     return MaxPeriodReport(ok=not failures, failures=tuple(failures))
 
 
+def _power_quotient(base: int, exp: int, div: int, name: str) -> int:
+    """base^exp / div, for base >= 2 and div | base^exp, refused (InvalidParams)
+    when it has more digits than Python converts to str.  The quotient exceeds
+    2^(exp*(bits(base) - 1) - bits(div)), and 2^(10*limit/3) > 10^limit, so bit
+    lengths refuse the long ones before base^exp is formed; a power that is
+    formed has under 10*limit/3 + exp + bits(div) bits."""
+    limit = _max_str_digits()
+    if limit and exp * (base.bit_length() - 1) - div.bit_length() > 10 * limit // 3:
+        raise InvalidParams(f"{name} has more than {limit} digits")
+    q = base**exp // div
+    if limit := _digit_limit_exceeded(q):
+        raise InvalidParams(f"{name} has more than {limit} digits")
+    return q
+
+
 def compute_potential(a: int, N: int) -> PotentialProfile:
-    """Least tau >= 2 with N | (a-1)^tau, plus the cofactor lam = (a-1)^tau / N."""
+    """Least tau >= 2 with N | (a-1)^tau, plus the cofactor lam = (a-1)^tau / N,
+    refused (InvalidParams) when it has more digits than Python prints."""
     if N <= 0 or not 2 <= a:
         raise InvalidParams(f"need a >= 2 and N > 0, got a={a}, N={N}")
     r, tau = _strip_shared_primes(a, N)
@@ -92,7 +109,7 @@ def compute_potential(a: int, N: int) -> PotentialProfile:
         raise NoPotential(f"prime factor of {N} does not divide a-1 = {a - 1}")
     if tau <= 1:
         raise PotentialOne(f"N = {N} divides a-1 = {a - 1}; potential is 1")
-    return PotentialProfile(tau=tau, lam=(a - 1) ** tau // N)
+    return PotentialProfile(tau=tau, lam=_power_quotient(a - 1, tau, N, f"lambda = (a-1)^{tau}/N"))
 
 
 def default_digits(N: int) -> int:

@@ -158,6 +158,25 @@ class TestBuildRange:
         with pytest.raises(LambdaInvalid, match="does not divide"):
             build_range(2, 1, 3, MultiplierRecipe(a=5))  # 3 does not divide 64
 
+    @pytest.mark.parametrize("a", [5, 6, 9, 17])
+    def test_lambda_checks_match_the_powers(self, a):
+        # the window and divisibility are decided without forming (a-1)^l or
+        # (a-1)^(tau+l); every lambda up to just past the window is held to
+        # the powers themselves
+        for l in range(4):
+            for lam in range(1, (a - 1) ** l + 4):
+                invalid = lam > (a - 1) ** l or (a - 1) ** (2 + l) % lam != 0
+                try:
+                    build_range(2, l, lam, MultiplierRecipe(a=a))
+                except LambdaInvalid:
+                    assert invalid, (a, l, lam)
+                except TooSmall:  # a below the threshold for tau+l, checked first
+                    pass
+                except PeriodBroken:
+                    assert not invalid, (a, l, lam)
+                else:
+                    assert not invalid, (a, l, lam)
+
     def test_rejects(self):
         with pytest.raises(InvalidParams):
             build_range(1, 0, 1, MultiplierRecipe(a=26))

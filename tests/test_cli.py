@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -117,6 +118,20 @@ class TestAnalyze:
         code, out = run(["analyze", "--a", a, "--N", N, "--s", "2"])
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+    @pytest.mark.parametrize("a, N, tau", [("12*(2^197+1)+1", "3*2^200", 100),
+                                           ("4*(2^3997+1)+1", "2^4000", 2000)])
+    def test_cofactor_too_long_to_print(self, capsys, fmt, a, N, tau):
+        # maximum-period pairs whose lambda = (a-1)^tau/N has more digits
+        # than Python prints, refused before (a-1)^tau is formed
+        start = time.perf_counter()
+        code, out = run(["analyze", "--a", a, "--N", N, "--s", "2", "--require-max-period",
+                         "--format", fmt])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: lambda = (a-1)^{tau}/N has more than 4300 digits\n")
 
     def test_integer_at_the_print_limit(self):
         N = "9" * 4300
@@ -252,6 +267,16 @@ class TestBuild:
             "error: modulus N = (a-1)^2/lambda has more than 4300 digits\n")
         code, out = run(["build", "--s", "2", "--a", "10^2000", "--format", fmt])
         assert code == 0 and str((10**2000 - 1) ** 2) in out
+
+    @pytest.mark.parametrize("flags, t", [(["--tau", "10000"], 10000), (["--tau", "4000"], 4000),
+                                          (["--tau", "2", "--l", "2000"], 2002)])
+    def test_modulus_refused_before_its_power(self, capsys, flags, t):
+        start = time.perf_counter()
+        code, out = run(["build", "--a", "10^4000+1"] + flags)
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == (
+            f"error: modulus N = (a-1)^{t}/lambda has more than 4300 digits\n")
 
     def test_s_and_tau_are_exclusive(self):
         code, _ = run(["build", "--s", "2", "--tau", "3", "--a", "26"])

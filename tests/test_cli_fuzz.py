@@ -33,10 +33,12 @@ INTERVALS = ["0:1", "0.2:0.9", "1/pi^2:1-1/e", "1/3:1/2", "0:1/10^100", "e^-1:pi
              "0.580815:0.850411", "1/(3^1000)^25:1/2", "1e-3:1", "1:0", "0:2", "-1:1",
              "1/2:1/2", "a:b", "0", ":", "", "0:1:2", "0:1/0"]
 SMALL = ["1", "2", "3", "4", "8", "12"]
-# (a, N) pairs with a < N, most of maximum period
+# (a, N) pairs with a < N, most of maximum period; the last two have a
+# cofactor lambda with more digits than Python prints
 PAIRS = [("5", "16"), ("13", "16"), ("26", "625"), ("69069", "2^32"), ("129", "2^35"),
          ("6364136223846793005", "2^64"), ("3141592621", "10^10"), ("4*5^8+1", "4*5^16"),
-         ("23", "10^8+1"), ("69069", "69068^6"), ("1000000007", "10^18")]
+         ("23", "10^8+1"), ("69069", "69068^6"), ("1000000007", "10^18"),
+         ("12*(2^197+1)+1", "3*2^200"), ("4*(2^3997+1)+1", "2^4000")]
 
 
 def _int(rng, good):

@@ -129,5 +129,21 @@ def record(names):
         print(f"wrote {name}", file=sys.stderr)
 
 
+def test_record_writes_only_named_or_missing_cases(tmp_path, monkeypatch):
+    monkeypatch.setitem(globals(), "GOLDEN", tmp_path)
+    monkeypatch.setitem(globals(), "CASES", {"quiet": CASES["svp_brute_5_16_box3_json"],
+                                             "usage": CASES["usage_no_arguments"]})
+    (tmp_path / "quiet.out").write_bytes(b"old")
+    (tmp_path / "quiet.err").write_bytes(b"stale")
+    record([])
+    assert (tmp_path / "quiet.out").read_bytes() == b"old"
+    assert (tmp_path / "usage.err").read_bytes() != b""
+    record(["quiet"])
+    assert (tmp_path / "quiet.out").read_bytes() == run(CASES["quiet"])[0].encode()
+    assert not (tmp_path / "quiet.err").exists()
+    with pytest.raises(SystemExit):
+        record(["nonesuch"])
+
+
 if __name__ == "__main__":
     record(sys.argv[1:])

@@ -1,9 +1,11 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
+from lcgspec import exprparse, lcg
 from lcgspec._chunks import _fraction_digits
 from lcgspec.errors import InvalidParams, NoPotential, PotentialOne
 from lcgspec.lcg import (
@@ -157,6 +159,37 @@ def test_compute_potential_large():
     assert profile.tau == 16
     assert profile.lam == 17267**16
     assert 69068**16 == 2**32 * profile.lam
+
+
+def test_cofactor_past_the_digit_limit_is_refused_exactly(monkeypatch):
+    # with a 5-digit limit, lambda is refused exactly when it reaches 10^5,
+    # whether bit lengths decide it or the quotient is formed and measured
+    monkeypatch.setattr(lcg, "_max_str_digits", lambda: 5)
+    monkeypatch.setattr(exprparse, "_max_str_digits", lambda: 5)
+    refused = 0
+    for N in range(2, 300):
+        for a in range(2, min(N, 120)):
+            expected = naive_potential(a, N)
+            if expected is None or expected[0] == 1:
+                continue
+            if expected[1] >= 10**5:
+                refused += 1
+                with pytest.raises(InvalidParams, match="has more than 5 digits"):
+                    compute_potential(a, N)
+            else:
+                assert compute_potential(a, N) == expected, (a, N)
+    assert refused > 100
+
+
+def test_cofactor_at_the_print_limit():
+    # lambda = 10^j / 2^j = 5^j: the last j whose cofactor Python still
+    # prints, and the first it would not
+    limit = sys.get_int_max_str_digits()  # 4300 unless the interpreter was told otherwise
+    j = math.floor(limit / math.log10(5))
+    assert 5**j < 10**limit <= 5 ** (j + 1)
+    assert compute_potential(11, 2**j) == (j, 5**j)
+    with pytest.raises(InvalidParams, match=f"lambda = \\(a-1\\)\\^{j + 1}/N has more than"):
+        compute_potential(11, 2 ** (j + 1))
 
 
 def test_potential_error_kinds():

@@ -1,9 +1,14 @@
-"""README's Library example runs and prints the values its comments state."""
+"""README's Library example runs and prints the values its comments state,
+and its column tables name the columns the CLI prints."""
 
 import contextlib
 import io
 import re
 from pathlib import Path
+
+import pytest
+
+from lcgspec.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -33,3 +38,27 @@ def test_library_example_prints_the_stated_values():
         assert f"# {stated}" in code
         pattern = re.escape(stated).replace(re.escape("..."), r"\d*")
         assert re.fullmatch(pattern, lines[i]), (stated, lines[i])
+
+
+def column_table(command: str) -> list[tuple[str, str | None]]:
+    """(csv name, text name or None) of each row of the column table in
+    README's section on `command`."""
+    section = re.search(rf"^### {command}\n(.*?)(?=^### )", README.read_text(), re.M | re.S)
+    rows = re.findall(r"^\| `([^`]+)` \| (?:`([^`]+)`|—) \|", section.group(1), re.M)
+    return [(csv, text or None) for csv, text in rows]
+
+
+@pytest.mark.parametrize("argv, header_line", [
+    (["analyze", "--a", "69069", "--N", "2^32", "--s", "2..3"], 2),
+    (["uniformity", "--a", "26", "--N", "625", "--interval", "0:1"], 0),
+], ids=["analyze", "uniformity"])
+def test_column_tables_match_the_headers(argv, header_line):
+    columns = column_table(argv[0])
+    outputs = {}
+    for fmt in ("csv", "text"):
+        out = io.StringIO()
+        assert main(argv + ["--format", fmt], out=out) == 0
+        outputs[fmt] = out.getvalue().splitlines()
+    assert outputs["csv"][0].split(",") == [csv for csv, _ in columns]
+    assert (re.split(r" {2,}", outputs["text"][header_line])
+            == [text for _, text in columns if text is not None])

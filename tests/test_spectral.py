@@ -497,6 +497,31 @@ class TestBoundSandwich:
         assert checked > 350
         assert reported_only > 20
 
+    def test_whole_populations(self):
+        # every maximum-period multiplier of three moduli, s = 2..8: each
+        # asserted check of each chain holds, and the informational lower~
+        # checks are counted but not held to.  The closest approach of v_s^2
+        # to each theorem's asserted lower bound is frozen, so a lower bound
+        # raised by as little as 1 fails here too.
+        populations = {2**10: 255, 3**7: 728, 2**6 * 3**4: 431}
+        checks, failed, closest = [], [], {}
+        for N, count in populations.items():
+            multipliers = [a for a in range(2, N) if check_max_period(LcgParams(a, 1, N)).ok]
+            assert len(multipliers) == count, N
+            for a in multipliers:
+                for r in spectral_profile(a, N, range(2, 9)):
+                    for chk in check_bounds(r.s, N, r.v_sq, r.bounds):
+                        checks.append(chk)
+                        if not (chk.passed or chk.informational):
+                            failed.append((a, N, chk.name))
+                        if chk.kind == "lower" and not chk.informational:
+                            thm, gap = r.bounds.theorem_id, r.v_sq - r.bounds.lower_sq
+                            closest[thm] = min(closest.get(thm, gap), gap)
+        assert failed == []
+        assert (len(checks), sum(chk.informational for chk in checks)) == (15884, 126)
+        assert closest == {1: 0, 6: 13, 5: Fraction(110196675488690687165775098,
+                                                     36732225162896895721934329)}
+
     def test_random_consistency(self):
         rng = random.Random(20260814)
         for _ in range(40):
