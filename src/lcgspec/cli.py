@@ -53,16 +53,13 @@ EXIT_DOMAIN = 3
 EXIT_BUDGET = 4
 EXIT_OUTPUT = 5
 
-_USAGE_ERRORS = (InvalidParams, ExpressionError, TooSmall, Unsupported)
-_DOMAIN_ERRORS = (
-    NoPotential,
-    PotentialOne,
-    PeriodViolation,
-    PeriodBroken,
-    LambdaInvalid,
-    EmptyBox,
-)
-_BUDGET_ERRORS = (BudgetExceeded, DimensionTooLarge)
+# the exit code of each error kind that `main` reports in one `error:` line
+_EXIT_CODES = {
+    **dict.fromkeys((InvalidParams, ExpressionError, TooSmall, Unsupported), EXIT_USAGE),
+    **dict.fromkeys((NoPotential, PotentialOne, PeriodViolation, PeriodBroken, LambdaInvalid,
+                     EmptyBox), EXIT_DOMAIN),
+    **dict.fromkeys((BudgetExceeded, DimensionTooLarge), EXIT_BUDGET),
+}
 
 _REGIME_LABEL = {
     "S_EQ_TAU_2": "s = tau = 2",
@@ -129,6 +126,11 @@ def _parse_s_range(text: str) -> range:
     if lo_i < 2 or hi_i < lo_i:
         raise InvalidParams(f"need 2 <= LO <= HI, got {text!r}")
     return range(lo_i, hi_i + 1)
+
+
+def _generator_params(args) -> LcgParams:
+    """`--a --c --N --x0`, parsed in that order."""
+    return LcgParams(*map(parse_int_expr, (args.a, args.c, args.N, args.x0)))
 
 
 def _open_named(path: str, mode: str = "r") -> IO[str]:
@@ -335,10 +337,7 @@ def cmd_uniformity(args, out: IO[str]) -> int:
                 raise InvalidParams(f"{args.intervals_file}: not UTF-8 text ({exc})") from None
     if not specs:
         raise InvalidParams("no intervals given; use --interval or --intervals-file")
-    params = LcgParams(
-        parse_int_expr(args.a), parse_int_expr(args.c),
-        parse_int_expr(args.N), parse_int_expr(args.x0),
-    )
+    params = _generator_params(args)
     reports = []
     for spec in specs:
         alpha, beta, lo_label, hi_label = _parse_interval(spec)
@@ -377,10 +376,7 @@ class _OpenOnWrite(contextlib.AbstractContextManager):
 
 
 def cmd_dump(args, out: IO[str]) -> int:
-    params = LcgParams(
-        parse_int_expr(args.a), parse_int_expr(args.c),
-        parse_int_expr(args.N), parse_int_expr(args.x0),
-    )
+    params = _generator_params(args)
     count = None if args.count is None else parse_int_expr(args.count)
     with (contextlib.nullcontext(out) if args.output is None
           else _OpenOnWrite(args.output)) as sink:
@@ -588,15 +584,9 @@ def main(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
         if out is sys.stdout:  # a write failure still in the buffer is this call's
             out.flush()
         return code
-    except _USAGE_ERRORS as exc:
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except _DOMAIN_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_DOMAIN
-    except _BUDGET_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
+        return _EXIT_CODES[type(exc)]
     except OSError as exc:
         # The output failed.  A reader that has gone is no error to report.
         if not isinstance(exc, BrokenPipeError):

@@ -12,6 +12,8 @@ Decimal literals are read as IEEE-754 doubles, then handled exactly; this
 reproduces published interval counts whose endpoints were binary floats (0.2
 reads as the double just above 1/5).  Expressions involving pi or e are
 rounded to SYMBOLIC_DIGITS (12) decimal digits before exact comparison.
+Each + - * / on a Fraction is charged the gcd work it will do before it runs,
+and an expression past its work budget raises BudgetExceeded.
 """
 
 from __future__ import annotations
@@ -21,10 +23,15 @@ import re
 import sys
 from fractions import Fraction
 
-from .errors import ExpressionError
+from .errors import BudgetExceeded, ExpressionError
 
 _TOKEN = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|(pi|e)|([()+*/^-])|(\S)")
 _MAX_RESULT_BITS = 4_000_000
+# Work allowed for the rational + - * / of one expression, counted in bit
+# products: a gcd of x and y takes about bits(x) * bits(y) steps.  One bit
+# product took about 2e-12 s (Python 3.11, x86-64), so 2^36 is well under a
+# second, while one sum of two 400,000-bit denominators is already over it.
+_MAX_RATIONAL_WORK = 2**36
 
 SYMBOLIC_DIGITS = 12
 _CONSTANTS = {"pi": Fraction(math.pi), "e": Fraction(math.e)}
@@ -69,6 +76,13 @@ def _bits(v: int | Fraction) -> int:
     return max(v.numerator.bit_length(), v.denominator.bit_length())
 
 
+def _part_bits(v: int | Fraction) -> tuple[int, int]:
+    """Bit lengths of the numerator and the denominator (1 for an int)."""
+    if type(v) is int:
+        return v.bit_length(), 1
+    return v.numerator.bit_length(), v.denominator.bit_length()
+
+
 class _Parser:
     """Recursive descent; values are (int or Fraction, symbolic_taint)."""
 
@@ -77,6 +91,7 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.allow_rational = allow_rational
+        self.work = 0
 
     def peek_op(self) -> str | None:
         if self.pos < len(self.tokens) and self.tokens[self.pos][0] == "op":
@@ -89,6 +104,23 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def charge(self, op: str, v, w) -> None:
+        """Count the gcds of the rational `v op w` against the work budget,
+        before it runs.  With v = na/da and w = nb/db, Fraction takes
+        gcd(na, db) and gcd(nb, da) for *, gcd(na, nb) and gcd(da, db) for /,
+        and for + and - gcd(da, db) and at most one more, of the new
+        numerator and a divisor of both denominators."""
+        na, da = _part_bits(v)
+        nb, db = _part_bits(w)
+        if op == "*":
+            self.work += na * db + nb * da
+        elif op == "/":
+            self.work += na * nb + da * db
+        else:
+            self.work += (na + da) * (nb + db)
+        if self.work > _MAX_RATIONAL_WORK:
+            raise BudgetExceeded(f"endpoint arithmetic in {self.text!r} exceeds its work budget")
 
     def parse(self) -> tuple[int | Fraction, bool]:
         value = self.expr()
@@ -103,9 +135,10 @@ class _Parser:
             w, wt = self.term()
             # a sum of rationals has at most the bits of both operands and one
             # more; a sum of ints has one more than the larger
-            if (type(v) is not int or type(w) is not int) and (
-                    _bits(v) + _bits(w) + 1 > _MAX_RESULT_BITS):
-                raise ExpressionError("expression result too large")
+            if type(v) is not int or type(w) is not int:
+                if _bits(v) + _bits(w) + 1 > _MAX_RESULT_BITS:
+                    raise ExpressionError("expression result too large")
+                self.charge(op, v, w)
             v = v + w if op == "+" else v - w
             t = t or wt
         return v, t
@@ -123,8 +156,13 @@ class _Parser:
             if op == "/":
                 if w == 0:
                     raise ExpressionError("division by zero")
-                v = Fraction(v, w)
+                self.charge(op, v, w)
+                # the division takes the two gcds charged; Fraction(v, w)
+                # would take one of the cross products, charged or not
+                v = Fraction(v) / w
             else:
+                if type(v) is not int or type(w) is not int:
+                    self.charge(op, v, w)
                 v = v * w
             t = t or wt
         return v, t

@@ -10,7 +10,8 @@ the oracle itself fails instead of looping.
 `lll_reduce_rebuilt` rebuilds the whole Gram-Schmidt data after each swap
 instead; it is slow, and checks the swap update on small bases.  `int_det`,
 the Bareiss determinant the package once computed for every basis, checks
-that bases span the lattice they should.
+that bases span the lattice they should.  `gauss_v2_sq` is v_2^2 by
+Lagrange-Gauss reduction, a dozen integer lines with no LLL in them.
 """
 
 import math
@@ -44,6 +45,23 @@ def int_det(rows):
             a[i][k] = 0
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def gauss_v2_sq(a, N):
+    """v_2^2 of (a, N): Lagrange-Gauss reduction of the dual basis
+    (N, 0), (-a, 1), in integers.  u is reduced against the shorter v by the
+    nearest integer multiple until it is no shorter than v."""
+    u, v = (N, 0), (-a, 1)
+    nu, nv = N * N, a * a + 1
+    if nu < nv:
+        u, v, nu, nv = v, u, nv, nu
+    while True:
+        q = (2 * (u[0] * v[0] + u[1] * v[1]) + nv) // (2 * nv)
+        u = (u[0] - q * v[0], u[1] - q * v[1])
+        nu = u[0] * u[0] + u[1] * u[1]
+        if nu >= nv:
+            return nv
+        u, v, nu, nv = v, u, nv, nu
 
 
 def gram_schmidt(rows):

@@ -343,6 +343,17 @@ class TestUniformity:
         assert (code, out) == (2, "")
         assert capsys.readouterr().err == f"error: need 0 <= alpha < beta <= 1, got {shown}\n"
 
+    def test_endpoint_work_over_budget(self, capsys):
+        # eight reciprocals of coprime 400,000-bit powers: once over 10 s of gcds
+        terms = ("1/(3^1000)^250+1/(5^1000)^180+1/(7^1000)^150+1/(11^1000)^120"
+                 "+1/(13^1000)^110+1/(17^1000)^100+1/(19^1000)^95+1/(23^1000)^90")
+        start = time.perf_counter()
+        code, out = run(["uniformity", "--a", "26", "--N", "625", "--interval", terms + ":1"])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert capsys.readouterr().err == (
+            f"error: endpoint arithmetic in {terms!r} exceeds its work budget\n")
+
     def test_non_max_period_is_domain_error(self, capsys):
         code, _ = run(["uniformity", "--a", "3", "--N", "9", "--interval", "0:1"])
         assert code == 3

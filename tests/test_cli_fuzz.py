@@ -31,7 +31,10 @@ DIMS = ["2", "3", "2..4", "2..8", "5..9", "12", "13", "3000", "0", "1..3", "2..1
         "4..2", "2..", "..", "x", ""]
 INTERVALS = ["0:1", "0.2:0.9", "1/pi^2:1-1/e", "1/3:1/2", "0:1/10^100", "e^-1:pi/4",
              "0.580815:0.850411", "1/(3^1000)^25:1/2", "1e-3:1", "1:0", "0:2", "-1:1",
-             "1/2:1/2", "a:b", "0", ":", "", "0:1:2", "0:1/0"]
+             "1/2:1/2", "a:b", "0", ":", "", "0:1:2", "0:1/0",
+             # a sum once over 10 s of gcds, now over the endpoint work budget
+             "1/(3^1000)^250+1/(5^1000)^180+1/(7^1000)^150+1/(11^1000)^120+1/(13^1000)^110"
+             "+1/(17^1000)^100+1/(19^1000)^95+1/(23^1000)^90:1"]
 SMALL = ["1", "2", "3", "4", "8", "12"]
 # (a, N) pairs with a < N, most of maximum period; the last two have a
 # cofactor lambda with more digits than Python prints

@@ -1,12 +1,13 @@
 import math
 import random
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 
 import expr_reference
-from lcgspec.errors import ExpressionError
+from lcgspec.errors import BudgetExceeded, ExpressionError
 from lcgspec.exprparse import parse_endpoint, parse_int_expr
 
 
@@ -81,6 +82,31 @@ def test_rational_sums_are_bounded_before_they_are_made():
         Fraction(1, 2**100000) - Fraction(1, 3**60000))
     # a sum of ints grows by at most one bit and is not refused
     assert parse_endpoint("(2^1000)^3000+(2^1000)^3000") == 2**3000001
+
+
+# eight reciprocals of coprime powers of about 400,000 bits each: under the
+# result limit, but their sums once took over 10 s, nearly all in Fraction's gcds
+COPRIME_SUM = ("1/(3^1000)^250+1/(5^1000)^180+1/(7^1000)^150+1/(11^1000)^120"
+               "+1/(13^1000)^110+1/(17^1000)^100+1/(19^1000)^95+1/(23^1000)^90")
+
+
+def test_rational_work_is_bounded_before_it_is_done():
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded, match="exceeds its work budget"):
+        parse_endpoint(COPRIME_SUM)
+    # a quotient of coprime powers of about 300,000 bits: one gcd of both
+    with pytest.raises(BudgetExceeded):
+        parse_endpoint("(2^1000)^300/(3^1000)^200")
+    # the work of every step counts: twenty sums, each under the budget alone
+    with pytest.raises(BudgetExceeded):
+        parse_endpoint("+".join(f"1/({p}^1000)^8" for p in
+                                (3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53,
+                                 59, 61, 67, 71, 73, 79)))
+    assert time.perf_counter() - start < 1
+    # cheap steps on large values are not charged as large: a reciprocal
+    # divided again, and a rational times a small integer
+    assert parse_endpoint("1/(2^9999)^200/(2^9999)^200") == Fraction(1, 2**3999600)
+    assert parse_endpoint("3*(1/(3^1000)^250)") == Fraction(1, 3**249999)
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["int", "endpoint"])

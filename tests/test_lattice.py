@@ -372,6 +372,19 @@ def test_matches_reference_on_chained_bases(a, N):
         assert reduced._gs == _integral_gs(reduced.rows), basis.dim
 
 
+def test_gauss_v2_matches_the_solver():
+    # every maximum-period a of 2^14, then 2,000 seeded a = 1 mod 4 below 2^64
+    pairs = [(a, 2**14) for a in range(5, 2**14, 4)]
+    rng = random.Random(14)
+    pairs += [(4 * rng.randrange(1, 2**62) + 1, 2**64) for _ in range(2000)]
+    assert len(pairs) == 6095
+    for a, N in pairs:
+        assert ref.gauss_v2_sq(a, N) == shortest_vector(dual_basis(a, N, 2)).norm_sq, (a, N)
+    # theorem 1: v_2^2 = 1 + (a-2)^2 at N = (a-1)^2
+    for a in range(5, 400):
+        assert ref.gauss_v2_sq(a, (a - 1) ** 2) == 1 + (a - 2) ** 2, a
+
+
 def test_reference_swap_update_matches_rebuild():
     # the rational reference updates its Gram-Schmidt data at each swap; the
     # one that rebuilds it instead is slow, so they are compared on small

@@ -19,6 +19,7 @@ from lcgspec import (
     b_coefficient,
     check_max_period,
     classify_regime,
+    compute_potential,
     knuth_bound,
     merit,
     spectral_test,
@@ -522,6 +523,49 @@ class TestBoundSandwich:
         assert closest == {1: 0, 6: 13, 5: Fraction(110196675488690687165775098,
                                                      36732225162896895721934329)}
 
+    def test_theorem_2_past_the_goldens(self):
+        # every maximum-period a with b_s < a <= b_s + 120 at N = (a-1)^s:
+        # tau = s and lambda = 1, so both bounds of theorem 2 are asserted.
+        # The closest approach to the lower bound is frozen per s.
+        count, closest = 0, {}
+        for s in range(3, 7):
+            b = b_coefficient(s)
+            for a in range(b + 1, b + 121):
+                N = (a - 1) ** s
+                if not check_max_period(LcgParams(a, 1, N)).ok:
+                    continue
+                (r,) = spectral_profile(a, N, range(s, s + 1))
+                assert r.bounds.theorem_id == 2, (a, s)
+                assert all(chk.passed for chk in check_bounds(s, N, r.v_sq, r.bounds)), (a, s)
+                count += 1
+                gap = r.v_sq - r.bounds.lower_sq
+                closest[s] = min(closest.get(s, gap), gap)
+        assert count == 360
+        assert closest == {3: 5, 4: 5, 5: 99, 6: 381}
+
+    def test_theorem_3_past_the_goldens(self):
+        # every maximum-period (a, lambda) with a < 400, lambda > 1 and
+        # N = (a-1)^2 / lambda whose profile is (2, lambda): the upper bound
+        # is asserted where it applies, and the closest approach to the
+        # informational lower bound is frozen without asserting it
+        count, closest = 0, None
+        for a in range(3, 400):
+            for lam in divisors((a - 1) ** 2):
+                N = (a - 1) ** 2 // lam
+                if lam == 1 or N <= a or not check_max_period(LcgParams(a, 1, N)).ok:
+                    continue
+                if compute_potential(a, N) != (2, lam):
+                    continue
+                (r,) = spectral_profile(a, N, range(2, 3))
+                assert r.bounds.theorem_id == 3, (a, lam)
+                for chk in check_bounds(2, N, r.v_sq, r.bounds):
+                    assert chk.passed or chk.informational, (a, lam, chk.name)
+                count += 1
+                gap = r.v_sq - r.bounds.lower_sq
+                closest = gap if closest is None else min(closest, gap)
+        assert count == 2615
+        assert closest == Fraction(27, 8)
+
     def test_random_consistency(self):
         rng = random.Random(20260814)
         for _ in range(40):
@@ -578,6 +622,21 @@ def max_period_pairs(seed, count, n_max):
     return pairs
 
 
+def divisors(n):
+    """Every positive divisor of n, by trial division."""
+    found, p = [1], 2
+    while n > 1:
+        if p * p > n:
+            p = n
+        e = 0
+        while n % p == 0:
+            n //= p
+            e += 1
+        found = [d * p**k for d in found for k in range(e + 1)]
+        p += 1
+    return found
+
+
 def per_dimension(a, N, dims):
     return [spectral_test(a, N, s) for s in dims]
 
@@ -632,6 +691,26 @@ class TestSpectralProfile:
                     assert sum(v * pow(a, j, N) for j, v in enumerate(row)) % N == 0
                 assert b._gs == _integral_gs(b.rows)
             basis = extend_dual_basis(basis, a, N)
+
+    def test_inverse_pairs_share_every_v_s(self):
+        # a and its inverse b mod N: a congruence vector of a, reversed, is
+        # one of b (multiplied by b^(s-1)), so v_s agrees in every dimension
+        rng = random.Random(120)
+        moduli = ([2**k for k in range(6, 41)] + [3**k for k in range(4, 25)]
+                  + [10**k for k in range(2, 13)] + [2**6 * 3**4, 2**10 * 5**3])
+        checked = 0
+        while checked < 100:
+            N = rng.choice(moduli)
+            a = rng.randrange(2, N)
+            if math.gcd(a, N) != 1:
+                continue
+            b = pow(a, -1, N)
+            ours, theirs = spectral_profile(a, N, range(2, 9)), spectral_profile(b, N, range(2, 9))
+            assert [r.v_sq for r in ours] == [r.v_sq for r in theirs], (a, N)
+            for r in ours:
+                flipped = r.vector[::-1]
+                assert sum(m * pow(b, j, N) for j, m in enumerate(flipped)) % N == 0, (a, N, r.s)
+            checked += 1
 
     def test_compute_potential_runs_once(self, monkeypatch):
         from lcgspec import spectral
