@@ -43,7 +43,7 @@ from .lattice import (
     dual_basis,
     shortest_vector,
 )
-from .lcg import LcgParams, check_max_period
+from .lcg import LcgParams, _require_max_period
 from .spectral import check_bounds, knuth_bound, spectral_profile
 
 EXIT_OK = 0
@@ -219,9 +219,7 @@ def cmd_analyze(args, out: IO[str]) -> int:
     x0 = parse_int_expr(args.x0)
     dims = _parse_s_range(args.s)
     if args.require_max_period:
-        report = check_max_period(LcgParams(a, c, N, x0))
-        if not report.ok:
-            raise PeriodViolation("; ".join(report.failures))
+        _require_max_period(LcgParams(a, c, N, x0))
     results = spectral_profile(a, N, dims, cap=args.enum_cap)
 
     if args.format == "json":

@@ -16,9 +16,9 @@ from fractions import Fraction
 from typing import IO, NamedTuple
 
 from . import _chunks
-from .errors import BudgetExceeded, InvalidParams, PeriodViolation
+from .errors import BudgetExceeded, InvalidParams
 from .exprparse import _digit_limit_exceeded, _max_str_digits
-from .lcg import LcgParams, check_max_period, default_digits
+from .lcg import LcgParams, _require_max_period, default_digits
 
 DEFAULT_BUDGET = 10**8
 # The most digits per value when Python sets no int-to-str limit: its default
@@ -27,6 +27,9 @@ _DIGITS_WITHOUT_LIMIT = 4300
 # interpreter on a host with a second CPU.  Below it the worker's start-up
 # and the pipe cost more than the chunks it renders.
 _WORKER_MIN_TERMS = 2**19
+# The most values in a table row.  A wider row is one chunk, held whole, at
+# about 215 bytes a value with 12 digits, so a row stays under 1 MiB.
+_MAX_PER_LINE = 4096
 
 
 def _render_ratio(p: int, q: int, digits: int) -> str:
@@ -105,9 +108,7 @@ def frequency_test(
         raise InvalidParams(f"need 0 <= alpha < beta <= 1, got "
                             f"{_describe_endpoint(alpha, alpha_label)}, "
                             f"{_describe_endpoint(beta, beta_label)}")
-    report = check_max_period(params)
-    if not report.ok:
-        raise PeriodViolation("; ".join(report.failures))
+    _require_max_period(params)
     N = params.N
     # ceil(alpha N) <= x <= floor(beta N), x < N
     m = max(0, min(bn * N // bd, N - 1) + (-an * N // ad) + 1)
@@ -182,6 +183,8 @@ def dump_sequence(
         raise InvalidParams("digits must be >= 1")
     if per_line < 1:
         raise InvalidParams(f"per_line must be >= 1, got {per_line}")
+    if per_line > _MAX_PER_LINE:
+        raise InvalidParams(f"per_line must be <= {_MAX_PER_LINE}, got {per_line}")
     d = _digit_count(params.N, digits)
     if count is None:
         count = params.N
@@ -190,9 +193,7 @@ def dump_sequence(
     if count > budget:
         raise BudgetExceeded(f"count {count} exceeds budget {budget}")
     if count == params.N:
-        report = check_max_period(params)
-        if not report.ok:
-            raise PeriodViolation("; ".join(report.failures))
+        _require_max_period(params)
     a, c, N, x0 = params
     write = out.write
     csv = fmt == "csv"

@@ -12,13 +12,17 @@ Decimal literals are read as IEEE-754 doubles, then handled exactly; this
 reproduces published interval counts whose endpoints were binary floats (0.2
 reads as the double just above 1/5).  Expressions involving pi or e are
 rounded to SYMBOLIC_DIGITS (12) decimal digits before exact comparison.
-Each + - * / on a Fraction is charged the gcd work it will do before it runs,
-and an expression past its work budget raises BudgetExceeded.
+Every binary + - * / is one checked step: its validity, then its size, then
+its work are decided before it runs.  A step on a Fraction is charged the gcd
+work it will do, an integer product or power the bits of its operands less
+their trailing zeros, and an expression past either allowance raises
+BudgetExceeded.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 import sys
 from fractions import Fraction
@@ -26,6 +30,11 @@ from fractions import Fraction
 from .errors import BudgetExceeded, ExpressionError
 
 _TOKEN = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|(pi|e)|([()+*/^-])|(\S)")
+# The most bits of any result.  The integer products and powers of one
+# expression may form at most as many in all, counted without trailing zeros,
+# since powers of two multiply cheaply: (2^1000)^3000 formed in 0.02 s,
+# (3^1000)^1200 in 0.11-0.18 s, and the product of that and (5^1000)^800 in
+# 0.29 s (Python 3.11, x86-64).
 _MAX_RESULT_BITS = 4_000_000
 # Work allowed for the rational + - * / of one expression, counted in bit
 # products: a gcd of x and y takes about bits(x) * bits(y) steps.  One bit
@@ -69,18 +78,26 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     return tokens
 
 
-def _bits(v: int | Fraction) -> int:
-    """Bit length of an int, or of the larger part of a Fraction."""
-    if type(v) is int:
-        return v.bit_length()
-    return max(v.numerator.bit_length(), v.denominator.bit_length())
-
-
 def _part_bits(v: int | Fraction) -> tuple[int, int]:
     """Bit lengths of the numerator and the denominator (1 for an int)."""
     if type(v) is int:
         return v.bit_length(), 1
     return v.numerator.bit_length(), v.denominator.bit_length()
+
+
+def _odd_bits(v: int | Fraction) -> int:
+    """Bit length of an int, or of both parts of a Fraction, without trailing
+    zeros: what a product or power with v is charged, since a power of two
+    multiplies cheaply."""
+    if type(v) is not int:
+        return _odd_bits(v.numerator) + _odd_bits(v.denominator)
+    return (v >> ((v & -v).bit_length() - 1)).bit_length() if v else 0
+
+
+# "/" makes a Fraction and takes the two gcds charged; Fraction(v, w) would
+# take one of the cross products, charged or not
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+        "/": lambda v, w: Fraction(v) / w}
 
 
 class _Parser:
@@ -92,6 +109,7 @@ class _Parser:
         self.pos = 0
         self.allow_rational = allow_rational
         self.work = 0
+        self.bits = 0
 
     def peek_op(self) -> str | None:
         if self.pos < len(self.tokens) and self.tokens[self.pos][0] == "op":
@@ -105,22 +123,46 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def charge(self, op: str, v, w) -> None:
-        """Count the gcds of the rational `v op w` against the work budget,
-        before it runs.  With v = na/da and w = nb/db, Fraction takes
-        gcd(na, db) and gcd(nb, da) for *, gcd(na, nb) and gcd(da, db) for /,
-        and for + and - gcd(da, db) and at most one more, of the new
-        numerator and a divisor of both denominators."""
+    def charge(self, work: int = 0, bits: int = 0) -> None:
+        """Count a step's gcd work, in bit products, and the odd bits of the
+        integers it forms against their allowances, before it runs."""
+        self.work += work
+        self.bits += bits
+        if self.work > _MAX_RATIONAL_WORK or self.bits > _MAX_RESULT_BITS:
+            kind = "endpoint" if self.allow_rational else "integer"
+            raise BudgetExceeded(f"{kind} arithmetic in {self.text!r} exceeds its work budget")
+
+    def apply(self, op: str, v, w):
+        """v op w for a binary + - * /, refused before it runs when it is
+        invalid, then when its result may be too large, then when its work
+        passes the budget."""
+        if op == "/" and not self.allow_rational:
+            raise ExpressionError("'/' is not valid in an integer expression")
+        ints = type(v) is int and type(w) is int
+        if ints and op in "+-":  # one bit more than the larger, in linear time
+            return _OPS[op](v, w)
+        # a product or quotient has at most the bits of both operands, a sum
+        # of rationals one more
         na, da = _part_bits(v)
         nb, db = _part_bits(w)
-        if op == "*":
-            self.work += na * db + nb * da
+        if max(na, da) + max(nb, db) + (op in "+-") > _MAX_RESULT_BITS:
+            raise ExpressionError("expression result too large")
+        if op == "/" and w == 0:
+            raise ExpressionError("division by zero")
+        # An integer product is charged the bits it multiplies, a rational
+        # step its gcds: with v = na/da and w = nb/db, Fraction takes
+        # gcd(na, db) and gcd(nb, da) for *, gcd(na, nb) and gcd(da, db) for
+        # /, and for + and - gcd(da, db) and at most one more, of the new
+        # numerator and a divisor of both denominators.
+        if ints and op == "*":
+            self.charge(bits=_odd_bits(v) + _odd_bits(w))
+        elif op == "*":
+            self.charge(work=na * db + nb * da)
         elif op == "/":
-            self.work += na * nb + da * db
+            self.charge(work=na * nb + da * db)
         else:
-            self.work += (na + da) * (nb + db)
-        if self.work > _MAX_RATIONAL_WORK:
-            raise BudgetExceeded(f"endpoint arithmetic in {self.text!r} exceeds its work budget")
+            self.charge(work=(na + da) * (nb + db))
+        return _OPS[op](v, w)
 
     def parse(self) -> tuple[int | Fraction, bool]:
         value = self.expr()
@@ -133,14 +175,7 @@ class _Parser:
         while self.peek_op() in ("+", "-"):
             op = self.take()[1]
             w, wt = self.term()
-            # a sum of rationals has at most the bits of both operands and one
-            # more; a sum of ints has one more than the larger
-            if type(v) is not int or type(w) is not int:
-                if _bits(v) + _bits(w) + 1 > _MAX_RESULT_BITS:
-                    raise ExpressionError("expression result too large")
-                self.charge(op, v, w)
-            v = v + w if op == "+" else v - w
-            t = t or wt
+            v, t = self.apply(op, v, w), t or wt
         return v, t
 
     def term(self):
@@ -148,23 +183,7 @@ class _Parser:
         while self.peek_op() in ("*", "/"):
             op = self.take()[1]
             w, wt = self.unary()
-            if op == "/" and not self.allow_rational:
-                raise ExpressionError("'/' is not valid in an integer expression")
-            # a product or quotient has at most the bits of both operands
-            if _bits(v) + _bits(w) > _MAX_RESULT_BITS:
-                raise ExpressionError("expression result too large")
-            if op == "/":
-                if w == 0:
-                    raise ExpressionError("division by zero")
-                self.charge(op, v, w)
-                # the division takes the two gcds charged; Fraction(v, w)
-                # would take one of the cross products, charged or not
-                v = Fraction(v) / w
-            else:
-                if type(v) is not int or type(w) is not int:
-                    self.charge(op, v, w)
-                v = v * w
-            t = t or wt
+            v, t = self.apply(op, v, w), t or wt
         return v, t
 
     def unary(self):
@@ -187,10 +206,11 @@ class _Parser:
                 raise ExpressionError("negative exponent in an integer expression")
             if abs(e) > 10_000:
                 raise ExpressionError(f"exponent {e} too large")
-            if _bits(v) * abs(e) > _MAX_RESULT_BITS:
+            if max(_part_bits(v)) * abs(e) > _MAX_RESULT_BITS:
                 raise ExpressionError("expression result too large")
             if v == 0 and e < 0:
                 raise ExpressionError("division by zero")
+            self.charge(bits=_odd_bits(v) * abs(e))
             v = Fraction(v) ** e if e < 0 else v**e
         return v, t
 

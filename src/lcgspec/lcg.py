@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 from typing import NamedTuple
 
-from .errors import InvalidParams, NoPotential, PotentialOne
+from .errors import InvalidParams, NoPotential, PeriodViolation, PotentialOne
 from .exprparse import _digit_limit_exceeded, _max_str_digits
 
 
@@ -82,6 +82,13 @@ def check_max_period(params: LcgParams) -> MaxPeriodReport:
     if params.N % 4 == 0 and (params.a - 1) % 4 != 0:
         failures.append("N divisible by 4 but a-1 is not")
     return MaxPeriodReport(ok=not failures, failures=tuple(failures))
+
+
+def _require_max_period(params: LcgParams) -> None:
+    """Raise PeriodViolation naming each Hull-Dobell condition params fails."""
+    report = check_max_period(params)
+    if not report.ok:
+        raise PeriodViolation("; ".join(report.failures))
 
 
 def _power_quotient(base: int, exp: int, div: int, name: str) -> int:

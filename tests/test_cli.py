@@ -133,6 +133,16 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             f"error: lambda = (a-1)^{tau}/N has more than 4300 digits\n")
 
+    def test_integer_work_over_budget(self, capsys):
+        # twenty differences of products of coprime 1.9M-bit powers: once 24-29 s
+        N = "+".join(["((3^1000)^1200*(5^1000)^800-(3^1000)^1200*(5^1000)^800)"] * 20)
+        start = time.perf_counter()
+        code, out = run(["analyze", "--a", "5", "--N", N])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        assert capsys.readouterr().err == (
+            f"error: integer arithmetic in {N!r} exceeds its work budget\n")
+
     def test_integer_at_the_print_limit(self):
         N = "9" * 4300
         code, out = run(["analyze", "--a", "5", "--N", N, "--s", "2"])
@@ -440,6 +450,7 @@ class TestDump:
         (["--count", "10^9"], 2),
         (["--count", "10", "--budget", "3"], 4),
         (["--a", "4", "--N", "16"], 3),  # not of maximum period
+        (["--per-line", "4097", "--format", "table"], 2),  # a row held whole is capped
     ])
     def test_refusal_leaves_output_file_alone(self, tmp_path, flags, code):
         kept, absent = tmp_path / "keep.txt", tmp_path / "absent.txt"

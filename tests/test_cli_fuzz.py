@@ -26,7 +26,9 @@ BAD = ["", " ", "abc", "1e3", "0x10", "1/2", "2^", "(", "2^-1", "-1", "0", "-2^6
 MULTIPLIERS = ["5", "13", "21", "26", "129", "69069", "1000000007", "3141592621",
                "6364136223846793005", "2^32+1", "4*5^8+1"]
 MODULI = ["16", "32", "625", "2^32", "2^35", "2^64", "10^18", "4*5^8", "3^12", "10^8+1",
-          "69068^2", "69068^6"]
+          "69068^2", "69068^6",
+          # a sum once 24-29 s of integer products, now over the integer work budget
+          "+".join(["((3^1000)^1200*(5^1000)^800-(3^1000)^1200*(5^1000)^800)"] * 20)]
 DIMS = ["2", "3", "2..4", "2..8", "5..9", "12", "13", "3000", "0", "1..3", "2..1000000",
         "4..2", "2..", "..", "x", ""]
 INTERVALS = ["0:1", "0.2:0.9", "1/pi^2:1-1/e", "1/3:1/2", "0:1/10^100", "e^-1:pi/4",

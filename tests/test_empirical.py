@@ -458,6 +458,26 @@ def test_full_dump_writes_each_line_once_in_bounded_memory(fmt, per_line):
     assert_writes_each_line_once_in_bounded_memory(fmt, per_line)
 
 
+def test_per_line_is_capped_so_a_row_stays_small():
+    # a table row wider than a chunk is held whole: 2^18 values in one row
+    # peaked at 53.7 MiB, so per_line is refused above the cap
+    cap = empirical._MAX_PER_LINE
+    buf = io.StringIO()
+    with pytest.raises(InvalidParams, match=f"^per_line must be <= {cap}, got {cap + 1}$"):
+        dump_sequence(P625, buf, fmt="table", count=5, per_line=cap + 1)
+    assert buf.getvalue() == ""
+    sink = CountingWriter()
+    tracemalloc.start()
+    try:
+        dump_sequence(LcgParams(5, 1, 2**40, 0), sink, fmt="table", count=4 * cap,
+                      digits=12, per_line=cap)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.writes == 4
+    assert peak < 1.5 * 1024 * 1024
+
+
 class TestDigitLimit:
     """A digit count, given or the default, is refused above Python's
     int-to-str limit (4300 when there is none) before anything is written."""

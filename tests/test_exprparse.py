@@ -109,6 +109,34 @@ def test_rational_work_is_bounded_before_it_is_done():
     assert parse_endpoint("3*(1/(3^1000)^250)") == Fraction(1, 3**249999)
 
 
+# twenty differences of two products of coprime powers of about 1.9M bits:
+# each term once took over a second of integer products
+PRODUCT_SUM = "+".join(["((3^1000)^1200*(5^1000)^800-(3^1000)^1200*(5^1000)^800)"] * 20)
+POWER_SUM = "+".join(["(3^1000)^1200"] * 20)
+# a product chain of a large power and small factors once took 1.5 s
+PRODUCT_CHAIN = "((3^1000)^1200" + "*3" * 20000 + ")*0"
+
+
+@pytest.mark.parametrize("text", [PRODUCT_SUM, POWER_SUM, PRODUCT_CHAIN],
+                         ids=["products", "powers", "chain"])
+def test_integer_work_is_bounded_before_it_is_done(text):
+    start = time.perf_counter()
+    with pytest.raises(BudgetExceeded) as refusal:
+        parse_int_expr(text)
+    assert time.perf_counter() - start < 1
+    assert str(refusal.value) == f"integer arithmetic in {text!r} exceeds its work budget"
+
+
+def test_integer_work_counts_bits_without_trailing_zeros():
+    # powers of two are cheap and charged so: one bit per factor
+    assert parse_int_expr("(2^1000)^3000*(2^1000)^900-(2^1000)^3900") == 0
+    # two powers of about 1.9M bits each fit the allowance together
+    assert parse_int_expr("(3^1000)^1200-(3^1000)^1200") == 0
+    # an endpoint's integer steps are charged the same way
+    with pytest.raises(BudgetExceeded, match="^endpoint arithmetic in "):
+        parse_endpoint(PRODUCT_CHAIN)
+
+
 @pytest.mark.parametrize("rational", [False, True], ids=["int", "endpoint"])
 def test_matches_fraction_reference(rational):
     rng = random.Random(f"exprparse:{rational}")
