@@ -15,8 +15,10 @@ rounded to SYMBOLIC_DIGITS (12) decimal digits before exact comparison.
 Every binary + - * / is one checked step: its validity, then its size, then
 its work are decided before it runs.  A step on a Fraction is charged the gcd
 work it will do, an integer product or power the bits of its operands less
-their trailing zeros, and an expression past either allowance raises
-BudgetExceeded.
+their trailing zeros, and every integer step at least a sixteenth of its
+result's bits; an expression past either allowance raises BudgetExceeded.
+An expression nests at most _MAX_DEPTH levels deep, counting itself and each
+parenthesis or exponent in it.
 """
 
 from __future__ import annotations
@@ -31,16 +33,26 @@ from .errors import BudgetExceeded, ExpressionError
 
 _TOKEN = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|(pi|e)|([()+*/^-])|(\S)")
 # The most bits of any result.  The integer products and powers of one
-# expression may form at most as many in all, counted without trailing zeros,
-# since powers of two multiply cheaply: (2^1000)^3000 formed in 0.02 s,
+# expression may form at most as many in all, counted without trailing zeros
+# (but at least 1/_LINEAR_SHARE of all their bits), since powers of two
+# multiply cheaply: (2^1000)^3000 formed in 0.02 s,
 # (3^1000)^1200 in 0.11-0.18 s, and the product of that and (5^1000)^800 in
 # 0.29 s (Python 3.11, x86-64).
 _MAX_RESULT_BITS = 4_000_000
+# Each integer step is charged at least 1/_LINEAR_SHARE of its result's bits:
+# forming a value takes time linear in its size however few odd bits it has.
+# 5,000 sums of (((2^100)^100)^100)^3 once ran 56 s, and 20,000 steps of +1 on
+# (3^1000)^1200 1.6 s.
+_LINEAR_SHARE = 16
 # Work allowed for the rational + - * / of one expression, counted in bit
 # products: a gcd of x and y takes about bits(x) * bits(y) steps.  One bit
 # product took about 2e-12 s (Python 3.11, x86-64), so 2^36 is well under a
 # second, while one sum of two 400,000-bit denominators is already over it.
 _MAX_RATIONAL_WORK = 2**36
+
+# Nesting levels allowed: each parenthesis or exponent is a few frames of
+# recursion, so a deep one would otherwise end in a RecursionError.
+_MAX_DEPTH = 100
 
 SYMBOLIC_DIGITS = 12
 _CONSTANTS = {"pi": Fraction(math.pi), "e": Fraction(math.e)}
@@ -110,6 +122,7 @@ class _Parser:
         self.allow_rational = allow_rational
         self.work = 0
         self.bits = 0
+        self.depth = 0
 
     def peek_op(self) -> str | None:
         if self.pos < len(self.tokens) and self.tokens[self.pos][0] == "op":
@@ -123,11 +136,12 @@ class _Parser:
         self.pos += 1
         return tok
 
-    def charge(self, work: int = 0, bits: int = 0) -> None:
+    def charge(self, work: int = 0, bits: int = 0, size: int = 0) -> None:
         """Count a step's gcd work, in bit products, and the odd bits of the
-        integers it forms against their allowances, before it runs."""
+        integers it forms, but at least 1/_LINEAR_SHARE of the `size` bits of
+        its result, against their allowances, before it runs."""
         self.work += work
-        self.bits += bits
+        self.bits += max(bits, size // _LINEAR_SHARE)
         if self.work > _MAX_RATIONAL_WORK or self.bits > _MAX_RESULT_BITS:
             kind = "endpoint" if self.allow_rational else "integer"
             raise BudgetExceeded(f"{kind} arithmetic in {self.text!r} exceeds its work budget")
@@ -139,12 +153,13 @@ class _Parser:
         if op == "/" and not self.allow_rational:
             raise ExpressionError("'/' is not valid in an integer expression")
         ints = type(v) is int and type(w) is int
+        na, da = _part_bits(v)
+        nb, db = _part_bits(w)
         if ints and op in "+-":  # one bit more than the larger, in linear time
+            self.charge(size=max(na, nb) + 1)
             return _OPS[op](v, w)
         # a product or quotient has at most the bits of both operands, a sum
         # of rationals one more
-        na, da = _part_bits(v)
-        nb, db = _part_bits(w)
         if max(na, da) + max(nb, db) + (op in "+-") > _MAX_RESULT_BITS:
             raise ExpressionError("expression result too large")
         if op == "/" and w == 0:
@@ -155,7 +170,7 @@ class _Parser:
         # /, and for + and - gcd(da, db) and at most one more, of the new
         # numerator and a divisor of both denominators.
         if ints and op == "*":
-            self.charge(bits=_odd_bits(v) + _odd_bits(w))
+            self.charge(bits=_odd_bits(v) + _odd_bits(w), size=na + nb)
         elif op == "*":
             self.charge(work=na * db + nb * da)
         elif op == "/":
@@ -187,11 +202,16 @@ class _Parser:
         return v, t
 
     def unary(self):
+        # every nesting, by a parenthesis or an exponent, passes through here
+        self.depth += 1
+        if self.depth > _MAX_DEPTH:
+            raise ExpressionError(f"expression nests more than {_MAX_DEPTH} levels deep")
         sign = 1
         while self.peek_op() in ("+", "-"):
             if self.take()[1] == "-":
                 sign = -sign
         v, t = self.power()
+        self.depth -= 1
         return sign * v, t
 
     def power(self):
@@ -206,11 +226,12 @@ class _Parser:
                 raise ExpressionError("negative exponent in an integer expression")
             if abs(e) > 10_000:
                 raise ExpressionError(f"exponent {e} too large")
-            if max(_part_bits(v)) * abs(e) > _MAX_RESULT_BITS:
+            size = max(_part_bits(v)) * abs(e)
+            if size > _MAX_RESULT_BITS:
                 raise ExpressionError("expression result too large")
             if v == 0 and e < 0:
                 raise ExpressionError("division by zero")
-            self.charge(bits=_odd_bits(v) * abs(e))
+            self.charge(bits=_odd_bits(v) * abs(e), size=size)
             v = Fraction(v) ** e if e < 0 else v**e
         return v, t
 

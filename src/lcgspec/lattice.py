@@ -3,11 +3,15 @@
 The dual lattice of an LCG in dimension s is spanned by the rows
 (N, 0, ..., 0) and (-(a^(j-1) mod N), ..., 1, ...); its nonzero minimum is the
 spectral value v_s.  The solver is LLL reduction followed by exhaustive
-Fincke-Pohst enumeration.  Both run on integral Gram-Schmidt data, the Gram
-determinants d_i and lam_ij = d_(j+1) * mu_ij (Cohen, A Course in
-Computational Algebraic Number Theory, Alg. 2.6.7), and enumeration intervals
-are derived with integer square roots, so results carry no floating-point
-error at all.
+Fincke-Pohst enumeration (Fincke & Pohst, Math. Comp. 44, 1985), which starts
+at the highest level whose Gram-Schmidt length |b*_i| is within the radius:
+a vector with its highest nonzero coefficient at level k is at least |b*_k|
+long.  When that level is 0, the first reduced row is the answer and no
+search runs.  LLL and enumeration both run on integral Gram-Schmidt data,
+the Gram determinants d_i and lam_ij = d_(j+1) * mu_ij (Cohen, A Course in
+Computational Algebraic Number Theory, Alg. 2.6.7), and enumeration
+intervals are derived with integer square roots, so results carry no
+floating-point error at all.
 
 Every `LatticeBasis` carries that data for its rows, from exactly one
 source: the constructor computes it for rows given from outside, `lll_reduce`
@@ -300,23 +304,35 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
 def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> ShortestVectorResult:
     """Exact nonzero minimum of the lattice.
 
-    LLL-reduces, seeds the search radius with the shortest reduced row, then
-    enumerates every coefficient vector inside the radius (Fincke-Pohst) on
-    the integral Gram-Schmidt data that LLL leaves on the reduced basis: the
-    partial norm is an exact integer pair (num, den) and each coefficient
+    LLL-reduces, seeds the search radius R with the shortest reduced row,
+    then enumerates every coefficient vector inside the radius (Fincke-Pohst)
+    on the integral Gram-Schmidt data that LLL leaves on the reduced basis:
+    the partial norm is an exact integer pair (num, den) and each coefficient
     interval comes from math.isqrt.  Ties are broken by sign-canonicalizing
     and taking the lexicographically smallest vector.  Candidate norms are
     recomputed in plain integer arithmetic.
+
+    The search starts at `top`, the highest level with |b*_top|^2 <= R, i.e.
+    d_(top+1) <= R * d_top: a vector whose highest nonzero coefficient is at
+    level k is at least |b*_k| long, so every vector within R has u_i = 0
+    above `top`.  The shortest row is at or below `top`, so when `top` is 0,
+    R = |b_0|^2 and +-b_0 are the only vectors within it: b_0 is returned
+    without a search.  A level with |b*_i|^2 = R stays in: its row can be
+    the tie the rule picks, as b_1 = (1, 2) is for dual_basis(2, 5, 2).
     """
     _check_cap(basis.dim, cap)
     reduced = lll_reduce(basis)
     rows = reduced.rows
-    n = len(rows)
     d, lam = reduced._gs
 
     best_nsq = min([sum([x * x for x in r]) for r in rows])
+    top = len(rows) - 1
+    while d[top + 1] > best_nsq * d[top]:
+        top -= 1
+    if not top:
+        return ShortestVectorResult(norm_sq=best_nsq, vector=canonical(rows[0]), certified=True)
     best_vec: tuple[int, ...] | None = None
-    u = [0] * n
+    u = [0] * (top + 1)
 
     def rec(i: int, num: int, den: int) -> None:
         nonlocal best_nsq, best_vec
@@ -326,12 +342,12 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
         D = d[i + 1]
         tden = d[i] * D
         C = 0
-        for j in range(i + 1, n):
+        for j in range(i + 1, top + 1):
             C += lam[j][i] * u[j]
         # integers u_i with (u_i D + C)^2 <= rem * tden / den, i.e. |u_i D + C| <= r
         r = math.isqrt(rem * tden // den)
         lo, hi = -((r + C) // D), (r - C) // D
-        if i == n - 1 and lo < 0:
+        if i == top and lo < 0:
             lo = 0  # half-space is enough: -v is canonicalized to v
         for ui in range(lo, hi + 1):
             u[i] = ui
@@ -359,7 +375,7 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
                 best_vec = cand
         u[i] = 0
 
-    rec(n - 1, 0, 1)
+    rec(top, 0, 1)
     assert best_vec is not None  # the shortest reduced row lies inside the radius
     return ShortestVectorResult(norm_sq=best_nsq, vector=best_vec, certified=True)
 

@@ -201,7 +201,8 @@ def interval(c, q):
 def enumerate_shortest(rows):
     """(norm_sq, vector) of the lattice minimum of LLL-reduced `rows`: the
     radius starts at the shortest row, ties go to the lexicographically
-    smallest sign-canonical vector."""
+    smallest sign-canonical vector.  The search starts at level n-1, with
+    no level cut."""
     n = len(rows)
     mu, bsq = gram_schmidt(rows)
     best_nsq = min(sum(x * x for x in r) for r in rows)

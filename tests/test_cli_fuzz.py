@@ -50,10 +50,13 @@ def _int(rng, good):
     return rng.choice(BAD if rng.random() < 0.1 else good)
 
 
-# the box scans that once ran unbounded: a RecursionError, and a loop past 10 s
+# the box scans that once ran unbounded: a RecursionError, and a loop past
+# 10 s; then integer and endpoint flags nested 3,000 deep, once a RecursionError
 FIXED = [
     ["svp", "--a", "5", "--N", "16", "--s", "3000", "--brute-box", "1"],
     ["svp", "--a", "1000000007", "--N", "10^18", "--s", "2", "--brute-box", "10^9"],
+    ["analyze", "--a", "5", "--N", "(" * 3000 + "16" + ")" * 3000],
+    ["uniformity", "--a", "5", "--N", "16", "--interval", "(" * 3000 + "0" + ")" * 3000 + ":1"],
 ]
 
 

@@ -115,10 +115,14 @@ PRODUCT_SUM = "+".join(["((3^1000)^1200*(5^1000)^800-(3^1000)^1200*(5^1000)^800)
 POWER_SUM = "+".join(["(3^1000)^1200"] * 20)
 # a product chain of a large power and small factors once took 1.5 s
 PRODUCT_CHAIN = "((3^1000)^1200" + "*3" * 20000 + ")*0"
+# linear work on few odd bits: a sum of 3M-bit powers of two once took 56 s,
+# and 20,000 increments of a 1.9M-bit power 1.6 s
+TWOS_SUM = "+".join(["(((2^100)^100)^100)^3"] * 5000)
+INCREMENTS = "(3^1000)^1200" + "+1" * 20000
 
 
-@pytest.mark.parametrize("text", [PRODUCT_SUM, POWER_SUM, PRODUCT_CHAIN],
-                         ids=["products", "powers", "chain"])
+@pytest.mark.parametrize("text", [PRODUCT_SUM, POWER_SUM, PRODUCT_CHAIN, TWOS_SUM, INCREMENTS],
+                         ids=["products", "powers", "chain", "twos", "increments"])
 def test_integer_work_is_bounded_before_it_is_done(text):
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded) as refusal:
@@ -135,6 +139,19 @@ def test_integer_work_counts_bits_without_trailing_zeros():
     # an endpoint's integer steps are charged the same way
     with pytest.raises(BudgetExceeded, match="^endpoint arithmetic in "):
         parse_endpoint(PRODUCT_CHAIN)
+
+
+@pytest.mark.parametrize("parse", [parse_int_expr, parse_endpoint], ids=["int", "endpoint"])
+def test_nesting_is_bounded(parse):
+    # the whole expression and 99 parentheses or exponents in it make 100
+    # levels and parse; one more is refused, and 3,000 once ended in a
+    # RecursionError
+    assert parse("(" * 99 + "16" + ")" * 99) == 16
+    assert parse("1" + "^1" * 99) == 1
+    for text in ("(" * 100 + "16" + ")" * 100, "1" + "^1" * 100,
+                 "(" * 3000 + "16" + ")" * 3000, "-(" * 3000 + "16" + ")" * 3000):
+        with pytest.raises(ExpressionError, match="^expression nests more than 100 levels deep$"):
+            parse(text)
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["int", "endpoint"])

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from lcgspec import lattice
+from lcgspec import LcgParams, check_max_period, lattice
 from lcgspec.errors import BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams
 from lcgspec.lattice import (
     DEFAULT_ENUM_CAP,
@@ -249,7 +249,7 @@ def test_dual_basis_gram_schmidt_data_is_closed_form():
 
 
 def test_no_gram_schmidt_rebuild_on_dual_bases(monkeypatch):
-    from lcgspec import lattice
+    from lcgspec import LcgParams, check_max_period, lattice
     from lcgspec.spectral import spectral_profile
 
     want = [shortest_vector(dual_basis(69069, 2**32, s)) for s in range(2, 9)]
@@ -448,6 +448,14 @@ def test_shortest_vector_named_values():
     assert shortest_vector(dual_basis(2, 5, 2)).vector == (1, 2)  # tie -> lex least
 
 
+def enumeration_top(reduced):
+    """The highest level i with |b*_i|^2 <= R, R the shortest reduced row,
+    from the Gram-Schmidt data on the reduced basis."""
+    d, _ = reduced._gs
+    R = min(sum(x * x for x in r) for r in reduced.rows)
+    return max(i for i in range(reduced.dim) if d[i + 1] <= R * d[i])
+
+
 def test_enumeration_keeps_vectors_on_the_radius():
     # the radius starts at the shortest reduced row, which is already the
     # minimum; the lex-least minimal vector is found only if points exactly
@@ -458,6 +466,12 @@ def test_enumeration_keeps_vectors_on_the_radius():
         got = shortest_vector(basis)
         assert got.norm_sq == min(sum(x * x for x in r) for r in rows)
         assert got.vector == want
+        # and only if the level cut keeps level 1: in (2, 5, 2) |b*_1|^2
+        # equals the radius and b_1 is the tie; in (4, 5, 3) the tie is no
+        # reduced row and lies below a top of 1, strictly inside
+        assert enumeration_top(lll_reduce(basis)) == 1
+    reduced = lll_reduce(dual_basis(2, 5, 2))
+    assert reduced.rows == ((-2, 1), (1, 2)) and reduced._gs[0][2] == 5 * reduced._gs[0][1]
     assert (0, 1, 1) not in {canonical(r) for r in lll_reduce(dual_basis(4, 5, 3)).rows}
 
 
@@ -483,6 +497,37 @@ def test_enum_cap():
     with pytest.raises(DimensionTooLarge):
         shortest_vector(dual_basis(26, 625, 4), cap=3)
     assert shortest_vector(dual_basis(26, 625, 4), cap=4).certified
+
+
+# -- the level cut -------------------------------------------------------------
+
+
+def assert_cut_matches_reference(bases):
+    """`shortest_vector` equals the reference enumeration, which starts at
+    level n-1, on every basis; returns the kinds of `top` seen."""
+    kinds = set()
+    for basis in bases:
+        reduced = lll_reduce(basis)
+        top = enumeration_top(reduced)
+        kinds.add("0" if top == 0 else "n-1" if top == basis.dim - 1 else "between")
+        got = shortest_vector(basis)
+        assert got.certified, basis.rows
+        assert (got.norm_sq, got.vector) == ref.enumerate_shortest(reduced.rows), basis.rows
+    return kinds
+
+
+def test_level_cut_on_every_max_period_pair():
+    pairs = [(a, N) for N in range(3, 257) for a in range(2, N)
+             if check_max_period(LcgParams(a, 1, N)).ok]
+    assert len(pairs) == 580
+    bases = [dual_basis(a, N, s) for a, N in pairs for s in (2, 3, 4)]
+    assert assert_cut_matches_reference(bases) == {"0", "between", "n-1"}
+
+
+def test_level_cut_on_chained_bases():
+    # the bases `sweep` solves, s = 2..12
+    bases = [b for a, N in CHAIN_MULTIPLIERS for b in chained_bases(a, N)]
+    assert assert_cut_matches_reference(bases) == {"0", "between", "n-1"}
 
 
 # -- box oracle --------------------------------------------------------------
