@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import (
     InvalidParams,
@@ -25,17 +24,9 @@ from .errors import (
     TooSmall,
 )
 from .lattice import DEFAULT_ENUM_CAP
-from .lcg import LcgParams, PotentialProfile, _power_quotient, check_max_period, compute_potential
+from .lcg import LcgParams, _power_quotient, check_max_period, compute_potential
 from .numtheory import is_probable_prime
-from .spectral import (
-    BoundCheck,
-    SpectralResult,
-    TheoremBounds,
-    b_coefficient,
-    check_bounds,
-    spectral_profile,
-    theorem_bounds,
-)
+from .spectral import b_coefficient, check_bounds, spectral_profile, theorem_bounds
 
 _MAX_SHAPE_STEPS = 10_000
 # Largest exponent t = tau+l a build takes.  No larger t can succeed: N keeps
@@ -104,11 +95,12 @@ class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
         raise TooSmall(f"no multiplier of this shape clears min_accuracy={min_accuracy}")
 
 
-class BuiltGenerator(NamedTuple):
-    params: LcgParams
-    profile: PotentialProfile
-    covers_s_max: int
-    guaranteed: tuple[TheoremBounds, ...]
+class BuiltGenerator(namedtuple("BuiltGenerator", "params profile covers_s_max guaranteed")):
+    """A built generator: its `params` (LcgParams) and potential `profile`
+    (PotentialProfile), and `guaranteed`, one TheoremBounds per dimension
+    2..covers_s_max."""
+
+    __slots__ = ()
 
     @property
     def uniform_lower_sq(self) -> int | Fraction | None:
@@ -202,17 +194,21 @@ def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
     return _build(t=tau + l, covers=tau, lam=lam, recipe=recipe, min_accuracy=min_accuracy)
 
 
-class ValidationRow(NamedTuple):
-    result: SpectralResult
-    checks: tuple[BoundCheck, ...]
+class ValidationRow(namedtuple("ValidationRow", "result checks")):
+    """The solver's SpectralResult for one dimension and the BoundCheck
+    tuple it was held to."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks if not c.informational)
 
 
-class ValidationReport(NamedTuple):
-    rows: tuple[ValidationRow, ...]
+class ValidationReport(namedtuple("ValidationReport", "rows")):
+    """One ValidationRow per validated dimension, in order."""
+
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -10,12 +10,12 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
-import json
 import os
 import sys
+from _json import encode_basestring_ascii as _quote
+from collections.abc import Callable, Sequence
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
-from typing import IO, Callable, Sequence
+from io import TextIOBase
 
 from .builder import MultiplierRecipe, build_range, build_single_dimension, validate
 from .empirical import DEFAULT_BUDGET, dump_sequence, frequency_test
@@ -106,13 +106,16 @@ def _json_text(obj, indent: str) -> str:
     raise TypeError(f"{t.__name__} is not a JSON output type")
 
 
-def _json_out(obj, out: IO[str]) -> None:
+def _json_out(obj, out: TextIOBase) -> None:
     """Write `obj` and a newline: the same bytes as `json.dumps(obj, indent=2,
     sort_keys=True)`, so repeated runs are byte-identical.  Before Python
     3.13, `json` uses its C encoder only without `indent`, so that call runs
-    a pure-Python generator chain; this writer joins each container once.
-    Values are dicts with str keys, lists, tuples, str, int, float, bool and
-    None, each of exactly that type; any other raises TypeError."""
+    a pure-Python generator chain; this writer joins each container once,
+    quoting strings with the C function `json.encoder` itself uses
+    (`_json.encode_basestring_ascii`), so no command but `svp --basis-file`
+    loads `json`.  Values are dicts with str keys, lists, tuples, str, int,
+    float, bool and None, each of exactly that type; any other raises
+    TypeError."""
     out.write(_json_text(obj, "\n") + "\n")
 
 
@@ -133,7 +136,7 @@ def _generator_params(args) -> LcgParams:
     return LcgParams(*map(parse_int_expr, (args.a, args.c, args.N, args.x0)))
 
 
-def _open_named(path: str, mode: str = "r") -> IO[str]:
+def _open_named(path: str, mode: str = "r") -> TextIOBase:
     """The named file, opened as UTF-8 text.  Failing to open it is a usage
     error (exit 2); an OSError after that exits 5."""
     try:
@@ -142,7 +145,7 @@ def _open_named(path: str, mode: str = "r") -> IO[str]:
         raise InvalidParams(str(exc)) from None
 
 
-def _write_table(columns, records, fmt: str, out: IO[str]) -> None:
+def _write_table(columns, records, fmt: str, out: TextIOBase) -> None:
     """One row per record: csv lines, or for "text" an aligned table of the
     columns that have a text name.  A column is (csv name, text name or None,
     cell), and cell(record, fmt) is the cell's text."""
@@ -156,7 +159,7 @@ def _write_table(columns, records, fmt: str, out: IO[str]) -> None:
                   [[cell(rec, fmt) for _, cell in shown] for rec in records], out)
 
 
-def _render_table(header: list[str], rows: list[list[str]], out: IO[str]) -> None:
+def _render_table(header: list[str], rows: list[list[str]], out: TextIOBase) -> None:
     widths = [len(h) for h in header]
     for row in rows:
         widths = [max(w, len(cell)) for w, cell in zip(widths, row)]
@@ -212,7 +215,7 @@ _ANALYZE_COLUMNS = (
 )
 
 
-def cmd_analyze(args, out: IO[str]) -> int:
+def cmd_analyze(args, out: TextIOBase) -> int:
     a = parse_int_expr(args.a)
     N = parse_int_expr(args.N)
     c = parse_int_expr(args.c)
@@ -259,7 +262,7 @@ def _parse_primes(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(primes), tuple(exps)
 
 
-def cmd_build(args, out: IO[str]) -> int:
+def cmd_build(args, out: TextIOBase) -> int:
     if args.a is not None:
         recipe = MultiplierRecipe(a=parse_int_expr(args.a))
     elif args.primes is not None:
@@ -324,7 +327,7 @@ _UNIFORMITY_COLUMNS = tuple(
 )
 
 
-def cmd_uniformity(args, out: IO[str]) -> int:
+def cmd_uniformity(args, out: TextIOBase) -> int:
     specs = list(args.interval or [])
     if args.intervals_file is not None:
         with _open_named(args.intervals_file) as fh:
@@ -359,7 +362,7 @@ class _OpenOnWrite(contextlib.AbstractContextManager):
 
     def __init__(self, path: str) -> None:
         self._path = path
-        self._fh: IO[str] | None = None
+        self._fh: TextIOBase | None = None
 
     def write(self, text: str) -> int:
         if self._fh is None:
@@ -373,7 +376,7 @@ class _OpenOnWrite(contextlib.AbstractContextManager):
             self._fh.close()
 
 
-def cmd_dump(args, out: IO[str]) -> int:
+def cmd_dump(args, out: TextIOBase) -> int:
     params = _generator_params(args)
     count = None if args.count is None else parse_int_expr(args.count)
     with (contextlib.nullcontext(out) if args.output is None
@@ -386,9 +389,11 @@ def cmd_dump(args, out: IO[str]) -> int:
 # -- svp ---------------------------------------------------------------------
 
 
-def cmd_svp(args, out: IO[str]) -> int:
+def cmd_svp(args, out: TextIOBase) -> int:
     cap = args.enum_cap
     if args.basis_file is not None:
+        import json  # the package's only JSON reader
+
         with _open_named(args.basis_file) as fh:
             try:
                 obj = json.load(fh)
@@ -426,7 +431,7 @@ def cmd_svp(args, out: IO[str]) -> int:
 # -- verify-paper ------------------------------------------------------------
 
 
-def cmd_verify_paper(args, out: IO[str]) -> int:
+def cmd_verify_paper(args, out: TextIOBase) -> int:
     from . import scorecard
 
     only = None
@@ -559,7 +564,7 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
     return args
 
 
-def _drop_unwritten(stream: IO[str]) -> None:
+def _drop_unwritten(stream: TextIOBase) -> None:
     """Point `stream`'s file at the null device when what it still holds
     cannot be written, so the interpreter's final flush has nothing to fail
     on and prints nothing."""
@@ -571,7 +576,7 @@ def _drop_unwritten(stream: IO[str]) -> None:
         os.close(null)
 
 
-def main(argv: Sequence[str] | None = None, out: IO[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None, out: TextIOBase | None = None) -> int:
     out = sys.stdout if out is None else out
     try:
         args = _parse_args(argv)

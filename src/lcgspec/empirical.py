@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import os
 import sys
+from collections import namedtuple
 from fractions import Fraction
-from typing import IO, NamedTuple
+from io import TextIOBase
 
 from . import _chunks
 from .errors import BudgetExceeded, InvalidParams
@@ -53,13 +54,13 @@ def _describe_endpoint(value: Fraction, label: str) -> str:
     return str(value)
 
 
-class FrequencyReport(NamedTuple):
-    params: LcgParams
-    alpha: Fraction
-    beta: Fraction
-    alpha_label: str
-    beta_label: str
-    m: int
+class FrequencyReport(namedtuple("FrequencyReport",
+                                  "params alpha beta alpha_label beta_label m")):
+    """The count `m` of full-period values of `params` (LcgParams) in the
+    closed interval [alpha, beta] (Fractions), and the endpoints' labels as
+    given ("" for none)."""
+
+    __slots__ = ()
 
     def _ratios(self) -> dict[str, tuple[int, int]]:
         """Every figure of `row`, in its field order, as an unreduced pair
@@ -156,7 +157,7 @@ def _start_worker(params: LcgParams, count: int, digits: int, per_line: int, fmt
 
 def dump_sequence(
     params: LcgParams,
-    out: IO[str],
+    out: TextIOBase,
     fmt: str = "csv",
     count: int | None = None,
     digits: int | None = None,

@@ -18,7 +18,8 @@ work it will do, an integer product or power the bits of its operands less
 their trailing zeros, and every integer step at least a sixteenth of its
 result's bits; an expression past either allowance raises BudgetExceeded.
 An expression nests at most _MAX_DEPTH levels deep, counting itself and each
-parenthesis or exponent in it.
+parenthesis or exponent in it.  A refusal quotes at most _QUOTED_CHARS
+characters of the expression.
 """
 
 from __future__ import annotations
@@ -54,6 +55,11 @@ _MAX_RATIONAL_WORK = 2**36
 # recursion, so a deep one would otherwise end in a RecursionError.
 _MAX_DEPTH = 100
 
+# The most characters of an expression a refusal message quotes: a longer
+# flag (up to the 128 KiB an argument may hold) is quoted by a prefix of this
+# many and its length, so the `error:` line stays readable.
+_QUOTED_CHARS = 2000
+
 SYMBOLIC_DIGITS = 12
 _CONSTANTS = {"pi": Fraction(math.pi), "e": Fraction(math.e)}
 # Python's limit on digits converted between int and str (0: none; absent before 3.10.7)
@@ -69,6 +75,14 @@ def _digit_limit_exceeded(n: int) -> int:
     return 0
 
 
+def _quoted(text: str) -> str:
+    """The repr of `text`, or of its first _QUOTED_CHARS characters followed
+    by its length when it is longer."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+
+
 def _tokenize(text: str) -> list[tuple[str, str]]:
     text = text.replace("−", "-").replace("×", "*").replace("⋅", "*")
     text = text.replace("**", "^")
@@ -76,7 +90,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     for m in _TOKEN.finditer(text):
         dec, num, name, op, junk = m.groups()
         if junk:
-            raise ExpressionError(f"unexpected character {junk!r} in {text!r}")
+            raise ExpressionError(f"unexpected character {junk!r} in {_quoted(text)}")
         if dec:
             tokens.append(("dec", dec))
         elif num:
@@ -131,7 +145,7 @@ class _Parser:
 
     def take(self) -> tuple[str, str]:
         if self.pos >= len(self.tokens):
-            raise ExpressionError(f"unexpected end of expression in {self.text!r}")
+            raise ExpressionError(f"unexpected end of expression in {_quoted(self.text)}")
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -144,7 +158,8 @@ class _Parser:
         self.bits += max(bits, size // _LINEAR_SHARE)
         if self.work > _MAX_RATIONAL_WORK or self.bits > _MAX_RESULT_BITS:
             kind = "endpoint" if self.allow_rational else "integer"
-            raise BudgetExceeded(f"{kind} arithmetic in {self.text!r} exceeds its work budget")
+            raise BudgetExceeded(
+                f"{kind} arithmetic in {_quoted(self.text)} exceeds its work budget")
 
     def apply(self, op: str, v, w):
         """v op w for a binary + - * /, refused before it runs when it is
@@ -182,7 +197,7 @@ class _Parser:
     def parse(self) -> tuple[int | Fraction, bool]:
         value = self.expr()
         if self.pos != len(self.tokens):
-            raise ExpressionError(f"trailing input in {self.text!r}")
+            raise ExpressionError(f"trailing input in {_quoted(self.text)}")
         return value
 
     def expr(self):
@@ -253,9 +268,9 @@ class _Parser:
             v = self.expr()
             nk, nt = self.take()
             if (nk, nt) != ("op", ")"):
-                raise ExpressionError(f"expected ')' in {self.text!r}")
+                raise ExpressionError(f"expected ')' in {_quoted(self.text)}")
             return v
-        raise ExpressionError(f"unexpected token {text!r} in {self.text!r}")
+        raise ExpressionError(f"unexpected token {text!r} in {_quoted(self.text)}")
 
 
 def parse_int_expr(text: str) -> int:

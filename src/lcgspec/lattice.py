@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import re
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams
 
@@ -127,10 +127,11 @@ class LatticeBasis:
         return basis
 
 
-class ShortestVectorResult(NamedTuple):
-    norm_sq: int
-    vector: tuple[int, ...]
-    certified: bool
+class ShortestVectorResult(namedtuple("ShortestVectorResult", "norm_sq vector certified")):
+    """A shortest nonzero vector (a tuple of ints), its squared norm, and
+    whether the search proved it shortest."""
+
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         return {

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from typing import NamedTuple
 
 from .errors import InvalidParams, NoPotential, PeriodViolation, PotentialOne
 from .exprparse import _digit_limit_exceeded, _max_str_digits
@@ -39,16 +38,16 @@ class LcgParams(namedtuple("LcgParams", "a c N x0")):
     _make = classmethod(lambda cls, iterable: cls(*iterable))
 
 
-class MaxPeriodReport(NamedTuple):
-    ok: bool
-    failures: tuple[str, ...]
+class MaxPeriodReport(namedtuple("MaxPeriodReport", "ok failures")):
+    """Whether the period is maximal, and each failed condition as text."""
+
+    __slots__ = ()
 
 
-class PotentialProfile(NamedTuple):
+class PotentialProfile(namedtuple("PotentialProfile", "tau lam")):
     """tau = least t with N | (a-1)^t, lam = (a-1)^tau / N."""
 
-    tau: int
-    lam: int
+    __slots__ = ()
 
 
 def _strip_shared_primes(a: int, N: int) -> tuple[int, int]:

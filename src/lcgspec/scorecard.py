@@ -16,8 +16,8 @@ import io
 import math
 import random
 import time
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .builder import MultiplierRecipe, build_range, validate
 from .empirical import dump_sequence, frequency_test
@@ -28,12 +28,10 @@ from .lcg import LcgParams, check_max_period
 from .spectral import spectral_profile, spectral_test, within_packing_bound
 
 
-class CheckResult(NamedTuple):
-    cid: int
-    title: str
-    passed: bool
-    detail: str
-    elapsed: float
+class CheckResult(namedtuple("CheckResult", "cid title passed detail elapsed")):
+    """Criterion `cid`'s title, verdict, detail line and seconds taken."""
+
+    __slots__ = ()
 
 
 def _by_generator(pool: dict) -> dict[tuple[int, int], dict[int, int]]:

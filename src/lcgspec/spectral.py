@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import enum
 import math
+from collections import namedtuple
 from fractions import Fraction
-from typing import NamedTuple
 
 from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, Unsupported
 from .lattice import DEFAULT_ENUM_CAP, _check_cap, dual_basis, extend_dual_basis, shortest_vector
@@ -126,23 +126,19 @@ def classify_regime(s: int, profile: PotentialProfile) -> Regime:
     return Regime.S_LT_TAU if s < tau else Regime.S_GT_TAU
 
 
-class TheoremBounds(NamedTuple):
-    """Proven estimates on v_s for one regime, as exact squares: an int
-    whenever the estimate is an integer expression, else a Fraction, and
-    None for a side whose preconditions fail.  The record holds only these
-    exact values; the roots and the mu_s window they induce are computed by
-    `to_json_dict` when rendered.  `lower_unverified` marks the one estimate
-    encoded from its source without independent verification; it is
-    reported but must not be hard-asserted.
+class TheoremBounds(namedtuple("TheoremBounds", "theorem_id s lower_sq upper_sq conditions_met "
+                                              "violations lower_unverified", defaults=(False,))):
+    """Proven estimates on v_s for one regime, as exact squares
+    `lower_sq` and `upper_sq`: an int whenever the estimate is an integer
+    expression, else a Fraction, and None for a side whose preconditions
+    fail.  `conditions_met` and `violations` are tuples of str.  The record
+    holds only these exact values; the roots and the mu_s window they induce
+    are computed by `to_json_dict` when rendered.  `lower_unverified`
+    (default False) marks the one estimate encoded from its source without
+    independent verification; it is reported but must not be hard-asserted.
     """
 
-    theorem_id: int
-    s: int
-    lower_sq: int | Fraction | None
-    upper_sq: int | Fraction | None
-    conditions_met: tuple[str, ...]
-    violations: tuple[str, ...]
-    lower_unverified: bool = False
+    __slots__ = ()
 
     def statement(self) -> str:
         """The bounds as one line, e.g. `v_3^2 >= 5; v_3^2 <= 9 (theorem 2)`."""
@@ -173,14 +169,13 @@ class TheoremBounds(NamedTuple):
         }
 
 
-class BoundCheck(NamedTuple):
+class BoundCheck(namedtuple("BoundCheck", "kind name passed informational",
+                            defaults=(False,))):
     """One exact check of v_s: `kind` is "lower" or "upper" (a theorem bound)
-    or "packing"; an informational check is reported, never asserted."""
+    or "packing"; an informational check (default False) is reported, never
+    asserted."""
 
-    kind: str
-    name: str
-    passed: bool
-    informational: bool = False
+    __slots__ = ()
 
 
 def check_bounds(s: int, N: int, v_sq: int, tb: TheoremBounds | None) -> tuple[BoundCheck, ...]:
@@ -286,18 +281,14 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
     )
 
 
-class SpectralResult(NamedTuple):
-    """Exact spectral value of (a, N) in dimension s; the display figures
-    `v`, `lg_v` and `mu` and the `regime` are computed when read."""
+class SpectralResult(namedtuple("SpectralResult",
+                                 "a N s v_sq vector certified profile bounds")):
+    """Exact spectral value v_sq of (a, N) in dimension s, reached by
+    `vector` (a tuple of ints); `profile` (PotentialProfile) and `bounds`
+    (TheoremBounds) are None when (a, N) has no potential.  The display
+    figures `v`, `lg_v` and `mu` and the `regime` are computed when read."""
 
-    a: int
-    N: int
-    s: int
-    v_sq: int
-    vector: tuple[int, ...]
-    certified: bool
-    profile: PotentialProfile | None
-    bounds: TheoremBounds | None
+    __slots__ = ()
 
     @property
     def v(self) -> float | None:

@@ -143,6 +143,19 @@ class TestAnalyze:
         assert capsys.readouterr().err == (
             f"error: integer arithmetic in {N!r} exceeds its work budget\n")
 
+    def test_long_flag_is_quoted_by_a_prefix(self, capsys):
+        # a 110 KB flag of 5,000 3M-bit powers of two: once 56 s, then a
+        # 110 KB `error:` line quoting the whole flag
+        N = "+".join(["(((2^100)^100)^100)^3"] * 5000)
+        start = time.perf_counter()
+        code, out = run(["analyze", "--a", "5", "--N", N])
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (4, "")
+        err = capsys.readouterr().err
+        assert err == (f"error: integer arithmetic in {N[:2000]!r}... (109999 characters) "
+                       "exceeds its work budget\n")
+        assert len(err.encode()) < 2500
+
     def test_integer_at_the_print_limit(self):
         N = "9" * 4300
         code, out = run(["analyze", "--a", "5", "--N", N, "--s", "2"])

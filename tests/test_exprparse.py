@@ -121,14 +121,39 @@ TWOS_SUM = "+".join(["(((2^100)^100)^100)^3"] * 5000)
 INCREMENTS = "(3^1000)^1200" + "+1" * 20000
 
 
-@pytest.mark.parametrize("text", [PRODUCT_SUM, POWER_SUM, PRODUCT_CHAIN, TWOS_SUM, INCREMENTS],
-                         ids=["products", "powers", "chain", "twos", "increments"])
-def test_integer_work_is_bounded_before_it_is_done(text):
+# a refusal quotes up to 2,000 characters of the expression whole, and a
+# longer one by the repr of its first 2,000 and its length
+@pytest.mark.parametrize("text, quoted", [
+    (PRODUCT_SUM, repr(PRODUCT_SUM)),
+    (POWER_SUM, repr(POWER_SUM)),
+    (PRODUCT_CHAIN, f"{PRODUCT_CHAIN[:2000]!r}... (40017 characters)"),
+    (TWOS_SUM, f"{TWOS_SUM[:2000]!r}... (109999 characters)"),
+    (INCREMENTS, f"{INCREMENTS[:2000]!r}... (40013 characters)"),
+], ids=["products", "powers", "chain", "twos", "increments"])
+def test_integer_work_is_bounded_before_it_is_done(text, quoted):
     start = time.perf_counter()
     with pytest.raises(BudgetExceeded) as refusal:
         parse_int_expr(text)
     assert time.perf_counter() - start < 1
-    assert str(refusal.value) == f"integer arithmetic in {text!r} exceeds its work budget"
+    assert str(refusal.value) == f"integer arithmetic in {quoted} exceeds its work budget"
+
+
+@pytest.mark.parametrize("head, tail, message", [
+    ("", "1)", "trailing input in {}"),
+    ("", "1+", "unexpected end of expression in {}"),
+    ("(", "1 1", "expected ')' in {}"),
+    ("", "1$", "unexpected character '$' in {}"),
+    (")", "1", "unexpected token ')' in {}"),
+], ids=["trailing", "end", "paren", "character", "token"])
+def test_refusals_quote_a_long_expression_by_a_prefix(head, tail, message):
+    # every refusal that names the expression quotes it the same way
+    for size in (2000, 2002):
+        text = head + "1+" * ((size - len(head) - len(tail)) // 2) + tail
+        assert len(text) == size
+        quoted = repr(text) if size == 2000 else f"{text[:2000]!r}... (2002 characters)"
+        with pytest.raises(ExpressionError) as refusal:
+            parse_int_expr(text)
+        assert str(refusal.value) == message.format(quoted)
 
 
 def test_integer_work_counts_bits_without_trailing_zeros():

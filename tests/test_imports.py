@@ -1,5 +1,6 @@
 """Every module-level import in the package is used, every public name has
-a caller, and no module reads the process environment.
+a caller, no module reads the process environment, no record is a
+`typing.NamedTuple`, and `import lcgspec.cli` loads a pinned set of modules.
 
 Stdlib `ast` scans: a name bound by a top-level `import` or `from ... import`
 must be read somewhere in the module, or be listed in its `__all__`; a public
@@ -9,6 +10,7 @@ setting arrives as a flag or an argument.
 """
 
 import ast
+import json
 import re
 import subprocess
 import sys
@@ -132,22 +134,27 @@ def test_caller_scan_flags_each_kind():
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
 
-def environment_access(source: str) -> list[str]:
-    """Each use in `source` of the process environment through `os`: one of
-    ENVIRONMENT as an attribute of `os` (under any name it is imported as),
-    or imported from `os` by name."""
+def imported_name_uses(source: str, module: str, names: set[str]) -> list[str]:
+    """Each use in `source` of one of `names` from `module`: as an attribute
+    of the module (under any name it is imported as), or imported from it by
+    name."""
     tree = ast.parse(source)
     modules = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.Import) for alias in node.names if alias.name == "os"}
+               if isinstance(node, ast.Import) for alias in node.names if alias.name == module}
     found = []
     for node in ast.walk(tree):
-        if (isinstance(node, ast.Attribute) and node.attr in ENVIRONMENT
+        if (isinstance(node, ast.Attribute) and node.attr in names
                 and isinstance(node.value, ast.Name) and node.value.id in modules):
             found.append((node.lineno, f"{node.value.id}.{node.attr} (line {node.lineno})"))
-        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+        elif isinstance(node, ast.ImportFrom) and node.module == module:
             found += [(node.lineno, f"{alias.name} (line {node.lineno})")
-                      for alias in node.names if alias.name in ENVIRONMENT]
+                      for alias in node.names if alias.name in names]
     return [text for _, text in sorted(found)]
+
+
+def environment_access(source: str) -> list[str]:
+    """Each use in `source` of the process environment through `os`."""
+    return imported_name_uses(source, "os", ENVIRONMENT)
 
 
 @pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
@@ -172,10 +179,22 @@ def test_environment_scan_flags_each_kind():
     ]
 
 
-# what `import lcgspec.cli` adds to a bare `python -I`: the stdlib by
-# top-level name (as of 3.11; a version may load fewer), the package in full
-CLI_STDLIB = {"__future__", "_decimal", "_json", "argparse", "decimal", "fractions",
-              "gettext", "json", "numbers"}
+def bare_python(code: str, *args: str) -> str:
+    """The output of `code` in a fresh `python -I -S`, its sys.argv[1] the
+    package's parent directory and `args` after it.  With no `site`, no
+    `.pth` file preloads a module, so what the code imports shows in full."""
+    return subprocess.run([sys.executable, "-I", "-S", "-c", code, str(PACKAGE.parent), *args],
+                          check=True, capture_output=True, text=True).stdout
+
+
+# what `import lcgspec.cli` adds to a bare `python -I -S`: the stdlib by
+# top-level name (as of 3.11; a version may load fewer), the package in full.
+# Neither `json` (only `svp --basis-file` reads JSON) nor `typing` is among them.
+CLI_STDLIB = {"__future__", "_collections", "_collections_abc", "_decimal", "_functools",
+              "_json", "_operator", "_sre", "_stat", "argparse", "collections", "contextlib",
+              "copyreg", "decimal", "enum", "fractions", "functools", "genericpath", "gettext",
+              "itertools", "keyword", "math", "numbers", "operator", "os", "posixpath", "re",
+              "reprlib", "stat", "types", "warnings"}
 CLI_PACKAGE = {"lcgspec", "lcgspec._chunks", "lcgspec.builder", "lcgspec.cli",
                "lcgspec.empirical", "lcgspec.errors", "lcgspec.exprparse", "lcgspec.lattice",
                "lcgspec.lcg", "lcgspec.numtheory", "lcgspec.spectral"}
@@ -188,13 +207,13 @@ def test_cli_import_builds_no_parser_and_loads_nothing_new():
             "import lcgspec.cli as cli; "
             "print(cli.build_parser.cache_info().currsize, len(cli._COMMANDS)); "
             "print(' '.join(sorted(set(sys.modules) - base)))")
-    out = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
-                         check=True, capture_output=True, text=True).stdout
-    built, loaded = out.splitlines()
+    built, loaded = bare_python(code).splitlines()
     assert built == "0 0"
     package = {m for m in loaded.split() if m.split(".")[0] == "lcgspec"}
     assert package == CLI_PACKAGE
-    assert {m.split(".")[0] for m in loaded.split()} - {"lcgspec"} <= CLI_STDLIB
+    stdlib = {m.split(".")[0] for m in loaded.split()} - {"lcgspec"}
+    assert stdlib <= CLI_STDLIB
+    assert not stdlib & {"json", "typing"}
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
@@ -202,9 +221,47 @@ def test_cli_import_skips_dataclasses_and_inspect():
     # interpreter shows what `import lcgspec.cli` really loads
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import lcgspec.cli; "
             "print('dataclasses' in sys.modules, 'inspect' in sys.modules)")
-    out = subprocess.run([sys.executable, "-I", "-c", code, str(PACKAGE.parent)],
-                         check=True, capture_output=True, text=True).stdout
-    assert out == "False False\n"
+    assert bare_python(code) == "False False\n"
+
+
+def test_only_svp_basis_file_loads_json(tmp_path):
+    # the CLI writes JSON without `json`; a basis file is the one JSON it reads
+    path = tmp_path / "basis.json"
+    path.write_text('{"rows": [[625, 0], [-26, 1]]}', encoding="utf-8")
+    code = ("import io, sys; sys.path.insert(0, sys.argv[1]); from lcgspec.cli import main; "
+            "codes = [main(argv, io.StringIO()) for argv in ("
+            "['analyze', '--a', '26', '--N', '625', '--format', 'json'], "
+            "['svp', '--a', '26', '--N', '625', '--s', '2'])]; "
+            "print(codes, 'json' in sys.modules); "
+            "out = io.StringIO(); print(main(['svp', '--basis-file', sys.argv[2]], out), "
+            "'json' in sys.modules); print(out.getvalue(), end='')")
+    first, second, *found = bare_python(code, str(path)).splitlines(keepends=True)
+    assert (first, second) == ("[0, 0] False\n", "0 True\n")
+    assert json.loads("".join(found)) == {"norm_sq": "577", "vector": ["1", "24"],
+                                          "certified": True, "method": "enumeration"}
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT / "src")))
+def test_records_are_plain_namedtuple_subclasses(path):
+    # a typing.NamedTuple compiles a ForwardRef per annotated field at import
+    assert imported_name_uses(path.read_text(encoding="utf-8"), "typing", {"NamedTuple"}) == []
+
+
+def test_named_tuple_scan_flags_each_kind():
+    source = (
+        "import typing\n"
+        "import typing as t, collections\n"
+        "from typing import IO, NamedTuple as NT\n"
+        "class A(typing.NamedTuple):\n"
+        "    x: int\n"
+        "B = t.NamedTuple('B', [('x', int)])\n"
+        "class C(collections.namedtuple('C', 'x')):  # typing.NamedTuple\n"
+        "    __slots__ = ()\n"
+    )
+    assert imported_name_uses(source, "typing", {"NamedTuple"}) == [
+        "NamedTuple (line 3)", "typing.NamedTuple (line 4)", "t.NamedTuple (line 6)",
+    ]
 
 
 def non_integer_arithmetic(source: str) -> list[str]:
