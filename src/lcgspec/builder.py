@@ -2,11 +2,13 @@
 
 The recipe fixes the shape of the multiplier, a = d * p_1^r_1 ... p_t^r_t + 1
 with gcd(d, prod p_i) = 1; the modulus is then carved out of a power of a-1,
-N = (a-1)^(tau+l) / lambda with 1 <= lambda <= (a-1)^l.  Such pairs land in
-the theorem regimes of `spectral` by construction, so every build ships with
-a certificate of per-dimension bounds, and `validate` re-checks small builds
-against the exact solver.  The bound decisions themselves are made by
-`spectral.check_bounds`, the same checks that mark `analyze`'s output.
+N = (a-1)^(tau+l) / lambda with 1 <= lambda <= (a-1)^l.  `build_range` is
+the one construction; `build_single_dimension(s)` is `build_range(s, 0, 1)`.
+Such pairs land in the theorem regimes of `spectral` by construction, so
+every build ships with a certificate of per-dimension bounds, and `validate`
+re-checks small builds against the exact solver.  The bound decisions
+themselves are made by `spectral.check_bounds`, the same checks that mark
+`analyze`'s output.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ _MAX_EXPONENT = 10_000
 
 
 class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
-    """Either an explicit multiplier `a`, or the shape d * prod(p_i^r_i) + 1.
+    """Either an explicit multiplier `a`, or the shape d * prod(p_i^r_i) + 1,
+    never both.
 
     Every construction is checked, `_make` and `_replace` included."""
 
@@ -46,6 +49,8 @@ class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
                 exponents: tuple[int, ...] = ()) -> MultiplierRecipe:
         self = super().__new__(cls, a, d, primes, exponents)
         if self.a is not None:
+            if self.d != 1 or self.primes or self.exponents:
+                raise InvalidParams("an explicit a takes no shape: d, primes or exponents")
             if self.a < 2:
                 raise InvalidParams(f"need a >= 2, got {self.a}")
             return self
@@ -135,9 +140,17 @@ class BuiltGenerator(namedtuple("BuiltGenerator", "params profile covers_s_max g
         }
 
 
-def _build(t: int, covers: int, lam: int, recipe: MultiplierRecipe,
-           min_accuracy: int | None) -> BuiltGenerator:
-    """Common core: N = (a-1)^t / lam with bound coverage for s in 2..covers."""
+def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
+                min_accuracy: int | None = None) -> BuiltGenerator:
+    """Generator with certified bounds over all of s = 2..tau:
+    N = (a-1)^(tau+l) / lambda with 1 <= lambda <= (a-1)^l, c = 1, x0 = 0."""
+    if tau < 2:
+        raise InvalidParams(f"need tau >= 2, got {tau}")
+    if l < 0:
+        raise InvalidParams(f"need l >= 0, got {l}")
+    if lam < 1:
+        raise LambdaInvalid(f"need lambda >= 1, got {lam}")
+    t = tau + l
     if t > _MAX_EXPONENT:
         raise InvalidParams(f"need tau+l <= {_MAX_EXPONENT}, got {t}")
     b = b_coefficient(t)
@@ -145,11 +158,11 @@ def _build(t: int, covers: int, lam: int, recipe: MultiplierRecipe,
     a_min = 5 if (t == 2 and lam == 1) else b + 1
     if a < a_min:
         raise TooSmall(f"a = {a} below the theorem threshold {a_min} for tau+l = {t}")
-    am1, k = a - 1, t - covers
-    # lam <= (a-1)^k holds when lam has at most k*(bits(a-1) - 1) bits; a
+    am1 = a - 1
+    # lam <= (a-1)^l holds when lam has at most l*(bits(a-1) - 1) bits; a
     # longer lam is held against a power of fewer than 2*bits(lam) bits
-    if lam < 1 or (lam.bit_length() > k * (am1.bit_length() - 1) and lam > am1**k):
-        raise LambdaInvalid(f"lambda = {lam} outside [1, (a-1)^{k}]")
+    if lam.bit_length() > l * (am1.bit_length() - 1) and lam > am1**l:
+        raise LambdaInvalid(f"lambda = {lam} outside [1, (a-1)^{l}]")
     if pow(am1, t, lam) != 0:
         raise LambdaInvalid(f"lambda = {lam} does not divide (a-1)^{t}")
     N = _power_quotient(am1, t, lam, f"modulus N = (a-1)^{t}/lambda")
@@ -168,30 +181,18 @@ def _build(t: int, covers: int, lam: int, recipe: MultiplierRecipe,
     return BuiltGenerator(
         params=params,
         profile=profile,
-        covers_s_max=covers,
-        guaranteed=tuple(theorem_bounds(a, profile, s) for s in range(2, covers + 1)),
+        covers_s_max=tau,
+        guaranteed=tuple(theorem_bounds(a, profile, s) for s in range(2, tau + 1)),
     )
 
 
 def build_single_dimension(s: int, recipe: MultiplierRecipe,
                            min_accuracy: int | None = None) -> BuiltGenerator:
-    """Generator tuned for one dimension: N = (a-1)^s, lambda = 1, c = 1, x0 = 0."""
+    """Generator tuned for one dimension: `build_range(s, 0, 1, ...)`, so
+    N = (a-1)^s, lambda = 1, c = 1, x0 = 0."""
     if s < 2:
         raise InvalidParams(f"need s >= 2, got {s}")
-    return _build(t=s, covers=s, lam=1, recipe=recipe, min_accuracy=min_accuracy)
-
-
-def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
-                min_accuracy: int | None = None) -> BuiltGenerator:
-    """Generator with certified bounds over all of s = 2..tau:
-    N = (a-1)^(tau+l) / lambda with 1 <= lambda <= (a-1)^l."""
-    if tau < 2:
-        raise InvalidParams(f"need tau >= 2, got {tau}")
-    if l < 0:
-        raise InvalidParams(f"need l >= 0, got {l}")
-    if lam < 1:
-        raise LambdaInvalid(f"need lambda >= 1, got {lam}")
-    return _build(t=tau + l, covers=tau, lam=lam, recipe=recipe, min_accuracy=min_accuracy)
+    return build_range(s, 0, 1, recipe, min_accuracy)
 
 
 class ValidationRow(namedtuple("ValidationRow", "result checks")):

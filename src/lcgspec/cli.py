@@ -17,7 +17,7 @@ from collections.abc import Callable, Sequence
 from fractions import Fraction
 from io import TextIOBase
 
-from .builder import MultiplierRecipe, build_range, build_single_dimension, validate
+from .builder import MultiplierRecipe, build_range, validate
 from .empirical import DEFAULT_BUDGET, dump_sequence, frequency_test
 from .errors import (
     BudgetExceeded,
@@ -216,13 +216,11 @@ _ANALYZE_COLUMNS = (
 
 
 def cmd_analyze(args, out: TextIOBase) -> int:
-    a = parse_int_expr(args.a)
-    N = parse_int_expr(args.N)
-    c = parse_int_expr(args.c)
-    x0 = parse_int_expr(args.x0)
+    params = _generator_params(args)
+    a, N = params.a, params.N
     dims = _parse_s_range(args.s)
     if args.require_max_period:
-        _require_max_period(LcgParams(a, c, N, x0))
+        _require_max_period(params)
     results = spectral_profile(a, N, dims, cap=args.enum_cap)
 
     if args.format == "json":
@@ -263,18 +261,13 @@ def _parse_primes(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def cmd_build(args, out: TextIOBase) -> int:
-    if args.a is not None:
-        recipe = MultiplierRecipe(a=parse_int_expr(args.a))
-    elif args.primes is not None:
-        primes, exps = _parse_primes(args.primes)
-        recipe = MultiplierRecipe(d=args.d, primes=primes, exponents=exps)
-    else:
+    if args.a is None and args.primes is None:
         raise InvalidParams("a multiplier is required: --a or --primes [--d]")
+    a = None if args.a is None else parse_int_expr(args.a)
+    primes, exps = ((), ()) if args.primes is None else _parse_primes(args.primes)
+    recipe = MultiplierRecipe(a, args.d, primes, exps)
     min_acc = None if args.min_accuracy is None else parse_int_expr(args.min_accuracy)
-    if args.s is not None:
-        gen = build_single_dimension(args.s, recipe, min_acc)
-    else:
-        gen = build_range(args.tau, args.l, getattr(args, "lambda"), recipe, min_acc)
+    gen = build_range(args.tau, args.l, getattr(args, "lambda"), recipe, min_acc)
     report = (None if args.validate is None
               else validate(gen, args.validate, cap=args.enum_cap))
 
@@ -392,6 +385,10 @@ def cmd_dump(args, out: TextIOBase) -> int:
 def cmd_svp(args, out: TextIOBase) -> int:
     cap = args.enum_cap
     if args.basis_file is not None:
+        stray = [flag for flag, value in (("--a", args.a), ("--N", args.N), ("--s", args.s),
+                                          ("--brute-box", args.brute_box)) if value is not None]
+        if stray:
+            raise InvalidParams(f"--basis-file excludes {', '.join(stray)}")
         import json  # the package's only JSON reader
 
         with _open_named(args.basis_file) as fh:
@@ -490,10 +487,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_analyze)
 
     p = sub.add_parser("build", help="construct a generator with certified v_s bounds")
-    mode = p.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--s", type=int, help="single-dimension mode: target dimension")
-    mode.add_argument("--tau", type=int, help="range mode: guarantee dimensions 2..tau")
-    p.add_argument("--l", type=int, default=0, help="extra exponent in range mode (default 0)")
+    dims = p.add_mutually_exclusive_group(required=True)
+    dims.add_argument("--s", type=int, dest="tau", metavar="S",
+                      help="another spelling of --tau")
+    dims.add_argument("--tau", type=int, help="guarantee dimensions 2..tau")
+    p.add_argument("--l", type=int, default=0, help="extra exponent of N (default 0)")
     p.add_argument("--lambda", type=int, default=1, help="period cofactor (default 1)")
     p.add_argument("--a", default=None, help="explicit multiplier (integer expression)")
     p.add_argument("--d", type=int, default=1, help="cofactor d of a shaped multiplier")

@@ -367,9 +367,7 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
                     v = [c * z for z in row] if v is None else [x + c * z for x, z in zip(v, row)]
             if v is None:
                 continue
-            nsq = sum([x * x for x in v])
-            if nsq > best_nsq:
-                continue
+            nsq = sum([x * x for x in v])  # = nnum / nden, so nsq <= best_nsq
             cand = canonical(v)
             if best_vec is None or nsq < best_nsq or cand < best_vec:
                 best_nsq = nsq

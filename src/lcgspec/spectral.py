@@ -205,7 +205,7 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
     if a < 2 or s < 2 or tau < 2 or lam < 1:
         raise InvalidParams("need a >= 2, s >= 2, tau >= 2, lambda >= 1")
     am1 = a - 1
-    if am1**tau % lam != 0:
+    if pow(am1, tau, lam) != 0:
         raise InvalidParams(f"lambda = {lam} does not divide (a-1)^tau")
     regime = classify_regime(s, profile)
 

@@ -69,6 +69,17 @@ class TestMultiplierRecipe:
         with pytest.raises(InvalidParams):
             MultiplierRecipe(**kwargs)
 
+    @pytest.mark.parametrize("make", [
+        lambda: MultiplierRecipe(a=7, d=3),
+        lambda: MultiplierRecipe._make((7, 3, (), ())),
+        lambda: MultiplierRecipe(a=7)._replace(d=3),
+        lambda: MultiplierRecipe(a=7)._replace(primes=(2,), exponents=(1,)),
+        lambda: MultiplierRecipe(primes=(2,), exponents=(7,))._replace(a=129),
+    ], ids=["new", "make", "replace-d", "replace-primes", "replace-a"])
+    def test_explicit_a_takes_no_shape(self, make):
+        with pytest.raises(InvalidParams, match="^an explicit a takes no shape"):
+            make()
+
 
 class TestBuildSingleDimension:
     def test_classic_small(self):

@@ -8,6 +8,7 @@ import io
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -19,11 +20,17 @@ import pytest
 import lcgspec
 from lcgspec.cli import build_parser, main
 
+GOLDEN_BASIS = Path(__file__).with_name("golden") / "basis.json"
+
 
 def run(argv):
     buf = io.StringIO()
     code = main(argv, out=buf)
     return code, buf.getvalue()
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("called after a refusal")
 
 
 class TestAnalyze:
@@ -99,6 +106,18 @@ class TestAnalyze:
         code, _ = run(["analyze", "--a", "700", "--N", "625"])
         assert code == 2
         assert "need 2 <= a < N" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags, err", [
+        (["--c", "2"], "gcd(c, N) = 2 != 1"),
+        (["--x0", "16"], "need 0 <= x0 < N, got x0=16"),
+    ], ids=["c", "x0"])
+    def test_rejects_bad_increment_or_seed(self, monkeypatch, capsys, flags, err):
+        # refused like `uniformity` and `dump` refuse them, before any solver work
+        from lcgspec import cli
+
+        monkeypatch.setattr(cli, "spectral_profile", _boom)
+        assert run(["analyze", "--a", "5", "--N", "16"] + flags) == (2, "")
+        assert capsys.readouterr().err == f"error: {err}\n"
 
     def test_require_max_period(self, capsys):
         code, _ = run(["analyze", "--a", "3", "--N", "9", "--require-max-period"])
@@ -306,6 +325,42 @@ class TestBuild:
         assert code == 2
         code, _ = run(["build", "--a", "26"])
         assert code == 2
+
+    @pytest.mark.parametrize("flags", [["--a", "26", "--d", "3"],
+                                       ["--a", "69069", "--primes", "2:7"]],
+                             ids=["a-and-d", "a-and-primes"])
+    def test_explicit_a_takes_no_shape(self, monkeypatch, capsys, flags):
+        from lcgspec import cli
+
+        monkeypatch.setattr(cli, "build_range", _boom)
+        assert run(["build", "--tau", "3"] + flags) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: an explicit a takes no shape: d, primes or exponents\n")
+
+    def test_s_is_tau(self, capsys):
+        # `--s S` is another spelling of `--tau S`: the same stdout, stderr
+        # and exit code for every request but S < 2, whose message names tau
+        rng = random.Random(31)
+        recipes = [["--a", "26"], ["--a", "69069"], ["--a", "3"], ["--a", "2^32+1"],
+                   ["--primes", "2:7"], ["--primes", "2:2"], ["--primes", "2:3,5:1", "--d", "3"],
+                   ["--primes", "3", "--d", "2"]]
+        for _ in range(60):
+            s = rng.choice(["2", "3", "4", "6", "10001"])
+            rest = (rng.choice(recipes)
+                    + (["--l", rng.choice(["1", "2", "-1"])] if rng.random() < 0.3 else [])
+                    + (["--lambda", rng.choice(["2", "4", "0"])] if rng.random() < 0.3 else [])
+                    + (["--min-accuracy", rng.choice(["0", "100", "10^6"])]
+                       if rng.random() < 0.3 else [])
+                    + (["--validate", rng.choice(["2", "4"])] if rng.random() < 0.3 else [])
+                    + ["--format", rng.choice(["text", "json"])])
+            answers = []
+            for flag in ("--s", "--tau"):
+                code, out = run(["build", flag, s] + rest)
+                answers.append((code, out, capsys.readouterr().err))
+            assert answers[0] == answers[1], rest
+        for flag in ("--s", "--tau"):
+            assert run(["build", flag, "1", "--a", "26"]) == (2, "")
+            assert capsys.readouterr().err == "error: need tau >= 2, got 1\n"
 
 
 class TestUniformity:
@@ -658,6 +713,16 @@ class TestSvp:
             f"error: dimension {dim} exceeds enumeration cap {cap}\n"
         )
 
+    @pytest.mark.parametrize("flag, value", [("--a", "5"), ("--N", "16"), ("--s", "9"),
+                                             ("--brute-box", "3")])
+    def test_basis_file_excludes_the_pair_flags(self, monkeypatch, capsys, flag, value):
+        from lcgspec import cli
+
+        monkeypatch.setattr(cli, "_open_named", _boom)
+        argv = ["svp", "--basis-file", str(GOLDEN_BASIS), flag, value]
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: --basis-file excludes {flag}\n"
+
     def test_enum_cap_exit(self, capsys):
         code, _ = run(["svp", "--a", "69069", "--N", "2^32", "--s", "6",
                        "--enum-cap", "2"])
@@ -729,7 +794,7 @@ _NO_FILE = "error: [Errno 2] No such file or directory: ''\n"
     (["dump", "--a", "26", "--N", "625", "--count", "3", "-o", ""], _NO_FILE),
     (["uniformity", "--a", "26", "--N", "625", "--interval", "0:1", "--intervals-file", ""],
      _NO_FILE),
-    (["svp", "--a", "5", "--N", "16", "--s", "2", "--basis-file", ""], _NO_FILE),
+    (["svp", "--basis-file", ""], _NO_FILE),
 ], ids=["validate-0", "only-empty", "output-empty", "intervals-file-empty",
         "basis-file-empty"])
 def test_zero_or_empty_value_is_not_absent(capsys, argv, err):

@@ -73,8 +73,8 @@ def _pair(rng):
 def _generator(rng):
     a, N = _pair(rng)
     return (["--a", _int(rng, [a]), "--N", _int(rng, [N])]
-            + _maybe(rng, "--c", ["1", "3", "7", "12345"], 0.2)
-            + _maybe(rng, "--x0", ["0", "1", "15", "624"], 0.2))
+            + _maybe(rng, "--c", ["1", "2", "3", "7", "12345"], 0.2)
+            + _maybe(rng, "--x0", ["0", "1", "15", "16", "624"], 0.2))
 
 
 def _analyze(rng, files):
@@ -87,12 +87,13 @@ def _analyze(rng, files):
 def _build(rng, files):
     argv = ["build"] + rng.choice([["--s", _int(rng, SMALL)], ["--tau", _int(rng, SMALL)],
                                    ["--s", "2", "--tau", "3"], []])
-    if rng.random() < 0.6:
-        argv += ["--a", _int(rng, MULTIPLIERS)]
+    primes = ["--primes", rng.choice(["2:7", "2:2,17267", "3", "2,3", "4", "2:0",
+                                      "3,2", "2:100000", "x", ""])]
+    if rng.random() < 0.6:  # now and then with a shape flag, which --a excludes
+        argv += ["--a", _int(rng, MULTIPLIERS)] + _maybe(rng, "--d", SMALL, 0.1)
+        argv += primes if rng.random() < 0.1 else []
     else:
-        argv += ["--primes", rng.choice(["2:7", "2:2,17267", "3", "2,3", "4", "2:0",
-                                         "3,2", "2:100000", "x", ""])]
-        argv += _maybe(rng, "--d", SMALL, 0.4)
+        argv += primes + _maybe(rng, "--d", SMALL, 0.4)
     return (argv + _maybe(rng, "--l", SMALL, 0.3) + _maybe(rng, "--lambda", SMALL, 0.3)
             + _maybe(rng, "--min-accuracy", ["0", "100", "10^6", "2^64"], 0.2)
             + _maybe(rng, "--validate", ["2", "3", "4", "8", "13"], 0.3)
@@ -121,8 +122,10 @@ def _dump(rng, files):
 
 
 def _svp(rng, files):
-    if rng.random() < 0.25:
+    if rng.random() < 0.25:  # now and then with a pair flag, which --basis-file excludes
         argv = ["svp", "--basis-file", rng.choice(files["bases"])]
+        for flag, value in (("--a", "5"), ("--N", "16"), ("--s", "3"), ("--brute-box", "3")):
+            argv += _maybe(rng, flag, [value], 0.1)
     else:
         a, N = _pair(rng)
         argv = (["svp"] + _maybe(rng, "--a", [a], 0.95) + _maybe(rng, "--N", [N], 0.95)
