@@ -24,6 +24,7 @@ from .errors import (
     PeriodBroken,
     PotentialOne,
     TooSmall,
+    shown,
 )
 from .lattice import DEFAULT_ENUM_CAP
 from .lcg import LcgParams, _power_quotient, check_max_period, compute_potential
@@ -52,22 +53,22 @@ class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
             if self.d != 1 or self.primes or self.exponents:
                 raise InvalidParams("an explicit a takes no shape: d, primes or exponents")
             if self.a < 2:
-                raise InvalidParams(f"need a >= 2, got {self.a}")
+                raise InvalidParams(f"need a >= 2, got {shown(self.a)}")
             return self
         if self.d < 1:
-            raise InvalidParams(f"need d >= 1, got {self.d}")
+            raise InvalidParams(f"need d >= 1, got {shown(self.d)}")
         if len(self.primes) != len(self.exponents):
             raise InvalidParams("primes and exponents differ in length")
         if any(r < 1 for r in self.exponents):
             raise InvalidParams("exponents must be >= 1")
         for i, p in enumerate(self.primes):
             if not is_probable_prime(p):
-                raise InvalidParams(f"{p} is not prime")
+                raise InvalidParams(f"{shown(p)} is not prime")
             if i and p <= self.primes[i - 1]:
                 raise InvalidParams("primes must be strictly increasing")
         kernel = self.kernel()
         if math.gcd(self.d, kernel) != 1:
-            raise InvalidParams(f"gcd(d, prod primes) = {math.gcd(self.d, kernel)} != 1")
+            raise InvalidParams(f"gcd(d, prod primes) = {shown(math.gcd(self.d, kernel))} != 1")
         return self
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))
@@ -86,7 +87,8 @@ class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
         """
         if self.a is not None:
             if min_accuracy is not None and self.a - b <= min_accuracy:
-                raise TooSmall(f"a - {b} = {self.a - b} does not exceed {min_accuracy}")
+                raise TooSmall(f"a - {shown(b)} = {shown(self.a - b)} "
+                               f"does not exceed {shown(min_accuracy)}")
             return self.a
         kernel = self.kernel()
         if min_accuracy is None:
@@ -97,7 +99,7 @@ class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
             a = self.d * kernel**j + 1
             if a - b > min_accuracy:
                 return a
-        raise TooSmall(f"no multiplier of this shape clears min_accuracy={min_accuracy}")
+        raise TooSmall(f"no multiplier of this shape clears min_accuracy={shown(min_accuracy)}")
 
 
 class BuiltGenerator(namedtuple("BuiltGenerator", "params profile covers_s_max guaranteed")):
@@ -145,26 +147,27 @@ def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
     """Generator with certified bounds over all of s = 2..tau:
     N = (a-1)^(tau+l) / lambda with 1 <= lambda <= (a-1)^l, c = 1, x0 = 0."""
     if tau < 2:
-        raise InvalidParams(f"need tau >= 2, got {tau}")
+        raise InvalidParams(f"need tau >= 2, got {shown(tau)}")
     if l < 0:
-        raise InvalidParams(f"need l >= 0, got {l}")
+        raise InvalidParams(f"need l >= 0, got {shown(l)}")
     if lam < 1:
-        raise LambdaInvalid(f"need lambda >= 1, got {lam}")
+        raise LambdaInvalid(f"need lambda >= 1, got {shown(lam)}")
     t = tau + l
     if t > _MAX_EXPONENT:
-        raise InvalidParams(f"need tau+l <= {_MAX_EXPONENT}, got {t}")
+        raise InvalidParams(f"need tau+l <= {_MAX_EXPONENT}, got {shown(t)}")
     b = b_coefficient(t)
     a = recipe.resolve(b, min_accuracy)
     a_min = 5 if (t == 2 and lam == 1) else b + 1
     if a < a_min:
-        raise TooSmall(f"a = {a} below the theorem threshold {a_min} for tau+l = {t}")
+        raise TooSmall(f"a = {shown(a)} below the theorem threshold {shown(a_min)} "
+                       f"for tau+l = {t}")
     am1 = a - 1
     # lam <= (a-1)^l holds when lam has at most l*(bits(a-1) - 1) bits; a
     # longer lam is held against a power of fewer than 2*bits(lam) bits
     if lam.bit_length() > l * (am1.bit_length() - 1) and lam > am1**l:
-        raise LambdaInvalid(f"lambda = {lam} outside [1, (a-1)^{l}]")
+        raise LambdaInvalid(f"lambda = {shown(lam)} outside [1, (a-1)^{l}]")
     if pow(am1, t, lam) != 0:
-        raise LambdaInvalid(f"lambda = {lam} does not divide (a-1)^{t}")
+        raise LambdaInvalid(f"lambda = {shown(lam)} does not divide (a-1)^{t}")
     N = _power_quotient(am1, t, lam, f"modulus N = (a-1)^{t}/lambda")
     params = LcgParams(a=a, c=1, N=N, x0=0)
     report = check_max_period(params)
@@ -176,7 +179,8 @@ def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
         raise PeriodBroken(str(exc)) from exc
     if (profile.tau, profile.lam) != (t, lam):
         raise PeriodBroken(
-            f"requested potential ({t}, {lam}) but built ({profile.tau}, {profile.lam})"
+            f"requested potential ({t}, {shown(lam)}) "
+            f"but built ({profile.tau}, {shown(profile.lam)})"
         )
     return BuiltGenerator(
         params=params,
@@ -191,7 +195,7 @@ def build_single_dimension(s: int, recipe: MultiplierRecipe,
     """Generator tuned for one dimension: `build_range(s, 0, 1, ...)`, so
     N = (a-1)^s, lambda = 1, c = 1, x0 = 0."""
     if s < 2:
-        raise InvalidParams(f"need s >= 2, got {s}")
+        raise InvalidParams(f"need s >= 2, got {shown(s)}")
     return build_range(s, 0, 1, recipe, min_accuracy)
 
 
@@ -241,7 +245,7 @@ def validate(gen: BuiltGenerator, s_max: int, cap: int = DEFAULT_ENUM_CAP) -> Va
     produces an informational check.
     """
     if s_max < 2:
-        raise InvalidParams(f"need s_max >= 2, got {s_max}")
+        raise InvalidParams(f"need s_max >= 2, got {shown(s_max)}")
     by_s = {tb.s: tb for tb in gen.guaranteed}
     N = gen.params.N
     return ValidationReport(rows=tuple(

@@ -32,6 +32,7 @@ from .errors import (
     PotentialOne,
     TooSmall,
     Unsupported,
+    shown,
 )
 from .exprparse import parse_endpoint, parse_int_expr
 from .lattice import (
@@ -125,9 +126,9 @@ def _parse_s_range(text: str) -> range:
         lo_i = int(lo)
         hi_i = int(hi) if sep else lo_i
     except ValueError:
-        raise InvalidParams(f"bad dimension range {text!r}; use S or LO..HI")
+        raise InvalidParams(f"bad dimension range {shown(text)}; use S or LO..HI")
     if lo_i < 2 or hi_i < lo_i:
-        raise InvalidParams(f"need 2 <= LO <= HI, got {text!r}")
+        raise InvalidParams(f"need 2 <= LO <= HI, got {shown(text)}")
     return range(lo_i, hi_i + 1)
 
 
@@ -142,7 +143,7 @@ def _open_named(path: str, mode: str = "r") -> TextIOBase:
     try:
         return open(path, mode, encoding="utf-8")
     except OSError as exc:
-        raise InvalidParams(str(exc)) from None
+        raise InvalidParams(f"[Errno {exc.errno}] {exc.strerror}: {shown(path)}") from None
 
 
 def _write_table(columns, records, fmt: str, out: TextIOBase) -> None:
@@ -256,11 +257,14 @@ def _parse_primes(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
             primes.append(int(p))
             exps.append(int(r) if sep else 1)
         except ValueError:
-            raise InvalidParams(f"bad prime factor {chunk!r}; use P or P:R")
+            raise InvalidParams(f"bad prime factor {shown(chunk)}; use P or P:R")
     return tuple(primes), tuple(exps)
 
 
 def cmd_build(args, out: TextIOBase) -> int:
+    if args.enum_cap is not None and args.validate is None:
+        raise InvalidParams("--enum-cap needs --validate")
+    cap = DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
     if args.a is None and args.primes is None:
         raise InvalidParams("a multiplier is required: --a or --primes [--d]")
     a = None if args.a is None else parse_int_expr(args.a)
@@ -268,8 +272,7 @@ def cmd_build(args, out: TextIOBase) -> int:
     recipe = MultiplierRecipe(a, args.d, primes, exps)
     min_acc = None if args.min_accuracy is None else parse_int_expr(args.min_accuracy)
     gen = build_range(args.tau, args.l, getattr(args, "lambda"), recipe, min_acc)
-    report = (None if args.validate is None
-              else validate(gen, args.validate, cap=args.enum_cap))
+    report = None if args.validate is None else validate(gen, args.validate, cap=cap)
 
     if args.format == "json":
         payload = gen.to_json_dict()
@@ -308,7 +311,7 @@ def cmd_build(args, out: TextIOBase) -> int:
 def _parse_interval(text: str) -> tuple[Fraction, Fraction, str, str]:
     lo, sep, hi = text.partition(":")
     if not sep:
-        raise InvalidParams(f"bad interval {text!r}; use ALPHA:BETA")
+        raise InvalidParams(f"bad interval {shown(text)}; use ALPHA:BETA")
     return parse_endpoint(lo), parse_endpoint(hi), lo.strip(), hi.strip()
 
 
@@ -328,7 +331,8 @@ def cmd_uniformity(args, out: TextIOBase) -> int:
                 specs += [line for line in map(str.strip, fh)
                           if line and not line.startswith("#")]
             except UnicodeDecodeError as exc:
-                raise InvalidParams(f"{args.intervals_file}: not UTF-8 text ({exc})") from None
+                raise InvalidParams(f"{shown(args.intervals_file, verbatim=True)}: "
+                                    f"not UTF-8 text ({exc})") from None
     if not specs:
         raise InvalidParams("no intervals given; use --interval or --intervals-file")
     params = _generator_params(args)
@@ -370,12 +374,16 @@ class _OpenOnWrite(contextlib.AbstractContextManager):
 
 
 def cmd_dump(args, out: TextIOBase) -> int:
+    # a --per-line below 1 is left to dump_sequence, which refuses it in any format
+    if args.per_line is not None and args.per_line >= 1 and args.format == "csv":
+        raise InvalidParams("--per-line needs --format table")
     params = _generator_params(args)
+    per_line = 10 if args.per_line is None else args.per_line
     count = None if args.count is None else parse_int_expr(args.count)
     with (contextlib.nullcontext(out) if args.output is None
           else _OpenOnWrite(args.output)) as sink:
         dump_sequence(params, sink, fmt=args.format, count=count, digits=args.digits,
-                      per_line=args.per_line, budget=args.budget)
+                      per_line=per_line, budget=args.budget)
     return EXIT_OK
 
 
@@ -395,7 +403,8 @@ def cmd_svp(args, out: TextIOBase) -> int:
             try:
                 obj = json.load(fh)
             except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
-                raise InvalidParams(f"{args.basis_file}: not a JSON basis file ({exc})") from None
+                raise InvalidParams(f"{shown(args.basis_file, verbatim=True)}: "
+                                    f"not a JSON basis file ({exc})") from None
         rows = obj.get("rows") if isinstance(obj, dict) else None
         if isinstance(rows, list):  # before any O(n^3) Gram-Schmidt work
             _check_cap(len(rows), cap)
@@ -436,10 +445,10 @@ def cmd_verify_paper(args, out: TextIOBase) -> int:
         try:
             only = {int(x) for x in args.only.split(",")}
         except ValueError:
-            raise InvalidParams(f"bad --only list {args.only!r}; use e.g. 1,3,7")
+            raise InvalidParams(f"bad --only list {shown(args.only)}; use e.g. 1,3,7")
     results = scorecard.run_all(only=only)
     if not results:
-        raise InvalidParams(f"--only {args.only} matched no criteria")
+        raise InvalidParams(f"--only {shown(args.only, verbatim=True)} matched no criteria")
     for res in results:
         tag = "PASS" if res.passed else "FAIL"
         out.write(f"[{tag}] {res.cid:>2}. {res.title} ({res.elapsed:.2f} s)\n")
@@ -501,7 +510,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require a - b_s to exceed this integer expression")
     p.add_argument("--validate", type=int, default=None, metavar="SMAX",
                    help="run the solver for s = 2..SMAX against the certificate")
-    p.add_argument("--enum-cap", **enum_cap)
+    p.add_argument("--enum-cap", type=int, default=None,
+                   help="max enumeration dimension of --validate, which it needs "
+                        f"(default {DEFAULT_ENUM_CAP})")
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.set_defaults(func=cmd_build)
 
@@ -519,7 +530,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", default=None, help="how many terms (default: full period)")
     p.add_argument("--digits", type=int, default=None,
                    help="decimal digits for x/N (default: exact if terminating)")
-    p.add_argument("--per-line", type=int, default=10, help="table values per row (default 10)")
+    p.add_argument("--per-line", type=int, default=None,
+                   help="values per row of --format table (default 10)")
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                    help=f"refuse counts above this (default {DEFAULT_BUDGET})")
     p.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")

@@ -17,8 +17,7 @@ from fractions import Fraction
 from io import TextIOBase
 
 from . import _chunks
-from .errors import BudgetExceeded, InvalidParams
-from .exprparse import _digit_limit_exceeded, _max_str_digits
+from .errors import BudgetExceeded, InvalidParams, _max_str_digits, shown
 from .lcg import LcgParams, _require_max_period, default_digits
 
 DEFAULT_BUDGET = 10**8
@@ -40,18 +39,6 @@ def _render_ratio(p: int, q: int, digits: int) -> str:
     ip, r = divmod(p, q)
     f = _chunks._fraction_digits([r], q, digits)[0]
     return f"{ip}.{f}" if f else str(ip)
-
-
-def _describe_endpoint(value: Fraction, label: str) -> str:
-    """The caller's label, else the value, by its bit lengths when a part
-    has more digits than Python converts to str."""
-    if label:
-        return label
-    n, d = value.numerator, value.denominator
-    if _digit_limit_exceeded(n) or _digit_limit_exceeded(d):
-        sign = "-" if n < 0 else ""
-        return f"{sign}<{n.bit_length()}-bit numerator / {d.bit_length()}-bit denominator>"
-    return str(value)
 
 
 class FrequencyReport(namedtuple("FrequencyReport",
@@ -107,8 +94,8 @@ def frequency_test(
     bn, bd = beta.numerator, beta.denominator
     if not (an >= 0 and an * bd < bn * ad and bn <= bd):
         raise InvalidParams(f"need 0 <= alpha < beta <= 1, got "
-                            f"{_describe_endpoint(alpha, alpha_label)}, "
-                            f"{_describe_endpoint(beta, beta_label)}")
+                            f"{shown(alpha_label or alpha, verbatim=True)}, "
+                            f"{shown(beta_label or beta, verbatim=True)}")
     _require_max_period(params)
     N = params.N
     # ceil(alpha N) <= x <= floor(beta N), x < N
@@ -122,7 +109,7 @@ def _digit_count(N: int, digits: int | None) -> int:
     limit = _max_str_digits() or _DIGITS_WITHOUT_LIMIT
     if digits is not None:
         if digits > limit:
-            raise InvalidParams(f"digits must be <= {limit}, got {digits}")
+            raise InvalidParams(f"digits must be <= {limit}, got {shown(digits)}")
         return digits
     # every N above 10^limit has a default above it, and N < 2^(3 * limit)
     # < 10^limit needs no power of ten
@@ -179,20 +166,20 @@ def dump_sequence(
     and memory stays bounded by a chunk.
     """
     if fmt not in ("csv", "table"):
-        raise InvalidParams(f"unknown dump format {fmt!r}")
+        raise InvalidParams(f"unknown dump format {shown(fmt)}")
     if digits is not None and digits < 1:
         raise InvalidParams("digits must be >= 1")
     if per_line < 1:
-        raise InvalidParams(f"per_line must be >= 1, got {per_line}")
+        raise InvalidParams(f"per_line must be >= 1, got {shown(per_line)}")
     if per_line > _MAX_PER_LINE:
-        raise InvalidParams(f"per_line must be <= {_MAX_PER_LINE}, got {per_line}")
+        raise InvalidParams(f"per_line must be <= {_MAX_PER_LINE}, got {shown(per_line)}")
     d = _digit_count(params.N, digits)
     if count is None:
         count = params.N
     if not 0 <= count <= params.N:
-        raise InvalidParams(f"need 0 <= count <= N, got {count}")
+        raise InvalidParams(f"need 0 <= count <= N, got {shown(count)}")
     if count > budget:
-        raise BudgetExceeded(f"count {count} exceeds budget {budget}")
+        raise BudgetExceeded(f"count {shown(count)} exceeds budget {shown(budget)}")
     if count == params.N:
         _require_max_period(params)
     a, c, N, x0 = params

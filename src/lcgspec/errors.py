@@ -1,4 +1,68 @@
-"""Exception taxonomy shared by all modules."""
+"""Exception taxonomy shared by all modules, and how a refusal quotes a value.
+
+Every message that quotes a value it refuses renders that value with
+`shown`, so an `error:` line stays readable, and printable, whatever the
+value's size: a number with more than _QUOTED_CHARS digits (or more than
+Python converts to str) appears as its bit length, and text longer than
+_QUOTED_CHARS characters as a prefix of that many and its length.
+"""
+
+import sys
+from fractions import Fraction
+
+# The most characters of text, and decimal digits of a number, that a
+# refusal quotes.  A longer flag (up to the 128 KiB an argument may hold) is
+# quoted by a prefix of this many and its length, a longer number by its bit
+# length.
+_QUOTED_CHARS = 2000
+# Python's limit on digits converted between int and str (0: none; absent before 3.10.7)
+_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
+
+
+def _decimal(n: int) -> str | None:
+    """n in decimal when it has at most _QUOTED_CHARS digits and Python
+    converts it to str, else None; never converts a longer one."""
+    limit = min(_QUOTED_CHARS, _max_str_digits() or _QUOTED_CHARS)
+    # |n| < 2^(3 * limit) < 10^limit needs no power of ten
+    if n.bit_length() <= 3 * limit or abs(n) < 10**limit:
+        return str(n)
+    return None
+
+
+def shown(value, verbatim: bool = False) -> str:
+    """`value` as a refusal message quotes it.
+
+    - An int: its decimal form when it has at most _QUOTED_CHARS digits and
+      Python converts it, else `<B-bit integer>`, any sign outside.
+    - A Fraction: str(value) when both parts qualify so, else
+      `<B-bit numerator / B-bit denominator>`, any sign outside.
+    - A str: its repr when it has at most _QUOTED_CHARS characters, else
+      the repr of its first _QUOTED_CHARS followed by `... (L characters)`.
+      With `verbatim` a short one is itself, unquoted: a label or file name
+      that a message shows bare.
+    - Anything else: its repr, as verbatim text (`<type name>` when the
+      repr would hold an int longer than Python converts).
+    """
+    if isinstance(value, Fraction):
+        n, d = value.numerator, value.denominator
+        if _decimal(n) is None or _decimal(d) is None:
+            sign = "-" if n < 0 else ""
+            return f"{sign}<{n.bit_length()}-bit numerator / {d.bit_length()}-bit denominator>"
+        return str(value)
+    if isinstance(value, int):
+        text = _decimal(value)
+        if text is None:
+            sign = "-" if value < 0 else ""
+            return f"{sign}<{value.bit_length()}-bit integer>"
+        return text
+    if not isinstance(value, str):
+        try:
+            value, verbatim = repr(value), True
+        except ValueError:  # it holds an int longer than Python converts
+            return f"<{type(value).__name__}>"
+    if len(value) <= _QUOTED_CHARS:
+        return value if verbatim else repr(value)
+    return f"{value[:_QUOTED_CHARS]!r}... ({len(value)} characters)"
 
 
 class LcgspecError(Exception):

@@ -18,8 +18,8 @@ work it will do, an integer product or power the bits of its operands less
 their trailing zeros, and every integer step at least a sixteenth of its
 result's bits; an expression past either allowance raises BudgetExceeded.
 An expression nests at most _MAX_DEPTH levels deep, counting itself and each
-parenthesis or exponent in it.  A refusal quotes at most _QUOTED_CHARS
-characters of the expression.
+parenthesis or exponent in it.  A refusal quotes the expression through
+`errors.shown`.
 """
 
 from __future__ import annotations
@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 import operator
 import re
-import sys
 from fractions import Fraction
 
-from .errors import BudgetExceeded, ExpressionError
+from .errors import BudgetExceeded, ExpressionError, _max_str_digits, shown
 
 _TOKEN = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|(pi|e)|([()+*/^-])|(\S)")
 # The most bits of any result.  The integer products and powers of one
@@ -55,15 +54,8 @@ _MAX_RATIONAL_WORK = 2**36
 # recursion, so a deep one would otherwise end in a RecursionError.
 _MAX_DEPTH = 100
 
-# The most characters of an expression a refusal message quotes: a longer
-# flag (up to the 128 KiB an argument may hold) is quoted by a prefix of this
-# many and its length, so the `error:` line stays readable.
-_QUOTED_CHARS = 2000
-
 SYMBOLIC_DIGITS = 12
 _CONSTANTS = {"pi": Fraction(math.pi), "e": Fraction(math.e)}
-# Python's limit on digits converted between int and str (0: none; absent before 3.10.7)
-_max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
 def _digit_limit_exceeded(n: int) -> int:
@@ -75,14 +67,6 @@ def _digit_limit_exceeded(n: int) -> int:
     return 0
 
 
-def _quoted(text: str) -> str:
-    """The repr of `text`, or of its first _QUOTED_CHARS characters followed
-    by its length when it is longer."""
-    if len(text) <= _QUOTED_CHARS:
-        return repr(text)
-    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
-
-
 def _tokenize(text: str) -> list[tuple[str, str]]:
     text = text.replace("−", "-").replace("×", "*").replace("⋅", "*")
     text = text.replace("**", "^")
@@ -90,7 +74,7 @@ def _tokenize(text: str) -> list[tuple[str, str]]:
     for m in _TOKEN.finditer(text):
         dec, num, name, op, junk = m.groups()
         if junk:
-            raise ExpressionError(f"unexpected character {junk!r} in {_quoted(text)}")
+            raise ExpressionError(f"unexpected character {shown(junk)} in {shown(text)}")
         if dec:
             tokens.append(("dec", dec))
         elif num:
@@ -145,7 +129,7 @@ class _Parser:
 
     def take(self) -> tuple[str, str]:
         if self.pos >= len(self.tokens):
-            raise ExpressionError(f"unexpected end of expression in {_quoted(self.text)}")
+            raise ExpressionError(f"unexpected end of expression in {shown(self.text)}")
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
@@ -159,7 +143,7 @@ class _Parser:
         if self.work > _MAX_RATIONAL_WORK or self.bits > _MAX_RESULT_BITS:
             kind = "endpoint" if self.allow_rational else "integer"
             raise BudgetExceeded(
-                f"{kind} arithmetic in {_quoted(self.text)} exceeds its work budget")
+                f"{kind} arithmetic in {shown(self.text)} exceeds its work budget")
 
     def apply(self, op: str, v, w):
         """v op w for a binary + - * /, refused before it runs when it is
@@ -197,7 +181,7 @@ class _Parser:
     def parse(self) -> tuple[int | Fraction, bool]:
         value = self.expr()
         if self.pos != len(self.tokens):
-            raise ExpressionError(f"trailing input in {_quoted(self.text)}")
+            raise ExpressionError(f"trailing input in {shown(self.text)}")
         return value
 
     def expr(self):
@@ -240,7 +224,7 @@ class _Parser:
             if e < 0 and not self.allow_rational:
                 raise ExpressionError("negative exponent in an integer expression")
             if abs(e) > 10_000:
-                raise ExpressionError(f"exponent {e} too large")
+                raise ExpressionError(f"exponent {shown(e)} too large")
             size = max(_part_bits(v)) * abs(e)
             if size > _MAX_RESULT_BITS:
                 raise ExpressionError("expression result too large")
@@ -262,15 +246,15 @@ class _Parser:
             return Fraction(float(text)), False
         if kind == "name":
             if not self.allow_rational:
-                raise ExpressionError(f"{text!r} is not valid in an integer expression")
+                raise ExpressionError(f"{shown(text)} is not valid in an integer expression")
             return _CONSTANTS[text], True
         if kind == "op" and text == "(":
             v = self.expr()
             nk, nt = self.take()
             if (nk, nt) != ("op", ")"):
-                raise ExpressionError(f"expected ')' in {_quoted(self.text)}")
+                raise ExpressionError(f"expected ')' in {shown(self.text)}")
             return v
-        raise ExpressionError(f"unexpected token {text!r} in {_quoted(self.text)}")
+        raise ExpressionError(f"unexpected token {shown(text)} in {shown(self.text)}")
 
 
 def parse_int_expr(text: str) -> int:

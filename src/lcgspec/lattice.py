@@ -29,7 +29,7 @@ import math
 import re
 from collections import namedtuple
 
-from .errors import BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams
+from .errors import BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams, shown
 
 DEFAULT_ENUM_CAP = 12
 # loop steps `brute_force_shortest` may take with N below 2^1024, about a
@@ -53,7 +53,11 @@ def canonical(vec: tuple[int, ...]) -> tuple[int, ...]:
 
 def _as_int(x, what: str = "basis entry") -> int:
     if isinstance(x, bool) or not isinstance(x, int):
-        raise InvalidParams(f"{what} must be an integer, got {x!r}")
+        # a rational but for a bool (so a Fraction) as its repr, which names
+        # its type: its value may be integral
+        got = (f"{type(x).__name__}({shown(x.numerator)}, {shown(x.denominator)})"
+               if hasattr(x, "denominator") and not isinstance(x, bool) else shown(x))
+        raise InvalidParams(f"{what} must be an integer, got {got}")
     return x
 
 
@@ -144,15 +148,15 @@ class ShortestVectorResult(namedtuple("ShortestVectorResult", "norm_sq vector ce
 def _check_dual_params(a: int, N: int, s: int) -> None:
     """Refuse the (a, N, s) that no dual lattice has, in O(1)."""
     if N <= 0 or not 1 <= a < N:
-        raise InvalidParams(f"need 1 <= a < N, got a={a}, N={N}")
+        raise InvalidParams(f"need 1 <= a < N, got a={shown(a)}, N={shown(N)}")
     if s < 2:
-        raise InvalidParams(f"dimension must be >= 2, got {s}")
+        raise InvalidParams(f"dimension must be >= 2, got {shown(s)}")
 
 
 def _check_cap(dim: int, cap: int) -> None:
     """Refuse a dimension above the enumeration cap, before any work on it."""
     if dim > cap:
-        raise DimensionTooLarge(f"dimension {dim} exceeds enumeration cap {cap}")
+        raise DimensionTooLarge(f"dimension {shown(dim)} exceeds enumeration cap {shown(cap)}")
 
 
 def dual_basis(a: int, N: int, s: int) -> LatticeBasis:
@@ -401,7 +405,7 @@ def brute_force_shortest(a: int, N: int, s: int, box: int,
     """
     _check_dual_params(a, N, s)
     if box < 1:
-        raise InvalidParams(f"box must be >= 1, got {box}")
+        raise InvalidParams(f"box must be >= 1, got {shown(box)}")
     _check_cap(s, cap)
     powers = [pow(a, j, N) for j in range(s)]
     best_nsq = s * box * box  # the prune bound: no vector in the box is longer
@@ -452,7 +456,7 @@ def brute_force_shortest(a: int, N: int, s: int, box: int,
 
     rec(s - 1, 0, 0, (1,))
     if best_vec is None:
-        raise EmptyBox(f"no nonzero solution with coordinates in [-{box}, {box}]")
+        raise EmptyBox(f"no nonzero solution with coordinates in [-{shown(box)}, {shown(box)}]")
     return ShortestVectorResult(
         norm_sq=best_nsq, vector=best_vec, certified=box * box >= best_nsq
     )

@@ -11,8 +11,15 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import InvalidParams, NoPotential, PeriodViolation, PotentialOne
-from .exprparse import _digit_limit_exceeded, _max_str_digits
+from .errors import (
+    InvalidParams,
+    NoPotential,
+    PeriodViolation,
+    PotentialOne,
+    _max_str_digits,
+    shown,
+)
+from .exprparse import _digit_limit_exceeded
 
 
 class LcgParams(namedtuple("LcgParams", "a c N x0")):
@@ -24,15 +31,15 @@ class LcgParams(namedtuple("LcgParams", "a c N x0")):
 
     def __new__(cls, a: int, c: int, N: int, x0: int = 0) -> LcgParams:
         if N <= 0:
-            raise InvalidParams(f"N must be positive, got {N}")
+            raise InvalidParams(f"N must be positive, got {shown(N)}")
         if not 2 <= a < N:
-            raise InvalidParams(f"need 2 <= a < N, got a={a}, N={N}")
+            raise InvalidParams(f"need 2 <= a < N, got a={shown(a)}, N={shown(N)}")
         if not 1 <= c < N:
-            raise InvalidParams(f"need 1 <= c < N, got c={c}, N={N}")
+            raise InvalidParams(f"need 1 <= c < N, got c={shown(c)}, N={shown(N)}")
         if math.gcd(c, N) != 1:
-            raise InvalidParams(f"gcd(c, N) = {math.gcd(c, N)} != 1")
+            raise InvalidParams(f"gcd(c, N) = {shown(math.gcd(c, N))} != 1")
         if not 0 <= x0 < N:
-            raise InvalidParams(f"need 0 <= x0 < N, got x0={x0}")
+            raise InvalidParams(f"need 0 <= x0 < N, got x0={shown(x0)}")
         return super().__new__(cls, a, c, N, x0)
 
     _make = classmethod(lambda cls, iterable: cls(*iterable))
@@ -77,7 +84,7 @@ def check_max_period(params: LcgParams) -> MaxPeriodReport:
     r, _ = _strip_shared_primes(params.a, params.N)
     failures = []
     if r > 1:
-        failures.append(f"primes of {r} divide N but not a-1")
+        failures.append(f"primes of {shown(r)} divide N but not a-1")
     if params.N % 4 == 0 and (params.a - 1) % 4 != 0:
         failures.append("N divisible by 4 but a-1 is not")
     return MaxPeriodReport(ok=not failures, failures=tuple(failures))
@@ -109,12 +116,12 @@ def compute_potential(a: int, N: int) -> PotentialProfile:
     """Least tau >= 2 with N | (a-1)^tau, plus the cofactor lam = (a-1)^tau / N,
     refused (InvalidParams) when it has more digits than Python prints."""
     if N <= 0 or not 2 <= a:
-        raise InvalidParams(f"need a >= 2 and N > 0, got a={a}, N={N}")
+        raise InvalidParams(f"need a >= 2 and N > 0, got a={shown(a)}, N={shown(N)}")
     r, tau = _strip_shared_primes(a, N)
     if r > 1:
-        raise NoPotential(f"prime factor of {N} does not divide a-1 = {a - 1}")
+        raise NoPotential(f"prime factor of {shown(N)} does not divide a-1 = {shown(a - 1)}")
     if tau <= 1:
-        raise PotentialOne(f"N = {N} divides a-1 = {a - 1}; potential is 1")
+        raise PotentialOne(f"N = {shown(N)} divides a-1 = {shown(a - 1)}; potential is 1")
     return PotentialProfile(tau=tau, lam=_power_quotient(a - 1, tau, N, f"lambda = (a-1)^{tau}/N"))
 
 

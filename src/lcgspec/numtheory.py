@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import FactorizationError, InvalidParams
+from .errors import FactorizationError, InvalidParams, shown
 
 DEFAULT_TRIAL_BOUND = 10**7
 DEFAULT_RHO_BUDGET = 2_000_000
@@ -119,7 +119,7 @@ def factorize(
             continue
         d = _pollard_rho(m, rho_budget)
         if d is None or d in (1, m):
-            raise FactorizationError(f"cannot factor {m} within budget")
+            raise FactorizationError(f"cannot factor {shown(m)} within budget")
         stack.append(d)
         stack.append(m // d)
     return factors

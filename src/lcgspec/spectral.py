@@ -14,7 +14,7 @@ import math
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, Unsupported
+from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, Unsupported, shown
 from .lattice import DEFAULT_ENUM_CAP, _check_cap, dual_basis, extend_dual_basis, shortest_vector
 from .lcg import PotentialProfile, compute_potential
 
@@ -70,7 +70,7 @@ def b_coefficient(s: int) -> int:
     C(s, s // 2) = C(s, s // 2 + 1) for odd s, so the odd k nearest the
     middle is s // 2, or s // 2 - 1 when both s and s // 2 are even."""
     if s < 2:
-        raise InvalidParams(f"need s >= 2, got {s}")
+        raise InvalidParams(f"need s >= 2, got {shown(s)}")
     k = s // 2
     return math.comb(s, k - 1 if s % 4 == 0 else k)
 
@@ -79,7 +79,7 @@ def merit(s: int, v_sq: int | Fraction, N: int) -> float:
     """mu_s = pi^(s/2) * v_s^s / (Gamma(s/2 + 1) * N), evaluated in floats
     (relative error well under 1e-12 even for huge inputs)."""
     if s < 2:
-        raise InvalidParams(f"need s >= 2, got {s}")
+        raise InvalidParams(f"need s >= 2, got {shown(s)}")
     if N <= 0 or (v_sq if isinstance(v_sq, int) else v_sq.numerator) <= 0:
         raise InvalidParams("need v_sq > 0 and N > 0")
     half = s / 2.0
@@ -95,9 +95,9 @@ def knuth_bound(s: int, N: int) -> float:
     """Unconditional bound gamma_s * N^(1/s) on v_s, tabulated for s = 2..8;
     Unsupported beyond float range too."""
     if s not in _GAMMA:
-        raise Unsupported(f"no tabulated constant for s = {s} (supported: 2..8)")
+        raise Unsupported(f"no tabulated constant for s = {shown(s)} (supported: 2..8)")
     if N <= 0:
-        raise InvalidParams(f"N must be positive, got {N}")
+        raise InvalidParams(f"N must be positive, got {shown(N)}")
     try:
         bound = _GAMMA[s] * math.exp(_log_int(N) / s)
     except OverflowError:
@@ -119,7 +119,7 @@ def within_packing_bound(s: int, N: int, v_sq: int) -> bool | None:
 
 def classify_regime(s: int, profile: PotentialProfile) -> Regime:
     if s < 2:
-        raise InvalidParams(f"need s >= 2, got {s}")
+        raise InvalidParams(f"need s >= 2, got {shown(s)}")
     tau = profile.tau
     if s == tau:
         return Regime.S_EQ_TAU_2 if s == 2 else Regime.S_EQ_TAU_GE3
@@ -206,7 +206,7 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
         raise InvalidParams("need a >= 2, s >= 2, tau >= 2, lambda >= 1")
     am1 = a - 1
     if pow(am1, tau, lam) != 0:
-        raise InvalidParams(f"lambda = {lam} does not divide (a-1)^tau")
+        raise InvalidParams(f"lambda = {shown(lam)} does not divide (a-1)^tau")
     regime = classify_regime(s, profile)
 
     met: list[str] = []
@@ -340,12 +340,13 @@ def spectral_profile(a: int, N: int, dims: range,
     first dimension over it.
     """
     if not 2 <= a < N:
-        raise InvalidParams(f"need 2 <= a < N, got a={a}, N={N}")
+        raise InvalidParams(f"need 2 <= a < N, got a={shown(a)}, N={shown(N)}")
     # no len(): it overflows on a range longer than sys.maxsize
     if not isinstance(dims, range) or not dims or (dims.step != 1 and dims[0] != dims[-1]):
-        raise InvalidParams(f"need a contiguous ascending range of dimensions, got {dims}")
+        raise InvalidParams("need a contiguous ascending range of dimensions, "
+                            f"got {shown(dims, verbatim=True)}")
     if dims[0] < 2:
-        raise InvalidParams(f"dimension must be >= 2, got {dims[0]}")
+        raise InvalidParams(f"dimension must be >= 2, got {shown(dims[0])}")
     _check_cap(max(dims[0], min(dims[-1], cap + 1)), cap)  # the first one over the cap, if any
     basis = dual_basis(a, N, dims[0])
     try:
@@ -364,8 +365,8 @@ def spectral_profile(a: int, N: int, dims: range,
             if bounds.theorem_id == 1 and bounds.lower_sq is not None:
                 if v_sq != bounds.lower_sq:
                     raise LcgspecError(
-                        f"solver value {v_sq} contradicts the exact dimension-2 "
-                        f"formula {bounds.lower_sq} for a={a}, N={N}"
+                        f"solver value {shown(v_sq)} contradicts the exact dimension-2 "
+                        f"formula {shown(bounds.lower_sq)} for a={shown(a)}, N={shown(N)}"
                     )
         results.append(SpectralResult(
             a=a,

@@ -3,9 +3,10 @@
 Every command but `verify-paper` is called about 300 times in all with
 extreme and malformed values, from a fixed seed.  Each call must return one
 of the documented exit codes 0, 2, 3 or 4, raise nothing (so print no
-traceback), and finish inside a generous alarm.  Valid requests are kept
-cheap: a dump always gets a --count, small or over the default budget, or a
-small --budget.
+traceback), print at most one `error:` line, of at most LONGEST_ERROR
+characters however large the values it quotes, and finish inside a generous
+alarm.  Valid requests are kept cheap: a dump always gets a --count, small
+or over the default budget, or a small --budget.
 """
 
 import io
@@ -19,12 +20,14 @@ from lcgspec.cli import main
 
 CASES = 300
 ALARM_S = 30
+# a refusal quotes at most 2,000 characters or digits of any value
+LONGEST_ERROR = 2100
 
 # malformed or out-of-range values, drawn for any integer option now and then
 BAD = ["", " ", "abc", "1e3", "0x10", "1/2", "2^", "(", "2^-1", "-1", "0", "-2^64", "\u0663",
        "10^4000", "2^2^2^2^2", "99999999999999999999999"]
 MULTIPLIERS = ["5", "13", "21", "26", "129", "69069", "1000000007", "3141592621",
-               "6364136223846793005", "2^32+1", "4*5^8+1"]
+               "6364136223846793005", "2^32+1", "4*5^8+1", "3*10^4000"]
 MODULI = ["16", "32", "625", "2^32", "2^35", "2^64", "10^18", "4*5^8", "3^12", "10^8+1",
           "69068^2", "69068^6",
           # a sum once 24-29 s of integer products, now over the integer work budget
@@ -95,7 +98,7 @@ def _build(rng, files):
     else:
         argv += primes + _maybe(rng, "--d", SMALL, 0.4)
     return (argv + _maybe(rng, "--l", SMALL, 0.3) + _maybe(rng, "--lambda", SMALL, 0.3)
-            + _maybe(rng, "--min-accuracy", ["0", "100", "10^6", "2^64"], 0.2)
+            + _maybe(rng, "--min-accuracy", ["0", "100", "10^6", "2^64", "10^4000"], 0.2)
             + _maybe(rng, "--validate", ["2", "3", "4", "8", "13"], 0.3)
             + _maybe(rng, "--enum-cap", SMALL, 0.2))
 
@@ -113,11 +116,15 @@ def _dump(rng, files):
     generator = _generator(rng) if rng.random() < 0.9 else ["--a", "5", "--N", "2^9999"]
     argv = ["dump"] + generator
     if rng.random() < 0.5:
-        argv += ["--count", _int(rng, ["0", "1", "10", "100", "1000", "10^9", "2^64"])]
+        argv += ["--count", _int(rng, ["0", "1", "10", "100", "1000", "10^9", "2^64",
+                                       "10^4000"])]
     else:
         argv += ["--budget", _int(rng, ["1", "100", "1000"])]
-    return (argv + _maybe(rng, "--digits", SMALL + ["5000", "99999999999999999999999"], 0.3)
-            + _maybe(rng, "--per-line", SMALL, 0.3)
+    argv += _maybe(rng, "--digits", SMALL + ["5000", "99999999999999999999999"], 0.3)
+    per_line = _maybe(rng, "--per-line", SMALL, 0.4)
+    # mostly a table with --per-line, which a csv dump refuses
+    table = ["--format", "table"] if rng.random() < (0.8 if per_line else 0.3) else []
+    return (argv + per_line + table
             + (["-o", rng.choice([files["output"], ""])] if rng.random() < 0.2 else []))
 
 
@@ -192,7 +199,9 @@ def test_every_call_ends_in_a_documented_exit_code(files, capsys):
             finally:
                 signal.alarm(0)
             err = capsys.readouterr().err
-            if code not in (0, 2, 3, 4) or "Traceback" in err:
+            errors = [line for line in err.splitlines() if line.startswith("error:")]
+            if (code not in (0, 2, 3, 4) or "Traceback" in err or len(errors) > 1
+                    or any(len(line) > LONGEST_ERROR for line in errors)):
                 bad.append((argv, code, err[-200:]))
     finally:
         signal.signal(signal.SIGALRM, previous)

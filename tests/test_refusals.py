@@ -1,0 +1,163 @@
+"""How a refusal quotes the value it refuses: `errors.shown`, one rule for
+every message, so no refusal fails inside its own message or runs to
+kilobytes, whatever the interpreter's int-to-str limit."""
+
+import io
+import sys
+from fractions import Fraction
+
+import pytest
+
+import lcgspec.cli as cli
+from lcgspec.builder import MultiplierRecipe, build_range
+from lcgspec.empirical import dump_sequence, frequency_test
+from lcgspec.errors import (
+    InvalidParams,
+    LambdaInvalid,
+    LcgspecError,
+    NoPotential,
+    PeriodViolation,
+    TooSmall,
+    shown,
+)
+from lcgspec.lattice import brute_force_shortest, dual_basis
+from lcgspec.lcg import LcgParams, PotentialProfile, compute_potential
+from lcgspec.spectral import spectral_profile, theorem_bounds
+
+DEFAULT_LIMIT = sys.get_int_max_str_digits()  # 4300 unless the interpreter was told otherwise
+HUGE = 10**5000 - 1  # 5,000 digits, 16,610 bits
+LONGEST_LINE = 2100
+
+
+@pytest.fixture(params=[DEFAULT_LIMIT, 640, 0], ids=["default", "640", "none"])
+def digit_limit(request):
+    """Python's int-to-str limit set to each of its default, its least
+    allowed value and 0 (no limit), then restored."""
+    sys.set_int_max_str_digits(request.param)
+    try:
+        yield request.param
+    finally:
+        sys.set_int_max_str_digits(DEFAULT_LIMIT)
+
+
+class TestShown:
+    def test_text_is_quoted_by_at_most_2000_characters(self):
+        assert shown("") == "''"
+        assert shown("x" * 2000) == repr("x" * 2000)
+        assert shown("x" * 2001) == f"{'x' * 2000!r}... (2001 characters)"
+        assert shown("a:b", verbatim=True) == "a:b"
+        assert shown("x" * 2000, verbatim=True) == "x" * 2000
+        assert shown("x" * 2001, verbatim=True) == f"{'x' * 2000!r}... (2001 characters)"
+
+    def test_integers_up_to_2000_digits_in_decimal(self):
+        for n in (0, 7, -7, 10**1999, 10**2000 - 1, 1 - 10**2000, True):
+            assert shown(n) == str(n)
+        assert shown(10**2000) == f"<{(10**2000).bit_length()}-bit integer>"
+        assert shown(-HUGE) == "-<16610-bit integer>"
+
+    def test_fractions_in_lowest_terms_or_by_their_bit_lengths(self):
+        assert shown(Fraction(-3, 4)) == "-3/4"
+        assert shown(Fraction(6)) == "6"
+        assert shown(Fraction(1, HUGE)) == "<1-bit numerator / 16610-bit denominator>"
+        assert shown(Fraction(-HUGE, 7)) == "-<16610-bit numerator / 3-bit denominator>"
+
+    def test_any_other_value_by_its_repr(self):
+        assert shown(range(2, 5)) == "range(2, 5)"
+        assert shown([2, 1000000000]) == "[2, 1000000000]"
+        assert shown(1.5) == "1.5"
+        long = list(range(1000))
+        assert shown(long) == f"{repr(long)[:2000]!r}... ({len(repr(long))} characters)"
+
+    def test_never_converts_what_the_interpreter_refuses(self, digit_limit):
+        quoted = min(digit_limit or 2000, 2000)
+        assert shown(10**quoted - 1) == "9" * quoted
+        assert shown(10**quoted) == f"<{(10**quoted).bit_length()}-bit integer>"
+        text = shown(range(HUGE, HUGE + 1))  # its repr, when the interpreter allows it
+        assert text == "<range>" if digit_limit else text.endswith("... (10010 characters)")
+
+
+# each library entry point, refusing a 5,000-digit value, and its error kind
+REFUSALS = {
+    "dual_basis": (InvalidParams, lambda: dual_basis(HUGE, 7, 2)),
+    "LcgParams": (InvalidParams, lambda: LcgParams(HUGE, 1, 16)),
+    "compute_potential": (NoPotential, lambda: compute_potential(3, 5 * HUGE)),
+    "spectral_profile": (InvalidParams, lambda: spectral_profile(HUGE, 7, range(2, 3))),
+    "spectral_profile-dims": (InvalidParams, lambda: spectral_profile(5, 16, range(HUGE, 1))),
+    "brute_force_shortest": (InvalidParams, lambda: brute_force_shortest(5, 16, 2, box=-HUGE)),
+    "build_range": (LambdaInvalid, lambda: build_range(2, 0, HUGE, MultiplierRecipe(26))),
+    "build_range-min_accuracy": (TooSmall, lambda: build_range(2, 0, 1, MultiplierRecipe(26),
+                                                               min_accuracy=HUGE)),
+    "MultiplierRecipe": (InvalidParams, lambda: MultiplierRecipe(-HUGE)),
+    "theorem_bounds": (InvalidParams, lambda: theorem_bounds(26, PotentialProfile(2, HUGE), 2)),
+    "dump_sequence": (InvalidParams, lambda: dump_sequence(LcgParams(5, 1, 16), io.StringIO(),
+                                                           count=HUGE)),
+    "dump_sequence-period": (PeriodViolation, lambda: dump_sequence(
+        LcgParams(2, 1, 3 * 10**5000), io.StringIO(), count=3 * 10**5000, digits=1,
+        budget=10**5001)),
+    "frequency_test": (InvalidParams, lambda: frequency_test(LcgParams(5, 1, 16),
+                                                             Fraction(HUGE, 3), 1)),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_library_refusals_of_huge_values_stay_short(digit_limit, name):
+    kind, call = REFUSALS[name]
+    with pytest.raises(LcgspecError) as exc:
+        call()
+    assert type(exc.value) is kind
+    assert len(str(exc.value)) <= LONGEST_LINE
+
+
+def run(argv):
+    out = io.StringIO()
+    return cli.main(argv, out=out), out.getvalue()
+
+
+@pytest.mark.parametrize("argv, code", [
+    (["analyze", "--a", "3*10^4000", "--N", "10^4000+1"], 2),
+    (["build", "--tau", "2", "--primes", "2:1", "--min-accuracy", "10^4000"], 2),
+    (["build", "--tau", "2", "--a", "26", "--l", "1", "--lambda", "7" * 4000], 3),
+    (["dump", "--a", "5", "--N", "16", "--count", "10^4000"], 2),
+    (["uniformity", "--a", "5", "--N", "3^8000", "--interval", "0:1"], 3),
+], ids=["analyze-a", "build-min-accuracy", "build-lambda", "dump-count", "uniformity-N"])
+def test_cli_refusals_of_huge_values_are_one_short_line(capsys, argv, code):
+    assert run(argv) == (code, "")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert len(err) <= LONGEST_LINE and "-bit integer>" in err
+
+
+class TestFlagsThatNeedAnother:
+    """A flag that only another flag gives a meaning is refused without it,
+    before any work, as `svp --basis-file` refuses its stray flags."""
+
+    def test_enum_cap_needs_validate(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_range", _boom)
+        assert run(["build", "--tau", "2", "--a", "26", "--enum-cap", "3"]) == (2, "")
+        assert capsys.readouterr().err == "error: --enum-cap needs --validate\n"
+
+    def test_enum_cap_with_validate(self, capsys):
+        argv = ["build", "--tau", "2", "--a", "26", "--validate", "3"]
+        code, out = run(argv)
+        assert (code, capsys.readouterr().err) == (0, "")
+        assert run(argv + ["--enum-cap", "3"]) == (0, out)
+        assert run(argv + ["--enum-cap", "2"]) == (4, "")  # the cap still bounds the solver
+        assert capsys.readouterr().err == "error: dimension 3 exceeds enumeration cap 2\n"
+
+    @pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "file"])
+    def test_per_line_needs_format_table(self, monkeypatch, capsys, tmp_path, to_file):
+        monkeypatch.setattr(cli, "dump_sequence", _boom)
+        path = tmp_path / "absent.txt"
+        argv = ["dump", "--a", "26", "--N", "625", "--count", "3", "--per-line", "2"]
+        assert run(argv + (["-o", str(path)] if to_file else [])) == (2, "")
+        assert capsys.readouterr().err == "error: --per-line needs --format table\n"
+        assert not path.exists()
+
+    def test_per_line_with_format_table(self):
+        argv = ["dump", "--a", "26", "--N", "625", "--count", "3", "--format", "table"]
+        assert run(argv + ["--per-line", "2"]) == (0, "0.0016; 0.0432\n0.1248\n")
+        assert run(argv) == (0, "0.0016; 0.0432; 0.1248\n")  # 10 a row by default
+
+
+def _boom(*args, **kwargs):
+    raise AssertionError("called after a refusal")
