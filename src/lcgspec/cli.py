@@ -1,5 +1,9 @@
 """Command-line front end: analyze, build, uniformity, dump, svp, verify-paper.
 
+argparse only decides which flags were given: every integer in argv, the parts
+of `--s LO..HI`, `--primes P:R,...` and `--only I,...` included, is read by
+`exprparse.parse_int_expr`, so a malformed one exits 2 and an over-budget one 4.
+
 Exit codes: 0 success, 1 failed verification scorecard, 2 usage or
 validation errors, 3 domain errors, 4 budget errors, 5 the output could not
 be written.
@@ -122,14 +126,18 @@ def _json_out(obj, out: TextIOBase) -> None:
 
 def _parse_s_range(text: str) -> range:
     lo, sep, hi = text.partition("..")
-    try:
-        lo_i = int(lo)
-        hi_i = int(hi) if sep else lo_i
-    except ValueError:
-        raise InvalidParams(f"bad dimension range {shown(text)}; use S or LO..HI")
+    lo_i = parse_int_expr(lo)
+    hi_i = parse_int_expr(hi) if sep else lo_i
     if lo_i < 2 or hi_i < lo_i:
         raise InvalidParams(f"need 2 <= LO <= HI, got {shown(text)}")
     return range(lo_i, hi_i + 1)
+
+
+def _read_ints(args, *names: str) -> None:
+    """Read each named flag that was given by parse_int_expr, in turn."""
+    for name in names:
+        if isinstance(text := getattr(args, name), str):
+            setattr(args, name, parse_int_expr(text))
 
 
 def _generator_params(args) -> LcgParams:
@@ -217,6 +225,7 @@ _ANALYZE_COLUMNS = (
 
 
 def cmd_analyze(args, out: TextIOBase) -> int:
+    _read_ints(args, "enum_cap")
     params = _generator_params(args)
     a, N = params.a, params.N
     dims = _parse_s_range(args.s)
@@ -253,25 +262,21 @@ def _parse_primes(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     exps: list[int] = []
     for chunk in text.split(","):
         p, sep, r = chunk.partition(":")
-        try:
-            primes.append(int(p))
-            exps.append(int(r) if sep else 1)
-        except ValueError:
-            raise InvalidParams(f"bad prime factor {shown(chunk)}; use P or P:R")
+        primes.append(parse_int_expr(p))
+        exps.append(parse_int_expr(r) if sep else 1)
     return tuple(primes), tuple(exps)
 
 
 def cmd_build(args, out: TextIOBase) -> int:
     if args.enum_cap is not None and args.validate is None:
         raise InvalidParams("--enum-cap needs --validate")
-    cap = DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
     if args.a is None and args.primes is None:
         raise InvalidParams("a multiplier is required: --a or --primes [--d]")
-    a = None if args.a is None else parse_int_expr(args.a)
+    _read_ints(args, "tau", "l", "lambda", "a", "d", "min_accuracy", "validate", "enum_cap")
+    cap = DEFAULT_ENUM_CAP if args.enum_cap is None else args.enum_cap
     primes, exps = ((), ()) if args.primes is None else _parse_primes(args.primes)
-    recipe = MultiplierRecipe(a, args.d, primes, exps)
-    min_acc = None if args.min_accuracy is None else parse_int_expr(args.min_accuracy)
-    gen = build_range(args.tau, args.l, getattr(args, "lambda"), recipe, min_acc)
+    recipe = MultiplierRecipe(args.a, args.d, primes, exps)
+    gen = build_range(args.tau, args.l, getattr(args, "lambda"), recipe, args.min_accuracy)
     report = None if args.validate is None else validate(gen, args.validate, cap=cap)
 
     if args.format == "json":
@@ -374,15 +379,16 @@ class _OpenOnWrite(contextlib.AbstractContextManager):
 
 
 def cmd_dump(args, out: TextIOBase) -> int:
+    _read_ints(args, "per_line")
     # a --per-line below 1 is left to dump_sequence, which refuses it in any format
     if args.per_line is not None and args.per_line >= 1 and args.format == "csv":
         raise InvalidParams("--per-line needs --format table")
+    _read_ints(args, "count", "digits", "budget")
     params = _generator_params(args)
     per_line = 10 if args.per_line is None else args.per_line
-    count = None if args.count is None else parse_int_expr(args.count)
     with (contextlib.nullcontext(out) if args.output is None
           else _OpenOnWrite(args.output)) as sink:
-        dump_sequence(params, sink, fmt=args.format, count=count, digits=args.digits,
+        dump_sequence(params, sink, fmt=args.format, count=args.count, digits=args.digits,
                       per_line=per_line, budget=args.budget)
     return EXIT_OK
 
@@ -391,6 +397,7 @@ def cmd_dump(args, out: TextIOBase) -> int:
 
 
 def cmd_svp(args, out: TextIOBase) -> int:
+    _read_ints(args, "s", "enum_cap")
     cap = args.enum_cap
     if args.basis_file is not None:
         stray = [flag for flag, value in (("--a", args.a), ("--N", args.N), ("--s", args.s),
@@ -440,12 +447,7 @@ def cmd_svp(args, out: TextIOBase) -> int:
 def cmd_verify_paper(args, out: TextIOBase) -> int:
     from . import scorecard
 
-    only = None
-    if args.only is not None:
-        try:
-            only = {int(x) for x in args.only.split(",")}
-        except ValueError:
-            raise InvalidParams(f"bad --only list {shown(args.only)}; use e.g. 1,3,7")
+    only = None if args.only is None else set(map(parse_int_expr, args.only.split(",")))
     results = scorecard.run_all(only=only)
     if not results:
         raise InvalidParams(f"--only {shown(args.only, verbatim=True)} matched no criteria")
@@ -483,7 +485,7 @@ def build_parser() -> argparse.ArgumentParser:
                     "linear congruential generators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    enum_cap = dict(type=int, default=DEFAULT_ENUM_CAP,
+    enum_cap = dict(default=DEFAULT_ENUM_CAP,
                     help=f"max enumeration dimension (default {DEFAULT_ENUM_CAP})")
 
     p = sub.add_parser("analyze", help="spectral figures v_s^2, merit and bounds per dimension")
@@ -497,20 +499,19 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="construct a generator with certified v_s bounds")
     dims = p.add_mutually_exclusive_group(required=True)
-    dims.add_argument("--s", type=int, dest="tau", metavar="S",
-                      help="another spelling of --tau")
-    dims.add_argument("--tau", type=int, help="guarantee dimensions 2..tau")
-    p.add_argument("--l", type=int, default=0, help="extra exponent of N (default 0)")
-    p.add_argument("--lambda", type=int, default=1, help="period cofactor (default 1)")
+    dims.add_argument("--s", dest="tau", metavar="S", help="another spelling of --tau")
+    dims.add_argument("--tau", help="guarantee dimensions 2..tau")
+    p.add_argument("--l", default=0, help="extra exponent of N (default 0)")
+    p.add_argument("--lambda", default=1, help="period cofactor (default 1)")
     p.add_argument("--a", default=None, help="explicit multiplier (integer expression)")
-    p.add_argument("--d", type=int, default=1, help="cofactor d of a shaped multiplier")
+    p.add_argument("--d", default=1, help="cofactor d of a shaped multiplier")
     p.add_argument("--primes", default=None,
                    help="prime kernel of a shaped multiplier, e.g. 2:7 or 2:2,17267")
     p.add_argument("--min-accuracy", default=None,
                    help="require a - b_s to exceed this integer expression")
-    p.add_argument("--validate", type=int, default=None, metavar="SMAX",
+    p.add_argument("--validate", default=None, metavar="SMAX",
                    help="run the solver for s = 2..SMAX against the certificate")
-    p.add_argument("--enum-cap", type=int, default=None,
+    p.add_argument("--enum-cap", default=None,
                    help="max enumeration dimension of --validate, which it needs "
                         f"(default {DEFAULT_ENUM_CAP})")
     p.add_argument("--format", choices=["text", "json"], default="text")
@@ -528,11 +529,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dump", help="stream the generated sequence as CSV or a decimal table")
     _add_generator_args(p)
     p.add_argument("--count", default=None, help="how many terms (default: full period)")
-    p.add_argument("--digits", type=int, default=None,
+    p.add_argument("--digits", default=None,
                    help="decimal digits for x/N (default: exact if terminating)")
-    p.add_argument("--per-line", type=int, default=None,
+    p.add_argument("--per-line", default=None,
                    help="values per row of --format table (default 10)")
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+    p.add_argument("--budget", default=DEFAULT_BUDGET,
                    help=f"refuse counts above this (default {DEFAULT_BUDGET})")
     p.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
     p.add_argument("--format", choices=["csv", "table"], default="csv")
@@ -543,7 +544,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON file {"rows": [[...], ...]} with integer entries')
     p.add_argument("--a", default=None, help="multiplier for the dual spectral lattice")
     p.add_argument("--N", default=None, help="modulus for the dual spectral lattice")
-    p.add_argument("--s", type=int, default=None, help="dimension for the dual spectral lattice")
+    p.add_argument("--s", default=None, help="dimension for the dual spectral lattice")
     p.add_argument("--brute-box", default=None, metavar="B",
                    help="use the coordinate-box oracle with |m_i| <= B instead of enumeration")
     p.add_argument("--enum-cap", **enum_cap)
@@ -569,7 +570,7 @@ def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
         return parser.parse_args(argv)
     args, extras = _COMMANDS[argv[0]].parse_known_args(argv[1:])
     if extras:
-        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+        parser.error(f"unrecognized arguments: {shown(' '.join(extras), verbatim=True)}")
     args.command = argv[0]
     return args
 

@@ -259,6 +259,9 @@ class _Parser:
 
 def parse_int_expr(text: str) -> int:
     """Exact integer value of a flag expression like "2^32" or "10^8+1"."""
+    # a plain literal within the digit limit: int() takes the \d digits, to the same value
+    if text.isdecimal() and len(text) <= (_max_str_digits() or len(text)):
+        return int(text)
     n, _ = _Parser(text, allow_rational=False).parse()
     if limit := _digit_limit_exceeded(n):
         raise ExpressionError(f"expression result has more than {limit} digits")

@@ -1,6 +1,7 @@
 """Tests for generator construction and certificate validation."""
 
 import json
+import sys
 import tracemalloc
 from fractions import Fraction
 
@@ -33,6 +34,26 @@ class TestMultiplierRecipe:
         r = MultiplierRecipe(a=26)
         assert r.resolve(2, None) == 26
         assert r.resolve(2, 20) == 26  # 26 - 2 = 24 > 20
+
+    @pytest.mark.parametrize("limit", [sys.get_int_max_str_digits(), 640, 0],
+                             ids=["default", "640", "none"])
+    def test_kernel_too_long_to_print_is_refused_unformed(self, limit):
+        # the kernel 2^r exceeds 10^limit once r > 10*limit/3: refused before
+        # it is formed, and with r at that edge no build succeeds either
+        default, edge = sys.get_int_max_str_digits(), 10 * limit // 3
+        sys.set_int_max_str_digits(limit)
+        try:
+            if not limit:  # no limit, no bound
+                assert MultiplierRecipe(primes=(2,), exponents=(10**5,)).kernel() == 2**10**5
+                return
+            for exps in [(edge + 1,), (99999999999,)]:
+                with pytest.raises(InvalidParams,
+                                   match=f"^prime kernel has more than {limit} digits$"):
+                    MultiplierRecipe(primes=(2,), exponents=exps)
+            with pytest.raises(InvalidParams, match="has more than"):
+                build_range(2, 0, 1, MultiplierRecipe(primes=(2,), exponents=(edge,)))
+        finally:
+            sys.set_int_max_str_digits(default)
 
     def test_explicit_min_accuracy_not_met(self):
         with pytest.raises(TooSmall):

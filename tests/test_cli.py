@@ -9,6 +9,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -784,13 +785,77 @@ class TestVerifyPaper:
         assert code == 2
 
 
+# Every integer of argv, one case per option and per part of a splitter: the
+# argv with {} for the value, then a literal and an expression of that value
+INTEGER_FLAGS = {
+    "analyze-enum-cap": (["analyze", "--a", "26", "--N", "625", "--s", "2..3", "--enum-cap", "{}"],
+                         "3", "2+1"),
+    "analyze-s-lo": (["analyze", "--a", "26", "--N", "625", "--s", "{}..3"], "2", "1+1"),
+    "analyze-s-hi": (["analyze", "--a", "26", "--N", "625", "--s", "2..{}"], "3", "2+1"),
+    "build-tau": (["build", "--tau", "{}", "--a", "26"], "2", "1+1"),
+    "build-s": (["build", "--s", "{}", "--a", "26"], "2", "2^1"),
+    "build-l": (["build", "--tau", "2", "--l", "{}", "--lambda", "2", "--a", "5"], "1", "3-2"),
+    "build-lambda": (["build", "--tau", "2", "--l", "1", "--a", "69069", "--lambda", "{}"],
+                     "4", "2^2"),
+    "build-d": (["build", "--tau", "2", "--primes", "2:7", "--d", "{}"], "3", "2+1"),
+    "build-primes-p": (["build", "--tau", "2", "--primes", "{}:7"], "2", "1+1"),
+    "build-primes-r": (["build", "--tau", "2", "--primes", "2:{}"], "7", "2^3-1"),
+    "build-validate": (["build", "--tau", "2", "--a", "26", "--validate", "{}"], "3", "2+1"),
+    "build-enum-cap": (["build", "--tau", "2", "--a", "26", "--validate", "3", "--enum-cap", "{}"],
+                       "3", "2+1"),
+    "dump-digits": (["dump", "--a", "26", "--N", "625", "--count", "3", "--digits", "{}"],
+                    "3", "2+1"),
+    "dump-per-line": (["dump", "--a", "26", "--N", "625", "--count", "3", "--format", "table",
+                       "--per-line", "{}"], "2", "1+1"),
+    "dump-budget": (["dump", "--a", "5", "--N", "16", "--count", "3", "--budget", "{}"],
+                    "1000", "10^3"),
+    "svp-s": (["svp", "--a", "26", "--N", "625", "--s", "{}"], "3", "2+1"),
+    "svp-enum-cap": (["svp", "--a", "26", "--N", "625", "--s", "3", "--enum-cap", "{}"],
+                     "3", "2+1"),
+    "verify-paper-only": (["verify-paper", "--only", "7,{}"], "8", "2^3"),
+}
+_TIMINGS = re.compile(r"\(\d+\.\d+ s\)")
+
+
+def _with(argv, value):
+    return [arg.replace("{}", value) for arg in argv]
+
+
+class TestIntegerFlags:
+    """Every integer of argv is read by parse_int_expr, so an expression reads
+    as its literal, and a malformed or over-long value is one `error:` line."""
+
+    @pytest.mark.parametrize("name", list(INTEGER_FLAGS))
+    def test_an_expression_reads_as_its_literal(self, capsys, name):
+        argv, literal, expression = INTEGER_FLAGS[name]
+        got = []
+        for value in (literal, expression):
+            code, out = run(_with(argv, value))
+            got.append((code, _TIMINGS.sub("", out), capsys.readouterr().err))
+        assert got[0] == got[1]
+        assert got[0][0] == 0 and got[0][1]
+
+    @pytest.mark.parametrize("value", ["7" * 5000, "1_000"], ids=["5000-digits", "underscore"])
+    @pytest.mark.parametrize("name", list(INTEGER_FLAGS))
+    def test_a_malformed_value_is_one_error_line(self, capsys, name, value):
+        assert run(_with(INTEGER_FLAGS[name][0], value)) == (2, "")
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and len(err) <= 2100
+
+    def test_stray_tokens_are_quoted_short(self, capsys):
+        assert run(["analyze", "--a", "5", "--N", "16", "7" * 5000])[0] == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 2 and len(err.splitlines()[1]) <= 2100
+        assert err.endswith("... (5000 characters)\n")
+
+
 _NO_FILE = "error: [Errno 2] No such file or directory: ''\n"
 
 
 @pytest.mark.parametrize("argv, err", [
     (["build", "--s", "2", "--a", "26", "--validate", "0"],
      "error: need s_max >= 2, got 0\n"),
-    (["verify-paper", "--only", ""], "error: bad --only list ''; use e.g. 1,3,7\n"),
+    (["verify-paper", "--only", ""], "error: empty expression\n"),
     (["dump", "--a", "26", "--N", "625", "--count", "3", "-o", ""], _NO_FILE),
     (["uniformity", "--a", "26", "--N", "625", "--interval", "0:1", "--intervals-file", ""],
      _NO_FILE),

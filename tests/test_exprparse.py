@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import expr_reference
+from lcgspec import exprparse
 from lcgspec.errors import BudgetExceeded, ExpressionError
 from lcgspec.exprparse import parse_endpoint, parse_int_expr
 
@@ -250,6 +251,41 @@ def test_digit_limit_follows_the_interpreter(monkeypatch):
         parse_int_expr("100000")
     with pytest.raises(ExpressionError, match="expression result has more than 5 digits"):
         parse_int_expr("10^5")
+
+
+def _outcome(text):
+    try:
+        return parse_int_expr(text)
+    except ExpressionError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("limit", [sys.get_int_max_str_digits(), 640, 0],
+                         ids=["default", "640", "none"])
+def test_a_plain_literal_reads_as_the_grammar_reads_it(limit):
+    # a text of decimal digits is read by int(); in parentheses the same text
+    # goes through the grammar, which gives the same value or the same refusal
+    default, width = sys.get_int_max_str_digits(), limit or sys.get_int_max_str_digits()
+    digits = "0123456789" "\u0660\u0663\u0669" "\uff10\uff11\uff19" "\u0966\u096f"
+    rng = random.Random(33)
+    texts = ["007", "\u0663", "\uff11\uff12\uff13", "0" * width, "9" * width,
+             "0" * (width + 1), "9" * (width + 1)]
+    texts += ["".join(rng.choice(digits) for _ in range(rng.choice([1, 3, 40, width, width + 1])))
+              for _ in range(60)]
+    sys.set_int_max_str_digits(limit)
+    try:
+        outcomes = [(_outcome(text), _outcome(f"({text})")) for text in texts]
+    finally:
+        sys.set_int_max_str_digits(default)
+    assert all(fast == full for fast, full in outcomes)
+    assert outcomes[0][0] == 7 and outcomes[1][0] == outcomes[2][0] // 41 == 3
+    refused = sum(type(fast) is tuple for fast, _ in outcomes)
+    assert refused >= 2 if limit else refused == 0
+
+
+def test_a_plain_literal_skips_the_grammar(monkeypatch):
+    monkeypatch.setattr(exprparse, "_Parser", None)
+    assert parse_int_expr("69069") == parse_int_expr("\uff16\uff19\uff10\uff16\uff19") == 69069
 
 
 def test_decimal_endpoints_are_binary_doubles():

@@ -127,6 +127,15 @@ def test_cli_refusals_of_huge_values_are_one_short_line(capsys, argv, code):
     assert len(err) <= LONGEST_LINE and "-bit integer>" in err
 
 
+@pytest.mark.parametrize("digit_limit", [DEFAULT_LIMIT, 640], ids=["default", "640"],
+                         indirect=True)
+@pytest.mark.parametrize("primes", ["2:99999999999", "2:10^11", "3,2^61-1:10^9"])
+def test_build_refuses_a_kernel_too_long_to_print_unformed(capsys, digit_limit, primes):
+    # 2^99999999999 alone would take longer than any test
+    assert run(["build", "--tau", "2", "--primes", primes]) == (2, "")
+    assert capsys.readouterr().err == f"error: prime kernel has more than {digit_limit} digits\n"
+
+
 class TestFlagsThatNeedAnother:
     """A flag that only another flag gives a meaning is refused without it,
     before any work, as `svp --basis-file` refuses its stray flags."""
