@@ -24,7 +24,7 @@ from .errors import (
     PeriodBroken,
     PotentialOne,
     TooSmall,
-    _max_str_digits,
+    _too_many_bits,
     shown,
 )
 from .lattice import DEFAULT_ENUM_CAP
@@ -67,9 +67,9 @@ class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
                 raise InvalidParams(f"{shown(p)} is not prime")
             if i and p <= self.primes[i - 1]:
                 raise InvalidParams("primes must be strictly increasing")
-        # kernel > 2^bits > 10^limit: refused before it is formed, as any N >= kernel^2 would be
+        # kernel >= 2^bits > 10^limit: refused before it is formed, as any N >= kernel^2 would be
         bits = sum(r * (p.bit_length() - 1) for p, r in zip(self.primes, self.exponents))
-        if (limit := _max_str_digits()) and bits > 10 * limit // 3:
+        if limit := _too_many_bits(bits):
             raise InvalidParams(f"prime kernel has more than {limit} digits")
         kernel = self.kernel()
         if math.gcd(self.d, kernel) != 1:

@@ -475,11 +475,21 @@ def _add_generator_args(p: argparse.ArgumentParser) -> None:
 _COMMANDS: dict[str, argparse.ArgumentParser] = {}
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse's parser; a refused choice is quoted by `shown`, with its choices when whole."""
+
+    def _check_value(self, action, value) -> None:
+        if action.choices is not None and value not in action.choices:
+            if (text := shown(value)) == repr(value):
+                text += f" (choose from {', '.join(map(repr, action.choices))})"
+            raise argparse.ArgumentError(action, f"invalid choice: {text}")
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI parser, built on first use and then shared by every `main`
     call in the process; parse_args keeps no state between calls."""
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lcgspec",
         description="Exact spectral-test analysis and construction of maximum-period "
                     "linear congruential generators.",

@@ -17,7 +17,7 @@ from fractions import Fraction
 from io import TextIOBase
 
 from . import _chunks
-from .errors import BudgetExceeded, InvalidParams, _max_str_digits, shown
+from .errors import BudgetExceeded, InvalidParams, _max_str_digits, _too_many_digits, shown
 from .lcg import LcgParams, _require_max_period, default_digits
 
 DEFAULT_BUDGET = 10**8
@@ -111,9 +111,9 @@ def _digit_count(N: int, digits: int | None) -> int:
         if digits > limit:
             raise InvalidParams(f"digits must be <= {limit}, got {shown(digits)}")
         return digits
-    # every N above 10^limit has a default above it, and N < 2^(3 * limit)
-    # < 10^limit needs no power of ten
-    if (N.bit_length() <= 3 * limit or N <= 10**limit) and (d := default_digits(N)) <= limit:
+    # every N above 10^limit has a default above it, and N <= 10^limit
+    # exactly when its largest value N - 1 has at most limit digits
+    if not _too_many_digits(N - 1, limit) and (d := default_digits(N)) <= limit:
         return d
     raise InvalidParams(f"the default digit count for this N exceeds {limit}; "
                         f"give digits <= {limit}")

@@ -1,10 +1,11 @@
-"""Exception taxonomy shared by all modules, and how a refusal quotes a value.
+"""Exception taxonomy of all modules, how a refusal quotes a value, and the digit rule.
 
 Every message that quotes a value it refuses renders that value with
 `shown`, so an `error:` line stays readable, and printable, whatever the
 value's size: a number with more than _QUOTED_CHARS digits (or more than
 Python converts to str) appears as its bit length, and text longer than
-_QUOTED_CHARS characters as a prefix of that many and its length.
+_QUOTED_CHARS characters as a prefix of that many and its length.  Every
+module asks `_too_many_digits` and `_too_many_bits` whether a number prints.
 """
 
 import sys
@@ -19,14 +20,18 @@ _QUOTED_CHARS = 2000
 _max_str_digits = getattr(sys, "get_int_max_str_digits", lambda: 0)
 
 
-def _decimal(n: int) -> str | None:
-    """n in decimal when it has at most _QUOTED_CHARS digits and Python
-    converts it to str, else None; never converts a longer one."""
-    limit = min(_QUOTED_CHARS, _max_str_digits() or _QUOTED_CHARS)
-    # |n| < 2^(3 * limit) < 10^limit needs no power of ten
-    if n.bit_length() <= 3 * limit or abs(n) < 10**limit:
-        return str(n)
-    return None
+def _too_many_digits(n: int, limit: int | None = None) -> int:
+    """`limit` (by default Python's int-to-str limit, 0 for none) when n has
+    more digits than it, else 0; |n| < 2^(3 * limit) < 10^limit forms no power of ten."""
+    limit = _max_str_digits() if limit is None else limit
+    return limit if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit else 0
+
+
+def _too_many_bits(bits: int) -> int:
+    """Python's int-to-str limit when every integer of at least 2^bits has
+    more digits than it, since 2^(10 * limit / 3) > 10^limit; else 0."""
+    limit = _max_str_digits()
+    return limit if limit and bits > 10 * limit // 3 else 0
 
 
 def shown(value, verbatim: bool = False) -> str:
@@ -43,18 +48,18 @@ def shown(value, verbatim: bool = False) -> str:
     - Anything else: its repr, as verbatim text (`<type name>` when the
       repr would hold an int longer than Python converts).
     """
+    quoted = min(_QUOTED_CHARS, _max_str_digits() or _QUOTED_CHARS)  # digits of an int
     if isinstance(value, Fraction):
         n, d = value.numerator, value.denominator
-        if _decimal(n) is None or _decimal(d) is None:
+        if _too_many_digits(n, quoted) or _too_many_digits(d, quoted):
             sign = "-" if n < 0 else ""
             return f"{sign}<{n.bit_length()}-bit numerator / {d.bit_length()}-bit denominator>"
         return str(value)
     if isinstance(value, int):
-        text = _decimal(value)
-        if text is None:
+        if _too_many_digits(value, quoted):
             sign = "-" if value < 0 else ""
             return f"{sign}<{value.bit_length()}-bit integer>"
-        return text
+        return str(value)
     if not isinstance(value, str):
         try:
             value, verbatim = repr(value), True

@@ -2,8 +2,8 @@
 
 Integer mode accepts decimal literals with ^ + - * and parentheses, all in
 exact arbitrary-precision arithmetic ("2^32", "10^8+1", "(69068)^6"); no literal
-or result may have more digits than Python's int-to-str limit, so each prints.
-Its values are plain ints throughout.
+or result may have more digits than Python's int-to-str limit (for a result,
+`errors._too_many_digits` decides it), so each prints.  Values are plain ints.
 
 Endpoint mode additionally accepts '/', decimal fractions and the constants
 pi and e, for interval bounds like "1/pi^2" or "1-1/e".  A value stays an int
@@ -29,7 +29,7 @@ import operator
 import re
 from fractions import Fraction
 
-from .errors import BudgetExceeded, ExpressionError, _max_str_digits, shown
+from .errors import BudgetExceeded, ExpressionError, _max_str_digits, _too_many_digits, shown
 
 _TOKEN = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|(pi|e)|([()+*/^-])|(\S)")
 # The most bits of any result.  The integer products and powers of one
@@ -56,15 +56,6 @@ _MAX_DEPTH = 100
 
 SYMBOLIC_DIGITS = 12
 _CONSTANTS = {"pi": Fraction(math.pi), "e": Fraction(math.e)}
-
-
-def _digit_limit_exceeded(n: int) -> int:
-    """Python's int-to-str digit limit when n has more digits than it, else 0."""
-    limit = _max_str_digits()
-    # |n| < 2^(3 * limit) < 10^limit needs no power of ten
-    if limit and n.bit_length() > 3 * limit and abs(n) >= 10**limit:
-        return limit
-    return 0
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -263,7 +254,7 @@ def parse_int_expr(text: str) -> int:
     if text.isdecimal() and len(text) <= (_max_str_digits() or len(text)):
         return int(text)
     n, _ = _Parser(text, allow_rational=False).parse()
-    if limit := _digit_limit_exceeded(n):
+    if limit := _too_many_digits(n):
         raise ExpressionError(f"expression result has more than {limit} digits")
     return n
 

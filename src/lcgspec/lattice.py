@@ -20,7 +20,8 @@ row, and `dual_basis` writes it down in closed form: the rows N*e_0 and
 e_j - c_j*e_0, c_j = a^j mod N, have b*_0 = N*e_0 and b*_j = e_j, so
 d = [1, N^2, ..., N^2], lam[k][0] = -N*c_k and every other lam[k][j] is 0.
 A direct congruence-scanning brute force, bounded by the same cap and by a
-step budget, is provided as an independent cross-check.
+step budget, is provided as an independent cross-check.  `shortest_vector`
+refuses an answer whose squared norm `errors._too_many_digits` calls too long.
 """
 
 from __future__ import annotations
@@ -29,7 +30,8 @@ import math
 import re
 from collections import namedtuple
 
-from .errors import BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams, shown
+from .errors import (BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams, _too_many_digits,
+                     shown)
 
 DEFAULT_ENUM_CAP = 12
 # loop steps `brute_force_shortest` may take with N below 2^1024, about a
@@ -334,52 +336,54 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
     top = len(rows) - 1
     while d[top + 1] > best_nsq * d[top]:
         top -= 1
-    if not top:
-        return ShortestVectorResult(norm_sq=best_nsq, vector=canonical(rows[0]), certified=True)
-    best_vec: tuple[int, ...] | None = None
-    u = [0] * (top + 1)
+    best_vec: tuple[int, ...] | None = None if top else canonical(rows[0])
+    if top:
+        u = [0] * (top + 1)
 
-    def rec(i: int, num: int, den: int) -> None:
-        nonlocal best_nsq, best_vec
-        # used = num / den <= best_nsq; level i adds
-        # |b*_i|^2 (u_i + C/D)^2 = (u_i D + C)^2 / (d_i D)
-        rem = best_nsq * den - num
-        D = d[i + 1]
-        tden = d[i] * D
-        C = 0
-        for j in range(i + 1, top + 1):
-            C += lam[j][i] * u[j]
-        # integers u_i with (u_i D + C)^2 <= rem * tden / den, i.e. |u_i D + C| <= r
-        r = math.isqrt(rem * tden // den)
-        lo, hi = -((r + C) // D), (r - C) // D
-        if i == top and lo < 0:
-            lo = 0  # half-space is enough: -v is canonicalized to v
-        for ui in range(lo, hi + 1):
-            u[i] = ui
-            y = ui * D + C
-            nnum, nden = num * tden + y * y * den, den * tden
-            if nnum > best_nsq * nden:
-                continue
-            if i:
-                rec(i - 1, nnum, nden)
-                continue
-            # a leaf: the lattice vector sum(u_j * row_j), nonzero unless u is,
-            # since the rows are independent
-            v = None
-            for c, row in zip(u, rows):
-                if c:
-                    v = [c * z for z in row] if v is None else [x + c * z for x, z in zip(v, row)]
-            if v is None:
-                continue
-            nsq = sum([x * x for x in v])  # = nnum / nden, so nsq <= best_nsq
-            cand = canonical(v)
-            if best_vec is None or nsq < best_nsq or cand < best_vec:
-                best_nsq = nsq
-                best_vec = cand
-        u[i] = 0
+        def rec(i: int, num: int, den: int) -> None:
+            nonlocal best_nsq, best_vec
+            # used = num / den <= best_nsq; level i adds
+            # |b*_i|^2 (u_i + C/D)^2 = (u_i D + C)^2 / (d_i D)
+            rem = best_nsq * den - num
+            D = d[i + 1]
+            tden = d[i] * D
+            C = 0
+            for j in range(i + 1, top + 1):
+                C += lam[j][i] * u[j]
+            # integers u_i with (u_i D + C)^2 <= rem * tden / den, i.e. |u_i D + C| <= r
+            r = math.isqrt(rem * tden // den)
+            lo, hi = -((r + C) // D), (r - C) // D
+            if i == top and lo < 0:
+                lo = 0  # half-space is enough: -v is canonicalized to v
+            for ui in range(lo, hi + 1):
+                u[i] = ui
+                y = ui * D + C
+                nnum, nden = num * tden + y * y * den, den * tden
+                if nnum > best_nsq * nden:
+                    continue
+                if i:
+                    rec(i - 1, nnum, nden)
+                    continue
+                # a leaf: the lattice vector sum(u_j * row_j), nonzero unless u is,
+                # since the rows are independent
+                v = None
+                for c, row in zip(u, rows):
+                    if c:
+                        v = ([c * z for z in row] if v is None
+                             else [x + c * z for x, z in zip(v, row)])
+                if v is None:
+                    continue
+                nsq = sum([x * x for x in v])  # = nnum / nden, so nsq <= best_nsq
+                cand = canonical(v)
+                if best_vec is None or nsq < best_nsq or cand < best_vec:
+                    best_nsq = nsq
+                    best_vec = cand
+            u[i] = 0
 
-    rec(top, 0, 1)
+        rec(top, 0, 1)
     assert best_vec is not None  # the shortest reduced row lies inside the radius
+    if limit := _too_many_digits(best_nsq):
+        raise InvalidParams(f"the shortest vector's squared norm has more than {limit} digits")
     return ShortestVectorResult(norm_sq=best_nsq, vector=best_vec, certified=True)
 
 

@@ -16,10 +16,10 @@ from .errors import (
     NoPotential,
     PeriodViolation,
     PotentialOne,
-    _max_str_digits,
+    _too_many_bits,
+    _too_many_digits,
     shown,
 )
-from .exprparse import _digit_limit_exceeded
 
 
 class LcgParams(namedtuple("LcgParams", "a c N x0")):
@@ -63,12 +63,13 @@ def _strip_shared_primes(a: int, N: int) -> tuple[int, int]:
     Returns (r, passes).  r is what is left once gcd(r, a-1) = 1, so r = 1
     exactly when every prime of N divides a-1.  Each pass divides out up to
     v_p(a-1) factors of every shared prime p still present, so when r = 1 the
-    pass count is the least t with N | (a-1)^t.
+    pass count is the least t with N | (a-1)^t.  Pass k+1 takes its gcd with
+    g_k = gcd(r_k, a-1), the last one, not with all of a-1: v_p(r_(k+1)) <=
+    v_p(r_k) for every prime p, so both gcds keep min(v_p(r_(k+1)), v_p(r_k),
+    v_p(a-1)) = min(v_p(r_(k+1)), v_p(a-1)) factors of p.
     """
-    m = a - 1
-    r = N
-    passes = 0
-    while (g := math.gcd(r, m)) > 1:
+    r, g, passes = N, a - 1, 0
+    while (g := math.gcd(r, g)) > 1:
         r //= g
         passes += 1
     return r, passes
@@ -100,14 +101,13 @@ def _require_max_period(params: LcgParams) -> None:
 def _power_quotient(base: int, exp: int, div: int, name: str) -> int:
     """base^exp / div, for base >= 2 and div | base^exp, refused (InvalidParams)
     when it has more digits than Python converts to str.  The quotient exceeds
-    2^(exp*(bits(base) - 1) - bits(div)), and 2^(10*limit/3) > 10^limit, so bit
-    lengths refuse the long ones before base^exp is formed; a power that is
-    formed has under 10*limit/3 + exp + bits(div) bits."""
-    limit = _max_str_digits()
-    if limit and exp * (base.bit_length() - 1) - div.bit_length() > 10 * limit // 3:
+    2^(exp*(bits(base) - 1) - bits(div)), so `_too_many_bits` refuses the long
+    ones before base^exp is formed; a power that is formed has under
+    10*limit/3 + exp + bits(div) bits."""
+    if limit := _too_many_bits(exp * (base.bit_length() - 1) - div.bit_length()):
         raise InvalidParams(f"{name} has more than {limit} digits")
     q = base**exp // div
-    if limit := _digit_limit_exceeded(q):
+    if limit := _too_many_digits(q):
         raise InvalidParams(f"{name} has more than {limit} digits")
     return q
 

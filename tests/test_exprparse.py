@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 import expr_reference
-from lcgspec import exprparse
+from lcgspec import errors, exprparse
 from lcgspec.errors import BudgetExceeded, ExpressionError
 from lcgspec.exprparse import parse_endpoint, parse_int_expr
 
@@ -241,11 +241,12 @@ def test_parse_int_expr_refuses_integers_too_long_to_print():
 
 
 def test_digit_limit_follows_the_interpreter(monkeypatch):
-    import lcgspec.exprparse as exprparse
-
-    monkeypatch.setattr(exprparse, "_max_str_digits", lambda: 0)  # no limit
+    # literals are measured in `exprparse`, results by the rule in `errors`
+    for module in (exprparse, errors):
+        monkeypatch.setattr(module, "_max_str_digits", lambda: 0)  # no limit
     assert parse_int_expr("10^4300") == 10**4300
-    monkeypatch.setattr(exprparse, "_max_str_digits", lambda: 5)
+    for module in (exprparse, errors):
+        monkeypatch.setattr(module, "_max_str_digits", lambda: 5)
     assert parse_int_expr("99999") == 99999
     with pytest.raises(ExpressionError, match="integer literal has more than 5 digits"):
         parse_int_expr("100000")

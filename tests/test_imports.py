@@ -1,6 +1,7 @@
 """Every module-level import in the package is used, every public name has
-a caller, no module reads the process environment, no record is a
-`typing.NamedTuple`, and `import lcgspec.cli` loads a pinned set of modules.
+a caller, no module reads the process environment, only the front ends
+import the flag parser, no record is a `typing.NamedTuple`, and `import
+lcgspec.cli` loads a pinned set of modules.
 
 Stdlib `ast` scans: a name bound by a top-level `import` or `from ... import`
 must be read somewhere in the module, or be listed in its `__all__`; a public
@@ -177,6 +178,48 @@ def test_environment_scan_flags_each_kind():
         "environ (line 3)", "getenv (line 3)", "os.environ (line 4)", "os.getenv (line 5)",
         "os.putenv (line 6)", "system.environ (line 7)",
     ]
+
+
+def parser_imports(source: str) -> list[int]:
+    """The line of each import in `source` that names the module `exprparse`,
+    at any depth and in any form."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""] + [f"{node.module or ''}.{alias.name}"
+                                           for alias in node.names]
+        else:
+            continue
+        if any("exprparse" in name.split(".") for name in names):
+            found.append(node.lineno)
+    return sorted(found)
+
+
+# the modules that read flags, and `__init__`, which re-exports the readers;
+# the rest of the package asks `errors` whether a number prints
+PARSER_READERS = {"cli", "scorecard", "__init__"}
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py")
+                                        if p.stem not in PARSER_READERS), ids=lambda p: p.name)
+def test_only_the_front_ends_import_the_flag_parser(path):
+    assert parser_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_parser_import_scan_flags_each_kind():
+    source = (
+        "from .exprparse import parse_int_expr\n"
+        "from . import errors, exprparse\n"
+        "import lcgspec.exprparse as ep\n"
+        "from lcgspec import exprparse\n"
+        "from .errors import shown  # exprparse\n"
+        "import exprparser\n"
+        "def f():\n"
+        "    from lcgspec.exprparse import parse_endpoint\n"
+    )
+    assert parser_imports(source) == [1, 2, 3, 4, 8]
 
 
 def bare_python(code: str, *args: str) -> str:

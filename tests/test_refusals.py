@@ -1,8 +1,11 @@
 """How a refusal quotes the value it refuses: `errors.shown`, one rule for
 every message, so no refusal fails inside its own message or runs to
-kilobytes, whatever the interpreter's int-to-str limit."""
+kilobytes, whatever the interpreter's int-to-str limit; and how an answer
+too long to print is refused by the one digit rule of `errors`."""
 
 import io
+import json
+import math
 import sys
 from fractions import Fraction
 
@@ -20,9 +23,9 @@ from lcgspec.errors import (
     TooSmall,
     shown,
 )
-from lcgspec.lattice import brute_force_shortest, dual_basis
+from lcgspec.lattice import LatticeBasis, brute_force_shortest, dual_basis, shortest_vector
 from lcgspec.lcg import LcgParams, PotentialProfile, compute_potential
-from lcgspec.spectral import spectral_profile, theorem_bounds
+from lcgspec.spectral import spectral_profile, spectral_test, theorem_bounds
 
 DEFAULT_LIMIT = sys.get_int_max_str_digits()  # 4300 unless the interpreter was told otherwise
 HUGE = 10**5000 - 1  # 5,000 digits, 16,610 bits
@@ -134,6 +137,94 @@ def test_build_refuses_a_kernel_too_long_to_print_unformed(capsys, digit_limit, 
     # 2^99999999999 alone would take longer than any test
     assert run(["build", "--tau", "2", "--primes", primes]) == (2, "")
     assert capsys.readouterr().err == f"error: prime kernel has more than {digit_limit} digits\n"
+
+
+class TestArgparseChoices:
+    """argparse's `invalid choice` text, with the value quoted by `shown`."""
+
+    def test_a_short_value_reads_as_argparse_writes_it(self, capsys):
+        assert run(["analyze", "--a", "5", "--N", "16", "--format", "xml"]) == (2, "")
+        assert capsys.readouterr().err.splitlines()[-1] == (
+            "lcgspec analyze: error: argument --format: invalid choice: 'xml' "
+            "(choose from 'text', 'json', 'csv')")
+
+    @pytest.mark.parametrize("argv, flag", [
+        ([], "command"), (["analyze", "--a", "5", "--N", "16", "--format"], "--format"),
+    ], ids=["command", "format"])
+    def test_a_long_value_is_quoted_in_part(self, capsys, argv, flag):
+        # the usage line above still lists the choices
+        assert run(argv + ["7" * 5000]) == (2, "")
+        usage, *_, error = capsys.readouterr().err.splitlines()
+        assert usage.startswith("usage: lcgspec") and len(error) <= LONGEST_LINE
+        assert error.endswith(f"argument {flag}: invalid choice: "
+                              f"{'7' * 2000!r}... (5000 characters)")
+
+
+def hexagonal_pair(limit):
+    """(a, N), N < 10^limit, whose dual lattice in dimension 2 is nearly
+    hexagonal, so v_2^2 is about 1.15 * 10^limit: one digit more than the
+    limit.  The lattice is spanned by (u, v) = (u, 1), u^2 about
+    1.15 * 10^limit, and (u', v'), that row turned by 60 degrees and rounded:
+    N = u*v' - v*u' is their determinant and a = -u * v^-1 mod N = -u mod N
+    puts both in it.  With v = 1, LLL takes a few steps at any size."""
+    u = math.isqrt(115 * 10 ** (limit - 2))
+    turned_u, turned_v = u // 2, math.isqrt(3 * u * u) // 2
+    N = u * turned_v - turned_u
+    return N - u, N
+
+
+SQUARED_NORM = "the shortest vector's squared norm has more than {} digits"
+
+
+@pytest.mark.parametrize("digit_limit", [DEFAULT_LIMIT, 640], ids=["default", "640"],
+                         indirect=True)
+class TestAnswerTooLongToPrint:
+    """An answer that the digit rule calls too long is refused with exit 2,
+    before anything is written; one that prints never is."""
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_analyze(self, capsys, digit_limit, fmt):
+        a, N = hexagonal_pair(digit_limit)
+        assert len(str(N)) == digit_limit
+        argv = ["analyze", "--a", str(a), "--N", str(N), "--s", "2", "--format", fmt]
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {SQUARED_NORM.format(digit_limit)}\n"
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_svp_basis_file(self, capsys, tmp_path, digit_limit, fmt):
+        entry = "1" + "0" * (digit_limit * 15 // 16)  # prints; its square does not
+        path = tmp_path / "basis.json"
+        path.write_text(json.dumps({"rows": [[entry, "0"], ["0", entry]]}), encoding="utf-8")
+        assert run(["svp", "--basis-file", str(path), "--format", fmt]) == (2, "")
+        assert capsys.readouterr().err == f"error: {SQUARED_NORM.format(digit_limit)}\n"
+
+    def test_an_answer_that_prints_is_kept(self, digit_limit):
+        # x^2 has exactly limit digits, (x + 1)^2 one more
+        x = math.isqrt(10**digit_limit - 1)
+        assert shortest_vector(LatticeBasis(((x, 0), (0, x + 1)))).norm_sq == x * x
+        with pytest.raises(InvalidParams) as exc:
+            shortest_vector(LatticeBasis(((x + 1, 0), (0, x + 2))))
+        assert str(exc.value) == SQUARED_NORM.format(digit_limit)
+
+
+@pytest.mark.parametrize("digit_limit", [0], ids=["none"], indirect=True)
+def test_without_a_limit_the_long_answer_is_returned(digit_limit):
+    a, N = hexagonal_pair(640)
+    v_sq = spectral_test(a, N, 2).v_sq
+    assert N < 10**640 <= v_sq < 2 * 10**640
+
+
+def test_dump_default_digits_at_the_limit(digit_limit):
+    # N = 10^limit: every value x < N prints and the default is limit
+    # digits; N = 10^limit + 1 defaults to limit + 2.  The dump's limit is
+    # 4300 when the interpreter has none.
+    limit = digit_limit or 4300
+    out = io.StringIO()
+    dump_sequence(LcgParams(11, 1, 10**limit), out, count=2)
+    assert out.getvalue() == f"n,x,u\n1,1,0.{'0' * (limit - 1)}1\n2,12,0.{'0' * (limit - 2)}12\n"
+    with pytest.raises(InvalidParams, match=f"^the default digit count for this N exceeds "
+                                            f"{limit}; give digits <= {limit}$"):
+        dump_sequence(LcgParams(11, 1, 10**limit + 1), io.StringIO(), count=2)
 
 
 class TestFlagsThatNeedAnother:
