@@ -44,6 +44,7 @@ from .lattice import (
     LatticeBasis,
     _check_cap,
     _check_dual_params,
+    _json_int,
     brute_force_shortest,
     dual_basis,
     shortest_vector,
@@ -408,8 +409,9 @@ def cmd_svp(args, out: TextIOBase) -> int:
 
         with _open_named(args.basis_file) as fh:
             try:
-                obj = json.load(fh)
-            except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, too deep
+                obj = json.load(fh, parse_int=_json_int)
+            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
+                # not UTF-8, not JSON, too deep
                 raise InvalidParams(f"{shown(args.basis_file, verbatim=True)}: "
                                     f"not a JSON basis file ({exc})") from None
         rows = obj.get("rows") if isinstance(obj, dict) else None

@@ -22,6 +22,15 @@ d = [1, N^2, ..., N^2], lam[k][0] = -N*c_k and every other lam[k][j] is 0.
 A direct congruence-scanning brute force, bounded by the same cap and by a
 step budget, is provided as an independent cross-check.  `shortest_vector`
 refuses an answer whose squared norm `errors._too_many_digits` calls too long.
+
+No kernel leaves a reference cycle, whether it answers or raises: a search
+closure that calls itself is deleted once its search is over, so a call's
+objects are freed by reference counting alone.  The kernels build tuples
+from lists, not from generators or `map`: `tuple()` over an iterator of
+unknown length allocates ten slots and shrinks them, and each such tuple
+moves the cyclic collector's young-generation count for good.  Calls on
+small lattices (N <= 256, s = 2..4) thus run back to back with no
+collection at all.
 """
 
 from __future__ import annotations
@@ -30,8 +39,8 @@ import math
 import re
 from collections import namedtuple
 
-from .errors import (BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams, _too_many_digits,
-                     shown)
+from .errors import (BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams, _max_str_digits,
+                     _too_many_digits, shown)
 
 DEFAULT_ENUM_CAP = 12
 # loop steps `brute_force_shortest` may take with N below 2^1024, about a
@@ -49,7 +58,7 @@ def canonical(vec: tuple[int, ...]) -> tuple[int, ...]:
         if x > 0:
             return tuple(vec)
         if x < 0:
-            return tuple(-y for y in vec)
+            return tuple([-y for y in vec])
     return tuple(vec)
 
 
@@ -64,12 +73,13 @@ def _as_int(x, what: str = "basis entry") -> int:
 
 
 def _json_int(x, what: str = "basis entry") -> int:
-    """A JSON integer, or a decimal-integer string."""
+    """A JSON integer, or a decimal-integer string.  Also `json.load`'s
+    `parse_int`, so a JSON number's digits are read here too: a literal with
+    more digits than int() converts is refused before int() sees it."""
     if isinstance(x, str) and _JSON_INT.fullmatch(x):
-        try:
-            return int(x)
-        except ValueError as exc:  # more digits than int() converts
-            raise InvalidParams(f"{what}: {exc}") from None
+        if (limit := _max_str_digits()) and len(x) - x.startswith("-") > limit:
+            raise InvalidParams(f"integer literal has more than {limit} digits")
+        return int(x)
     return _as_int(x, what)
 
 
@@ -192,7 +202,7 @@ def extend_dual_basis(basis: LatticeBasis, a: int, N: int) -> LatticeBasis:
     if basis._reduced is not None:
         basis = basis._reduced
     s = basis.dim
-    rows = tuple(r + (0,) for r in basis.rows)
+    rows = tuple([r + (0,) for r in basis.rows])
     rows += ((-pow(a, s, N),) + (0,) * (s - 1) + (1,),)
     d, lam = basis._gs[0] + [0], [r + [0] for r in basis._gs[1]] + [[0] * (s + 1)]
     _gs_row(rows, s, d, lam)
@@ -303,7 +313,7 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
         d[k] = B
         lo[k1] = lo[k] = k1
         k = k1 or 1
-    reduced = LatticeBasis._known(tuple(map(tuple, b)), (d, lam))
+    reduced = LatticeBasis._known(tuple([tuple(r) for r in b]), (d, lam))
     basis._reduced = reduced
     return reduced
 
@@ -380,7 +390,10 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
                     best_vec = cand
             u[i] = 0
 
-        rec(top, 0, 1)
+        try:
+            rec(top, 0, 1)
+        finally:
+            del rec  # rec refers to itself: release it now, not at the next collection
     assert best_vec is not None  # the shortest reduced row lies inside the radius
     if limit := _too_many_digits(best_nsq):
         raise InvalidParams(f"the shortest vector's squared norm has more than {limit} digits")
@@ -402,6 +415,11 @@ def brute_force_shortest(a: int, N: int, s: int, box: int,
     is certified only when box >= ceil(sqrt(norm_sq)): any vector sticking
     out of the box is then provably longer.
 
+    The levels m_s .. m_3 recurse; the last one scanned, m_2, is one flat
+    loop that solves m_1 in place and calls nothing per candidate.  It keeps
+    the best vector as found and sign-canonicalizes only to break a tie in
+    the norm, and the answer once at the end.
+
     A dimension above `cap` is refused before any work.  A scan is refused
     once its loops have taken _BOX_SCAN_STEPS // (1 + bitlength(N) // 1024)
     steps: each loop stops at what was left when it began, and is charged
@@ -412,26 +430,50 @@ def brute_force_shortest(a: int, N: int, s: int, box: int,
         raise InvalidParams(f"box must be >= 1, got {shown(box)}")
     _check_cap(s, cap)
     powers = [pow(a, j, N) for j in range(s)]
-    best_nsq = s * box * box  # the prune bound: no vector in the box is longer
+    # the prune bound: above every vector in the box until one is found, from
+    # the trivial solution (a, -1, 0, ...) on when it is in the box; the other
+    # one, (N, 0, ..., 0), is in the box only when that is, and longer (a < N)
+    best_nsq = s * box * box + 1
     best_vec: tuple[int, ...] | None = None
-
-    def consider(vec: tuple[int, ...], nsq: int) -> None:
-        nonlocal best_nsq, best_vec
-        cand = canonical(vec)
-        if nsq < best_nsq or (nsq == best_nsq and (best_vec is None or cand < best_vec)):
-            best_nsq = nsq
-            best_vec = cand
-
-    # trivial congruence solutions tighten the prune bound from the start
-    if N <= box:
-        consider((N,) + (0,) * (s - 1), N * N)
     if a <= box:
-        consider((a, -1) + (0,) * (s - 2), a * a + 1)
-
+        best_nsq, best_vec = a * a + 1, (a, -1) + (0,) * (s - 2)
     m = [0] * s
     budget = left = _BOX_SCAN_STEPS // (1 + N.bit_length() // 1024)
 
+    def last(acc: int, partial: int, signs: tuple[int, ...]) -> None:
+        # m_2 = v, and m_1 = r or r - N with r = -(acc + a*v) mod N; the two
+        # are written out, not looped over, as this loop is the scan's hottest
+        nonlocal left, best_nsq, best_vec
+        stop = box + 1 if box < left else left
+        for x in range(stop):
+            nsq = partial + x * x
+            if nsq > best_nsq:
+                break
+            for v in signs if x else (0,):
+                v *= x
+                r = -(acc + a * v) % N
+                if r <= box and 0 < (n := nsq + r * r) <= best_nsq:  # n = 0: m = 0
+                    m[0] = r
+                    m[1] = v
+                    if n < best_nsq:
+                        best_nsq, best_vec = n, tuple(m)
+                    elif (cand := canonical(m)) < canonical(best_vec):
+                        best_vec = cand
+                r -= N
+                if -r <= box and (n := nsq + r * r) <= best_nsq:
+                    m[0] = r
+                    m[1] = v
+                    if n < best_nsq:
+                        best_nsq, best_vec = n, tuple(m)
+                    elif (cand := canonical(m)) < canonical(best_vec):
+                        best_vec = cand
+        else:
+            if stop <= box:
+                raise BudgetExceeded(f"box scan exceeds its budget of {budget} steps")
+        left -= x + 1
+
     def rec(j: int, acc: int, partial: int, signs: tuple[int, ...]) -> None:
+        # m_(j+1) = v for j = s-1 .. 2
         nonlocal left
         p = powers[j]
         stop = box + 1 if box < left else left
@@ -442,25 +484,24 @@ def brute_force_shortest(a: int, N: int, s: int, box: int,
             for v in signs if x else (0,):  # signs is (1,) at the top level
                 v *= x
                 m[j] = v
-                if j > 1:
+                if j > 2:
                     rec(j - 1, (acc + p * v) % N, nsq, (1, -1))
-                    continue
-                r = -(acc + p * v) % N
-                if r <= box and 0 < nsq + r * r <= best_nsq:
-                    m[0] = r
-                    consider(tuple(m), nsq + r * r)
-                if N - r <= box and nsq + (N - r) ** 2 <= best_nsq:
-                    m[0] = r - N
-                    consider(tuple(m), nsq + (N - r) ** 2)
+                else:
+                    last((acc + p * v) % N, nsq, (1, -1))
         else:
             if stop <= box:
                 raise BudgetExceeded(f"box scan exceeds its budget of {budget} steps")
         left -= x + 1
-        m[j] = 0
 
-    rec(s - 1, 0, 0, (1,))
+    try:
+        if s > 2:
+            rec(s - 1, 0, 0, (1,))
+        else:
+            last(0, 0, (1,))
+    finally:
+        del rec  # rec refers to itself: release it now, not at the next collection
     if best_vec is None:
         raise EmptyBox(f"no nonzero solution with coordinates in [-{shown(box)}, {shown(box)}]")
     return ShortestVectorResult(
-        norm_sq=best_nsq, vector=best_vec, certified=box * box >= best_nsq
+        norm_sq=best_nsq, vector=canonical(best_vec), certified=box * box >= best_nsq
     )

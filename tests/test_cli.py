@@ -666,6 +666,22 @@ class TestSvp:
         assert code == 0
         assert json.loads(out)["norm_sq"] == "2"
 
+    @pytest.mark.parametrize("quote", [b'"', b""], ids=["string", "number"])
+    def test_basis_file_entry_digit_limit(self, tmp_path, capsys, quote):
+        # 4300 digits (and a sign) are read; one more is refused in the words
+        # every integer literal gets, not in int()'s
+        f = tmp_path / "basis.json"
+        for digits, want in [(4300, 0), (4301, 2)]:
+            entry = quote + b"-1" + b"0" * (digits - 1) + quote
+            f.write_bytes(b'{"rows": [[' + entry + b', 0], [0, 1]]}')
+            code, out = run(["svp", "--basis-file", str(f)])
+            err = capsys.readouterr().err
+            assert code == want, digits
+            if want:
+                assert (out, err) == ("", "error: integer literal has more than 4300 digits\n")
+            else:
+                assert json.loads(out)["norm_sq"] == "1"
+
     @pytest.mark.parametrize("content", [
         b"not json",
         b'{"rows": [[1, 0], [0, 1]]}\xff',  # not UTF-8

@@ -1,4 +1,5 @@
 import copy
+import gc
 import itertools
 import json
 import math
@@ -542,7 +543,7 @@ def test_brute_force_matches_naive():
             assert got.certified
 
 
-@pytest.mark.parametrize("s, max_N", [(2, 24), (3, 12)])
+@pytest.mark.parametrize("s, max_N", [(2, 24), (3, 12), (4, 6)])
 def test_brute_force_whole_answer_matches_naive(s, max_N):
     # (norm_sq, vector, certified) or EmptyBox for every a and box 1..N
     uncertified = empty = 0
@@ -559,7 +560,7 @@ def test_brute_force_whole_answer_matches_naive(s, max_N):
                 uncertified += box * box < nsq
                 want = ShortestVectorResult(nsq, vec, box * box >= nsq)
                 assert brute_force_shortest(a, N, s, box) == want, (a, N, s, box)
-    assert uncertified and empty
+    assert uncertified and (empty or s == 4)  # at s = 4, N <= 6 no box is empty
 
 
 def test_brute_force_certified_semantics():
@@ -586,18 +587,20 @@ def test_brute_force_enum_cap():
 
 
 def test_brute_force_step_budget(monkeypatch):
-    # below some budget the scan is refused, from it on the answer is whole
-    want = brute_force_shortest(26, 625, 3, box=30)
-    outcomes = []
-    for steps in range(1, 301):
-        monkeypatch.setattr(lattice, "_BOX_SCAN_STEPS", steps)
-        try:
-            outcomes.append(brute_force_shortest(26, 625, 3, box=30) == want)
-        except BudgetExceeded as exc:
-            assert str(exc) == f"box scan exceeds its budget of {steps} steps"
-            outcomes.append(False)
-    first = outcomes.index(True)
-    assert 10 < first and all(outcomes[first:])
+    # the steps each scan is charged: every smaller budget is refused, from it
+    # on the answer is whole
+    cases = [(26, 625, 3, 30, 33), (26, 625, 2, 30, 26), (5, 256, 4, 256, 141),
+             (41, 256, 4, 256, 202), (17, 64, 3, 64, 14)]
+    wants = [brute_force_shortest(a, N, s, box) for a, N, s, box, _ in cases]
+    for (a, N, s, box, charged), want in zip(cases, wants):
+        for steps in range(1, 301):
+            monkeypatch.setattr(lattice, "_BOX_SCAN_STEPS", steps)
+            if steps < charged:
+                with pytest.raises(BudgetExceeded,
+                                   match=f"^box scan exceeds its budget of {steps} steps$"):
+                    brute_force_shortest(a, N, s, box)
+            else:
+                assert brute_force_shortest(a, N, s, box) == want, (a, N, s, box, steps)
 
 
 def test_brute_force_budget_stops_a_long_loop(monkeypatch):
@@ -608,6 +611,31 @@ def test_brute_force_budget_stops_a_long_loop(monkeypatch):
     # a step works mod N, so a larger N gets fewer: 13288 bits, 1000 // 13
     with pytest.raises(BudgetExceeded, match="^box scan exceeds its budget of 76 steps$"):
         brute_force_shortest(10**9 + 7, 10**4000, 2, box=10**9)
+
+
+def test_exact_searches_leave_no_reference_cycle(monkeypatch):
+    # each call frees what it made when it returns or raises: the cyclic
+    # collector finds nothing after it
+    monkeypatch.setattr(lattice, "_BOX_SCAN_STEPS", 150)
+    calls = [
+        (lambda: shortest_vector(dual_basis(5, 16, 3)), None),  # searches from level 1
+        (lambda: shortest_vector(dual_basis(5, 16, 2)), None),  # the first reduced row
+        (lambda: brute_force_shortest(5, 256, 4, box=256), None),  # charged 141 steps
+        (lambda: brute_force_shortest(2, 5, 2, box=1), EmptyBox),
+        (lambda: brute_force_shortest(41, 256, 4, box=256), BudgetExceeded),  # needs 202
+    ]
+    gc.disable()
+    try:
+        gc.collect()
+        for call, refusal in calls:
+            raised = None
+            try:
+                call()
+            except (EmptyBox, BudgetExceeded) as exc:
+                raised = type(exc)
+            assert raised is refusal and gc.collect() == 0, refusal
+    finally:
+        gc.enable()
 
 
 def test_brute_force_ties_canonical():
