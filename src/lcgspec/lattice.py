@@ -13,6 +13,12 @@ Computational Algebraic Number Theory, Alg. 2.6.7), and enumeration
 intervals are derived with integer square roots, so results carry no
 floating-point error at all.
 
+Both exact searches scan one half-space, the Schnorr-Euchner rule (Math.
+Programming 66, 1994): the highest nonzero coefficient is positive, so each
+pair +-v is reached once.  A level takes only values >= 0 while every
+coefficient above it is 0.  Answers are sign-canonicalized, so the rule
+changes none of them.
+
 Every `LatticeBasis` carries that data for its rows, from exactly one
 source: the constructor computes it for rows given from outside, `lll_reduce`
 leaves its own on the basis it returns, `extend_dual_basis` extends it by one
@@ -350,7 +356,7 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
     if top:
         u = [0] * (top + 1)
 
-        def rec(i: int, num: int, den: int) -> None:
+        def rec(i: int, num: int, den: int, zero_above: bool) -> None:
             nonlocal best_nsq, best_vec
             # used = num / den <= best_nsq; level i adds
             # |b*_i|^2 (u_i + C/D)^2 = (u_i D + C)^2 / (d_i D)
@@ -363,8 +369,8 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
             # integers u_i with (u_i D + C)^2 <= rem * tden / den, i.e. |u_i D + C| <= r
             r = math.isqrt(rem * tden // den)
             lo, hi = -((r + C) // D), (r - C) // D
-            if i == top and lo < 0:
-                lo = 0  # half-space is enough: -v is canonicalized to v
+            if zero_above and lo < 0:
+                lo = 0  # the highest nonzero u_i is positive: -v is canonicalized to v
             for ui in range(lo, hi + 1):
                 u[i] = ui
                 y = ui * D + C
@@ -372,7 +378,7 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
                 if nnum > best_nsq * nden:
                     continue
                 if i:
-                    rec(i - 1, nnum, nden)
+                    rec(i - 1, nnum, nden, zero_above and not ui)
                     continue
                 # a leaf: the lattice vector sum(u_j * row_j), nonzero unless u is,
                 # since the rows are independent
@@ -391,7 +397,7 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
             u[i] = 0
 
         try:
-            rec(top, 0, 1)
+            rec(top, 0, 1, True)
         finally:
             del rec  # rec refers to itself: release it now, not at the next collection
     assert best_vec is not None  # the shortest reduced row lies inside the radius
@@ -405,11 +411,12 @@ def brute_force_shortest(a: int, N: int, s: int, box: int,
     """Independent oracle: scan every nonzero m with |m_j| <= box satisfying
     m_1 + a*m_2 + ... + a^(s-1)*m_s == 0 (mod N), tracking the minimum norm.
 
-    Only half the box is scanned, m_s >= 0: m and -m are the same answer once
-    sign-canonicalized.  m_1 is solved from the congruence, m_1 == r (mod N)
-    with 0 <= r < N, and only r and r - N are tried: any other m_1 is
-    strictly longer than one of them, which lies in the box whenever it
-    does.  Branches whose partial sum already exceeds the best norm found
+    Only half the box is scanned, the one where the highest nonzero of
+    m_s .. m_2 is positive (module docstring): m and -m are the same answer
+    once sign-canonicalized.  m_1 is solved from the congruence,
+    m_1 == r (mod N) with 0 <= r < N, and only r and r - N are tried: any
+    other m_1 is strictly longer than one of them, which lies in the box
+    whenever it does.  Branches whose partial sum already exceeds the best norm found
     are skipped.  None of this can change the minimum or which canonical
     vector attains it, so the scan stays exhaustive in effect.  The result
     is certified only when box >= ceil(sqrt(norm_sq)): any vector sticking
@@ -481,13 +488,15 @@ def brute_force_shortest(a: int, N: int, s: int, box: int,
             nsq = partial + x * x
             if nsq > best_nsq:
                 break
-            for v in signs if x else (0,):  # signs is (1,) at the top level
+            # signs is (1,) while every coordinate above is 0
+            down = (1, -1) if x else signs
+            for v in signs if x else (0,):
                 v *= x
                 m[j] = v
                 if j > 2:
-                    rec(j - 1, (acc + p * v) % N, nsq, (1, -1))
+                    rec(j - 1, (acc + p * v) % N, nsq, down)
                 else:
-                    last((acc + p * v) % N, nsq, (1, -1))
+                    last((acc + p * v) % N, nsq, down)
         else:
             if stop <= box:
                 raise BudgetExceeded(f"box scan exceeds its budget of {budget} steps")

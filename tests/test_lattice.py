@@ -57,6 +57,12 @@ def naive_box_answers(a, N, s, max_box):
                      for box in range(1, max_box + 1)]
 
 
+def max_period_pairs(max_N):
+    """Every (a, N) with 2 <= a < N <= max_N that has full period with c = 1."""
+    return [(a, N) for N in range(3, max_N + 1) for a in range(2, N)
+            if check_max_period(LcgParams(a, 1, N)).ok]
+
+
 def det_by_cofactors(rows):
     if len(rows) == 1:
         return rows[0][0]
@@ -476,6 +482,26 @@ def test_enumeration_keeps_vectors_on_the_radius():
     assert (0, 1, 1) not in {canonical(r) for r in lll_reduce(dual_basis(4, 5, 3)).rows}
 
 
+def test_enumeration_reaches_each_sign_pair_once(monkeypatch):
+    # the search runs over the half-space whose highest nonzero coefficient
+    # is positive, so no leaf is the negation of another
+    seen = []
+
+    def recording(vec):
+        seen.append(tuple(vec))
+        return canonical(vec)
+
+    monkeypatch.setattr(lattice, "canonical", recording)
+    calls = 0
+    for a, N in max_period_pairs(64):
+        for s in (2, 3, 4):
+            seen.clear()
+            shortest_vector(dual_basis(a, N, s))
+            calls += 1
+            assert not {tuple([-x for x in v]) for v in seen} & set(seen), (a, N, s)
+    assert calls == 216
+
+
 def test_shortest_vector_identity_basis():
     r = shortest_vector(LatticeBasis(rows=((1, 0), (0, 1))))
     assert r.norm_sq == 1 and r.vector == (0, 1)
@@ -518,8 +544,7 @@ def assert_cut_matches_reference(bases):
 
 
 def test_level_cut_on_every_max_period_pair():
-    pairs = [(a, N) for N in range(3, 257) for a in range(2, N)
-             if check_max_period(LcgParams(a, 1, N)).ok]
+    pairs = max_period_pairs(256)
     assert len(pairs) == 580
     bases = [dual_basis(a, N, s) for a, N in pairs for s in (2, 3, 4)]
     assert assert_cut_matches_reference(bases) == {"0", "between", "n-1"}
@@ -563,6 +588,21 @@ def test_brute_force_whole_answer_matches_naive(s, max_N):
     assert uncertified and (empty or s == 4)  # at s = 4, N <= 6 no box is empty
 
 
+def test_brute_force_deep_zero_prefixes_match_enumeration():
+    # at s = 5 and 6, three and four levels hand "every coordinate above is
+    # 0" down before the last one; a box of N holds the shortest vector.  A
+    # vector with m_s = 0 never decides the answer: its shift
+    # (0, m_1, ..., m_(s-1)) is in the lattice, as long, and canonically
+    # smaller, so this checks the scan's half-space, not its deeper levels
+    pairs = max_period_pairs(64)
+    assert len(pairs) == 72
+    for a, N in pairs:
+        for s in (5, 6):
+            got = brute_force_shortest(a, N, s, box=N)
+            want = shortest_vector(dual_basis(a, N, s))
+            assert (got.norm_sq, got.vector) == (want.norm_sq, want.vector), (a, N, s)
+
+
 def test_brute_force_certified_semantics():
     r = brute_force_shortest(5, 16, 2, box=3)
     assert r.norm_sq == 10 and not r.certified  # 3^2 < 10: box may have missed
@@ -588,9 +628,12 @@ def test_brute_force_enum_cap():
 
 def test_brute_force_step_budget(monkeypatch):
     # the steps each scan is charged: every smaller budget is refused, from it
-    # on the answer is whole
-    cases = [(26, 625, 3, 30, 33), (26, 625, 2, 30, 26), (5, 256, 4, 256, 141),
-             (41, 256, 4, 256, 202), (17, 64, 3, 64, 14)]
+    # on the answer is whole.  At s = 6 four levels hand "every coordinate
+    # above is 0" down, which no answer shows
+    # (test_brute_force_deep_zero_prefixes_match_enumeration): the charge
+    # pins it
+    cases = [(26, 625, 3, 30, 33), (26, 625, 2, 30, 26), (5, 256, 4, 256, 114),
+             (41, 256, 4, 256, 165), (17, 64, 3, 64, 14), (17, 64, 6, 64, 92)]
     wants = [brute_force_shortest(a, N, s, box) for a, N, s, box, _ in cases]
     for (a, N, s, box, charged), want in zip(cases, wants):
         for steps in range(1, 301):
@@ -620,9 +663,9 @@ def test_exact_searches_leave_no_reference_cycle(monkeypatch):
     calls = [
         (lambda: shortest_vector(dual_basis(5, 16, 3)), None),  # searches from level 1
         (lambda: shortest_vector(dual_basis(5, 16, 2)), None),  # the first reduced row
-        (lambda: brute_force_shortest(5, 256, 4, box=256), None),  # charged 141 steps
+        (lambda: brute_force_shortest(5, 256, 4, box=256), None),  # charged 114 steps
         (lambda: brute_force_shortest(2, 5, 2, box=1), EmptyBox),
-        (lambda: brute_force_shortest(41, 256, 4, box=256), BudgetExceeded),  # needs 202
+        (lambda: brute_force_shortest(41, 256, 4, box=256), BudgetExceeded),  # needs 165
     ]
     gc.disable()
     try:
