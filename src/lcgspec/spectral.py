@@ -40,26 +40,18 @@ class Regime(enum.Enum):
     S_GT_TAU = "S_GT_TAU"
 
 
-def _log_int(n: int) -> float:
-    """Natural log that survives integers far beyond float range."""
-    if n <= 0:
-        raise ValueError("log of non-positive integer")
-    if n.bit_length() <= 512:
-        return math.log(n)
-    shift = n.bit_length() - 53
-    return math.log(n >> shift) + shift * math.log(2)
-
-
-def _log_value(x: int | Fraction) -> float:
+def _log(x: int | Fraction) -> float:
+    """Natural log of a positive int or Fraction of any size: `math.log`
+    reads an int of any size, so a Fraction is split into its two parts."""
     if isinstance(x, Fraction):
-        return _log_int(x.numerator) - _log_int(x.denominator)
-    return _log_int(x)
+        return math.log(x.numerator) - math.log(x.denominator)
+    return math.log(x)
 
 
-def _sqrt_to_float(sq: int | Fraction) -> float | None:
-    """sqrt(sq) for display; None when it lies beyond float range."""
+def _exp(x: float) -> float | None:
+    """e^x for display; None beyond float range."""
     try:
-        return math.exp(0.5 * _log_value(sq))
+        return math.exp(x)
     except OverflowError:
         return None
 
@@ -75,20 +67,23 @@ def b_coefficient(s: int) -> int:
     return math.comb(s, k - 1 if s % 4 == 0 else k)
 
 
-def merit(s: int, v_sq: int | Fraction, N: int) -> float:
+def merit(s: int, v_sq: int | Fraction, N: int) -> float | None:
     """mu_s = pi^(s/2) * v_s^s / (Gamma(s/2 + 1) * N), evaluated in floats
-    (relative error well under 1e-12 even for huge inputs)."""
+    (relative error a few units of 2^-52 per unit of its log terms, under
+    1e-12 while v_sq and N stay below about 10^300); None beyond float
+    range, as for a theorem bound far above the minimum.
+
+    Text and csv print the mu of an exact minimum with `.4f` and never see
+    None: by Minkowski's theorem (Hermite's gamma_s <= 4 V_s^(-2/s)), mu_s of
+    a lattice minimum is at most V_s * gamma_s^(s/2) <= 2^s, where
+    V_s = pi^(s/2) / Gamma(s/2 + 1), far inside float range for s < 1024."""
     if s < 2:
         raise InvalidParams(f"need s >= 2, got {shown(s)}")
     if N <= 0 or (v_sq if isinstance(v_sq, int) else v_sq.numerator) <= 0:
         raise InvalidParams("need v_sq > 0 and N > 0")
     half = s / 2.0
-    return math.exp(
-        half * math.log(math.pi)
-        + half * _log_value(v_sq)
-        - math.lgamma(half + 1.0)
-        - _log_int(N)
-    )
+    return _exp(half * math.log(math.pi) + half * _log(v_sq)
+                - math.lgamma(half + 1.0) - _log(N))
 
 
 def knuth_bound(s: int, N: int) -> float:
@@ -98,10 +93,8 @@ def knuth_bound(s: int, N: int) -> float:
         raise Unsupported(f"no tabulated constant for s = {shown(s)} (supported: 2..8)")
     if N <= 0:
         raise InvalidParams(f"N must be positive, got {shown(N)}")
-    try:
-        bound = _GAMMA[s] * math.exp(_log_int(N) / s)
-    except OverflowError:
-        bound = math.inf
+    root = _exp(_log(N) / s)
+    bound = math.inf if root is None else _GAMMA[s] * root
     if math.isinf(bound):
         raise Unsupported(f"gamma_{s} * N^(1/{s}) lies beyond float range")
     return bound
@@ -157,8 +150,8 @@ class TheoremBounds(namedtuple("TheoremBounds", "theorem_id s lower_sq upper_sq 
         return {
             "theorem": self.theorem_id,
             "s": self.s,
-            "lower": None if lo is None else _sqrt_to_float(lo),
-            "upper": None if hi is None else _sqrt_to_float(hi),
+            "lower": None if lo is None else _exp(0.5 * _log(lo)),
+            "upper": None if hi is None else _exp(0.5 * _log(hi)),
             "lower_exact_sq": str(lo) if isinstance(lo, int) else None,
             "upper_exact_sq": str(hi) if isinstance(hi, int) else None,
             "mu_lower": None if lo is None else merit(self.s, lo, N),
@@ -293,14 +286,16 @@ class SpectralResult(namedtuple("SpectralResult",
     @property
     def v(self) -> float | None:
         """sqrt(v_sq); None beyond float range."""
-        return _sqrt_to_float(self.v_sq)
+        return _exp(0.5 * _log(self.v_sq))
 
     @property
     def lg_v(self) -> float:
-        return 0.5 * _log_value(self.v_sq) / math.log(10)
+        return 0.5 * _log(self.v_sq) / math.log(10)
 
     @property
-    def mu(self) -> float:
+    def mu(self) -> float | None:
+        """merit(s, v_sq, N); None beyond float range, which an exact
+        minimum never reaches below s = 1024 (see `merit`)."""
         return merit(self.s, self.v_sq, self.N)
 
     @property

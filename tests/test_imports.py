@@ -1,7 +1,8 @@
 """Every module-level import in the package is used, every public name has
-a caller, no module reads the process environment, only the front ends
-import the flag parser, no record is a `typing.NamedTuple`, and `import
-lcgspec.cli` loads a pinned set of modules.
+a caller, no module reaches the names kept only for the benchmark, no module
+reads the process environment, only the front ends import the flag parser,
+no record is a `typing.NamedTuple`, and `import lcgspec.cli` loads a pinned
+set of modules.
 
 Stdlib `ast` scans: a name bound by a top-level `import` or `from ... import`
 must be read somewhere in the module, or be listed in its `__all__`; a public
@@ -129,6 +130,43 @@ def test_caller_scan_flags_each_kind():
     }
     assert public_names_without_caller(modules, {"documented"}) == [
         "a.Dead", "a.K.unused", "a.dead",
+    ]
+
+
+# names kept only because the benchmark tracer wraps them, by defining module
+BENCHMARK_ONLY = {"factorize": "numtheory", "build_single_dimension": "builder"}
+
+
+def benchmark_only_uses(modules: dict[str, str]) -> list[str]:
+    """Each module of `modules` (name -> source) but `__init__`, which
+    re-exports them, that reads or imports a name of BENCHMARK_ONLY defined
+    in another module."""
+    found = []
+    for name, source in modules.items():
+        if name == "__init__":
+            continue
+        used = names_read(source) | {alias.name for node in ast.walk(ast.parse(source))
+                                     if isinstance(node, ast.ImportFrom) for alias in node.names}
+        found += [f"{name}.{kept}" for kept, home in BENCHMARK_ONLY.items()
+                  if kept in used and name != home]
+    return sorted(found)
+
+
+def test_only_the_benchmark_reaches_its_kept_names():
+    # so dropping them from the tracer leaves their deletion a pure deletion
+    modules = {p.stem: p.read_text(encoding="utf-8") for p in PACKAGE.glob("*.py")}
+    assert benchmark_only_uses(modules) == []
+
+
+def test_benchmark_only_scan_flags_each_kind():
+    modules = {
+        "__init__": "from .builder import build_single_dimension\n",
+        "builder": "def build_single_dimension():\n    return factorize\n",
+        "numtheory": "def factorize():\n    'build_single_dimension, in a docstring'\n",
+        "cli": "from .numtheory import factorize as f\nx = builder.build_single_dimension\n",
+    }
+    assert benchmark_only_uses(modules) == [
+        "builder.factorize", "cli.build_single_dimension", "cli.factorize",
     ]
 
 

@@ -71,9 +71,23 @@ def test_factorize_rejects_nonpositive():
         factorize(-6)
 
 
-def test_factorize_budget_exhaustion():
-    # product of two ~19-digit primes: hopeless for trial division and a
-    # tiny rho budget, must fail loudly instead of spinning
+def test_factorize_composite_cofactor_past_bound_raises():
+    # product of two ~19-digit primes: hopeless for trial division, so the
+    # composite left past the bound must fail loudly instead of spinning
     hard = (2**61 - 1) * (2**89 - 1)
     with pytest.raises(FactorizationError):
-        factorize(hard, trial_bound=1000, rho_budget=50)
+        factorize(hard, trial_bound=1000)
+
+
+def test_factorize_returns_prime_cofactor_past_bound():
+    assert factorize(2 * 1000000007, trial_bound=1000) == {2: 1, 1000000007: 1}
+
+
+def test_factorize_prime_square_past_bound_raises():
+    with pytest.raises(FactorizationError, match="1000006000009"):
+        factorize(1000003**2, trial_bound=1000)
+
+
+def test_factorize_takes_no_rho_budget():
+    with pytest.raises(TypeError):
+        factorize(12, rho_budget=50)

@@ -1,10 +1,11 @@
 """Tests for spectral figures, merit, and the regime-specific bounds."""
 
+import io
 import json
 import math
 import random
 import tracemalloc
-from decimal import Decimal, getcontext
+from decimal import Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -25,7 +26,7 @@ from lcgspec import (
     spectral_test,
     theorem_bounds,
 )
-from lcgspec import lattice
+from lcgspec import cli, lattice
 from lcgspec.lattice import (
     _integral_gs,
     brute_force_shortest,
@@ -33,7 +34,15 @@ from lcgspec.lattice import (
     extend_dual_basis,
     shortest_vector,
 )
-from lcgspec.spectral import BoundCheck, check_bounds, spectral_profile, within_packing_bound
+from lcgspec.spectral import (
+    BoundCheck,
+    SpectralResult,
+    _exp,
+    _log,
+    check_bounds,
+    spectral_profile,
+    within_packing_bound,
+)
 
 import lattice_reference as ref
 
@@ -117,6 +126,47 @@ class TestMerit:
 
     def test_accepts_fraction(self):
         assert merit(2, Fraction(5, 2), 8) == pytest.approx(math.pi * 2.5 / 8, rel=1e-13)
+
+    def test_none_past_float_range(self):
+        # theorem 7's upper bound C(66, 33) at s = 35, N = 2^33: mu ~ 10^313
+        assert merit(35, math.comb(66, 33), 2**33) is None
+
+    def test_integers_above_512_bits(self):
+        # math.log reads these ints whole.  A float exponent of size E is off
+        # by a few ulp(E), about E * 2^-52, so e^E is held to a relative
+        # 1e-15 per unit of the exponent's terms; lg_v, a log itself, to 1e-14
+        rng = random.Random(37)
+        for _ in range(60):
+            bits = rng.randint(513, 2040)
+            x = rng.getrandbits(bits) | 1 << (bits - 1)
+            d = rng.getrandbits(rng.randint(1, 200)) | 1
+            s = rng.randint(2, 8)
+            for v_sq in (x, Fraction(x, d)):
+                with localcontext(prec=50):
+                    exact = Decimal(v_sq.numerator) / Decimal(v_sq.denominator)
+                    want_root, want_lg = exact.sqrt(), exact.log10() / 2
+                size = float(exact.ln())
+                N = int(exact ** (s // 2) * (exact.sqrt() if s % 2 else 1)) // rng.randint(1, 1000) + 1
+                want_mu = merit_oracle(s, exact, N)
+                r = SpectralResult(3, N, s, v_sq, (), True, None, None)
+                got = {
+                    "root": (_exp(0.5 * _log(v_sq)), want_root, 1e-15 * (1 + size)),
+                    "mu": (merit(s, v_sq, N), want_mu, 1e-15 * (1 + s * size)),
+                    "lg_v": (r.lg_v, want_lg, 1e-14),
+                }
+                for name, (value, want, tol) in got.items():
+                    assert abs(Decimal(value) - want) / want < Decimal(tol), (name, bits, s)
+
+    def test_root_none_from_2_to_the_2050(self):
+        rng = random.Random(2050)
+        cases = [2**2050, Fraction(2**2051 + 1, 2)]
+        for _ in range(20):
+            x = rng.getrandbits(rng.randint(2051, 4000)) | 1 << 2050
+            cases += [x, Fraction(x * 7 + 1, 7)]
+        for x in cases:
+            assert _exp(0.5 * _log(x)) is None
+            assert SpectralResult(3, 2**4000, 2, x, (), True, None, None).v is None
+        assert _exp(0.5 * _log(2**2046)) == pytest.approx(2.0**1023, rel=1e-12)
 
     def test_rejects(self):
         with pytest.raises(InvalidParams):
@@ -354,6 +404,18 @@ class TestTheoremBounds:
         d = tb.to_json_dict(N)
         assert d["mu_lower"] == pytest.approx(merit(5, 14161, N), rel=1e-13)
         assert d["mu_upper"] == pytest.approx(merit(5, 16642, N), rel=1e-13)
+
+    def test_mu_window_past_float_range_is_null(self):
+        # s = 35 > tau = 33: theorem 7's upper bound C(66, 33) puts mu near
+        # 10^313, while its root stays a float
+        d = theorem_bounds(3, PotentialProfile(33, 1), 35).to_json_dict(2**33)
+        assert d["mu_upper"] is None and d["mu_lower"] is None
+        assert d["upper_exact_sq"] == str(math.comb(66, 33))
+        assert math.isfinite(d["upper"])
+        out = io.StringIO()
+        cli._json_out(d, out)
+        assert json.loads(out.getvalue()) == d
+        assert '"mu_upper": null' in out.getvalue()
 
     def test_rejects(self):
         with pytest.raises(InvalidParams):
