@@ -121,10 +121,6 @@ class BuiltGenerator(namedtuple("BuiltGenerator", "params profile covers_s_max g
         lows = [tb.lower_sq for tb in self.guaranteed]
         return None if None in lows else min(lows)
 
-    @property
-    def uniform_lower_unverified(self) -> bool:
-        return any(tb.lower_unverified for tb in self.guaranteed)
-
     def certificate(self) -> list[dict]:
         cert = [tb.to_json_dict(self.params.N) for tb in self.guaranteed]
         for entry, tb in zip(cert, self.guaranteed):
@@ -142,7 +138,7 @@ class BuiltGenerator(namedtuple("BuiltGenerator", "params profile covers_s_max g
             "lambda": str(self.profile.lam),
             "covers": {"s_min": 2, "s_max": self.covers_s_max},
             "uniform_lower_sq": None if uniform is None else str(uniform),
-            "uniform_lower_unverified": self.uniform_lower_unverified,
+            "uniform_lower_unverified": False,
             "certificate": self.certificate(),
         }
 
@@ -212,7 +208,7 @@ class ValidationRow(namedtuple("ValidationRow", "result checks")):
 
     @property
     def ok(self) -> bool:
-        return all(c.passed for c in self.checks if not c.informational)
+        return all(c.passed for c in self.checks)
 
 
 class ValidationReport(namedtuple("ValidationReport", "rows")):
@@ -233,7 +229,7 @@ class ValidationReport(namedtuple("ValidationReport", "rows")):
                     "v_sq": str(r.result.v_sq),
                     "mu": r.result.mu,
                     "checks": [
-                        {"name": c.name, "passed": c.passed, "informational": c.informational}
+                        {"name": c.name, "passed": c.passed, "informational": False}
                         for c in r.checks
                     ],
                 }
@@ -245,9 +241,8 @@ class ValidationReport(namedtuple("ValidationReport", "rows")):
 def validate(gen: BuiltGenerator, s_max: int, cap: int = DEFAULT_ENUM_CAP) -> ValidationReport:
     """Run the exact solver for s = 2..s_max and hold each v_s against the
     build's own certificate (not the bounds the solver attaches, so a forged
-    certificate is caught) plus the packing bound, by `check_bounds`.
-    Failures are reported, never raised; the unverified lower estimate only
-    produces an informational check.
+    certificate is caught) plus the packing bound, by `check_bounds`.  Every
+    check is asserted; failures are reported, never raised.
     """
     if s_max < 2:
         raise InvalidParams(f"need s_max >= 2, got {shown(s_max)}")

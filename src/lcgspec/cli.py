@@ -197,13 +197,11 @@ def _knuth_cell(r, fmt: str) -> str:
 
 
 def _checks_cell(r, fmt: str) -> str:
-    """`lower`, `upper` or `B` per `check_bounds` check, `lower~` for the
-    informational one, " VIOLATED" appended when the check fails; joined by
-    ";" in csv and by spaces in text, "-" when there is none."""
-    marks = []
-    for chk in check_bounds(r.s, r.N, r.v_sq, r.bounds):
-        mark = ("B" if chk.kind == "packing" else chk.kind) + ("~" if chk.informational else "")
-        marks.append(mark if chk.passed else f"{mark} VIOLATED")
+    """`lower`, `upper` or `B` per `check_bounds` check, " VIOLATED" appended
+    when the check fails; joined by ";" in csv and by spaces in text, "-"
+    when there is none."""
+    marks = [("B" if chk.kind == "packing" else chk.kind) + ("" if chk.passed else " VIOLATED")
+             for chk in check_bounds(r.s, r.N, r.v_sq, r.bounds)]
     return (";" if fmt == "csv" else " ").join(marks) or "-"
 
 
@@ -292,9 +290,7 @@ def cmd_build(args, out: TextIOBase) -> int:
     out.write(f"tau = {gen.profile.tau}, lambda = {gen.profile.lam}, "
               f"guaranteed dimensions 2..{gen.covers_s_max}\n")
     if (uniform := gen.uniform_lower_sq) is not None:
-        tag = " (unverified)" if gen.uniform_lower_unverified else ""
-        out.write(f"uniform lower bound: v_s^2 >= {uniform} "
-                  f"for 2 <= s <= {gen.covers_s_max}{tag}\n")
+        out.write(f"uniform lower bound: v_s^2 >= {uniform} for 2 <= s <= {gen.covers_s_max}\n")
     for tb in gen.guaranteed:
         out.write("  " + tb.statement() + "\n")
     if report is not None:
@@ -304,8 +300,7 @@ def cmd_build(args, out: TextIOBase) -> int:
             r = row.result
             out.write(f"  s={r.s} v^2={r.v_sq} mu={r.mu:.4f}\n")
             for chk in row.checks:
-                status = "ok" if chk.passed else ("unverified" if chk.informational else "FAILED")
-                out.write(f"    {chk.name}: {status}\n")
+                out.write(f"    {chk.name}: {'ok' if chk.passed else 'FAILED'}\n")
         if not report.ok:
             return EXIT_SCORECARD
     return EXIT_OK

@@ -4,7 +4,7 @@ v_s is the exact lattice minimum from `lattice`; mu_s rescales it against the
 best packing achievable at the same modulus.  For maximum-period parameter
 families, the potential profile (tau, lambda) selects one of four regimes and
 each regime carries proven lower/upper estimates on v_s; those are encoded
-here with their preconditions checked explicitly.
+here with their preconditions checked explicitly, and all of them asserted.
 """
 
 from __future__ import annotations
@@ -119,16 +119,14 @@ def classify_regime(s: int, profile: PotentialProfile) -> Regime:
     return Regime.S_LT_TAU if s < tau else Regime.S_GT_TAU
 
 
-class TheoremBounds(namedtuple("TheoremBounds", "theorem_id s lower_sq upper_sq conditions_met "
-                                              "violations lower_unverified", defaults=(False,))):
-    """Proven estimates on v_s for one regime, as exact squares
-    `lower_sq` and `upper_sq`: an int whenever the estimate is an integer
-    expression, else a Fraction, and None for a side whose preconditions
-    fail.  `conditions_met` and `violations` are tuples of str.  The record
-    holds only these exact values; the roots and the mu_s window they induce
-    are computed by `to_json_dict` when rendered.  `lower_unverified`
-    (default False) marks the one estimate encoded from its source without
-    independent verification; it is reported but must not be hard-asserted.
+class TheoremBounds(namedtuple("TheoremBounds",
+                               "theorem_id s lower_sq upper_sq conditions_met violations")):
+    """Proven estimates on v_s for one regime, as exact squares `lower_sq`
+    and `upper_sq`: an int whenever the estimate is an integer expression,
+    else a Fraction, and None for a side whose preconditions fail; each side
+    present is asserted by `check_bounds`.  `conditions_met` and `violations`
+    are tuples of str.  The roots and the mu_s window the squares induce are
+    computed by `to_json_dict` when rendered.
     """
 
     __slots__ = ()
@@ -158,28 +156,28 @@ class TheoremBounds(namedtuple("TheoremBounds", "theorem_id s lower_sq upper_sq 
             "mu_upper": None if hi is None else merit(self.s, hi, N),
             "conditions_met": list(self.conditions_met),
             "violations": list(self.violations),
-            "lower_unverified": self.lower_unverified,
+            # this key, a build's uniform_lower_unverified and each validation check's
+            # informational are always false, and stay because JSON readers look them up
+            "lower_unverified": False,
         }
 
 
-class BoundCheck(namedtuple("BoundCheck", "kind name passed informational",
-                            defaults=(False,))):
-    """One exact check of v_s: `kind` is "lower" or "upper" (a theorem bound)
-    or "packing"; an informational check (default False) is reported, never
-    asserted."""
+class BoundCheck(namedtuple("BoundCheck", "kind name passed")):
+    """One exact, asserted check of v_s: `kind` is "lower" or "upper" (a
+    theorem bound) or "packing"; a check that did not pass is a violation."""
 
     __slots__ = ()
 
 
 def check_bounds(s: int, N: int, v_sq: int, tb: TheoremBounds | None) -> tuple[BoundCheck, ...]:
     """v_sq held against the lower and upper bounds of `tb` and the packing
-    bound, by exact int/Fraction comparisons; a check is present only when its
-    bound is.  The one place v_sq meets the theorem bounds: `analyze`'s marks
-    and `builder.validate`'s rows both read these checks."""
+    bound, by exact int/Fraction comparisons; a check is present, and
+    asserted, whenever its bound is.  The one place v_sq meets the theorem
+    bounds: `analyze`'s marks and `builder.validate`'s rows read these."""
     checks = []
     if tb is not None and tb.lower_sq is not None:
         checks.append(BoundCheck("lower", f"v_{s}^2 >= {tb.lower_sq} (theorem {tb.theorem_id})",
-                                 v_sq >= tb.lower_sq, tb.lower_unverified))
+                                 v_sq >= tb.lower_sq))
     if tb is not None and tb.upper_sq is not None:
         checks.append(BoundCheck("upper", f"v_{s}^2 <= {tb.upper_sq} (theorem {tb.theorem_id})",
                                  v_sq <= tb.upper_sq))
@@ -193,6 +191,18 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
 
     Violated preconditions never raise: the affected side is omitted and the
     reason recorded, so reports stay total.
+
+    Theorem 3's lower estimate v_2^2 >= (1 + (a-2)^2)/lambda^2 (s = tau = 2,
+    lambda > 1), encoded as printed, always holds.  Let b = a - 1, so N | b^2,
+    N does not divide b and lambda = b^2/N; let g = gcd(b, N).  A nonzero m
+    with m_1 + a*m_2 = 0 (mod N) has t = m_1 + m_2 = -b*m_2 (mod N), so
+    b*t = 0 (mod N) and (N/g) | t.
+      - t = 0: (N/g) | m_2 != 0, so |m|^2 = 2*m_2^2 >= 2(N/b)^2.
+      - t != 0, g < b: g <= b/2, so |m|^2 >= t^2/2 >= 2(N/b)^2.
+      - t != 0, g = b: N = b*k with k | b, k < b, so b >= 2k and t = b*w,
+        w != 0; |m_2| >= k or |m_1| = |b*w - m_2| > b - k >= k: |m|^2 >= k^2.
+    So v_2^2 >= (N/b)^2 = b^2/lambda^2 >= (1 + (a-2)^2)/lambda^2, as
+    b^2 - (b-1)^2 - 1 = 2b - 2 >= 0; maximum period is not needed.
     """
     tau, lam = profile.tau, profile.lam
     if a < 2 or s < 2 or tau < 2 or lam < 1:
@@ -206,7 +216,6 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
     bad: list[str] = []
     lower_sq: int | Fraction | None = None
     upper_sq: int | Fraction | None = None
-    lower_unverified = False
 
     if regime is Regime.S_EQ_TAU_2:
         if lam == 1:
@@ -219,7 +228,6 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
         else:
             theorem_id = 3
             lower_sq = Fraction(1 + (a - 2) ** 2, lam * lam)
-            lower_unverified = True  # encoded as printed, reported but not asserted
             if am1 % lam == 0:
                 met.append("lambda divides a-1")
                 upper_sq = 2 * (am1 // lam) ** 2
@@ -270,7 +278,6 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
         upper_sq=upper_sq,
         conditions_met=tuple(met),
         violations=tuple(bad),
-        lower_unverified=lower_unverified,
     )
 
 

@@ -109,7 +109,6 @@ class TestBuildSingleDimension:
         assert g.profile == PotentialProfile(2, 1)
         assert g.covers_s_max == 2
         assert g.uniform_lower_sq == 577
-        assert not g.uniform_lower_unverified
         assert g.certificate()[0]["statement"] == "v_2^2 = 577 (theorem 1)"
 
     def test_tuned_large(self):
@@ -178,7 +177,6 @@ class TestBuildRange:
         assert g.profile == PotentialProfile(3, 2)
         assert g.covers_s_max == 2
         assert g.guaranteed[0].theorem_id == 6
-        assert not g.uniform_lower_unverified
 
     def test_lambda_window(self):
         with pytest.raises(LambdaInvalid):
@@ -237,9 +235,10 @@ class TestCertificateJson:
             covers_s_max=2,
             guaranteed=(theorem_bounds(13, PotentialProfile(2, 9), 2),),
         )
-        assert g.uniform_lower_sq == Fraction(122, 81) and g.uniform_lower_unverified
+        assert g.uniform_lower_sq == Fraction(122, 81)
         d = g.to_json_dict()
         assert d["uniform_lower_sq"] == "122/81"
+        assert d["uniform_lower_unverified"] is False
         assert "v_2^2 >= 122/81" in d["certificate"][0]["statement"]
 
 
@@ -291,17 +290,22 @@ class TestValidate:
         assert rep.rows[0].checks[1].passed  # upper still holds
         assert rep.to_json_dict()["ok"] is False
 
-    def test_informational_checks_do_not_gate(self):
-        g = BuiltGenerator(
-            params=LcgParams(13, 1, 16, 0),
-            profile=PotentialProfile(2, 9),
-            covers_s_max=2,
-            guaranteed=(theorem_bounds(13, PotentialProfile(2, 9), 2),),
-        )
-        rep = validate(g, 2)
-        assert rep.ok
-        first = rep.rows[0].checks[0]
-        assert first.informational and first.passed
+    def test_theorem_3_check_gates(self):
+        # a = 13, N = 16: v_2^2 = 10 clears theorem 3's 122/81, but not the
+        # same estimate without its lambda^2, 1 + (a-2)^2 = 122
+        tb = theorem_bounds(13, PotentialProfile(2, 9), 2)
+        for lower_sq, ok in [(Fraction(122, 81), True), (122, False)]:
+            g = BuiltGenerator(
+                params=LcgParams(13, 1, 16, 0),
+                profile=PotentialProfile(2, 9),
+                covers_s_max=2,
+                guaranteed=(tb._replace(lower_sq=lower_sq),),
+            )
+            rep = validate(g, 2)
+            assert rep.ok is ok
+            first = rep.rows[0].checks[0]
+            assert (first.kind, first.passed) == ("lower", ok)
+            assert rep.to_json_dict()["rows"][0]["checks"][0]["informational"] is False
 
     def test_json_round_trip(self):
         rep = validate(build_single_dimension(2, MultiplierRecipe(a=26)), 2)

@@ -211,41 +211,52 @@ class TestAnalyze:
         )
 
     def test_violated_marks(self, monkeypatch):
-        # forged bounds: s = 3 (v^2 = 6) misses both theorem bounds, s = 4
-        # (v^2 = 4) misses an unverified lower one
+        # forged bounds: at a = 26, s = 3 (v^2 = 6) misses both theorem
+        # bounds; at a = 13, N = 16 theorem 3's estimate without its lambda^2,
+        # 1 + (a-2)^2 = 122, sits above v_2^2 = 10
         from lcgspec import spectral
 
         real = spectral.theorem_bounds
-        forged = {3: dict(lower_sq=7, upper_sq=5), 4: dict(lower_sq=5, lower_unverified=True)}
 
         def theorem_bounds(a, profile, s):
-            return real(a, profile, s)._replace(**forged.get(s, {}))
+            tb = real(a, profile, s)
+            if tb.theorem_id == 3:
+                return tb._replace(lower_sq=1 + (a - 2) ** 2)
+            if (a, s) == (26, 3):
+                return tb._replace(lower_sq=7, upper_sq=5)
+            return tb
 
         monkeypatch.setattr(spectral, "theorem_bounds", theorem_bounds)
-        argv = ["analyze", "--a", "26", "--N", "625", "--s", "2..4"]
-        code, out = run(argv)
-        assert code == 0
-        rows = out.splitlines()[3:]
-        assert rows[0].endswith("  lower upper B")
-        assert rows[1].endswith("  lower VIOLATED upper VIOLATED B")
-        assert rows[2].endswith("  lower~ VIOLATED upper B")
-        code, out = run(argv + ["--format", "csv"])
-        assert code == 0
-        assert [line.split(",")[-1] for line in out.splitlines()[1:]] == [
-            "lower;upper;B", "lower VIOLATED;upper VIOLATED;B", "lower~ VIOLATED;upper;B",
-        ]
+        forged = ["analyze", "--a", "26", "--N", "625", "--s", "2..4"]
+        mutant = ["analyze", "--a", "13", "--N", "16", "--s", "2..4"]
+        for argv, text, csv in [
+            (forged, ["lower upper B", "lower VIOLATED upper VIOLATED B", "upper B"],
+             ["lower;upper;B", "lower VIOLATED;upper VIOLATED;B", "upper;B"]),
+            (mutant, ["lower VIOLATED B", "upper B", "upper B"],
+             ["lower VIOLATED;B", "upper;B", "upper;B"]),
+        ]:
+            code, out = run(argv)
+            assert code == 0
+            assert [row.rsplit("  ", 1)[-1] for row in out.splitlines()[3:6]] == text
+            code, out = run(argv + ["--format", "csv"])
+            assert code == 0
+            assert [line.split(",")[-1] for line in out.splitlines()[1:]] == csv
         # the JSON bounds are rendered from the forged squares, roots and
         # mu window included
-        code, out = run(argv + ["--format", "json"])
-        assert code == 0
-        got = [r["bounds"] for r in json.loads(out)["results"]]
-        for s, (lo, hi) in zip((2, 3, 4), [(577, 577), (7, 5), (5, 6)]):
-            b = got[s - 2]
-            assert (b["lower_exact_sq"], b["upper_exact_sq"]) == (str(lo), str(hi)), s
-            assert (b["lower"], b["upper"]) == pytest.approx((math.sqrt(lo), math.sqrt(hi))), s
-            assert (b["mu_lower"], b["mu_upper"]) == (spectral.merit(s, lo, 625),
-                                                      spectral.merit(s, hi, 625)), s
-        assert [b["lower_unverified"] for b in got] == [False, False, True]
+        for argv, N, squares in [(forged, 625, [(577, 577), (7, 5)]), (mutant, 16, [(122, None)])]:
+            code, out = run(argv + ["--format", "json"])
+            assert code == 0
+            got = [r["bounds"] for r in json.loads(out)["results"]]
+            for s, (lo, hi) in enumerate(squares, start=2):
+                b = got[s - 2]
+                assert b["lower_exact_sq"] == str(lo), s
+                assert b["lower"] == pytest.approx(math.sqrt(lo)), s
+                assert b["mu_lower"] == spectral.merit(s, lo, N), s
+                if hi is not None:
+                    assert b["upper_exact_sq"] == str(hi), s
+                    assert b["upper"] == pytest.approx(math.sqrt(hi)), s
+                    assert b["mu_upper"] == spectral.merit(s, hi, N), s
+            assert [b["lower_unverified"] for b in got] == [False, False, False]
 
 
 class TestBuild:

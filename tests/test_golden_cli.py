@@ -48,7 +48,7 @@ CASES["build_tau6_validate8_json"] = ["build", "--tau", "6", "--a", "69069", "--
                                       "--format", "json"]
 # rows past the certificate carry only the packing check, and s = 9 none at all
 CASES["build_s2_26_validate9"] = ["build", "--s", "2", "--a", "26", "--validate", "9"]
-# theorem 3's informational lower~ mark at s = 2, upper-only theorem-7 rows above it
+# theorem 3's asserted lower mark at s = 2, upper-only theorem-7 rows above it
 CASES.update({
     f"analyze_13_16_{fmt}": ["analyze", "--a", "13", "--N", "16", "--s", "2..4", "--format", fmt]
     for fmt in ("text", "csv")

@@ -269,11 +269,11 @@ class TestCheckBounds:
         )
 
     @pytest.mark.parametrize("v_sq, passed", [(10, True), (1, False)])
-    def test_unverified_lower_bound_is_informational(self, v_sq, passed):
+    def test_theorem_3_lower_bound_is_asserted(self, v_sq, passed):
         # theorem 3 at a = 13, N = 16: lower 122/81, compared exactly; no upper
         tb = theorem_bounds(13, PotentialProfile(2, 9), 2)
         assert check_bounds(2, 16, v_sq, tb) == (
-            BoundCheck("lower", "v_2^2 >= 122/81 (theorem 3)", passed, informational=True),
+            BoundCheck("lower", "v_2^2 >= 122/81 (theorem 3)", passed),
             BoundCheck("packing", "v_2 within the dimension-2 packing bound", True),
         )
 
@@ -316,7 +316,6 @@ class TestTheoremBounds:
         assert d["lower_exact_sq"] == d["upper_exact_sq"] == "577"
         assert tb.conditions_met == ("a >= 5",)
         assert tb.violations == ()
-        assert not tb.lower_unverified
         assert d["lower"] == pytest.approx(577**0.5)
 
     def test_exact_dimension_two_small_a(self):
@@ -330,7 +329,7 @@ class TestTheoremBounds:
         tb = theorem_bounds(5, PotentialProfile(2, 2), 2)
         assert tb.theorem_id == 3
         assert tb.lower_sq == Fraction(10, 4)
-        assert tb.lower_unverified
+        assert tb.to_json_dict(8)["lower_unverified"] is False
         assert tb.upper_sq == 8
         assert "lambda divides a-1" in tb.conditions_met
         assert spectral_test(5, 8, 2).v_sq == 8
@@ -363,7 +362,6 @@ class TestTheoremBounds:
         # rational form, not an int expression
         assert tb.to_json_dict(32)["lower_exact_sq"] is None
         assert tb.upper_sq == (4 // 2) ** 2 * math.comb(4, 2) == 24
-        assert not tb.lower_unverified
         assert spectral_test(5, 32, 3).v_sq == 6
 
     def test_matched_dimension_kernel_not_dividing(self):
@@ -536,10 +534,8 @@ class TestSpectralTest:
 class TestBoundSandwich:
     def test_small_domain_sweep(self):
         # Every max-period pair with N <= 100: exact value inside every
-        # applicable estimate.  The dimension-two kernel lower estimate is
-        # reported-only in general; on this domain it happens to hold, which
-        # the sweep freezes as a regression fact.
-        checked = reported_only = 0
+        # applicable estimate.
+        checked = 0
         for N in range(4, 101):
             for a in range(2, N):
                 if not check_max_period(LcgParams(a, 1, N)).ok:
@@ -556,16 +552,13 @@ class TestBoundSandwich:
                     if tb.lower_sq is not None:
                         assert v >= tb.lower_sq, (a, N, s)
                         checked += 1
-                        reported_only += tb.lower_unverified
         assert checked > 350
-        assert reported_only > 20
 
     def test_whole_populations(self):
         # every maximum-period multiplier of three moduli, s = 2..8: each
-        # asserted check of each chain holds, and the informational lower~
-        # checks are counted but not held to.  The closest approach of v_s^2
-        # to each theorem's asserted lower bound is frozen, so a lower bound
-        # raised by as little as 1 fails here too.
+        # check of each chain holds.  The closest approach of v_s^2 to each
+        # theorem's lower bound is frozen, so a lower bound raised by as
+        # little as 1 fails here too.
         populations = {2**10: 255, 3**7: 728, 2**6 * 3**4: 431}
         checks, failed, closest = [], [], {}
         for N, count in populations.items():
@@ -575,15 +568,15 @@ class TestBoundSandwich:
                 for r in spectral_profile(a, N, range(2, 9)):
                     for chk in check_bounds(r.s, N, r.v_sq, r.bounds):
                         checks.append(chk)
-                        if not (chk.passed or chk.informational):
+                        if not chk.passed:
                             failed.append((a, N, chk.name))
-                        if chk.kind == "lower" and not chk.informational:
+                        if chk.kind == "lower":
                             thm, gap = r.bounds.theorem_id, r.v_sq - r.bounds.lower_sq
                             closest[thm] = min(closest.get(thm, gap), gap)
         assert failed == []
-        assert (len(checks), sum(chk.informational for chk in checks)) == (15884, 126)
-        assert closest == {1: 0, 6: 13, 5: Fraction(110196675488690687165775098,
-                                                     36732225162896895721934329)}
+        assert len(checks) == 15884
+        assert closest == {1: 0, 3: Fraction(3361823, 839808), 6: 13,
+                           5: Fraction(110196675488690687165775098, 36732225162896895721934329)}
 
     def test_theorem_2_past_the_goldens(self):
         # every maximum-period a with b_s < a <= b_s + 120 at N = (a-1)^s:
@@ -607,9 +600,18 @@ class TestBoundSandwich:
 
     def test_theorem_3_past_the_goldens(self):
         # every maximum-period (a, lambda) with a < 400, lambda > 1 and
-        # N = (a-1)^2 / lambda whose profile is (2, lambda): the upper bound
-        # is asserted where it applies, and the closest approach to the
-        # informational lower bound is frozen without asserting it
+        # N = (a-1)^2 / lambda whose profile is (2, lambda): every check holds,
+        # and so does the stronger v_2^2 >= (N/(a-1))^2 that proves the lower
+        # estimate (see `theorem_bounds`).  The closest approach to the lower
+        # bound is frozen.
+        def holds(a, N, lam):
+            (r,) = spectral_profile(a, N, range(2, 3))
+            assert r.bounds.theorem_id == 3, (a, lam)
+            for chk in check_bounds(2, N, r.v_sq, r.bounds):
+                assert chk.passed, (a, lam, chk.name)
+            assert r.v_sq * (a - 1) ** 2 >= N * N, (a, lam)
+            return r.v_sq - r.bounds.lower_sq
+
         count, closest = 0, None
         for a in range(3, 400):
             for lam in divisors((a - 1) ** 2):
@@ -618,15 +620,28 @@ class TestBoundSandwich:
                     continue
                 if compute_potential(a, N) != (2, lam):
                     continue
-                (r,) = spectral_profile(a, N, range(2, 3))
-                assert r.bounds.theorem_id == 3, (a, lam)
-                for chk in check_bounds(2, N, r.v_sq, r.bounds):
-                    assert chk.passed or chk.informational, (a, lam, chk.name)
+                gap = holds(a, N, lam)
                 count += 1
-                gap = r.v_sq - r.bounds.lower_sq
                 closest = gap if closest is None else min(closest, gap)
         assert count == 2615
         assert closest == Fraction(27, 8)
+
+        # seeded pairs N = b^2/lambda <= 2^bits, bits up to 64, with a = b + 1
+        # and lambda = c or c^2, no maximum period needed: both
+        # lambda | a-1 and lambda not dividing a-1 are reached
+        rng = random.Random(20261020)
+        count, branches = 0, set()
+        while count < 2000:
+            c = rng.randrange(2, 2**12)
+            lam = c ** rng.choice((1, 2))
+            b = c * rng.randrange(2, max(3, math.isqrt(lam << rng.randrange(16, 65)) // c + 1))
+            a, N = b + 1, b * b // lam
+            if N <= a or compute_potential(a, N) != (2, lam):
+                continue
+            holds(a, N, lam)
+            count += 1
+            branches.add(b % lam == 0)
+        assert branches == {True, False}
 
     def test_random_consistency(self):
         rng = random.Random(20260814)
