@@ -125,6 +125,9 @@ class BuiltGenerator(namedtuple("BuiltGenerator", "params profile covers_s_max g
         cert = [tb.to_json_dict(self.params.N) for tb in self.guaranteed]
         for entry, tb in zip(cert, self.guaranteed):
             entry["statement"] = tb.statement()
+            # always false, like uniform_lower_unverified; both stay because JSON
+            # readers (bench/lcgbench/checks.py) look them up
+            entry["lower_unverified"] = False
         return cert
 
     def to_json_dict(self) -> dict:
@@ -229,7 +232,7 @@ class ValidationReport(namedtuple("ValidationReport", "rows")):
                     "v_sq": str(r.result.v_sq),
                     "mu": r.result.mu,
                     "checks": [
-                        {"name": c.name, "passed": c.passed, "informational": False}
+                        {"name": c.name, "passed": c.passed}
                         for c in r.checks
                     ],
                 }

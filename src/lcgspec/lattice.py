@@ -327,13 +327,14 @@ def lll_reduce(basis: LatticeBasis) -> LatticeBasis:
 def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> ShortestVectorResult:
     """Exact nonzero minimum of the lattice.
 
-    LLL-reduces, seeds the search radius R with the shortest reduced row,
-    then enumerates every coefficient vector inside the radius (Fincke-Pohst)
-    on the integral Gram-Schmidt data that LLL leaves on the reduced basis:
-    the partial norm is an exact integer pair (num, den) and each coefficient
-    interval comes from math.isqrt.  Ties are broken by sign-canonicalizing
-    and taking the lexicographically smallest vector.  Candidate norms are
-    recomputed in plain integer arithmetic.
+    LLL-reduces, seeds both the search radius R and the best vector with the
+    shortest reduced row, which the search meets again, then enumerates every
+    coefficient vector inside the radius (Fincke-Pohst) on the integral
+    Gram-Schmidt data that LLL leaves on the reduced basis: the partial norm
+    is an exact integer pair (num, den) and each coefficient interval comes
+    from math.isqrt.  Ties are broken by sign-canonicalizing and taking the
+    lexicographically smallest vector.  Candidate norms are recomputed in
+    plain integer arithmetic.
 
     The search starts at `top`, the highest level with |b*_top|^2 <= R, i.e.
     d_(top+1) <= R * d_top: a vector whose highest nonzero coefficient is at
@@ -348,11 +349,11 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
     rows = reduced.rows
     d, lam = reduced._gs
 
-    best_nsq = min([sum([x * x for x in r]) for r in rows])
+    best_nsq, best_row = min([(sum([x * x for x in r]), r) for r in rows])
+    best_vec = canonical(best_row)
     top = len(rows) - 1
     while d[top + 1] > best_nsq * d[top]:
         top -= 1
-    best_vec: tuple[int, ...] | None = None if top else canonical(rows[0])
     if top:
         u = [0] * (top + 1)
 
@@ -391,7 +392,7 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
                     continue
                 nsq = sum([x * x for x in v])  # = nnum / nden, so nsq <= best_nsq
                 cand = canonical(v)
-                if best_vec is None or nsq < best_nsq or cand < best_vec:
+                if nsq < best_nsq or cand < best_vec:
                     best_nsq = nsq
                     best_vec = cand
             u[i] = 0
@@ -400,7 +401,6 @@ def shortest_vector(basis: LatticeBasis, cap: int = DEFAULT_ENUM_CAP) -> Shortes
             rec(top, 0, 1, True)
         finally:
             del rec  # rec refers to itself: release it now, not at the next collection
-    assert best_vec is not None  # the shortest reduced row lies inside the radius
     if limit := _too_many_digits(best_nsq):
         raise InvalidParams(f"the shortest vector's squared norm has more than {limit} digits")
     return ShortestVectorResult(norm_sq=best_nsq, vector=best_vec, certified=True)
@@ -437,13 +437,8 @@ def brute_force_shortest(a: int, N: int, s: int, box: int,
         raise InvalidParams(f"box must be >= 1, got {shown(box)}")
     _check_cap(s, cap)
     powers = [pow(a, j, N) for j in range(s)]
-    # the prune bound: above every vector in the box until one is found, from
-    # the trivial solution (a, -1, 0, ...) on when it is in the box; the other
-    # one, (N, 0, ..., 0), is in the box only when that is, and longer (a < N)
-    best_nsq = s * box * box + 1
+    best_nsq = s * box * box + 1  # the prune bound: above every vector in the box
     best_vec: tuple[int, ...] | None = None
-    if a <= box:
-        best_nsq, best_vec = a * a + 1, (a, -1) + (0,) * (s - 2)
     m = [0] * s
     budget = left = _BOX_SCAN_STEPS // (1 + N.bit_length() // 1024)
 

@@ -156,9 +156,6 @@ class TheoremBounds(namedtuple("TheoremBounds",
             "mu_upper": None if hi is None else merit(self.s, hi, N),
             "conditions_met": list(self.conditions_met),
             "violations": list(self.violations),
-            # this key, a build's uniform_lower_unverified and each validation check's
-            # informational are always false, and stay because JSON readers look them up
-            "lower_unverified": False,
         }
 
 

@@ -305,14 +305,19 @@ class TestValidate:
             assert rep.ok is ok
             first = rep.rows[0].checks[0]
             assert (first.kind, first.passed) == ("lower", ok)
-            assert rep.to_json_dict()["rows"][0]["checks"][0]["informational"] is False
+            assert rep.to_json_dict()["rows"][0]["checks"][0] == {"name": first.name, "passed": ok}
 
     def test_json_round_trip(self):
-        rep = validate(build_single_dimension(2, MultiplierRecipe(a=26)), 2)
+        g = build_single_dimension(2, MultiplierRecipe(a=26))
+        rep = validate(g, 2)
         d = rep.to_json_dict()
         assert d["ok"] is True
         assert d["rows"][0]["v_sq"] == "577"
         assert json.loads(json.dumps(d)) == d
+        # bench/lcgbench/checks.py reads lower_unverified on each certificate
+        # entry; a validation check carries its name and outcome only
+        assert [e["lower_unverified"] for e in g.to_json_dict()["certificate"]] == [False]
+        assert [sorted(c) for c in d["rows"][0]["checks"]] == [["name", "passed"]] * 3
 
     def test_rejects_small_s_max(self):
         g = build_single_dimension(2, MultiplierRecipe(a=26))

@@ -256,7 +256,7 @@ class TestAnalyze:
                     assert b["upper_exact_sq"] == str(hi), s
                     assert b["upper"] == pytest.approx(math.sqrt(hi)), s
                     assert b["mu_upper"] == spectral.merit(s, hi, N), s
-            assert [b["lower_unverified"] for b in got] == [False, False, False]
+            assert not any("lower_unverified" in b for b in got)
 
 
 class TestBuild:

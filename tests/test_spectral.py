@@ -329,7 +329,7 @@ class TestTheoremBounds:
         tb = theorem_bounds(5, PotentialProfile(2, 2), 2)
         assert tb.theorem_id == 3
         assert tb.lower_sq == Fraction(10, 4)
-        assert tb.to_json_dict(8)["lower_unverified"] is False
+        assert "lower_unverified" not in tb.to_json_dict(8)
         assert tb.upper_sq == 8
         assert "lambda divides a-1" in tb.conditions_met
         assert spectral_test(5, 8, 2).v_sq == 8
