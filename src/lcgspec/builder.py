@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import (
     InvalidParams,

@@ -18,7 +18,6 @@ import os
 import sys
 from _json import encode_basestring_ascii as _quote
 from collections.abc import Callable, Sequence
-from fractions import Fraction
 from io import TextIOBase
 
 from .builder import MultiplierRecipe, build_range, validate

@@ -13,7 +13,6 @@ from __future__ import annotations
 import os
 import sys
 from collections import namedtuple
-from fractions import Fraction
 from io import TextIOBase
 
 from . import _chunks
@@ -61,7 +60,8 @@ class FrequencyReport(namedtuple("FrequencyReport",
 
     @property
     def delta(self) -> Fraction:
-        return Fraction(*self._ratios()["delta"])
+        import fractions
+        return fractions.Fraction(*self._ratios()["delta"])
 
     def row(self, digits: int = 12) -> dict[str, str]:
         """The figures as decimal strings, an endpoint's label in place of
@@ -88,6 +88,8 @@ def frequency_test(
     The full period is a permutation of Z_N, so m is the number of integers
     x in [0, N) with ceil(alpha N) <= x <= floor(beta N).
     """
+    import fractions  # loaded by the first call, not by `import lcgspec`
+    Fraction = fractions.Fraction
     alpha = alpha if isinstance(alpha, Fraction) else Fraction(alpha)
     beta = beta if isinstance(beta, Fraction) else Fraction(beta)
     an, ad = alpha.numerator, alpha.denominator

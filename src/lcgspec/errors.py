@@ -9,7 +9,6 @@ module asks `_too_many_digits` and `_too_many_bits` whether a number prints.
 """
 
 import sys
-from fractions import Fraction
 
 # The most characters of text, and decimal digits of a number, that a
 # refusal quotes.  A longer flag (up to the 128 KiB an argument may hold) is
@@ -49,7 +48,10 @@ def shown(value, verbatim: bool = False) -> str:
       repr would hold an int longer than Python converts).
     """
     quoted = min(_QUOTED_CHARS, _max_str_digits() or _QUOTED_CHARS)  # digits of an int
-    if isinstance(value, Fraction):
+    # a value is a Fraction only once `fractions` is loaded, which the package
+    # leaves to the first rational it makes
+    fractions = sys.modules.get("fractions")
+    if fractions is not None and isinstance(value, fractions.Fraction):
         n, d = value.numerator, value.denominator
         if _too_many_digits(n, quoted) or _too_many_digits(d, quoted):
             sign = "-" if n < 0 else ""

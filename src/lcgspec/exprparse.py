@@ -27,7 +27,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from fractions import Fraction
 
 from .errors import BudgetExceeded, ExpressionError, _max_str_digits, _too_many_digits, shown
 
@@ -55,7 +54,8 @@ _MAX_RATIONAL_WORK = 2**36
 _MAX_DEPTH = 100
 
 SYMBOLIC_DIGITS = 12
-_CONSTANTS = {"pi": Fraction(math.pi), "e": Fraction(math.e)}
+# pi and e as Fractions, made by the first expression that names one
+_CONSTANTS: dict[str, Fraction] = {}
 
 
 def _tokenize(text: str) -> list[tuple[str, str]]:
@@ -95,10 +95,7 @@ def _odd_bits(v: int | Fraction) -> int:
     return (v >> ((v & -v).bit_length() - 1)).bit_length() if v else 0
 
 
-# "/" makes a Fraction and takes the two gcds charged; Fraction(v, w) would
-# take one of the cross products, charged or not
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
-        "/": lambda v, w: Fraction(v) / w}
+_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 
 class _Parser:
@@ -109,6 +106,12 @@ class _Parser:
         self.tokens = _tokenize(text)
         self.pos = 0
         self.allow_rational = allow_rational
+        # the Fraction type, loaded by endpoint mode alone: integer mode
+        # refuses every rational step before it runs
+        self.fraction = None
+        if allow_rational:
+            import fractions
+            self.fraction = fractions.Fraction
         self.work = 0
         self.bits = 0
         self.depth = 0
@@ -167,6 +170,10 @@ class _Parser:
             self.charge(work=na * nb + da * db)
         else:
             self.charge(work=(na + da) * (nb + db))
+        if op == "/":
+            # takes the two gcds charged; Fraction(v, w) would take one of the
+            # cross products, charged or not
+            return self.fraction(v) / w
         return _OPS[op](v, w)
 
     def parse(self) -> tuple[int | Fraction, bool]:
@@ -222,7 +229,7 @@ class _Parser:
             if v == 0 and e < 0:
                 raise ExpressionError("division by zero")
             self.charge(bits=_odd_bits(v) * abs(e), size=size)
-            v = Fraction(v) ** e if e < 0 else v**e
+            v = self.fraction(v) ** e if e < 0 else v**e
         return v, t
 
     def atom(self):
@@ -234,10 +241,12 @@ class _Parser:
         if kind == "dec":
             if not self.allow_rational:
                 raise ExpressionError("decimal literal in an integer expression")
-            return Fraction(float(text)), False
+            return self.fraction(float(text)), False
         if kind == "name":
             if not self.allow_rational:
                 raise ExpressionError(f"{shown(text)} is not valid in an integer expression")
+            if not _CONSTANTS:
+                _CONSTANTS.update(pi=self.fraction(math.pi), e=self.fraction(math.e))
             return _CONSTANTS[text], True
         if kind == "op" and text == "(":
             v = self.expr()
@@ -261,8 +270,9 @@ def parse_int_expr(text: str) -> int:
 
 def parse_endpoint(text: str) -> Fraction:
     """Exact rational for an interval endpoint expression."""
-    value, tainted = _Parser(text, allow_rational=True).parse()
+    parser = _Parser(text, allow_rational=True)
+    value, tainted = parser.parse()
     if tainted:
         scale = 10**SYMBOLIC_DIGITS
-        return Fraction(round(value * scale), scale)
-    return Fraction(value) if type(value) is int else value
+        return parser.fraction(round(value * scale), scale)
+    return parser.fraction(value) if type(value) is int else value

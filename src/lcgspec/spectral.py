@@ -12,25 +12,17 @@ from __future__ import annotations
 import enum
 import math
 from collections import namedtuple
-from fractions import Fraction
 
 from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, Unsupported, shown
 from .lattice import DEFAULT_ENUM_CAP, _check_cap, dual_basis, extend_dual_basis, shortest_vector
 from .lcg import PotentialProfile, compute_potential
 
-# gamma_s^(2s) for the best-known packing constants gamma_s, s = 2..8.  They
-# are rational, so the packing bound v_s <= gamma_s N^(1/s), which is
-# v_sq^s <= gamma_s^(2s) N^2, is decided exactly.
-_GAMMA_POW_2S = {
-    2: Fraction(4, 3),
-    3: Fraction(2),
-    4: Fraction(4),
-    5: Fraction(8),
-    6: Fraction(64, 3),
-    7: Fraction(64),
-    8: Fraction(256),
-}
-_GAMMA = {s: float(g) ** (1 / (2 * s)) for s, g in _GAMMA_POW_2S.items()}
+# gamma_s^(2s) = num/den, as (num, den), for the best-known packing constants
+# gamma_s, s = 2..8.  They are rational, so the packing bound
+# v_s <= gamma_s N^(1/s), which is v_sq^s <= gamma_s^(2s) N^2, is decided
+# exactly.
+_GAMMA_POW_2S = {2: (4, 3), 3: (2, 1), 4: (4, 1), 5: (8, 1), 6: (64, 3), 7: (64, 1), 8: (256, 1)}
+_GAMMA = {s: (num / den) ** (1 / (2 * s)) for s, (num, den) in _GAMMA_POW_2S.items()}
 
 
 class Regime(enum.Enum):
@@ -43,9 +35,9 @@ class Regime(enum.Enum):
 def _log(x: int | Fraction) -> float:
     """Natural log of a positive int or Fraction of any size: `math.log`
     reads an int of any size, so a Fraction is split into its two parts."""
-    if isinstance(x, Fraction):
-        return math.log(x.numerator) - math.log(x.denominator)
-    return math.log(x)
+    if type(x) is int:
+        return math.log(x)
+    return math.log(x.numerator) - math.log(x.denominator)
 
 
 def _exp(x: float) -> float | None:
@@ -107,7 +99,8 @@ def within_packing_bound(s: int, N: int, v_sq: int) -> bool | None:
     g = _GAMMA_POW_2S.get(s)
     if g is None:
         return None
-    return v_sq**s * g.denominator <= g.numerator * N * N
+    num, den = g
+    return v_sq**s * den <= num * N * N
 
 
 def classify_regime(s: int, profile: PotentialProfile) -> Regime:
@@ -224,7 +217,8 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
                 bad.append("a < 5")
         else:
             theorem_id = 3
-            lower_sq = Fraction(1 + (a - 2) ** 2, lam * lam)
+            import fractions  # loaded only where a bound is rational
+            lower_sq = fractions.Fraction(1 + (a - 2) ** 2, lam * lam)
             if am1 % lam == 0:
                 met.append("lambda divides a-1")
                 upper_sq = 2 * (am1 // lam) ** 2
@@ -244,7 +238,8 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
             theorem_id = 5
             if a >= b + 1:
                 met.append(f"a >= b_{s} + 1")
-                lower_sq = Fraction((a - b) ** 2, lam * lam)
+                import fractions
+                lower_sq = fractions.Fraction((a - b) ** 2, lam * lam)
                 if am1 % lam == 0:
                     met.append("lambda divides a-1")
                     upper_sq = (am1 // lam) ** 2 * math.comb(2 * (s - 1), s - 1)

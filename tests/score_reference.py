@@ -39,8 +39,8 @@ class Figure(NamedTuple):
 
 
 def figure(s: int, N: int, v_sq: int) -> Figure:
-    h = _GAMMA_POW_2S[s]
-    return Figure(s, Fraction(v_sq**s * h.denominator, h.numerator * N * N))
+    num, den = _GAMMA_POW_2S[s]
+    return Figure(s, Fraction(v_sq**s * den, num * N * N))
 
 
 def compare(x: Figure, y: Figure) -> int:

@@ -1,8 +1,8 @@
 """Every module-level import in the package is used, every public name has
 a caller, no module reaches the names kept only for the benchmark, no module
 reads the process environment, only the front ends import the flag parser,
-no record is a `typing.NamedTuple`, and `import lcgspec.cli` loads a pinned
-set of modules.
+no record is a `typing.NamedTuple`, `import lcgspec.cli` loads a pinned
+set of modules, and `fractions` loads only with the first rational.
 
 Stdlib `ast` scans: a name bound by a top-level `import` or `from ... import`
 must be read somewhere in the module, or be listed in its `__all__`; a public
@@ -271,11 +271,10 @@ def bare_python(code: str, *args: str) -> str:
 # what `import lcgspec.cli` adds to a bare `python -I -S`: the stdlib by
 # top-level name (as of 3.11; a version may load fewer), the package in full.
 # Neither `json` (only `svp --basis-file` reads JSON) nor `typing` is among them.
-CLI_STDLIB = {"__future__", "_collections", "_collections_abc", "_decimal", "_functools",
-              "_json", "_operator", "_sre", "_stat", "argparse", "collections", "contextlib",
-              "copyreg", "decimal", "enum", "fractions", "functools", "genericpath", "gettext",
-              "itertools", "keyword", "math", "numbers", "operator", "os", "posixpath", "re",
-              "reprlib", "stat", "types", "warnings"}
+CLI_STDLIB = {"__future__", "_collections", "_collections_abc", "_functools", "_json",
+              "_operator", "_sre", "_stat", "argparse", "collections", "contextlib", "copyreg",
+              "enum", "functools", "genericpath", "gettext", "itertools", "keyword", "math",
+              "operator", "os", "posixpath", "re", "reprlib", "stat", "types", "warnings"}
 CLI_PACKAGE = {"lcgspec", "lcgspec._chunks", "lcgspec.builder", "lcgspec.cli",
                "lcgspec.empirical", "lcgspec.errors", "lcgspec.exprparse", "lcgspec.lattice",
                "lcgspec.lcg", "lcgspec.numtheory", "lcgspec.spectral"}
@@ -320,6 +319,37 @@ def test_only_svp_basis_file_loads_json(tmp_path):
     assert (first, second) == ("[0, 0] False\n", "0 True\n")
     assert json.loads("".join(found)) == {"norm_sq": "577", "vector": ["1", "24"],
                                           "certified": True, "method": "enumeration"}
+
+
+RATIONAL_MODULES = ("fractions", "decimal", "numbers")
+# each runs in order in one interpreter, which must not load `fractions`
+WITHOUT_FRACTIONS = ["analyze --a 69069 --N 2^32 --s 2..8 --format json",
+                     "build --tau 6 --a 69069 --validate 8 --format json",
+                     "svp --a 26 --N 625 --s 3", "dump --a 26 --N 625 --count 5"]
+
+
+def loads_after(argvs: list[str]) -> list[str]:
+    """For a fresh interpreter that imports `lcgspec` and `lcgspec.cli`,
+    then runs `main` on each of `argvs` in turn: which of RATIONAL_MODULES
+    the imports load, then for each run its exit code and whether
+    `fractions` is loaded after it."""
+    code = ("import io, sys; sys.path.insert(0, sys.argv[1]); import lcgspec, lcgspec.cli; "
+            f"print(*(m in sys.modules for m in {RATIONAL_MODULES!r})); "
+            "[print(lcgspec.cli.main(argv.split(), io.StringIO()), 'fractions' in sys.modules) "
+            "for argv in sys.argv[2:]]")
+    return bare_python(code, *argvs).splitlines()
+
+
+def test_fractions_load_only_with_a_rational():
+    # `fractions` brings `decimal` and `numbers` with it; a query with no
+    # rational in it pays for none of them
+    assert loads_after(WITHOUT_FRACTIONS) == ["False False False"] + ["0 False"] * 4
+
+
+@pytest.mark.parametrize("argv", ["uniformity --a 26 --N 625 --interval 1/pi^2:1-1/e",
+                                  "analyze --a 13 --N 16 --s 2..4"])  # theorem 3, lambda = 4
+def test_an_endpoint_or_a_rational_bound_loads_fractions(argv):
+    assert loads_after([argv]) == ["False False False", "0 True"]
 
 
 @pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
