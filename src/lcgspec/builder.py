@@ -31,7 +31,6 @@ from .lcg import LcgParams, _power_quotient, check_max_period, compute_potential
 from .numtheory import is_probable_prime
 from .spectral import b_coefficient, check_bounds, spectral_profile, theorem_bounds
 
-_MAX_SHAPE_STEPS = 10_000
 # Largest exponent t = tau+l a build takes.  No larger t can succeed: N keeps
 # at least (a-1)^2 of (a-1)^t and a - 1 > b_t > 2^t/(2t+2), so N would have
 # over 6000 digits, more than Python converts to str by default.
@@ -86,8 +85,8 @@ class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
     def resolve(self, b: int, min_accuracy: int | None) -> int:
         """Smallest multiplier of this shape with a - b > min_accuracy.
 
-        An explicit `a` is only checked; a shaped recipe is scaled by raising
-        the whole prime kernel to successive powers.
+        An explicit `a` is only checked; a shaped recipe raises the whole
+        prime kernel to the least power j that clears it, found by bisection.
         """
         if self.a is not None:
             if min_accuracy is not None and self.a - b <= min_accuracy:
@@ -99,11 +98,17 @@ class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
             return self.d * kernel + 1
         if kernel < 2:
             raise TooSmall("recipe kernel is 1; no room to satisfy min_accuracy")
-        for j in range(1, _MAX_SHAPE_STEPS):
-            a = self.d * kernel**j + 1
-            if a - b > min_accuracy:
-                return a
-        raise TooSmall(f"no multiplier of this shape clears min_accuracy={shown(min_accuracy)}")
+        # a - b > min_accuracy is d * kernel^j > need; kernel >= 2, so the
+        # bit length of need is a j that clears it
+        need = min_accuracy + b - 1
+        lo, hi = 1, max(1, need.bit_length())
+        while lo < hi:
+            mid = (lo + hi) // 2
+            if self.d * kernel**mid > need:
+                hi = mid
+            else:
+                lo = mid + 1
+        return self.d * kernel**lo + 1
 
 
 class BuiltGenerator(namedtuple("BuiltGenerator", "params profile covers_s_max guaranteed")):

@@ -217,7 +217,6 @@ _ANALYZE_COLUMNS = (
     ("lower_sq", "lower^2", lambda r, fmt: _dash(r.bounds and r.bounds.lower_sq)),
     ("upper_sq", "upper^2", lambda r, fmt: _dash(r.bounds and r.bounds.upper_sq)),
     ("knuth_bound", "B-bound", _knuth_cell),
-    ("certified", None, lambda r, fmt: "yes" if r.certified else "no"),
     ("checks", "checks", _checks_cell),
 )
 
@@ -230,19 +229,20 @@ def cmd_analyze(args, out: TextIOBase) -> int:
     if args.require_max_period:
         _require_max_period(params)
     results = spectral_profile(a, N, dims, cap=args.enum_cap)
+    pr = results[0].profile
 
     if args.format == "json":
-        _json_out(
-            {"a": str(a), "N": str(N), "results": [r.to_json_dict() for r in results]},
-            out,
-        )
+        _json_out({"a": str(a), "N": str(N),
+                   "tau": None if pr is None else pr.tau,
+                   "lambda": None if pr is None else str(pr.lam),
+                   "results": [r.to_json_dict() for r in results]}, out)
         return EXIT_OK
 
     if args.format == "csv":
         _write_table(_ANALYZE_COLUMNS, results, "csv", out)
         return EXIT_OK
     out.write(f"a = {a}, N = {N}\n")
-    if (pr := results[0].profile) is not None:
+    if pr is not None:
         out.write(f"tau = {pr.tau}, lambda = {pr.lam}\n")
     else:
         out.write("tau undefined (no potential); theorem bounds omitted\n")
@@ -343,7 +343,7 @@ def cmd_uniformity(args, out: TextIOBase) -> int:
 
     if args.format == "json":
         _json_out({"a": str(params.a), "N": str(params.N),
-                   "rows": [r.to_json_dict() for r in reports]}, out)
+                   "rows": [r.row() for r in reports]}, out)
     else:
         _write_table(_UNIFORMITY_COLUMNS, [r.row() for r in reports], args.format, out)
     return EXIT_OK

@@ -70,9 +70,6 @@ class FrequencyReport(namedtuple("FrequencyReport",
         return {field: labels.get(field) or _render_ratio(p, q, digits)
                 for field, (p, q) in self._ratios().items()}
 
-    def to_json_dict(self) -> dict:
-        return {**self.row(), "N": str(self.params.N)}
-
 
 def frequency_test(
     params: LcgParams,

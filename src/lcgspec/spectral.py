@@ -273,12 +273,12 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
     )
 
 
-class SpectralResult(namedtuple("SpectralResult",
-                                 "a N s v_sq vector certified profile bounds")):
+class SpectralResult(namedtuple("SpectralResult", "a N s v_sq vector profile bounds")):
     """Exact spectral value v_sq of (a, N) in dimension s, reached by
-    `vector` (a tuple of ints); `profile` (PotentialProfile) and `bounds`
-    (TheoremBounds) are None when (a, N) has no potential.  The display
-    figures `v`, `lg_v` and `mu` and the `regime` are computed when read."""
+    `vector` (a tuple of ints), which the enumeration proved shortest;
+    `profile` (PotentialProfile) and `bounds` (TheoremBounds) are None when
+    (a, N) has no potential.  The display figures `v`, `lg_v` and `mu` and
+    the `regime` are computed when read."""
 
     __slots__ = ()
 
@@ -302,19 +302,15 @@ class SpectralResult(namedtuple("SpectralResult",
         return None if self.profile is None else classify_regime(self.s, self.profile)
 
     def to_json_dict(self) -> dict:
-        profile, regime = self.profile, self.regime
+        """The figures that vary with s; a, N and the profile are shared."""
+        regime = self.regime
         return {
-            "a": str(self.a),
-            "N": str(self.N),
             "s": self.s,
             "v_sq": str(self.v_sq),
             "v": self.v,
             "lg_v": self.lg_v,
             "vector": [str(x) for x in self.vector],
             "mu": self.mu,
-            "certified": self.certified,
-            "tau": None if profile is None else profile.tau,
-            "lambda": None if profile is None else str(profile.lam),
             "regime": None if regime is None else regime.value,
             "bounds": None if self.bounds is None else self.bounds.to_json_dict(self.N),
         }
@@ -323,8 +319,10 @@ class SpectralResult(namedtuple("SpectralResult",
 def spectral_profile(a: int, N: int, dims: range,
                      cap: int = DEFAULT_ENUM_CAP) -> list[SpectralResult]:
     """Exact v_s for every s of the contiguous range `dims`, with the potential
-    profile and theorem bounds attached when (a, N) has a profile; without
-    one the lattice figures still come back.
+    profile (the same one in every result) and theorem bounds attached when
+    (a, N) has a profile; without one the lattice figures still come back.
+    Each v_s is proved by `shortest_vector`'s enumeration, which always
+    certifies, so a result carries no certificate flag.
 
     The dimensions are solved on one chain of reduced bases: the basis for
     s+1 is the one `shortest_vector` reduced for s, extended by
@@ -368,7 +366,6 @@ def spectral_profile(a: int, N: int, dims: range,
             s=s,
             v_sq=v_sq,
             vector=res.vector,
-            certified=res.certified,
             profile=profile,
             bounds=bounds,
         ))

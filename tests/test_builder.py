@@ -1,6 +1,8 @@
 """Tests for generator construction and certificate validation."""
 
 import json
+import math
+import random
 import sys
 import tracemalloc
 from fractions import Fraction
@@ -68,6 +70,22 @@ class TestMultiplierRecipe:
         r = MultiplierRecipe(d=1, primes=(2,), exponents=(2,))
         # 5, 17, 65 all fail a - 2 > 100; 257 clears it
         assert r.resolve(2, 100) == 257
+
+    def test_shape_resolves_to_the_least_power_a_naive_loop_finds(self):
+        rng = random.Random(45)
+        for _ in range(400):
+            primes = rng.choice([(2,), (3,), (2, 3), (5, 7), (2, 10007)])
+            exps = tuple(rng.randint(1, 3) for _ in primes)
+            d, k = rng.randint(1, 40), math.prod(p**e for p, e in zip(primes, exps))
+            if math.gcd(d, k) != 1:
+                continue
+            r, b = MultiplierRecipe(None, d, primes, exps), rng.randint(0, 500)
+            edge = d * k ** rng.randint(1, 60) + 1 - b  # a - b of some power
+            m = rng.choice([-5, 0, rng.getrandbits(rng.randint(1, 300)), edge - 1, edge])
+            j = 1
+            while d * k**j + 1 - b <= m:
+                j += 1
+            assert r.resolve(b, m) == d * k**j + 1, (r, b, m)
 
     def test_unit_kernel_cannot_scale(self):
         with pytest.raises(TooSmall):

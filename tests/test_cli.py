@@ -49,7 +49,7 @@ class TestAnalyze:
         lines = out.splitlines()
         assert lines[0] == (
             "s,v_sq,lg_v,mu,regime,tau,lambda,theorem,lower_sq,upper_sq,"
-            "knuth_bound,certified,checks"
+            "knuth_bound,checks"
         )
         assert lines[1].startswith("2,577,")
         assert lines[2].startswith("3,6,")
@@ -63,6 +63,25 @@ class TestAnalyze:
         assert [r["s"] for r in d["results"]] == [2, 3]
         assert d["results"][0]["v_sq"] == "577"
         assert d["results"][0]["bounds"]["theorem"] == 1
+
+    @pytest.mark.parametrize("a, N, tau, lam", [("26", "625", 2, "1"),
+                                                ("23", "10^8+1", None, None)],
+                             ids=["profile", "no-profile"])
+    def test_json_states_each_fact_once(self, a, N, tau, lam):
+        code, out = run(["analyze", "--a", a, "--N", N, "--s", "2..3", "--format", "json"])
+        assert code == 0
+        d = json.loads(out)
+        assert sorted(d) == ["N", "a", "lambda", "results", "tau"]
+        assert (d["tau"], d["lambda"]) == (tau, lam)
+        for r in d["results"]:
+            assert sorted(r) == ["bounds", "lg_v", "mu", "regime", "s", "v", "v_sq", "vector"]
+
+    def test_json_names_a_long_modulus_once(self):
+        code, out = run(["analyze", "--a", "5", "--N", "2^4000", "--s", "2..12",
+                         "--format", "json"])
+        assert code == 0
+        assert out.count(str(2**4000)) == 1
+        assert len(json.loads(out)["results"]) == 11
 
     def test_expressions(self):
         code, out = run(["analyze", "--a", "69069", "--N", "2^32", "--s", "3",
@@ -415,6 +434,8 @@ class TestUniformity:
         d = json.loads(out)
         assert d["rows"][0]["m"] == "625"
         assert d["rows"][0]["delta"] == "0"
+        assert sorted(d) == ["N", "a", "rows"]
+        assert list(d["rows"][0]) == ["alpha", "beta", "delta", "m", "m_over_N", "width"]
 
     def test_malformed_interval(self, capsys):
         code, _ = run(["uniformity", "--a", "26", "--N", "625",

@@ -15,7 +15,7 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 # (comment in the example, pattern its print must match); "..." in a comment
 # stands for the digits it leaves out
 STATED = [
-    "2072544 2.9099... True",
+    "2072544 2.9099...",
     "[4243209856, 2072544, 52804, 6990, 242]",
     "4767764401",
 ]

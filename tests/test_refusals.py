@@ -118,7 +118,7 @@ def run(argv):
 
 @pytest.mark.parametrize("argv, code", [
     (["analyze", "--a", "3*10^4000", "--N", "10^4000+1"], 2),
-    (["build", "--tau", "2", "--primes", "2:1", "--min-accuracy", "10^4000"], 2),
+    (["build", "--tau", "2", "--a", "26", "--min-accuracy", "10^4000"], 2),
     (["build", "--tau", "2", "--a", "26", "--l", "1", "--lambda", "7" * 4000], 3),
     (["dump", "--a", "5", "--N", "16", "--count", "10^4000"], 2),
     (["uniformity", "--a", "5", "--N", "3^8000", "--interval", "0:1"], 3),
@@ -137,6 +137,14 @@ def test_build_refuses_a_kernel_too_long_to_print_unformed(capsys, digit_limit, 
     # 2^99999999999 alone would take longer than any test
     assert run(["build", "--tau", "2", "--primes", primes]) == (2, "")
     assert capsys.readouterr().err == f"error: prime kernel has more than {digit_limit} digits\n"
+
+
+def test_build_min_accuracy_past_the_digit_limit_names_the_modulus(capsys):
+    # the least 2^j + 1 clearing 10^4200 is 2^13953 + 1, found at once; its
+    # modulus (a-1)^2 is what has too many digits
+    assert run(["build", "--s", "2", "--primes", "2:1", "--min-accuracy", "10^4200"]) == (2, "")
+    assert capsys.readouterr().err == (
+        f"error: modulus N = (a-1)^2/lambda has more than {DEFAULT_LIMIT} digits\n")
 
 
 class TestArgparseChoices:

@@ -148,7 +148,7 @@ class TestMerit:
                 size = float(exact.ln())
                 N = int(exact ** (s // 2) * (exact.sqrt() if s % 2 else 1)) // rng.randint(1, 1000) + 1
                 want_mu = merit_oracle(s, exact, N)
-                r = SpectralResult(3, N, s, v_sq, (), True, None, None)
+                r = SpectralResult(3, N, s, v_sq, (), None, None)
                 got = {
                     "root": (_exp(0.5 * _log(v_sq)), want_root, 1e-15 * (1 + size)),
                     "mu": (merit(s, v_sq, N), want_mu, 1e-15 * (1 + s * size)),
@@ -165,7 +165,7 @@ class TestMerit:
             cases += [x, Fraction(x * 7 + 1, 7)]
         for x in cases:
             assert _exp(0.5 * _log(x)) is None
-            assert SpectralResult(3, 2**4000, 2, x, (), True, None, None).v is None
+            assert SpectralResult(3, 2**4000, 2, x, (), None, None).v is None
         assert _exp(0.5 * _log(2**2046)) == pytest.approx(2.0**1023, rel=1e-12)
 
     def test_rejects(self):
@@ -453,7 +453,6 @@ class TestSpectralTest:
         r = spectral_test(26, 625, 2)
         assert r.v_sq == 577
         assert r.vector == (1, 24)
-        assert r.certified
         assert r.regime is Regime.S_EQ_TAU_2
         assert r.profile == PotentialProfile(2, 1)
         assert r.bounds.lower_sq == r.bounds.upper_sq == 577
@@ -480,7 +479,6 @@ class TestSpectralTest:
         for s, v in want.items():
             r = spectral_test(69069, 2**32, s)
             assert r.v_sq == v
-            assert r.certified
 
     def test_tuned_dimension_two(self):
         r = spectral_test(1664525, 2**32, 2)
@@ -508,19 +506,23 @@ class TestSpectralTest:
             assert vals == sorted(vals, reverse=True)
 
     def test_json_dict(self):
+        # only what varies with s: a, N and the profile are stated once by `analyze`
         d = spectral_test(26, 625, 2).to_json_dict()
-        assert d["a"] == "26" and d["N"] == "625"
-        assert d["v_sq"] == "577"
+        assert sorted(d) == ["bounds", "lg_v", "mu", "regime", "s", "v", "v_sq", "vector"]
+        assert d["s"] == 2 and d["v_sq"] == "577"
         assert d["vector"] == ["1", "24"]
-        assert d["tau"] == 2 and d["lambda"] == "1"
         assert d["regime"] == "S_EQ_TAU_2"
         assert d["bounds"]["theorem"] == 1
         json.dumps(d)
 
     def test_json_dict_without_profile(self):
         d = spectral_test(23, 10**8 + 1, 2).to_json_dict()
-        assert d["tau"] is None and d["lambda"] is None
+        assert sorted(d) == ["bounds", "lg_v", "mu", "regime", "s", "v", "v_sq", "vector"]
         assert d["regime"] is None and d["bounds"] is None
+
+    def test_result_carries_no_certificate_flag(self):
+        # shortest_vector always certifies, so a copy of its flag says nothing
+        assert "certified" not in SpectralResult._fields
 
     def test_rejects(self):
         with pytest.raises(InvalidParams):
