@@ -40,10 +40,8 @@ from .errors import (
 from .exprparse import parse_endpoint, parse_int_expr
 from .lattice import (
     DEFAULT_ENUM_CAP,
-    LatticeBasis,
     _check_cap,
     _check_dual_params,
-    _json_int,
     brute_force_shortest,
     dual_basis,
     shortest_vector,
@@ -117,10 +115,9 @@ def _json_out(obj, out: TextIOBase) -> None:
     3.13, `json` uses its C encoder only without `indent`, so that call runs
     a pure-Python generator chain; this writer joins each container once,
     quoting strings with the C function `json.encoder` itself uses
-    (`_json.encode_basestring_ascii`), so no command but `svp --basis-file`
-    loads `json`.  Values are dicts with str keys, lists, tuples, str, int,
-    float, bool and None, each of exactly that type; any other raises
-    TypeError."""
+    (`_json.encode_basestring_ascii`), so no command loads `json`.  Values
+    are dicts with str keys, lists, tuples, str, int, float, bool and None,
+    each of exactly that type; any other raises TypeError."""
     out.write(_json_text(obj, "\n") + "\n")
 
 
@@ -394,37 +391,15 @@ def cmd_dump(args, out: TextIOBase) -> int:
 def cmd_svp(args, out: TextIOBase) -> int:
     _read_ints(args, "s", "enum_cap")
     cap = args.enum_cap
-    if args.basis_file is not None:
-        stray = [flag for flag, value in (("--a", args.a), ("--N", args.N), ("--s", args.s),
-                                          ("--brute-box", args.brute_box)) if value is not None]
-        if stray:
-            raise InvalidParams(f"--basis-file excludes {', '.join(stray)}")
-        import json  # the package's only JSON reader
-
-        with _open_named(args.basis_file) as fh:
-            try:
-                obj = json.load(fh, parse_int=_json_int)
-            except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
-                # not UTF-8, not JSON, too deep
-                raise InvalidParams(f"{shown(args.basis_file, verbatim=True)}: "
-                                    f"not a JSON basis file ({exc})") from None
-        rows = obj.get("rows") if isinstance(obj, dict) else None
-        if isinstance(rows, list):  # before any O(n^3) Gram-Schmidt work
-            _check_cap(len(rows), cap)
-        result = shortest_vector(LatticeBasis.from_json_dict(obj), cap=cap)
-        method = "enumeration"
+    a, N, s = parse_int_expr(args.a), parse_int_expr(args.N), args.s
+    if args.brute_box is not None:
+        result = brute_force_shortest(a, N, s, box=parse_int_expr(args.brute_box), cap=cap)
+        method = "brute-force"
     else:
-        if args.a is None or args.N is None or args.s is None:
-            raise InvalidParams("need --basis-file, or --a --N --s")
-        a, N, s = parse_int_expr(args.a), parse_int_expr(args.N), args.s
-        if args.brute_box is not None:
-            result = brute_force_shortest(a, N, s, box=parse_int_expr(args.brute_box), cap=cap)
-            method = "brute-force"
-        else:
-            _check_dual_params(a, N, s)  # parameter errors, then the cap, then the basis
-            _check_cap(s, cap)
-            result = shortest_vector(dual_basis(a, N, s), cap=cap)
-            method = "enumeration"
+        _check_dual_params(a, N, s)  # parameter errors, then the cap, then the basis
+        _check_cap(s, cap)
+        result = shortest_vector(dual_basis(a, N, s), cap=cap)
+        method = "enumeration"
 
     if args.format == "json":
         payload = result.to_json_dict()
@@ -545,12 +520,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=["csv", "table"], default="csv")
     p.set_defaults(func=cmd_dump)
 
-    p = sub.add_parser("svp", help="exact shortest nonzero vector of an integer lattice")
-    p.add_argument("--basis-file", default=None,
-                   help='JSON file {"rows": [[...], ...]} with integer entries')
-    p.add_argument("--a", default=None, help="multiplier for the dual spectral lattice")
-    p.add_argument("--N", default=None, help="modulus for the dual spectral lattice")
-    p.add_argument("--s", default=None, help="dimension for the dual spectral lattice")
+    p = sub.add_parser("svp", help="exact shortest nonzero vector of the dual lattice of (a, N)")
+    p.add_argument("--a", required=True, help="multiplier for the dual spectral lattice")
+    p.add_argument("--N", required=True, help="modulus for the dual spectral lattice")
+    p.add_argument("--s", required=True, help="dimension for the dual spectral lattice")
     p.add_argument("--brute-box", default=None, metavar="B",
                    help="use the coordinate-box oracle with |m_i| <= B instead of enumeration")
     p.add_argument("--enum-cap", **enum_cap)

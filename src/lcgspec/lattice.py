@@ -42,11 +42,10 @@ collection at all.
 from __future__ import annotations
 
 import math
-import re
 from collections import namedtuple
 
-from .errors import (BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams, _max_str_digits,
-                     _too_many_digits, shown)
+from .errors import (BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams, _too_many_digits,
+                     shown)
 
 DEFAULT_ENUM_CAP = 12
 # loop steps `brute_force_shortest` may take with N below 2^1024, about a
@@ -55,7 +54,6 @@ _BOX_SCAN_STEPS = 1_000_000
 
 # LLL's Lovasz constant 99/100, as (numerator, denominator)
 _LOVASZ = (99, 100)
-_JSON_INT = re.compile(r"-?[0-9]+")
 
 
 def canonical(vec: tuple[int, ...]) -> tuple[int, ...]:
@@ -68,25 +66,14 @@ def canonical(vec: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(vec)
 
 
-def _as_int(x, what: str = "basis entry") -> int:
+def _as_int(x) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         # a rational but for a bool (so a Fraction) as its repr, which names
         # its type: its value may be integral
         got = (f"{type(x).__name__}({shown(x.numerator)}, {shown(x.denominator)})"
                if hasattr(x, "denominator") and not isinstance(x, bool) else shown(x))
-        raise InvalidParams(f"{what} must be an integer, got {got}")
+        raise InvalidParams(f"basis entry must be an integer, got {got}")
     return x
-
-
-def _json_int(x, what: str = "basis entry") -> int:
-    """A JSON integer, or a decimal-integer string.  Also `json.load`'s
-    `parse_int`, so a JSON number's digits are read here too: a literal with
-    more digits than int() converts is refused before int() sees it."""
-    if isinstance(x, str) and _JSON_INT.fullmatch(x):
-        if (limit := _max_str_digits()) and len(x) - x.startswith("-") > limit:
-            raise InvalidParams(f"integer literal has more than {limit} digits")
-        return int(x)
-    return _as_int(x, what)
 
 
 class LatticeBasis:
@@ -134,19 +121,6 @@ class LatticeBasis:
     @property
     def dim(self) -> int:
         return len(self.rows)
-
-    @staticmethod
-    def from_json_dict(obj) -> LatticeBasis:
-        """The basis a JSON object describes: a "rows" list of lists and an
-        optional "dim", every entry a JSON integer or a decimal-integer
-        string."""
-        rows = obj.get("rows") if isinstance(obj, dict) else None
-        if not isinstance(rows, list) or not all(isinstance(r, list) for r in rows):
-            raise InvalidParams('a basis must be a JSON object with a "rows" list of lists')
-        basis = LatticeBasis(tuple(tuple(_json_int(x) for x in r) for r in rows))
-        if "dim" in obj and _json_int(obj["dim"], "dim") != basis.dim:
-            raise InvalidParams("dim field disagrees with row count")
-        return basis
 
 
 class ShortestVectorResult(namedtuple("ShortestVectorResult", "norm_sq vector certified")):

@@ -21,9 +21,6 @@ import pytest
 import lcgspec
 from lcgspec.cli import build_parser, main
 
-GOLDEN_BASIS = Path(__file__).with_name("golden") / "basis.json"
-
-
 def run(argv):
     buf = io.StringIO()
     code = main(argv, out=buf)
@@ -629,9 +626,8 @@ class TestOutputFailure:
 
     @pytest.mark.parametrize("argv", [
         ["uniformity", "--a", "26", "--N", "625", "--intervals-file"],
-        ["svp", "--basis-file"],
         ["dump", "--a", "26", "--N", "625", "--count", "3", "-o"],
-    ], ids=["intervals-file", "basis-file", "output"])
+    ], ids=["intervals-file", "output"])
     def test_unopenable_file_is_usage_error(self, tmp_path, capsys, argv):
         missing = tmp_path / "no-such-dir" / "file"
         assert run(argv + [str(missing)]) == (2, "")
@@ -650,14 +646,6 @@ class TestSvp:
             "norm_sq": "10",
             "vector": ["1", "3"],
         }
-
-    def test_basis_file(self, tmp_path):
-        f = tmp_path / "basis.json"
-        f.write_text(json.dumps({"dim": 2, "rows": [["1", "0"], ["0", "1"]]}))
-        code, out = run(["svp", "--basis-file", str(f)])
-        assert code == 0
-        d = json.loads(out)
-        assert d["norm_sq"] == "1" and d["vector"] == ["0", "1"]
 
     def test_brute_box_certification(self):
         code, out = run(["svp", "--a", "5", "--N", "16", "--s", "2",
@@ -689,88 +677,6 @@ class TestSvp:
         argv = ["svp", "--a", "1000000007", "--N", "10^18", "--s", "2", "--brute-box", "10^9"]
         assert run(argv) == (4, "")
         assert capsys.readouterr().err == "error: box scan exceeds its budget of 1000 steps\n"
-
-    def test_basis_file_integer_forms(self, tmp_path):
-        # JSON integers and decimal-integer strings
-        f = tmp_path / "basis.json"
-        f.write_text(json.dumps({"dim": "2", "rows": [[2, "-1"], ["1", 1]]}))
-        code, out = run(["svp", "--basis-file", str(f)])
-        assert code == 0
-        assert json.loads(out)["norm_sq"] == "2"
-
-    @pytest.mark.parametrize("quote", [b'"', b""], ids=["string", "number"])
-    def test_basis_file_entry_digit_limit(self, tmp_path, capsys, quote):
-        # 4300 digits (and a sign) are read; one more is refused in the words
-        # every integer literal gets, not in int()'s
-        f = tmp_path / "basis.json"
-        for digits, want in [(4300, 0), (4301, 2)]:
-            entry = quote + b"-1" + b"0" * (digits - 1) + quote
-            f.write_bytes(b'{"rows": [[' + entry + b', 0], [0, 1]]}')
-            code, out = run(["svp", "--basis-file", str(f)])
-            err = capsys.readouterr().err
-            assert code == want, digits
-            if want:
-                assert (out, err) == ("", "error: integer literal has more than 4300 digits\n")
-            else:
-                assert json.loads(out)["norm_sq"] == "1"
-
-    @pytest.mark.parametrize("content", [
-        b"not json",
-        b'{"rows": [[1, 0], [0, 1]]}\xff',  # not UTF-8
-        b"[1,2]",
-        b"{}",
-        b'{"rows": "[[1, 0], [0, 1]]"}',
-        b'{"rows": [1, 2]}',
-        b'{"rows": [[1, "x"], [3, 4]]}',
-        b'{"rows": [[1, " 2"], [3, 4]]}',
-        b'{"rows": [[1, "1_0"], [3, 4]]}',
-        b'{"rows": [[1.5, 0], [0, 1]]}',
-        b'{"rows": [[2.0, 0], [0, 1]]}',
-        b'{"rows": [[true, 0], [0, 1]]}',
-        b'{"rows": [[null, 0], [0, 1]]}',
-        b'{"dim": "x", "rows": [[1, 0], [0, 1]]}',
-        b'{"dim": 2.0, "rows": [[1, 0], [0, 1]]}',
-        b'{"dim": 3, "rows": [[1, 0], [0, 1]]}',
-        b'{"rows": [[1, 2], [2, 4]]}',
-        # more digits than int() converts, as a string and as a JSON number
-        pytest.param(b'{"rows": [["1' + b"0" * 5000 + b'", 0], [0, 1]]}', id="huge-string"),
-        pytest.param(b'{"rows": [[1' + b"0" * 5000 + b', 0], [0, 1]]}', id="huge-number"),
-        pytest.param(b"[" * 100000 + b"]" * 100000, id="nested-too-deep"),
-    ])
-    def test_malformed_basis_file(self, tmp_path, capsys, content):
-        f = tmp_path / "basis.json"
-        f.write_bytes(content)
-        code, out = run(["svp", "--basis-file", str(f)])
-        assert code == 2 and out == ""
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and "Traceback" not in err
-
-    @pytest.mark.parametrize("dim, flags, cap", [(13, [], 12), (5, ["--enum-cap", "4"], 4)])
-    def test_basis_file_over_cap_refused_before_gram_schmidt(
-            self, tmp_path, monkeypatch, capsys, dim, flags, cap):
-        from lcgspec import lattice
-
-        def boom(rows):
-            raise AssertionError("Gram-Schmidt data was computed")
-
-        monkeypatch.setattr(lattice, "_integral_gs", boom)
-        f = tmp_path / "basis.json"
-        f.write_text(json.dumps({"rows": [[int(i == j) for j in range(dim)]
-                                          for i in range(dim)]}))
-        assert run(["svp", "--basis-file", str(f)] + flags) == (4, "")
-        assert capsys.readouterr().err == (
-            f"error: dimension {dim} exceeds enumeration cap {cap}\n"
-        )
-
-    @pytest.mark.parametrize("flag, value", [("--a", "5"), ("--N", "16"), ("--s", "9"),
-                                             ("--brute-box", "3")])
-    def test_basis_file_excludes_the_pair_flags(self, monkeypatch, capsys, flag, value):
-        from lcgspec import cli
-
-        monkeypatch.setattr(cli, "_open_named", _boom)
-        argv = ["svp", "--basis-file", str(GOLDEN_BASIS), flag, value]
-        assert run(argv) == (2, "")
-        assert capsys.readouterr().err == f"error: --basis-file excludes {flag}\n"
 
     def test_enum_cap_exit(self, capsys):
         code, _ = run(["svp", "--a", "69069", "--N", "2^32", "--s", "6",
@@ -907,9 +813,7 @@ _NO_FILE = "error: [Errno 2] No such file or directory: ''\n"
     (["dump", "--a", "26", "--N", "625", "--count", "3", "-o", ""], _NO_FILE),
     (["uniformity", "--a", "26", "--N", "625", "--interval", "0:1", "--intervals-file", ""],
      _NO_FILE),
-    (["svp", "--basis-file", ""], _NO_FILE),
-], ids=["validate-0", "only-empty", "output-empty", "intervals-file-empty",
-        "basis-file-empty"])
+], ids=["validate-0", "only-empty", "output-empty", "intervals-file-empty"])
 def test_zero_or_empty_value_is_not_absent(capsys, argv, err):
     # a given 0 or "" is checked like any other value, never read as a
     # missing option

@@ -10,7 +10,6 @@ a --count, small or over the default budget, or a small --budget.
 """
 
 import io
-import json
 import random
 import signal
 
@@ -131,16 +130,11 @@ def _dump(rng, files):
 
 
 def _svp(rng, files):
-    if rng.random() < 0.25:  # now and then with a pair flag, which --basis-file excludes
-        argv = ["svp", "--basis-file", rng.choice(files["bases"])]
-        for flag, value in (("--a", "5"), ("--N", "16"), ("--s", "3"), ("--brute-box", "3")):
-            argv += _maybe(rng, flag, [value], 0.1)
-    else:
-        a, N = _pair(rng)
-        argv = (["svp"] + _maybe(rng, "--a", [a], 0.95) + _maybe(rng, "--N", [N], 0.95)
-                + _maybe(rng, "--s", ["2", "3", "4", "8", "12", "13", "3000"], 0.9)
-                + _maybe(rng, "--brute-box", ["1", "3", "16", "100", "10^9", "2^64"]))
-    return argv + _maybe(rng, "--enum-cap", SMALL, 0.3)
+    a, N = _pair(rng)
+    return (["svp"] + _maybe(rng, "--a", [a], 0.95) + _maybe(rng, "--N", [N], 0.95)
+            + _maybe(rng, "--s", ["2", "3", "4", "8", "12", "13", "3000"], 0.9)
+            + _maybe(rng, "--brute-box", ["1", "3", "16", "100", "10^9", "2^64"])
+            + _maybe(rng, "--enum-cap", SMALL, 0.3))
 
 
 COMMANDS = [_analyze, _build, _uniformity, _dump, _svp]
@@ -162,16 +156,12 @@ def _mangle(rng, argv):
 def files(tmp_path):
     intervals = {"utf8": "# a comment\n0:1\n\n1/4:3/4\n".encode(), "bad": b"\xff0:1\n",
                  "empty": b"", "junk": b"x:y\n"}
-    bases = {"ok": json.dumps({"rows": [[625, 0], [-26, 1]]}).encode(),
-             "deep": b"[" * 5000, "big": json.dumps({"rows": [[int(i == j) for j in range(40)]
-                                                               for i in range(40)]}).encode()}
-    paths = {"intervals": [], "bases": []}
-    for kind, contents in (("intervals", intervals), ("bases", bases)):
-        for name, data in contents.items():
-            path = tmp_path / f"{kind}-{name}"
-            path.write_bytes(data)
-            paths[kind].append(str(path))
-        paths[kind].append(str(tmp_path / f"{kind}-missing"))
+    paths = {"intervals": []}
+    for name, data in intervals.items():
+        path = tmp_path / f"intervals-{name}"
+        path.write_bytes(data)
+        paths["intervals"].append(str(path))
+    paths["intervals"].append(str(tmp_path / "intervals-missing"))
     paths["output"] = str(tmp_path / "dump.out")
     return paths
 

@@ -36,7 +36,6 @@ CASES = {
 CASES["svp_dual_json"] = ["svp", "--a", "3141592621", "--N", "10^10", "--s", "3"]
 CASES["svp_dual_text"] = ["svp", "--a", "6364136223846793005", "--N", "2^64", "--s", "6",
                           "--format", "text"]
-CASES["svp_basis_json"] = ["svp", "--basis-file", str(GOLDEN / "basis.json")]
 CASES["svp_brute_5_16_box4_text"] = ["svp", "--a", "5", "--N", "16", "--s", "2",
                                      "--brute-box", "4", "--format", "text"]
 CASES["svp_brute_5_16_box3_json"] = ["svp", "--a", "5", "--N", "16", "--s", "2",
@@ -92,6 +91,7 @@ CASES.update({
     "usage_no_arguments": [],
     "usage_unknown_command": ["frobnicate", "--a", "5"],
     "usage_uniformity_without_a": ["uniformity", "--N", "16", "--interval", "0:1"],
+    "usage_svp_without_s": ["svp", "--a", "5", "--N", "16"],
     "usage_build_s_and_tau": ["build", "--s", "2", "--tau", "3"],
 })
 

@@ -270,7 +270,7 @@ def bare_python(code: str, *args: str) -> str:
 
 # what `import lcgspec.cli` adds to a bare `python -I -S`: the stdlib by
 # top-level name (as of 3.11; a version may load fewer), the package in full.
-# Neither `json` (only `svp --basis-file` reads JSON) nor `typing` is among them.
+# Neither `json` (no command reads JSON) nor `typing` is among them.
 CLI_STDLIB = {"__future__", "_collections", "_collections_abc", "_functools", "_json",
               "_operator", "_sre", "_stat", "argparse", "collections", "contextlib", "copyreg",
               "enum", "functools", "genericpath", "gettext", "itertools", "keyword", "math",
@@ -304,21 +304,19 @@ def test_cli_import_skips_dataclasses_and_inspect():
     assert bare_python(code) == "False False\n"
 
 
-def test_only_svp_basis_file_loads_json(tmp_path):
-    # the CLI writes JSON without `json`; a basis file is the one JSON it reads
-    path = tmp_path / "basis.json"
-    path.write_text('{"rows": [[625, 0], [-26, 1]]}', encoding="utf-8")
+# each runs in order in one interpreter, which must not load `json`
+JSON_ANSWERS = ["analyze --a 26 --N 625 --s 2..4 --format json",
+                "build --tau 3 --a 26 --validate 3 --format json",
+                "uniformity --a 26 --N 625 --interval 0:1/2 --format json",
+                "svp --a 26 --N 625 --s 3 --format json", "dump --a 26 --N 625 --count 5"]
+
+
+def test_no_command_loads_json():
+    # the CLI writes JSON without `json` and reads none
     code = ("import io, sys; sys.path.insert(0, sys.argv[1]); from lcgspec.cli import main; "
-            "codes = [main(argv, io.StringIO()) for argv in ("
-            "['analyze', '--a', '26', '--N', '625', '--format', 'json'], "
-            "['svp', '--a', '26', '--N', '625', '--s', '2'])]; "
-            "print(codes, 'json' in sys.modules); "
-            "out = io.StringIO(); print(main(['svp', '--basis-file', sys.argv[2]], out), "
-            "'json' in sys.modules); print(out.getvalue(), end='')")
-    first, second, *found = bare_python(code, str(path)).splitlines(keepends=True)
-    assert (first, second) == ("[0, 0] False\n", "0 True\n")
-    assert json.loads("".join(found)) == {"norm_sq": "577", "vector": ["1", "24"],
-                                          "certified": True, "method": "enumeration"}
+            "[print(main(argv.split(), io.StringIO()), 'json' in sys.modules) "
+            "for argv in sys.argv[2:]]")
+    assert bare_python(code, *JSON_ANSWERS).splitlines() == ["0 False"] * len(JSON_ANSWERS)
 
 
 RATIONAL_MODULES = ("fractions", "decimal", "numbers")

@@ -1,11 +1,9 @@
 import copy
 import gc
 import itertools
-import json
 import math
 import random
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -163,13 +161,6 @@ def test_lattice_basis_validation():
     assert b.dim == 2 and b.rows == ((1, 0), (0, 1))
 
 
-def test_lattice_basis_json_round_trip():
-    # entries as decimal-integer strings, which hold any size of integer
-    basis = dual_basis(69069, 69068**6, 4)
-    obj = {"dim": basis.dim, "rows": [[str(x) for x in r] for r in basis.rows]}
-    assert LatticeBasis.from_json_dict(json.loads(json.dumps(obj))) == basis
-
-
 def test_dual_basis_shape_and_membership():
     for a, N, s in [(26, 625, 3), (69069, 2**32, 5), (5, 16, 2)]:
         basis = dual_basis(a, N, s)
@@ -271,12 +262,30 @@ def test_no_gram_schmidt_rebuild_on_dual_bases(monkeypatch):
     ]
 
 
+# a 6-dimensional integer lattice with no dual-lattice shape, and its answer
+SIX_DIM_ROWS = (
+    (-411766, -936388, -81758, -616792, 391412, -745117),
+    (16083, 871122, 663343, 97901, 969950, 112575),
+    (93803, 580017, 164125, 976133, 160561, 794398),
+    (-308348, 231288, -630249, 1635, 940370, 75819),
+    (-167718, 153336, 181638, -818823, -625846, 486971),
+    (-611415, -656933, -469822, -339511, 896595, -57442),
+)
+
+
+def test_shortest_vector_of_rows_given_as_a_literal():
+    # any integer lattice given as rows is solved through the constructor
+    result = shortest_vector(LatticeBasis(SIX_DIM_ROWS))
+    assert result.norm_sq == 425043366066
+    assert result.vector == (300928, -49360, -574009, 36276, -16692, -31119)
+    assert result.certified is True
+
+
 def test_every_basis_carries_its_gram_schmidt_data():
-    # whatever built the basis (the constructor, from_json_dict, dual_basis,
+    # whatever built the basis (the constructor, dual_basis,
     # extend_dual_basis or lll_reduce), _gs is the data of its rows
-    golden = json.loads((Path(__file__).with_name("golden") / "basis.json").read_text())
     bases = [LatticeBasis(rows=rows) for rows in random_bases(11, 60)]
-    bases.append(LatticeBasis.from_json_dict(golden))
+    bases.append(LatticeBasis(SIX_DIM_ROWS))
     for a, N in [(26, 625), (69069, 2**32), (6364136223846793005, 2**64), (23, 10**8 + 1)]:
         basis = dual_basis(a, N, 2)
         bases.append(basis)

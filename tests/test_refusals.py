@@ -4,7 +4,6 @@ kilobytes, whatever the interpreter's int-to-str limit; and how an answer
 too long to print is refused by the one digit rule of `errors`."""
 
 import io
-import json
 import math
 import sys
 from fractions import Fraction
@@ -199,11 +198,9 @@ class TestAnswerTooLongToPrint:
         assert capsys.readouterr().err == f"error: {SQUARED_NORM.format(digit_limit)}\n"
 
     @pytest.mark.parametrize("fmt", ["json", "text"])
-    def test_svp_basis_file(self, capsys, tmp_path, digit_limit, fmt):
-        entry = "1" + "0" * (digit_limit * 15 // 16)  # prints; its square does not
-        path = tmp_path / "basis.json"
-        path.write_text(json.dumps({"rows": [[entry, "0"], ["0", entry]]}), encoding="utf-8")
-        assert run(["svp", "--basis-file", str(path), "--format", fmt]) == (2, "")
+    def test_svp(self, capsys, digit_limit, fmt):
+        a, N = hexagonal_pair(digit_limit)
+        assert run(["svp", "--a", str(a), "--N", str(N), "--s", "2", "--format", fmt]) == (2, "")
         assert capsys.readouterr().err == f"error: {SQUARED_NORM.format(digit_limit)}\n"
 
     def test_an_answer_that_prints_is_kept(self, digit_limit):
@@ -237,7 +234,7 @@ def test_dump_default_digits_at_the_limit(digit_limit):
 
 class TestFlagsThatNeedAnother:
     """A flag that only another flag gives a meaning is refused without it,
-    before any work, as `svp --basis-file` refuses its stray flags."""
+    before any work."""
 
     def test_enum_cap_needs_validate(self, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_range", _boom)
