@@ -23,7 +23,6 @@ from .errors import (
     PeriodViolation,
     PotentialOne,
     TooSmall,
-    Unsupported,
 )
 from .exprparse import parse_endpoint, parse_int_expr
 from .lattice import (
@@ -42,12 +41,9 @@ from .lcg import (
     compute_potential,
 )
 from .spectral import (
-    Regime,
     SpectralResult,
     TheoremBounds,
     b_coefficient,
-    classify_regime,
-    knuth_bound,
     merit,
     spectral_profile,
     spectral_test,
@@ -76,24 +72,20 @@ __all__ = [
     "PeriodViolation",
     "PotentialOne",
     "PotentialProfile",
-    "Regime",
     "ShortestVectorResult",
     "SpectralResult",
     "TheoremBounds",
     "TooSmall",
-    "Unsupported",
     "ValidationReport",
     "b_coefficient",
     "brute_force_shortest",
     "build_range",
     "build_single_dimension",
     "check_max_period",
-    "classify_regime",
     "compute_potential",
     "dual_basis",
     "dump_sequence",
     "frequency_test",
-    "knuth_bound",
     "lll_reduce",
     "merit",
     "parse_endpoint",

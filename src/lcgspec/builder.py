@@ -19,9 +19,7 @@ from collections import namedtuple
 from .errors import (
     InvalidParams,
     LambdaInvalid,
-    NoPotential,
     PeriodBroken,
-    PotentialOne,
     TooSmall,
     _too_many_bits,
     shown,
@@ -181,10 +179,8 @@ def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
     report = check_max_period(params)
     if not report.ok:
         raise PeriodBroken("; ".join(report.failures))
-    try:
-        profile = compute_potential(a, N)
-    except (NoPotential, PotentialOne) as exc:
-        raise PeriodBroken(str(exc)) from exc
+    # N divides (a-1)^t and N >= (a-1)^2 > a-1, so N has a potential above 1
+    profile = compute_potential(a, N)
     if (profile.tau, profile.lam) != (t, lam):
         raise PeriodBroken(
             f"requested potential ({t}, {shown(lam)}) "

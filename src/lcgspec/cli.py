@@ -34,7 +34,6 @@ from .errors import (
     PeriodViolation,
     PotentialOne,
     TooSmall,
-    Unsupported,
     shown,
 )
 from .exprparse import parse_endpoint, parse_int_expr
@@ -47,7 +46,7 @@ from .lattice import (
     shortest_vector,
 )
 from .lcg import LcgParams, _require_max_period
-from .spectral import check_bounds, knuth_bound, spectral_profile
+from .spectral import _packing_cap_text, check_bounds, spectral_profile
 
 EXIT_OK = 0
 EXIT_SCORECARD = 1
@@ -58,7 +57,7 @@ EXIT_OUTPUT = 5
 
 # the exit code of each error kind that `main` reports in one `error:` line
 _EXIT_CODES = {
-    **dict.fromkeys((InvalidParams, ExpressionError, TooSmall, Unsupported), EXIT_USAGE),
+    **dict.fromkeys((InvalidParams, ExpressionError, TooSmall), EXIT_USAGE),
     **dict.fromkeys((NoPotential, PotentialOne, PeriodViolation, PeriodBroken, LambdaInvalid,
                      EmptyBox), EXIT_DOMAIN),
     **dict.fromkeys((BudgetExceeded, DimensionTooLarge), EXIT_BUDGET),
@@ -185,13 +184,6 @@ def _dash(value) -> str:
     return "-" if value is None else str(value)
 
 
-def _knuth_cell(r, fmt: str) -> str:
-    try:
-        return f"{knuth_bound(r.s, r.N):.4f}"
-    except Unsupported:
-        return "-"
-
-
 def _checks_cell(r, fmt: str) -> str:
     """`lower`, `upper` or `B` per `check_bounds` check, " VIOLATED" appended
     when the check fails; joined by ";" in csv and by spaces in text, "-"
@@ -207,13 +199,13 @@ _ANALYZE_COLUMNS = (
     ("lg_v", "lg v", _decimals("lg_v")),
     ("mu", "mu", _decimals("mu")),
     ("regime", "regime", lambda r, fmt: "-" if r.regime is None else (
-        r.regime.value if fmt == "csv" else _REGIME_LABEL[r.regime.value])),
+        r.regime if fmt == "csv" else _REGIME_LABEL[r.regime])),
     ("tau", None, lambda r, fmt: _dash(r.profile and r.profile.tau)),
     ("lambda", None, lambda r, fmt: _dash(r.profile and r.profile.lam)),
     ("theorem", "thm", lambda r, fmt: _dash(r.bounds and r.bounds.theorem_id)),
     ("lower_sq", "lower^2", lambda r, fmt: _dash(r.bounds and r.bounds.lower_sq)),
     ("upper_sq", "upper^2", lambda r, fmt: _dash(r.bounds and r.bounds.upper_sq)),
-    ("knuth_bound", "B-bound", _knuth_cell),
+    ("knuth_bound", "B-bound", lambda r, fmt: _dash(_packing_cap_text(r.s, r.N))),
     ("checks", "checks", _checks_cell),
 )
 

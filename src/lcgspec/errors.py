@@ -122,7 +122,3 @@ class BudgetExceeded(LcgspecError):
 
 class FactorizationError(LcgspecError):
     """Factoring failed within the effort budget."""
-
-
-class Unsupported(LcgspecError):
-    """Requested dimension falls outside the tabulated constants (2..8)."""

@@ -66,9 +66,11 @@ def _c1(pool: dict) -> tuple[bool, str]:
 def _c2(pool: dict) -> tuple[bool, str]:
     r = spectral_test(1664525, 2**32, 2)
     pool[r.a, r.N, r.s] = r.v_sq
-    mu = r.mu
-    ok = r.v_sq == 4938916874 and abs(mu - 3.61) <= 0.01
-    return ok, f"v_2^2 = {r.v_sq}, mu_2 = {mu:.4f}"
+    # mu_2 = pi v_2^2 / N within 3.61 +- 0.01, by 3.14159265358979 < pi < 3.14159265358980
+    ok = (r.v_sq == 4938916874
+          and 360 * r.N * 10**14 <= 100 * 314159265358979 * r.v_sq
+          and 100 * 314159265358980 * r.v_sq <= 362 * r.N * 10**14)
+    return ok, f"v_2^2 = {r.v_sq}, mu_2 = {r.mu:.4f}"
 
 
 def _c3(pool: dict) -> tuple[bool, str]:

@@ -9,27 +9,22 @@ here with their preconditions checked explicitly, and all of them asserted.
 
 from __future__ import annotations
 
-import enum
 import math
 from collections import namedtuple
 
-from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, Unsupported, shown
+from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, shown
 from .lattice import DEFAULT_ENUM_CAP, _check_cap, dual_basis, extend_dual_basis, shortest_vector
 from .lcg import PotentialProfile, compute_potential
 
 # gamma_s^(2s) = num/den, as (num, den), for the best-known packing constants
 # gamma_s, s = 2..8.  They are rational, so the packing bound
 # v_s <= gamma_s N^(1/s), which is v_sq^s <= gamma_s^(2s) N^2, is decided
-# exactly.
+# exactly, and the cap is printed from the same table.
 _GAMMA_POW_2S = {2: (4, 3), 3: (2, 1), 4: (4, 1), 5: (8, 1), 6: (64, 3), 7: (64, 1), 8: (256, 1)}
-_GAMMA = {s: (num / den) ** (1 / (2 * s)) for s, (num, den) in _GAMMA_POW_2S.items()}
 
-
-class Regime(enum.Enum):
-    S_EQ_TAU_2 = "S_EQ_TAU_2"
-    S_EQ_TAU_GE3 = "S_EQ_TAU_GE3"
-    S_LT_TAU = "S_LT_TAU"
-    S_GT_TAU = "S_GT_TAU"
+# the regime, as (s, tau) selects it, that each theorem covers
+_REGIME = {1: "S_EQ_TAU_2", 3: "S_EQ_TAU_2", 2: "S_EQ_TAU_GE3", 5: "S_EQ_TAU_GE3",
+           6: "S_LT_TAU", 7: "S_GT_TAU"}
 
 
 def _log(x: int | Fraction) -> float:
@@ -78,18 +73,25 @@ def merit(s: int, v_sq: int | Fraction, N: int) -> float | None:
                 - math.lgamma(half + 1.0) - _log(N))
 
 
-def knuth_bound(s: int, N: int) -> float:
-    """Unconditional bound gamma_s * N^(1/s) on v_s, tabulated for s = 2..8;
-    Unsupported beyond float range too."""
-    if s not in _GAMMA:
-        raise Unsupported(f"no tabulated constant for s = {shown(s)} (supported: 2..8)")
-    if N <= 0:
-        raise InvalidParams(f"N must be positive, got {shown(N)}")
-    root = _exp(_log(N) / s)
-    bound = math.inf if root is None else _GAMMA[s] * root
-    if math.isinf(bound):
-        raise Unsupported(f"gamma_{s} * N^(1/{s}) lies beyond float range")
-    return bound
+def _iroot(n: int, k: int) -> int:
+    """floor(n^(1/k)) for n >= 1, by Newton's method down from 2^ceil(bits/k)."""
+    x = 1 << -(-n.bit_length() // k)
+    while (y := ((k - 1) * x + n // x ** (k - 1)) // k) < x:
+        x = y
+    return x
+
+
+def _packing_cap_text(s: int, N: int) -> str | None:
+    """The packing cap gamma_s * N^(1/s) on v_s, rounded half up to 4
+    decimals from its exact value: with gamma_s^(2s) = num/den, t is
+    floor(2 * 10^4 * cap).  None outside the tabulated s = 2..8."""
+    g = _GAMMA_POW_2S.get(s)
+    if g is None:
+        return None
+    num, den = g
+    t = _iroot(num * N * N * (2 * 10**4) ** (2 * s) // den, 2 * s)
+    q = (t + 1) // 2
+    return f"{q // 10**4}.{q % 10**4:04d}"
 
 
 def within_packing_bound(s: int, N: int, v_sq: int) -> bool | None:
@@ -101,15 +103,6 @@ def within_packing_bound(s: int, N: int, v_sq: int) -> bool | None:
         return None
     num, den = g
     return v_sq**s * den <= num * N * N
-
-
-def classify_regime(s: int, profile: PotentialProfile) -> Regime:
-    if s < 2:
-        raise InvalidParams(f"need s >= 2, got {shown(s)}")
-    tau = profile.tau
-    if s == tau:
-        return Regime.S_EQ_TAU_2 if s == 2 else Regime.S_EQ_TAU_GE3
-    return Regime.S_LT_TAU if s < tau else Regime.S_GT_TAU
 
 
 class TheoremBounds(namedtuple("TheoremBounds",
@@ -143,8 +136,8 @@ class TheoremBounds(namedtuple("TheoremBounds",
             "s": self.s,
             "lower": None if lo is None else _exp(0.5 * _log(lo)),
             "upper": None if hi is None else _exp(0.5 * _log(hi)),
-            "lower_exact_sq": str(lo) if isinstance(lo, int) else None,
-            "upper_exact_sq": str(hi) if isinstance(hi, int) else None,
+            "lower_exact_sq": None if lo is None else str(lo),
+            "upper_exact_sq": None if hi is None else str(hi),
             "mu_lower": None if lo is None else merit(self.s, lo, N),
             "mu_upper": None if hi is None else merit(self.s, hi, N),
             "conditions_met": list(self.conditions_met),
@@ -200,14 +193,13 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
     am1 = a - 1
     if pow(am1, tau, lam) != 0:
         raise InvalidParams(f"lambda = {shown(lam)} does not divide (a-1)^tau")
-    regime = classify_regime(s, profile)
 
     met: list[str] = []
     bad: list[str] = []
     lower_sq: int | Fraction | None = None
     upper_sq: int | Fraction | None = None
 
-    if regime is Regime.S_EQ_TAU_2:
+    if s == tau == 2:
         if lam == 1:
             theorem_id = 1
             if a >= 5:
@@ -224,7 +216,7 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
                 upper_sq = 2 * (am1 // lam) ** 2
             else:
                 bad.append("lambda does not divide a-1 (upper estimate needs it)")
-    elif regime is Regime.S_EQ_TAU_GE3:
+    elif s == tau:
         b = b_coefficient(s)
         if lam == 1:
             theorem_id = 2
@@ -247,7 +239,7 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
                     bad.append("lambda does not divide a-1 (upper estimate needs it)")
             else:
                 bad.append(f"a <= b_{s} = {b}")
-    elif regime is Regime.S_LT_TAU:
+    elif s < tau:
         theorem_id = 6
         b = b_coefficient(s)
         if a < b + 1:
@@ -277,15 +269,10 @@ class SpectralResult(namedtuple("SpectralResult", "a N s v_sq vector profile bou
     """Exact spectral value v_sq of (a, N) in dimension s, reached by
     `vector` (a tuple of ints), which the enumeration proved shortest;
     `profile` (PotentialProfile) and `bounds` (TheoremBounds) are None when
-    (a, N) has no potential.  The display figures `v`, `lg_v` and `mu` and
-    the `regime` are computed when read."""
+    (a, N) has no potential.  The display figures `lg_v` and `mu` and the
+    `regime` are computed when read."""
 
     __slots__ = ()
-
-    @property
-    def v(self) -> float | None:
-        """sqrt(v_sq); None beyond float range."""
-        return _exp(0.5 * _log(self.v_sq))
 
     @property
     def lg_v(self) -> float:
@@ -298,20 +285,20 @@ class SpectralResult(namedtuple("SpectralResult", "a N s v_sq vector profile bou
         return merit(self.s, self.v_sq, self.N)
 
     @property
-    def regime(self) -> Regime | None:
-        return None if self.profile is None else classify_regime(self.s, self.profile)
+    def regime(self) -> str | None:
+        """The code of the regime (s, tau) that the theorem of `bounds`
+        covers; None without bounds."""
+        return None if self.bounds is None else _REGIME[self.bounds.theorem_id]
 
     def to_json_dict(self) -> dict:
         """The figures that vary with s; a, N and the profile are shared."""
-        regime = self.regime
         return {
             "s": self.s,
             "v_sq": str(self.v_sq),
-            "v": self.v,
             "lg_v": self.lg_v,
             "vector": [str(x) for x in self.vector],
             "mu": self.mu,
-            "regime": None if regime is None else regime.value,
+            "regime": self.regime,
             "bounds": None if self.bounds is None else self.bounds.to_json_dict(self.N),
         }
 

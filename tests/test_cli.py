@@ -14,6 +14,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from decimal import ROUND_HALF_UP, Decimal, localcontext
 from pathlib import Path
 
 import pytest
@@ -71,7 +72,7 @@ class TestAnalyze:
         assert sorted(d) == ["N", "a", "lambda", "results", "tau"]
         assert (d["tau"], d["lambda"]) == (tau, lam)
         for r in d["results"]:
-            assert sorted(r) == ["bounds", "lg_v", "mu", "regime", "s", "v", "v_sq", "vector"]
+            assert sorted(r) == ["bounds", "lg_v", "mu", "regime", "s", "v_sq", "vector"]
 
     def test_json_names_a_long_modulus_once(self):
         code, out = run(["analyze", "--a", "5", "--N", "2^4000", "--s", "2..12",
@@ -88,23 +89,37 @@ class TestAnalyze:
 
     @pytest.mark.parametrize("fmt", ["text", "csv", "json"])
     def test_values_beyond_float_range(self, fmt):
-        # v_2 = sqrt(1 + (a-2)^2) ~ 2^1030 has no float; the exact fields stay
+        # v_2 = sqrt(1 + (a-2)^2) ~ 2^1030 has no float; the exact fields
+        # stay, and so does the packing cap (4/3)^(1/4) * 2^1030
         a = 2**1030 + 1
         code, out = run(["analyze", "--a", "2^1030+1", "--N", "2^2060", "--s", "2",
                          "--format", fmt])
         assert code == 0
         v_sq = str(1 + (a - 2) ** 2)
+        with localcontext() as ctx:
+            ctx.prec = 400
+            cap = ((Decimal(4) / 3).sqrt().sqrt() * 2**1030).quantize(
+                Decimal("0.0001"), rounding=ROUND_HALF_UP)
         if fmt == "json":
             r = json.loads(out)["results"][0]
-            assert r["v_sq"] == v_sq and r["v"] is None
+            assert r["v_sq"] == v_sq and "v" not in r
             assert r["bounds"]["lower"] is None and r["bounds"]["upper"] is None
             assert r["bounds"]["lower_exact_sq"] == v_sq
         elif fmt == "csv":
             row = out.splitlines()[1].split(",")
-            assert row[1] == v_sq and row[10] == "-"
+            assert row[1] == v_sq and row[10] == f"{cap:f}"
         else:
             assert f"2  {v_sq}  " in out
-            assert out.splitlines()[-1].split()[-4:] == ["-", "lower", "upper", "B"]
+            assert out.splitlines()[-1].split()[-4:] == [f"{cap:f}", "lower", "upper", "B"]
+
+    def test_json_rational_bound_is_exact(self):
+        # theorem 3 at a = 13, N = 16: the lower bound 122/81 is stated exactly
+        code, out = run(["analyze", "--a", "13", "--N", "16", "--s", "2", "--format", "json"])
+        assert code == 0
+        b = json.loads(out)["results"][0]["bounds"]
+        assert b["theorem"] == 3
+        assert (b["lower_exact_sq"], b["upper_exact_sq"]) == ("122/81", None)
+        assert b["lower"] == pytest.approx(math.sqrt(122 / 81), rel=1e-15)
 
     @pytest.mark.parametrize("fmt", ["text", "json"])
     def test_build_beyond_float_range(self, fmt):

@@ -406,6 +406,24 @@ def test_lattice_module_is_integer_only():
     assert non_integer_arithmetic((PACKAGE / "lattice.py").read_text(encoding="utf-8")) == []
 
 
+# the functions that decide a bound or print one, by module
+BOUND_FUNCTIONS = {
+    "spectral.py": {"_iroot", "_packing_cap_text", "within_packing_bound", "check_bounds"},
+    "scorecard.py": {"_c2"},
+}
+
+
+@pytest.mark.parametrize("module", sorted(BOUND_FUNCTIONS))
+def test_bound_functions_are_integer_only(module):
+    # each named function is found, so a rename cannot skip the scan
+    source = (PACKAGE / module).read_text(encoding="utf-8")
+    found = {node.name: ast.get_source_segment(source, node) for node in ast.parse(source).body
+             if isinstance(node, ast.FunctionDef) and node.name in BOUND_FUNCTIONS[module]}
+    assert sorted(found) == sorted(BOUND_FUNCTIONS[module])
+    assert {name: non_integer_arithmetic(text) for name, text in found.items()} == dict.fromkeys(
+        found, [])
+
+
 def test_integer_scan_flags_each_kind():
     source = (
         "import fractions\n"

@@ -5,7 +5,7 @@ import json
 import math
 import random
 import tracemalloc
-from decimal import Decimal, getcontext, localcontext
+from decimal import ROUND_HALF_UP, Decimal, getcontext, localcontext
 from fractions import Fraction
 
 import pytest
@@ -15,13 +15,9 @@ from lcgspec import (
     InvalidParams,
     LcgParams,
     PotentialProfile,
-    Regime,
-    Unsupported,
     b_coefficient,
     check_max_period,
-    classify_regime,
     compute_potential,
-    knuth_bound,
     merit,
     spectral_test,
     theorem_bounds,
@@ -39,6 +35,7 @@ from lcgspec.spectral import (
     SpectralResult,
     _exp,
     _log,
+    _packing_cap_text,
     check_bounds,
     spectral_profile,
     within_packing_bound,
@@ -165,7 +162,6 @@ class TestMerit:
             cases += [x, Fraction(x * 7 + 1, 7)]
         for x in cases:
             assert _exp(0.5 * _log(x)) is None
-            assert SpectralResult(3, 2**4000, 2, x, (), None, None).v is None
         assert _exp(0.5 * _log(2**2046)) == pytest.approx(2.0**1023, rel=1e-12)
 
     def test_rejects(self):
@@ -177,39 +173,56 @@ class TestMerit:
             merit(2, 10, 0)
 
 
+# gamma_s^(2s) for s = 2..8: 4/3, 2, 4, 8, 64/3, 64, 256
+GAMMA_POW_2S = {2: Fraction(4, 3), 3: 2, 4: 4, 5: 8, 6: Fraction(64, 3), 7: 64, 8: 256}
+
+
+def cap_reference(s, N):
+    """gamma_s * N^(1/s) by `decimal`, to 60 digits past its integer part,
+    rounded half up to 4 decimals."""
+    g = GAMMA_POW_2S[s]
+    with localcontext() as ctx:
+        ctx.prec = len(str(N)) // s + 64
+        log_cap = (Decimal(g.numerator) / g.denominator).ln() / (2 * s) + Decimal(N).ln() / s
+        return f"{log_cap.exp().quantize(Decimal('0.0001'), rounding=ROUND_HALF_UP):f}"
+
+
 class TestKnuthBound:
+    """The `knuth_bound` (text `B-bound`) cell: the packing cap printed from
+    the exact constants."""
+
     def test_known_constants(self):
         # N = 1 exposes the constant itself
-        assert knuth_bound(2, 1) == pytest.approx((4 / 3) ** 0.25, rel=1e-15)
-        assert knuth_bound(3, 1) == pytest.approx(2 ** (1 / 6), rel=1e-15)
-        assert knuth_bound(5, 1) == pytest.approx(2**0.3, rel=1e-15)
-        assert knuth_bound(8, 1) == pytest.approx(2**0.5, rel=1e-15)
+        assert [_packing_cap_text(s, 1) for s in (2, 3, 5, 8)] == [
+            "1.0746", "1.1225", "1.2311", "1.4142"]
 
     def test_scaling(self):
-        assert knuth_bound(2, 16) == pytest.approx((4 / 3) ** 0.25 * 4, rel=1e-13)
-        assert knuth_bound(8, 256) == pytest.approx(2**0.5 * 2, rel=1e-13)
+        assert _packing_cap_text(2, 16) == "4.2983"
+        # exact caps: 64^(1/14) * 2^(32/7) = 2^5, 256^(1/16) * 256^(1/8) = 2 sqrt(2)
+        assert _packing_cap_text(7, 2**32) == "32.0000"
+        assert _packing_cap_text(8, 256) == "2.8284"
 
     @pytest.mark.parametrize("s", [1, 9, 100])
     def test_unsupported_dimension(self, s):
-        with pytest.raises(Unsupported):
-            knuth_bound(s, 100)
+        assert _packing_cap_text(s, 100) is None
 
-    def test_rejects_bad_modulus(self):
-        with pytest.raises(InvalidParams):
-            knuth_bound(2, 0)
+    def test_matches_decimal_reference(self):
+        rng = random.Random(4000)
+        for _ in range(500):
+            s, N = rng.randint(2, 8), rng.getrandbits(rng.randint(1, 4000)) | 1
+            assert _packing_cap_text(s, N) == cap_reference(s, N), (s, N)
 
     def test_beyond_float_range(self):
-        with pytest.raises(Unsupported):
-            knuth_bound(2, 2**2060)
-        # sqrt(N) still is a float, gamma_2 * sqrt(N) is not
-        with pytest.raises(Unsupported):
-            knuth_bound(2, (17 * 10**307) ** 2)
+        # gamma_2 * N^(1/2) past the largest double, printed in full
+        for N in (2**2060, (17 * 10**307) ** 2):
+            text = _packing_cap_text(2, N)
+            assert len(text) > 310 and text == cap_reference(2, N)
 
     def test_caps_exact_values(self):
         # every exact spectral value must respect the packing bound
         for a, N, s in [(26, 625, 2), (5, 16, 2), (69069, 2**32, 5)]:
             r = spectral_test(a, N, s)
-            assert r.v <= knuth_bound(s, N) * (1 + 1e-12)
+            assert within_packing_bound(s, N, r.v_sq)
 
 
 class TestWithinPackingBound:
@@ -235,13 +248,17 @@ class TestWithinPackingBound:
         assert within_packing_bound(2, N, v_sq - 1) is True
 
     def test_agrees_with_knuth_bound_away_from_it(self):
+        # the B mark against the printed cap, which is within 10^-4 of the cap
         rng = random.Random(8)
+        eps, sides = Fraction(1, 10**4), set()
         for _ in range(300):
             s, N = rng.randint(2, 8), rng.randint(2, 10**12)
-            v_sq = rng.randint(1, int(knuth_bound(s, N) ** 2 * 2) + 1)
-            v = math.sqrt(v_sq)
-            if abs(v - knuth_bound(s, N)) > 1e-6 * v:
-                assert within_packing_bound(s, N, v_sq) == (v < knuth_bound(s, N))
+            cap = Fraction(_packing_cap_text(s, N))
+            v_sq = rng.randint(1, int(cap * cap * 2) + 1)
+            if not (cap - eps) ** 2 < v_sq < (cap + eps) ** 2:
+                assert within_packing_bound(s, N, v_sq) == (v_sq < cap * cap)
+                sides.add(v_sq < cap * cap)
+        assert sides == {True, False}
 
 
 class TestCheckBounds:
@@ -288,23 +305,29 @@ class TestCheckBounds:
 
 class TestRegime:
     @pytest.mark.parametrize(
-        "s,tau,expected",
+        "s,tau,lam,theorem_id,expected",
         [
-            (2, 2, Regime.S_EQ_TAU_2),
-            (3, 3, Regime.S_EQ_TAU_GE3),
-            (7, 7, Regime.S_EQ_TAU_GE3),
-            (2, 5, Regime.S_LT_TAU),
-            (4, 16, Regime.S_LT_TAU),
-            (6, 5, Regime.S_GT_TAU),
-            (3, 2, Regime.S_GT_TAU),
+            (2, 2, 1, 1, "S_EQ_TAU_2"),
+            (2, 2, 2, 3, "S_EQ_TAU_2"),
+            (3, 3, 1, 2, "S_EQ_TAU_GE3"),
+            (7, 7, 1, 2, "S_EQ_TAU_GE3"),
+            (3, 3, 2, 5, "S_EQ_TAU_GE3"),
+            (2, 5, 1, 6, "S_LT_TAU"),
+            (4, 16, 1, 6, "S_LT_TAU"),
+            (6, 5, 1, 7, "S_GT_TAU"),
+            (3, 2, 1, 7, "S_GT_TAU"),
         ],
     )
-    def test_classification(self, s, tau, expected):
-        assert classify_regime(s, PotentialProfile(tau, 1)) is expected
+    def test_classification(self, s, tau, lam, theorem_id, expected):
+        # the theorem that (s, tau, lambda) selects names the regime
+        a, profile = 1001, PotentialProfile(tau, lam)
+        tb = theorem_bounds(a, profile, s)
+        assert tb.theorem_id == theorem_id
+        assert SpectralResult(a, 10**9, s, 1, (), profile, tb).regime == expected
 
     def test_rejects_small_s(self):
         with pytest.raises(InvalidParams):
-            classify_regime(1, PotentialProfile(2, 1))
+            theorem_bounds(5, PotentialProfile(2, 1), 1)
 
 
 class TestTheoremBounds:
@@ -359,8 +382,8 @@ class TestTheoremBounds:
         tb = theorem_bounds(5, PotentialProfile(3, 2), 3)
         assert tb.theorem_id == 5
         assert tb.lower_sq == Fraction(4, 4) == 1
-        # rational form, not an int expression
-        assert tb.to_json_dict(32)["lower_exact_sq"] is None
+        # a Fraction, written as str writes it
+        assert tb.to_json_dict(32)["lower_exact_sq"] == "1"
         assert tb.upper_sq == (4 // 2) ** 2 * math.comb(4, 2) == 24
         assert spectral_test(5, 32, 3).v_sq == 6
 
@@ -436,7 +459,7 @@ class TestTheoremBounds:
         tb = theorem_bounds(26, PotentialProfile(2, 1), 2)
         tb = tb._replace(lower_sq=7, upper_sq=Fraction(9, 4))
         d = tb.to_json_dict(625)
-        assert (d["lower_exact_sq"], d["upper_exact_sq"]) == ("7", None)
+        assert (d["lower_exact_sq"], d["upper_exact_sq"]) == ("7", "9/4")
         assert d["lower"] == pytest.approx(7**0.5, rel=1e-15)
         assert d["upper"] == pytest.approx(1.5, rel=1e-15)
         assert d["mu_lower"] == merit(2, 7, 625)
@@ -453,7 +476,7 @@ class TestSpectralTest:
         r = spectral_test(26, 625, 2)
         assert r.v_sq == 577
         assert r.vector == (1, 24)
-        assert r.regime is Regime.S_EQ_TAU_2
+        assert r.regime == "S_EQ_TAU_2"
         assert r.profile == PotentialProfile(2, 1)
         assert r.bounds.lower_sq == r.bounds.upper_sq == 577
         assert r.mu == pytest.approx(merit(2, 577, 625), rel=1e-15)
@@ -463,7 +486,6 @@ class TestSpectralTest:
         a = 2**1030 + 1
         r = spectral_test(a, 2**2060, 2)
         assert r.v_sq == 1 + (a - 2) ** 2 and r.vector == (1, a - 2)
-        assert r.v is None and r.to_json_dict()["v"] is None
         d = r.bounds.to_json_dict(r.N)
         assert d["lower"] is None and d["upper"] is None
         assert d["lower_exact_sq"] == d["upper_exact_sq"] == str(r.v_sq)
@@ -495,7 +517,7 @@ class TestSpectralTest:
     def test_bounds_attached_even_when_violated(self):
         r = spectral_test(69069, 2**32, 2)
         assert r.v_sq == 4243209856
-        assert r.regime is Regime.S_LT_TAU
+        assert r.regime == "S_LT_TAU"
         assert r.bounds.theorem_id == 6
         assert r.bounds.lower_sq is None
         assert "lambda > (a-1)^(tau-s)" in r.bounds.violations
@@ -508,7 +530,7 @@ class TestSpectralTest:
     def test_json_dict(self):
         # only what varies with s: a, N and the profile are stated once by `analyze`
         d = spectral_test(26, 625, 2).to_json_dict()
-        assert sorted(d) == ["bounds", "lg_v", "mu", "regime", "s", "v", "v_sq", "vector"]
+        assert sorted(d) == ["bounds", "lg_v", "mu", "regime", "s", "v_sq", "vector"]
         assert d["s"] == 2 and d["v_sq"] == "577"
         assert d["vector"] == ["1", "24"]
         assert d["regime"] == "S_EQ_TAU_2"
@@ -517,7 +539,7 @@ class TestSpectralTest:
 
     def test_json_dict_without_profile(self):
         d = spectral_test(23, 10**8 + 1, 2).to_json_dict()
-        assert sorted(d) == ["bounds", "lg_v", "mu", "regime", "s", "v", "v_sq", "vector"]
+        assert sorted(d) == ["bounds", "lg_v", "mu", "regime", "s", "v_sq", "vector"]
         assert d["regime"] is None and d["bounds"] is None
 
     def test_result_carries_no_certificate_flag(self):
@@ -658,7 +680,7 @@ class TestBoundSandwich:
             assert r.v_sq >= 1
             assert r.mu == pytest.approx(merit(s, r.v_sq, N), rel=1e-13)
             if s == 2:
-                assert r.v <= knuth_bound(2, N) * (1 + 1e-12)
+                assert within_packing_bound(2, N, r.v_sq)
 
 
 # the published pairs of the benchmark's `sweep` workload
