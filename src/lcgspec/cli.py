@@ -1,7 +1,12 @@
 """Command-line front end: analyze, build, uniformity, dump, svp, verify-paper.
 
-argparse only decides which flags were given: every integer in argv, the parts
-of `--s LO..HI`, `--primes P:R,...` and `--only I,...` included, is read by
+Each command's flags are declared once, in the table `_COMMANDS`.  A
+well-formed request (a command, then exact flag names, each with its value)
+is read straight from that table; argparse, built from the same table, is
+imported only for the rest: help, `--flag=value`, abbreviations, a flag
+given twice (but `--interval`) and every usage error.  Either way that read
+only decides which flags were given: every integer in argv, the parts of
+`--s LO..HI`, `--primes P:R,...` and `--only I,...` included, is read by
 `exprparse.parse_int_expr`, so a malformed one exits 2 and an over-budget one 4.
 
 Exit codes: 0 success, 1 failed verification scorecard, 2 usage or
@@ -11,11 +16,11 @@ be written.
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import functools
 import os
 import sys
+import types
 from _json import encode_basestring_ascii as _quote
 from collections.abc import Callable, Sequence
 from io import TextIOBase
@@ -424,122 +429,189 @@ def cmd_verify_paper(args, out: TextIOBase) -> int:
     return EXIT_OK if passed == len(results) else EXIT_SCORECARD
 
 
-# -- parser ------------------------------------------------------------------
+# -- flags -------------------------------------------------------------------
 
 
-def _add_generator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--a", required=True, help="multiplier (integer expression, e.g. 69069)")
-    p.add_argument("--N", required=True, help="modulus (integer expression, e.g. 2^32)")
-    p.add_argument("--c", default="1", help="increment (default 1)")
-    p.add_argument("--x0", default="0", help="seed (default 0)")
+class _Flag:
+    """One flag of a command: its names, the namespace attribute it sets
+    (`dest`, argparse's by default: the first long name, dashes read as
+    underscores), default, metavar and help; whether it is required; its
+    choices; its kind, an argparse action (`store` takes a value, `append`
+    collects every one given, `store_true` takes none); and whether it is in
+    its command's required group, of which exactly one flag is given."""
+
+    __slots__ = ("names", "dest", "default", "metavar", "help", "required", "choices", "kind",
+                 "exclusive")
+
+    def __init__(self, *names: str, dest: str | None = None, default=None,
+                 metavar: str | None = None, help: str | None = None, required: bool = False,
+                 choices: tuple[str, ...] | None = None, kind: str = "store",
+                 exclusive: bool = False) -> None:
+        self.names = names
+        self.dest = dest or next(n for n in names if n.startswith("--"))[2:].replace("-", "_")
+        self.default, self.metavar, self.help = default, metavar, help
+        self.required, self.choices, self.kind, self.exclusive = required, choices, kind, exclusive
 
 
-# each command's parser by name, filled by build_parser
-_COMMANDS: dict[str, argparse.ArgumentParser] = {}
+_GENERATOR_FLAGS = (
+    _Flag("--a", required=True, help="multiplier (integer expression, e.g. 69069)"),
+    _Flag("--N", required=True, help="modulus (integer expression, e.g. 2^32)"),
+    _Flag("--c", default="1", help="increment (default 1)"),
+    _Flag("--x0", default="0", help="seed (default 0)"),
+)
+_ENUM_CAP = _Flag("--enum-cap", default=DEFAULT_ENUM_CAP,
+                  help=f"max enumeration dimension (default {DEFAULT_ENUM_CAP})")
+
+# each command by name: its handler, its help and its flags, in the order
+# its usage line lists them
+_COMMANDS = {
+    "analyze": (cmd_analyze, "spectral figures v_s^2, merit and bounds per dimension", (
+        *_GENERATOR_FLAGS,
+        _Flag("--s", default="2", help="dimension or range, e.g. 3 or 2..6"),
+        _Flag("--require-max-period", kind="store_true", default=False,
+              help="fail (exit 3) unless the generator has maximum period"),
+        _ENUM_CAP,
+        _Flag("--format", choices=("text", "json", "csv"), default="text"),
+    )),
+    "build": (cmd_build, "construct a generator with certified v_s bounds", (
+        _Flag("--s", dest="tau", metavar="S", exclusive=True, help="another spelling of --tau"),
+        _Flag("--tau", exclusive=True, help="guarantee dimensions 2..tau"),
+        _Flag("--l", default=0, help="extra exponent of N (default 0)"),
+        _Flag("--lambda", default=1, help="period cofactor (default 1)"),
+        _Flag("--a", help="explicit multiplier (integer expression)"),
+        _Flag("--d", default=1, help="cofactor d of a shaped multiplier"),
+        _Flag("--primes", help="prime kernel of a shaped multiplier, e.g. 2:7 or 2:2,17267"),
+        _Flag("--min-accuracy", help="require a - b_s to exceed this integer expression"),
+        _Flag("--validate", metavar="SMAX",
+              help="run the solver for s = 2..SMAX against the certificate"),
+        _Flag("--enum-cap", help="max enumeration dimension of --validate, which it needs "
+                                 f"(default {DEFAULT_ENUM_CAP})"),
+        _Flag("--format", choices=("text", "json"), default="text"),
+    )),
+    "uniformity": (cmd_uniformity, "exact frequency tests over [alpha, beta] segments", (
+        *_GENERATOR_FLAGS,
+        _Flag("--interval", kind="append", metavar="ALPHA:BETA",
+              help="endpoint expressions, e.g. 0.2:0.9 or 1/pi^2:1-1/e (repeatable)"),
+        _Flag("--intervals-file", help="file with one ALPHA:BETA per line, # comments allowed"),
+        _Flag("--format", choices=("text", "csv", "json"), default="text"),
+    )),
+    "dump": (cmd_dump, "stream the generated sequence as CSV or a decimal table", (
+        *_GENERATOR_FLAGS,
+        _Flag("--count", help="how many terms (default: full period)"),
+        _Flag("--digits", help="decimal digits for x/N (default: exact if terminating)"),
+        _Flag("--per-line", help="values per row of --format table (default 10)"),
+        _Flag("--budget", default=DEFAULT_BUDGET,
+              help=f"refuse counts above this (default {DEFAULT_BUDGET})"),
+        _Flag("-o", "--output", help="write to a file instead of stdout"),
+        _Flag("--format", choices=("csv", "table"), default="csv"),
+    )),
+    "svp": (cmd_svp, "exact shortest nonzero vector of the dual lattice of (a, N)", (
+        _Flag("--a", required=True, help="multiplier for the dual spectral lattice"),
+        _Flag("--N", required=True, help="modulus for the dual spectral lattice"),
+        _Flag("--s", required=True, help="dimension for the dual spectral lattice"),
+        _Flag("--brute-box", metavar="B",
+              help="use the coordinate-box oracle with |m_i| <= B instead of enumeration"),
+        _ENUM_CAP,
+        _Flag("--format", choices=("text", "json"), default="json"),
+    )),
+    "verify-paper": (cmd_verify_paper, "run the acceptance scorecard", (
+        _Flag("--only", help="comma-separated criterion numbers, e.g. 1,3,7"),
+    )),
+}
+
+# each command's flags by every name they answer to
+_FLAG_NAMES = {command: {name: flag for flag in flags for name in flag.names}
+               for command, (_, _, flags) in _COMMANDS.items()}
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse's parser; a refused choice is quoted by `shown`, with its choices when whole."""
-
-    def _check_value(self, action, value) -> None:
-        if action.choices is not None and value not in action.choices:
-            if (text := shown(value)) == repr(value):
-                text += f" (choose from {', '.join(map(repr, action.choices))})"
-            raise argparse.ArgumentError(action, f"invalid choice: {text}")
+def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
+    """The namespace argparse gives a well-formed `argv`, read straight from
+    `_COMMANDS`: argv[0] a command, then only exact flag names of it, each
+    value flag followed by a value not starting with `-`, no flag twice but
+    an `append` one, every required flag given, exactly one flag of a
+    required group, and each value among its flag's choices.  None for
+    anything else: help, `--flag=value`, an abbreviation, `--`, a negative
+    value, a usage error; argparse reads those."""
+    if not argv or (command := _COMMANDS.get(argv[0])) is None:
+        return None
+    func, _, flags = command
+    names = _FLAG_NAMES[argv[0]]
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if (flag := names.get(token)) is None:
+            return None
+        if flag.kind == "store_true":
+            value = True
+        elif (value := next(tokens, "-")).startswith("-"):  # "-": no value left
+            return None
+        if flag.kind == "append":
+            value = given.get(flag, []) + [value]
+        elif flag in given or (flag.choices is not None and value not in flag.choices):
+            return None
+        given[flag] = value
+    group = [flag for flag in flags if flag.exclusive]
+    if (any(flag.required and flag not in given for flag in flags)
+            or (group and sum(flag in given for flag in group) != 1)):
+        return None
+    namespace = {flag.dest: flag.default for flag in flags}
+    namespace.update((flag.dest, value) for flag, value in given.items())
+    return types.SimpleNamespace(**namespace, func=func, command=argv[0])
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built on first use and then shared by every `main`
-    call in the process; parse_args keeps no state between calls."""
+def build_parser():
+    """The argparse parser of `_COMMANDS`, built on the first request that
+    `_read_argv` leaves to it and then shared by every `main` call in the
+    process; parse_args keeps no state between calls.  Its `commands` holds
+    each command's parser by name."""
+    import argparse
+
+    class _Parser(argparse.ArgumentParser):
+        """argparse's parser; a refused choice is quoted by `shown`, with its choices when whole."""
+
+        def _check_value(self, action, value) -> None:
+            if action.choices is not None and value not in action.choices:
+                if (text := shown(value)) == repr(value):
+                    text += f" (choose from {', '.join(map(repr, action.choices))})"
+                raise argparse.ArgumentError(action, f"invalid choice: {text}")
+
     parser = _Parser(
         prog="lcgspec",
         description="Exact spectral-test analysis and construction of maximum-period "
                     "linear congruential generators.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    enum_cap = dict(default=DEFAULT_ENUM_CAP,
-                    help=f"max enumeration dimension (default {DEFAULT_ENUM_CAP})")
-
-    p = sub.add_parser("analyze", help="spectral figures v_s^2, merit and bounds per dimension")
-    _add_generator_args(p)
-    p.add_argument("--s", default="2", help="dimension or range, e.g. 3 or 2..6")
-    p.add_argument("--require-max-period", action="store_true",
-                   help="fail (exit 3) unless the generator has maximum period")
-    p.add_argument("--enum-cap", **enum_cap)
-    p.add_argument("--format", choices=["text", "json", "csv"], default="text")
-    p.set_defaults(func=cmd_analyze)
-
-    p = sub.add_parser("build", help="construct a generator with certified v_s bounds")
-    dims = p.add_mutually_exclusive_group(required=True)
-    dims.add_argument("--s", dest="tau", metavar="S", help="another spelling of --tau")
-    dims.add_argument("--tau", help="guarantee dimensions 2..tau")
-    p.add_argument("--l", default=0, help="extra exponent of N (default 0)")
-    p.add_argument("--lambda", default=1, help="period cofactor (default 1)")
-    p.add_argument("--a", default=None, help="explicit multiplier (integer expression)")
-    p.add_argument("--d", default=1, help="cofactor d of a shaped multiplier")
-    p.add_argument("--primes", default=None,
-                   help="prime kernel of a shaped multiplier, e.g. 2:7 or 2:2,17267")
-    p.add_argument("--min-accuracy", default=None,
-                   help="require a - b_s to exceed this integer expression")
-    p.add_argument("--validate", default=None, metavar="SMAX",
-                   help="run the solver for s = 2..SMAX against the certificate")
-    p.add_argument("--enum-cap", default=None,
-                   help="max enumeration dimension of --validate, which it needs "
-                        f"(default {DEFAULT_ENUM_CAP})")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-    p.set_defaults(func=cmd_build)
-
-    p = sub.add_parser("uniformity", help="exact frequency tests over [alpha, beta] segments")
-    _add_generator_args(p)
-    p.add_argument("--interval", action="append", metavar="ALPHA:BETA",
-                   help="endpoint expressions, e.g. 0.2:0.9 or 1/pi^2:1-1/e (repeatable)")
-    p.add_argument("--intervals-file", default=None,
-                   help="file with one ALPHA:BETA per line, # comments allowed")
-    p.add_argument("--format", choices=["text", "csv", "json"], default="text")
-    p.set_defaults(func=cmd_uniformity)
-
-    p = sub.add_parser("dump", help="stream the generated sequence as CSV or a decimal table")
-    _add_generator_args(p)
-    p.add_argument("--count", default=None, help="how many terms (default: full period)")
-    p.add_argument("--digits", default=None,
-                   help="decimal digits for x/N (default: exact if terminating)")
-    p.add_argument("--per-line", default=None,
-                   help="values per row of --format table (default 10)")
-    p.add_argument("--budget", default=DEFAULT_BUDGET,
-                   help=f"refuse counts above this (default {DEFAULT_BUDGET})")
-    p.add_argument("-o", "--output", default=None, help="write to a file instead of stdout")
-    p.add_argument("--format", choices=["csv", "table"], default="csv")
-    p.set_defaults(func=cmd_dump)
-
-    p = sub.add_parser("svp", help="exact shortest nonzero vector of the dual lattice of (a, N)")
-    p.add_argument("--a", required=True, help="multiplier for the dual spectral lattice")
-    p.add_argument("--N", required=True, help="modulus for the dual spectral lattice")
-    p.add_argument("--s", required=True, help="dimension for the dual spectral lattice")
-    p.add_argument("--brute-box", default=None, metavar="B",
-                   help="use the coordinate-box oracle with |m_i| <= B instead of enumeration")
-    p.add_argument("--enum-cap", **enum_cap)
-    p.add_argument("--format", choices=["text", "json"], default="json")
-    p.set_defaults(func=cmd_svp)
-
-    p = sub.add_parser("verify-paper", help="run the acceptance scorecard")
-    p.add_argument("--only", default=None, help="comma-separated criterion numbers, e.g. 1,3,7")
-    p.set_defaults(func=cmd_verify_paper)
-
-    _COMMANDS.clear()
-    _COMMANDS.update(sub.choices)
+    for name, (func, text, flags) in _COMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        group = None
+        for flag in flags:
+            if flag.exclusive and group is None:
+                group = p.add_mutually_exclusive_group(required=True)
+            # argparse's store_true takes neither a metavar nor choices
+            extra = {"metavar": flag.metavar, "choices": flag.choices}
+            (group if flag.exclusive else p).add_argument(
+                *flag.names, action=flag.kind, dest=flag.dest, default=flag.default,
+                required=flag.required, help=flag.help,
+                **{key: value for key, value in extra.items() if value is not None})
+        p.set_defaults(func=func)
+    parser.commands = sub.choices
     return parser
 
 
-def _parse_args(argv: Sequence[str] | None) -> argparse.Namespace:
-    """`build_parser().parse_args(argv)` with one argparse pass when argv[0]
-    names a command: the top-level parser would only hand the rest to that
-    command's parser, and report what it leaves over."""
+def _parse_args(argv: Sequence[str] | None):
+    """The request's namespace.  `_read_argv` reads a well-formed argv
+    without argparse; anything else is `build_parser().parse_args(argv)`,
+    with one argparse pass when argv[0] names a command: the top-level
+    parser would only hand the rest to that command's parser, and report
+    what it leaves over.  So help and every usage error are argparse's."""
     argv = sys.argv[1:] if argv is None else list(argv)
+    if (args := _read_argv(argv)) is not None:
+        return args
     parser = build_parser()
     if not argv or argv[0] not in _COMMANDS:
         return parser.parse_args(argv)
-    args, extras = _COMMANDS[argv[0]].parse_known_args(argv[1:])
+    args, extras = parser.commands[argv[0]].parse_known_args(argv[1:])
     if extras:
         parser.error(f"unrecognized arguments: {shown(' '.join(extras), verbatim=True)}")
     args.command = argv[0]

@@ -874,6 +874,41 @@ class TestParserReuse:
             assert run(ranged) == want_range
         assert run(single + ["--tau", "3"])[0] == 2
 
+    def test_direct_read_builds_no_parser(self):
+        build_parser.cache_clear()
+        assert run(["svp", "--a", "5", "--N", "16", "--s", "2"])[0] == 0
+        assert build_parser.cache_info().currsize == 0
+
+    def test_interval_list_does_not_leak_between_readers(self):
+        from lcgspec import cli
+
+        one = ["uniformity", "--a", "26", "--N", "625", "--interval", "0.2:0.9",
+               "--format", "csv"]
+        # `--interval=` and the abbreviation `--form` leave this one to argparse
+        many = ["uniformity", "--a", "26", "--N", "625", "--interval=0:1",
+                "--interval", "0:1/2", "--form", "csv"]
+        assert cli._read_argv(one) is not None and cli._read_argv(many) is None
+        want = self.fresh(one)
+        assert len(want[1].splitlines()) == 2
+        for _ in range(2):
+            assert len(run(many)[1].splitlines()) == 3
+            assert run(one) == want
+
+    def test_build_modes_alternate_between_readers(self):
+        from lcgspec import cli
+
+        single = ["build", "--s", "2", "--a", "26", "--format", "json"]
+        ranged = ["build", "--tau=3", "--a", "69069", "--format", "json"]
+        assert cli._read_argv(single) is not None and cli._read_argv(ranged) is None
+        want_single, want_range = self.fresh(single), self.fresh(ranged)
+        assert want_single[0] == want_range[0] == 0
+        assert want_single != want_range
+        for _ in range(2):
+            assert run(single) == want_single
+            assert run(ranged) == want_range
+        assert run(single + ["--tau", "3"])[0] == 2
+        assert run(single) == want_single
+
 
 class TestHarness:
     def test_no_arguments_is_usage_error(self):

@@ -94,14 +94,20 @@ CASES.update({
     "usage_svp_without_s": ["svp", "--a", "5", "--N", "16"],
     "usage_build_s_and_tau": ["build", "--s", "2", "--tau", "3"],
 })
+# help: argparse's text on stdout, exit 0; the top-level parser's and each command's
+CASES["help"] = ["-h"]
+CASES.update({f"help_{name}": [name, "-h"] for name in ["analyze", "build", "uniformity",
+                                                        "dump", "svp", "verify-paper"]})
 
 
 def run(argv):
-    """(exit line and stdout, stderr) of one in-process CLI call."""
-    out, err = io.StringIO(), io.StringIO()
-    with mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stderr(err):
+    """(exit line and stdout, stderr) of one in-process CLI call; stdout is
+    what the command writes, then what argparse prints (help)."""
+    out, printed, err = io.StringIO(), io.StringIO(), io.StringIO()
+    with (mock.patch.dict(os.environ, COLUMNS="80"), contextlib.redirect_stdout(printed),
+          contextlib.redirect_stderr(err)):
         code = main(argv, out=out)
-    return f"exit {code}\n" + out.getvalue(), err.getvalue()
+    return f"exit {code}\n" + out.getvalue() + printed.getvalue(), err.getvalue()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

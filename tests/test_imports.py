@@ -2,7 +2,8 @@
 a caller, no module reaches the names kept only for the benchmark, no module
 reads the process environment, only the front ends import the flag parser,
 no record is a `typing.NamedTuple`, `import lcgspec.cli` loads a pinned
-set of modules, and `fractions` loads only with the first rational.
+set of modules, `argparse` loads only with help or a usage error, and
+`fractions` loads only with the first rational.
 
 Stdlib `ast` scans: a name bound by a top-level `import` or `from ... import`
 must be read somewhere in the module, or be listed in its `__all__`; a public
@@ -270,30 +271,31 @@ def bare_python(code: str, *args: str) -> str:
 
 # what `import lcgspec.cli` adds to a bare `python -I -S`: the stdlib by
 # top-level name (as of 3.11; a version may load fewer), the package in full.
-# Neither `json` (no command reads JSON) nor `typing` is among them.
+# Neither `json` (no command reads JSON), `typing` nor `argparse` and its
+# `gettext` (only help and usage errors build the parser) is among them.
 CLI_STDLIB = {"__future__", "_collections", "_collections_abc", "_functools", "_json",
-              "_operator", "_sre", "_stat", "argparse", "collections", "contextlib", "copyreg",
-              "enum", "functools", "genericpath", "gettext", "itertools", "keyword", "math",
-              "operator", "os", "posixpath", "re", "reprlib", "stat", "types", "warnings"}
+              "_operator", "_sre", "_stat", "collections", "contextlib", "copyreg", "enum",
+              "functools", "genericpath", "itertools", "keyword", "math", "operator", "os",
+              "posixpath", "re", "reprlib", "stat", "types", "warnings"}
 CLI_PACKAGE = {"lcgspec", "lcgspec._chunks", "lcgspec.builder", "lcgspec.cli",
                "lcgspec.empirical", "lcgspec.errors", "lcgspec.exprparse", "lcgspec.lattice",
                "lcgspec.lcg", "lcgspec.numtheory", "lcgspec.spectral"}
 
 
 def test_cli_import_builds_no_parser_and_loads_nothing_new():
-    # the parser is built by the first `main` call, not on import, and the
-    # modules the import loads are pinned: start-up time follows them
+    # the import declares the flag table but builds no argparse parser, and
+    # the modules it loads are pinned: start-up time follows them
     code = ("import sys; base = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
             "import lcgspec.cli as cli; "
-            "print(cli.build_parser.cache_info().currsize, len(cli._COMMANDS)); "
+            "print(cli.build_parser.cache_info().currsize, *cli._COMMANDS); "
             "print(' '.join(sorted(set(sys.modules) - base)))")
     built, loaded = bare_python(code).splitlines()
-    assert built == "0 0"
+    assert built == "0 analyze build uniformity dump svp verify-paper"
     package = {m for m in loaded.split() if m.split(".")[0] == "lcgspec"}
     assert package == CLI_PACKAGE
     stdlib = {m.split(".")[0] for m in loaded.split()} - {"lcgspec"}
     assert stdlib <= CLI_STDLIB
-    assert not stdlib & {"json", "typing"}
+    assert not stdlib & {"json", "typing", "argparse", "gettext"}
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
@@ -317,6 +319,23 @@ def test_no_command_loads_json():
             "[print(main(argv.split(), io.StringIO()), 'json' in sys.modules) "
             "for argv in sys.argv[2:]]")
     assert bare_python(code, *JSON_ANSWERS).splitlines() == ["0 False"] * len(JSON_ANSWERS)
+
+
+def test_only_help_or_a_usage_error_loads_argparse():
+    # each request that parses is read from the flag table; the first usage
+    # error builds the argparse parser, whose message is the golden one
+    argvs = [*JSON_ANSWERS, "analyze --a 69069 --N 2^32 --s 2..4", "svp --a 5 --N 16"]
+    code = ("import contextlib, io, os, sys; sys.path.insert(0, sys.argv[1]); "
+            "os.environ['COLUMNS'] = '80'; from lcgspec.cli import main; err = io.StringIO()\n"
+            "for argv in sys.argv[2:]:\n"
+            "    with contextlib.redirect_stderr(err):\n"
+            "        code = main(argv.split(), io.StringIO())\n"
+            "    print(code, 'argparse' in sys.modules, 'gettext' in sys.modules)\n"
+            "print(err.getvalue(), end='')")
+    lines = bare_python(code, *argvs).splitlines(keepends=True)
+    runs, usage = lines[:len(argvs)], "".join(lines[len(argvs):])
+    assert runs == ["0 False False\n"] * (len(argvs) - 1) + ["2 True True\n"]
+    assert usage == (ROOT / "tests" / "golden" / "usage_svp_without_s.err").read_text()
 
 
 RATIONAL_MODULES = ("fractions", "decimal", "numbers")
