@@ -14,12 +14,12 @@ themselves are made by `spectral.check_bounds`, the same checks that mark
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .errors import (
     InvalidParams,
     LambdaInvalid,
     PeriodBroken,
+    Record,
     TooSmall,
     _too_many_bits,
     shown,
@@ -35,7 +35,7 @@ from .spectral import b_coefficient, check_bounds, spectral_profile, theorem_bou
 _MAX_EXPONENT = 10_000
 
 
-class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
+class MultiplierRecipe(Record):
     """Either an explicit multiplier `a`, or the shape d * prod(p_i^r_i) + 1,
     never both.
 
@@ -45,7 +45,7 @@ class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
 
     def __new__(cls, a: int | None = None, d: int = 1, primes: tuple[int, ...] = (),
                 exponents: tuple[int, ...] = ()) -> MultiplierRecipe:
-        self = super().__new__(cls, a, d, primes, exponents)
+        self = tuple.__new__(cls, (a, d, primes, exponents))
         if self.a is not None:
             if self.d != 1 or self.primes or self.exponents:
                 raise InvalidParams("an explicit a takes no shape: d, primes or exponents")
@@ -71,8 +71,6 @@ class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
         if math.gcd(self.d, kernel) != 1:
             raise InvalidParams(f"gcd(d, prod primes) = {shown(math.gcd(self.d, kernel))} != 1")
         return self
-
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     def kernel(self) -> int:
         k = 1
@@ -109,12 +107,16 @@ class MultiplierRecipe(namedtuple("MultiplierRecipe", "a d primes exponents")):
         return self.d * kernel**lo + 1
 
 
-class BuiltGenerator(namedtuple("BuiltGenerator", "params profile covers_s_max guaranteed")):
+class BuiltGenerator(Record):
     """A built generator: its `params` (LcgParams) and potential `profile`
     (PotentialProfile), and `guaranteed`, one TheoremBounds per dimension
     2..covers_s_max."""
 
     __slots__ = ()
+
+    def __new__(cls, params: LcgParams, profile: PotentialProfile, covers_s_max: int,
+                guaranteed: tuple[TheoremBounds, ...]) -> BuiltGenerator:
+        return tuple.__new__(cls, (params, profile, covers_s_max, guaranteed))
 
     @property
     def uniform_lower_sq(self) -> int | Fraction | None:
@@ -203,21 +205,27 @@ def build_single_dimension(s: int, recipe: MultiplierRecipe,
     return build_range(s, 0, 1, recipe, min_accuracy)
 
 
-class ValidationRow(namedtuple("ValidationRow", "result checks")):
+class ValidationRow(Record):
     """The solver's SpectralResult for one dimension and the BoundCheck
     tuple it was held to."""
 
     __slots__ = ()
+
+    def __new__(cls, result: SpectralResult, checks: tuple[BoundCheck, ...]) -> ValidationRow:
+        return tuple.__new__(cls, (result, checks))
 
     @property
     def ok(self) -> bool:
         return all(c.passed for c in self.checks)
 
 
-class ValidationReport(namedtuple("ValidationReport", "rows")):
+class ValidationReport(Record):
     """One ValidationRow per validated dimension, in order."""
 
     __slots__ = ()
+
+    def __new__(cls, rows: tuple[ValidationRow, ...]) -> ValidationReport:
+        return tuple.__new__(cls, (rows,))
 
     @property
     def ok(self) -> bool:

@@ -16,13 +16,9 @@ be written.
 
 from __future__ import annotations
 
-import contextlib
-import functools
 import os
 import sys
-import types
 from _json import encode_basestring_ascii as _quote
-from collections.abc import Callable, Sequence
 from io import TextIOBase
 
 from .builder import MultiplierRecipe, build_range, validate
@@ -346,7 +342,7 @@ def cmd_uniformity(args, out: TextIOBase) -> int:
 # -- dump --------------------------------------------------------------------
 
 
-class _OpenOnWrite(contextlib.AbstractContextManager):
+class _OpenOnWrite:
     """A text file opened (so created or truncated) by its first write, or on
     a clean exit when nothing was written.  `dump_sequence` checks every
     argument before it writes, so a refused dump leaves the file as it was."""
@@ -359,6 +355,9 @@ class _OpenOnWrite(contextlib.AbstractContextManager):
         if self._fh is None:
             self._fh = _open_named(self._path, "w")
         return self._fh.write(text)
+
+    def __enter__(self) -> _OpenOnWrite:
+        return self
 
     def __exit__(self, exc_type, *exc) -> None:
         if exc_type is None:
@@ -374,11 +373,13 @@ def cmd_dump(args, out: TextIOBase) -> int:
         raise InvalidParams("--per-line needs --format table")
     _read_ints(args, "count", "digits", "budget")
     params = _generator_params(args)
-    per_line = 10 if args.per_line is None else args.per_line
-    with (contextlib.nullcontext(out) if args.output is None
-          else _OpenOnWrite(args.output)) as sink:
-        dump_sequence(params, sink, fmt=args.format, count=args.count, digits=args.digits,
-                      per_line=per_line, budget=args.budget)
+    options = {"fmt": args.format, "count": args.count, "digits": args.digits,
+               "per_line": 10 if args.per_line is None else args.per_line, "budget": args.budget}
+    if args.output is None:
+        dump_sequence(params, out, **options)
+    else:
+        with _OpenOnWrite(args.output) as sink:
+            dump_sequence(params, sink, **options)
     return EXIT_OK
 
 
@@ -524,7 +525,15 @@ _FLAG_NAMES = {command: {name: flag for flag in flags for name in flag.names}
                for command, (_, _, flags) in _COMMANDS.items()}
 
 
-def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
+class _Request:
+    """A request that `_read_argv` read: each flag's dest, `func` and
+    `command` as attributes, as on argparse's namespace."""
+
+    def __init__(self, **fields) -> None:
+        self.__dict__.update(fields)
+
+
+def _read_argv(argv: list[str]) -> _Request | None:
     """The namespace argparse gives a well-formed `argv`, read straight from
     `_COMMANDS`: argv[0] a command, then only exact flag names of it, each
     value flag followed by a value not starting with `-`, no flag twice but
@@ -556,15 +565,20 @@ def _read_argv(argv: list[str]) -> types.SimpleNamespace | None:
         return None
     namespace = {flag.dest: flag.default for flag in flags}
     namespace.update((flag.dest, value) for flag, value in given.items())
-    return types.SimpleNamespace(**namespace, func=func, command=argv[0])
+    return _Request(**namespace, func=func, command=argv[0])
 
 
-@functools.cache
-def build_parser():
+# the parser that `build_parser` built, once it has
+_PARSER: list[argparse.ArgumentParser] = []
+
+
+def build_parser() -> argparse.ArgumentParser:
     """The argparse parser of `_COMMANDS`, built on the first request that
     `_read_argv` leaves to it and then shared by every `main` call in the
     process; parse_args keeps no state between calls.  Its `commands` holds
     each command's parser by name."""
+    if _PARSER:
+        return _PARSER[0]
     import argparse
 
     class _Parser(argparse.ArgumentParser):
@@ -596,6 +610,7 @@ def build_parser():
                 **{key: value for key, value in extra.items() if value is not None})
         p.set_defaults(func=func)
     parser.commands = sub.choices
+    _PARSER.append(parser)
     return parser
 
 

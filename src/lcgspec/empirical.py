@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import os
 import sys
-from collections import namedtuple
 from io import TextIOBase
 
 from . import _chunks
-from .errors import BudgetExceeded, InvalidParams, _max_str_digits, _too_many_digits, shown
+from .errors import BudgetExceeded, InvalidParams, Record, _max_str_digits, _too_many_digits, shown
 from .lcg import LcgParams, _require_max_period, default_digits
 
 DEFAULT_BUDGET = 10**8
@@ -40,13 +39,16 @@ def _render_ratio(p: int, q: int, digits: int) -> str:
     return f"{ip}.{f}" if f else str(ip)
 
 
-class FrequencyReport(namedtuple("FrequencyReport",
-                                  "params alpha beta alpha_label beta_label m")):
+class FrequencyReport(Record):
     """The count `m` of full-period values of `params` (LcgParams) in the
     closed interval [alpha, beta] (Fractions), and the endpoints' labels as
     given ("" for none)."""
 
     __slots__ = ()
+
+    def __new__(cls, params: LcgParams, alpha: Fraction, beta: Fraction, alpha_label: str,
+                beta_label: str, m: int) -> FrequencyReport:
+        return tuple.__new__(cls, (params, alpha, beta, alpha_label, beta_label, m))
 
     def _ratios(self) -> dict[str, tuple[int, int]]:
         """Every figure of `row`, in its field order, as an unreduced pair

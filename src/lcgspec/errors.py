@@ -6,9 +6,13 @@ value's size: a number with more than _QUOTED_CHARS digits (or more than
 Python converts to str) appears as its bit length, and text longer than
 _QUOTED_CHARS characters as a prefix of that many and its length.  Every
 module asks `_too_many_digits` and `_too_many_bits` whether a number prints.
+
+`Record` is the tuple base of every result record: it is here because every
+module that defines one already imports this one.
 """
 
 import sys
+from _collections import _tuplegetter
 
 # The most characters of text, and decimal digits of a number, that a
 # refusal quotes.  A longer flag (up to the 128 KiB an argument may hold) is
@@ -70,6 +74,44 @@ def shown(value, verbatim: bool = False) -> str:
     if len(value) <= _QUOTED_CHARS:
         return value if verbatim else repr(value)
     return f"{value[:_QUOTED_CHARS]!r}... ({len(value)} characters)"
+
+
+class Record(tuple):
+    """An immutable record: a tuple whose fields are the parameters of its
+    class's own `__new__`, which returns `tuple.__new__(cls, (...))` of
+    them, with their defaults.  The class is read once, when it is defined,
+    so nothing is built from source, and it keeps the surface of a
+    `collections.namedtuple` subclass that callers use: `_fields`, a
+    read-only attribute per field (the same C accessor), the `Name(f=v, ...)`
+    repr, pickling and copying, `_make` and `_replace`, both through
+    `__new__` so a checked record stays checked.  A subclass declares
+    `__slots__ = ()`, so it has no `__dict__`."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        code = cls.__new__.__code__
+        cls._fields = code.co_varnames[1:code.co_argcount]
+        for i, name in enumerate(cls._fields):
+            setattr(cls, name, _tuplegetter(i, f"Alias for field number {i}"))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+    def _replace(self, /, **changes):
+        result = self._make([changes.pop(name, value) for name, value in zip(self._fields, self)])
+        if changes:
+            raise ValueError(f"Got unexpected field names: {list(changes)!r}")
+        return result
 
 
 class LcgspecError(Exception):

@@ -20,17 +20,21 @@ result's bits; an expression past either allowance raises BudgetExceeded.
 An expression nests at most _MAX_DEPTH levels deep, counting itself and each
 parenthesis or exponent in it.  A refusal quotes the expression through
 `errors.shown`.
+
+The scanner reads the text left to right, by hand, after spelling `−` as
+`-`, `×` and `⋅` as `*`, and `**` as `^`.  A run of decimal digits
+(`str.isdecimal`, so any script's, as int() reads them) is an integer, or
+with a `.` and any digits after it a decimal literal, as is a `.` followed by
+digits; `pi` and `e` are names; `( ) + * / ^ -` are operators; whitespace
+(`str.isspace`) separates tokens; any other character is refused.
 """
 
 from __future__ import annotations
 
 import math
-import operator
-import re
 
 from .errors import BudgetExceeded, ExpressionError, _max_str_digits, _too_many_digits, shown
 
-_TOKEN = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|(pi|e)|([()+*/^-])|(\S)")
 # The most bits of any result.  The integer products and powers of one
 # expression may form at most as many in all, counted without trailing zeros
 # (but at least 1/_LINEAR_SHARE of all their bits), since powers of two
@@ -58,22 +62,42 @@ SYMBOLIC_DIGITS = 12
 _CONSTANTS: dict[str, Fraction] = {}
 
 
+def _run_end(text: str, i: int, test) -> int:
+    """The end of the run of characters of `text` that starts at i and that
+    `test` (`str.isdecimal` or `str.isspace`) accepts."""
+    while i < len(text) and test(text[i]):
+        i += 1
+    return i
+
+
 def _tokenize(text: str) -> list[tuple[str, str]]:
     text = text.replace("−", "-").replace("×", "*").replace("⋅", "*")
     text = text.replace("**", "^")
     tokens = []
-    for m in _TOKEN.finditer(text):
-        dec, num, name, op, junk = m.groups()
-        if junk:
-            raise ExpressionError(f"unexpected character {shown(junk)} in {shown(text)}")
-        if dec:
-            tokens.append(("dec", dec))
-        elif num:
-            tokens.append(("int", num))
-        elif name:
-            tokens.append(("name", name))
+    i = 0
+    while i < len(text):
+        ch = text[i]
+        if ch.isdecimal() or (ch == "." and text[i + 1:i + 2].isdecimal()):
+            end = _run_end(text, i, str.isdecimal)
+            if end < len(text) and text[end] == ".":
+                end = _run_end(text, end + 1, str.isdecimal)
+                tokens.append(("dec", text[i:end]))
+            else:
+                tokens.append(("int", text[i:end]))
+            i = end
+        elif ch == "e":
+            tokens.append(("name", "e"))
+            i += 1
+        elif text.startswith("pi", i):
+            tokens.append(("name", "pi"))
+            i += 2
+        elif ch in "()+*/^-":
+            tokens.append(("op", ch))
+            i += 1
+        elif ch.isspace():
+            i = _run_end(text, i, str.isspace)
         else:
-            tokens.append(("op", op))
+            raise ExpressionError(f"unexpected character {shown(ch)} in {shown(text)}")
     if not tokens:
         raise ExpressionError("empty expression")
     return tokens
@@ -95,7 +119,7 @@ def _odd_bits(v: int | Fraction) -> int:
     return (v >> ((v & -v).bit_length() - 1)).bit_length() if v else 0
 
 
-_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+_OPS = {"+": lambda v, w: v + w, "-": lambda v, w: v - w, "*": lambda v, w: v * w}
 
 
 class _Parser:

@@ -42,10 +42,9 @@ collection at all.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
-from .errors import (BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams, _too_many_digits,
-                     shown)
+from .errors import (BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams, Record,
+                     _too_many_digits, shown)
 
 DEFAULT_ENUM_CAP = 12
 # loop steps `brute_force_shortest` may take with N below 2^1024, about a
@@ -123,11 +122,15 @@ class LatticeBasis:
         return len(self.rows)
 
 
-class ShortestVectorResult(namedtuple("ShortestVectorResult", "norm_sq vector certified")):
+class ShortestVectorResult(Record):
     """A shortest nonzero vector (a tuple of ints), its squared norm, and
     whether the search proved it shortest."""
 
     __slots__ = ()
+
+    def __new__(cls, norm_sq: int, vector: tuple[int, ...],
+                certified: bool) -> ShortestVectorResult:
+        return tuple.__new__(cls, (norm_sq, vector, certified))
 
     def to_json_dict(self) -> dict:
         return {

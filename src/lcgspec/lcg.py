@@ -9,20 +9,20 @@ count that renders X/N exactly.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
 from .errors import (
     InvalidParams,
     NoPotential,
     PeriodViolation,
     PotentialOne,
+    Record,
     _too_many_bits,
     _too_many_digits,
     shown,
 )
 
 
-class LcgParams(namedtuple("LcgParams", "a c N x0")):
+class LcgParams(Record):
     """Parameters (a, c, N, x0) with 0 < N, 2 <= a < N, 1 <= c < N, gcd(c,N)=1.
 
     Every construction is checked, `_make` and `_replace` included."""
@@ -40,21 +40,25 @@ class LcgParams(namedtuple("LcgParams", "a c N x0")):
             raise InvalidParams(f"gcd(c, N) = {shown(math.gcd(c, N))} != 1")
         if not 0 <= x0 < N:
             raise InvalidParams(f"need 0 <= x0 < N, got x0={shown(x0)}")
-        return super().__new__(cls, a, c, N, x0)
-
-    _make = classmethod(lambda cls, iterable: cls(*iterable))
+        return tuple.__new__(cls, (a, c, N, x0))
 
 
-class MaxPeriodReport(namedtuple("MaxPeriodReport", "ok failures")):
+class MaxPeriodReport(Record):
     """Whether the period is maximal, and each failed condition as text."""
 
     __slots__ = ()
 
+    def __new__(cls, ok: bool, failures: tuple[str, ...]) -> MaxPeriodReport:
+        return tuple.__new__(cls, (ok, failures))
 
-class PotentialProfile(namedtuple("PotentialProfile", "tau lam")):
+
+class PotentialProfile(Record):
     """tau = least t with N | (a-1)^t, lam = (a-1)^tau / N."""
 
     __slots__ = ()
+
+    def __new__(cls, tau: int, lam: int) -> PotentialProfile:
+        return tuple.__new__(cls, (tau, lam))
 
 
 def _strip_shared_primes(a: int, N: int) -> tuple[int, int]:

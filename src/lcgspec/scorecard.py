@@ -16,22 +16,25 @@ import io
 import math
 import random
 import time
-from collections import namedtuple
 from fractions import Fraction
 
 from .builder import MultiplierRecipe, build_range, validate
 from .empirical import dump_sequence, frequency_test
-from .errors import LcgspecError
+from .errors import LcgspecError, Record
 from .exprparse import parse_endpoint
 from .lattice import brute_force_shortest, dual_basis, shortest_vector
 from .lcg import LcgParams, check_max_period
 from .spectral import spectral_profile, spectral_test, within_packing_bound
 
 
-class CheckResult(namedtuple("CheckResult", "cid title passed detail elapsed")):
+class CheckResult(Record):
     """Criterion `cid`'s title, verdict, detail line and seconds taken."""
 
     __slots__ = ()
+
+    def __new__(cls, cid: int, title: str, passed: bool, detail: str,
+                elapsed: float) -> CheckResult:
+        return tuple.__new__(cls, (cid, title, passed, detail, elapsed))
 
 
 def _by_generator(pool: dict) -> dict[tuple[int, int], dict[int, int]]:

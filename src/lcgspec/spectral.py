@@ -10,9 +10,8 @@ here with their preconditions checked explicitly, and all of them asserted.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 
-from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, shown
+from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, Record, shown
 from .lattice import DEFAULT_ENUM_CAP, _check_cap, dual_basis, extend_dual_basis, shortest_vector
 from .lcg import PotentialProfile, compute_potential
 
@@ -105,8 +104,7 @@ def within_packing_bound(s: int, N: int, v_sq: int) -> bool | None:
     return v_sq**s * den <= num * N * N
 
 
-class TheoremBounds(namedtuple("TheoremBounds",
-                               "theorem_id s lower_sq upper_sq conditions_met violations")):
+class TheoremBounds(Record):
     """Proven estimates on v_s for one regime, as exact squares `lower_sq`
     and `upper_sq`: an int whenever the estimate is an integer expression,
     else a Fraction, and None for a side whose preconditions fail; each side
@@ -116,6 +114,11 @@ class TheoremBounds(namedtuple("TheoremBounds",
     """
 
     __slots__ = ()
+
+    def __new__(cls, theorem_id: int, s: int, lower_sq: int | Fraction | None,
+                upper_sq: int | Fraction | None, conditions_met: tuple[str, ...],
+                violations: tuple[str, ...]) -> TheoremBounds:
+        return tuple.__new__(cls, (theorem_id, s, lower_sq, upper_sq, conditions_met, violations))
 
     def statement(self) -> str:
         """The bounds as one line, e.g. `v_3^2 >= 5; v_3^2 <= 9 (theorem 2)`."""
@@ -145,11 +148,14 @@ class TheoremBounds(namedtuple("TheoremBounds",
         }
 
 
-class BoundCheck(namedtuple("BoundCheck", "kind name passed")):
+class BoundCheck(Record):
     """One exact, asserted check of v_s: `kind` is "lower" or "upper" (a
     theorem bound) or "packing"; a check that did not pass is a violation."""
 
     __slots__ = ()
+
+    def __new__(cls, kind: str, name: str, passed: bool) -> BoundCheck:
+        return tuple.__new__(cls, (kind, name, passed))
 
 
 def check_bounds(s: int, N: int, v_sq: int, tb: TheoremBounds | None) -> tuple[BoundCheck, ...]:
@@ -265,7 +271,7 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
     )
 
 
-class SpectralResult(namedtuple("SpectralResult", "a N s v_sq vector profile bounds")):
+class SpectralResult(Record):
     """Exact spectral value v_sq of (a, N) in dimension s, reached by
     `vector` (a tuple of ints), which the enumeration proved shortest;
     `profile` (PotentialProfile) and `bounds` (TheoremBounds) are None when
@@ -273,6 +279,10 @@ class SpectralResult(namedtuple("SpectralResult", "a N s v_sq vector profile bou
     `regime` are computed when read."""
 
     __slots__ = ()
+
+    def __new__(cls, a: int, N: int, s: int, v_sq: int, vector: tuple[int, ...],
+                profile: PotentialProfile | None, bounds: TheoremBounds | None) -> SpectralResult:
+        return tuple.__new__(cls, (a, N, s, v_sq, vector, profile, bounds))
 
     @property
     def lg_v(self) -> float:

@@ -9,10 +9,41 @@ e is rounded to `digits` decimal digits at the end.  Evaluation raises
 
 A tree is a tuple: ("int", text), ("dec", text), ("name", "pi" | "e"),
 ("neg", x), ("pow", base, n) with an int n, or (op, x, y) for op in + - * /.
+
+`tokenize` is the scanner the parser once used: one regular expression,
+whose digit and whitespace classes are Unicode's.  The parser's hand
+scanner must give the same tokens and the same refusal on every text.
 """
 
 import math
+import re
 from fractions import Fraction
+
+from lcgspec.errors import ExpressionError, shown
+
+_TOKEN = re.compile(r"(\d+\.\d*|\.\d+)|(\d+)|(pi|e)|([()+*/^-])|(\S)")
+
+
+def tokenize(text: str) -> list[tuple[str, str]]:
+    """The tokens of `text`, or the ExpressionError the scanner raised."""
+    text = text.replace("−", "-").replace("×", "*").replace("⋅", "*")
+    text = text.replace("**", "^")
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        dec, num, name, op, junk = m.groups()
+        if junk:
+            raise ExpressionError(f"unexpected character {shown(junk)} in {shown(text)}")
+        if dec:
+            tokens.append(("dec", dec))
+        elif num:
+            tokens.append(("int", num))
+        elif name:
+            tokens.append(("name", name))
+        else:
+            tokens.append(("op", op))
+    if not tokens:
+        raise ExpressionError("empty expression")
+    return tokens
 
 
 def random_tree(rng, rational: bool, depth: int = 3):

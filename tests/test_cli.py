@@ -841,7 +841,7 @@ class TestParserReuse:
 
     @staticmethod
     def fresh(argv):
-        build_parser.cache_clear()
+        lcgspec.cli._PARSER.clear()
         return run(argv)
 
     def test_parser_is_shared(self):
@@ -875,9 +875,9 @@ class TestParserReuse:
         assert run(single + ["--tau", "3"])[0] == 2
 
     def test_direct_read_builds_no_parser(self):
-        build_parser.cache_clear()
+        lcgspec.cli._PARSER.clear()
         assert run(["svp", "--a", "5", "--N", "16", "--s", "2"])[0] == 0
-        assert build_parser.cache_info().currsize == 0
+        assert len(lcgspec.cli._PARSER) == 0
 
     def test_interval_list_does_not_leak_between_readers(self):
         from lcgspec import cli

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import sys
 import time
 from fractions import Fraction
@@ -332,3 +333,44 @@ def test_parse_endpoint_rejects():
     for text in ("", "0.2:0.9", "two", "1//2", "e^"):
         with pytest.raises(ExpressionError):
             parse_endpoint(text)
+
+
+def _scan(tokenize, text):
+    """The tokens `tokenize` gives `text`, or the message it refuses it with."""
+    try:
+        return tokenize(text)
+    except ExpressionError as exc:
+        return str(exc)
+
+
+# what the seeded texts are drawn from, with weights: ASCII and other scripts'
+# digits, ASCII and Unicode whitespace, the spellings the scanner rewrites,
+# names, operators, and characters it must refuse (`²` and `½` are digits to
+# `str.isdigit` but not decimal)
+PIECES = [
+    ("0", 3), ("7", 3), ("42", 2), ("٣", 1), ("１", 1), ("߂", 1), (" ", 3), ("\t", 1), ("\n", 1),
+    ("　", 1), ("\xa0", 1), ("\x1c", 1), ("−", 1), ("×", 1), ("⋅", 1), ("**", 1), ("*", 1),
+    ("pi", 2), ("p", 1), ("i", 1), ("e", 2), (".", 3), ("+", 2), ("-", 2), ("/", 1), ("^", 2),
+    ("(", 1), (")", 1), ("x", 1), ("²", 1), ("½", 1), (",", 1), ("_", 1), ("\U0001d7d8", 1),
+]
+
+
+def test_scanner_matches_the_regular_expression_it_replaced():
+    rng = random.Random(50)
+    pieces, weights = zip(*PIECES)
+    for _ in range(100_000):
+        text = "".join(rng.choices(pieces, weights, k=rng.randrange(9)))
+        assert _scan(exprparse._tokenize, text) == _scan(expr_reference.tokenize, text), text
+
+
+@pytest.mark.parametrize("text", ["٣", "pie", "1.5e3", "..5", "5.5.5", "3.", ".5", "", "  ",
+                                  "2 ** 3", "1½", "e.e", "π"])
+def test_scanner_matches_on_edge_cases(text):
+    assert _scan(exprparse._tokenize, text) == _scan(expr_reference.tokenize, text)
+
+
+def test_decimal_and_space_are_the_regular_expression_classes():
+    # over every code point, lone surrogates included
+    text = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert [c for c in text if c.isdecimal()] == re.findall(r"\d", text)
+    assert [c for c in text if c.isspace()] == re.findall(r"\s", text)

@@ -1,9 +1,10 @@
 """Every module-level import in the package is used, every public name has
 a caller, no module reaches the names kept only for the benchmark, no module
 reads the process environment, only the front ends import the flag parser,
-no record is a `typing.NamedTuple`, `import lcgspec.cli` loads a pinned
-set of modules, `argparse` loads only with help or a usage error, and
-`fractions` loads only with the first rational.
+no record is a `typing.NamedTuple`, no module builds code from source,
+`import lcgspec.cli` loads a pinned set of modules, `argparse` loads only
+with help or a usage error, and `fractions` loads only with the first
+rational.
 
 Stdlib `ast` scans: a name bound by a top-level `import` or `from ... import`
 must be read somewhere in the module, or be listed in its `__all__`; a public
@@ -271,12 +272,13 @@ def bare_python(code: str, *args: str) -> str:
 
 # what `import lcgspec.cli` adds to a bare `python -I -S`: the stdlib by
 # top-level name (as of 3.11; a version may load fewer), the package in full.
-# Neither `json` (no command reads JSON), `typing` nor `argparse` and its
-# `gettext` (only help and usage errors build the parser) is among them.
-CLI_STDLIB = {"__future__", "_collections", "_collections_abc", "_functools", "_json",
-              "_operator", "_sre", "_stat", "collections", "contextlib", "copyreg", "enum",
-              "functools", "genericpath", "itertools", "keyword", "math", "operator", "os",
-              "posixpath", "re", "reprlib", "stat", "types", "warnings"}
+# CLI_ABSENT never loads: `json` (no command reads JSON), `typing`, `argparse`
+# and its `gettext` (only help and usage errors build the parser), and what a
+# `namedtuple` record or a regular expression would bring.
+CLI_STDLIB = {"__future__", "_collections", "_collections_abc", "_json", "_stat", "genericpath",
+              "math", "os", "posixpath", "stat"}
+CLI_ABSENT = {"json", "typing", "argparse", "gettext", "re", "enum", "collections", "functools",
+              "contextlib", "types", "operator"}
 CLI_PACKAGE = {"lcgspec", "lcgspec._chunks", "lcgspec.builder", "lcgspec.cli",
                "lcgspec.empirical", "lcgspec.errors", "lcgspec.exprparse", "lcgspec.lattice",
                "lcgspec.lcg", "lcgspec.numtheory", "lcgspec.spectral"}
@@ -287,7 +289,7 @@ def test_cli_import_builds_no_parser_and_loads_nothing_new():
     # the modules it loads are pinned: start-up time follows them
     code = ("import sys; base = set(sys.modules); sys.path.insert(0, sys.argv[1]); "
             "import lcgspec.cli as cli; "
-            "print(cli.build_parser.cache_info().currsize, *cli._COMMANDS); "
+            "print(len(cli._PARSER), *cli._COMMANDS); "
             "print(' '.join(sorted(set(sys.modules) - base)))")
     built, loaded = bare_python(code).splitlines()
     assert built == "0 analyze build uniformity dump svp verify-paper"
@@ -295,7 +297,7 @@ def test_cli_import_builds_no_parser_and_loads_nothing_new():
     assert package == CLI_PACKAGE
     stdlib = {m.split(".")[0] for m in loaded.split()} - {"lcgspec"}
     assert stdlib <= CLI_STDLIB
-    assert not stdlib & {"json", "typing", "argparse", "gettext"}
+    assert not stdlib & CLI_ABSENT
 
 
 def test_cli_import_skips_dataclasses_and_inspect():
@@ -389,6 +391,48 @@ def test_named_tuple_scan_flags_each_kind():
     )
     assert imported_name_uses(source, "typing", {"NamedTuple"}) == [
         "NamedTuple (line 3)", "typing.NamedTuple (line 4)", "t.NamedTuple (line 6)",
+    ]
+
+
+# the calls that build code or a pattern from source text at run time
+FROM_SOURCE = {"namedtuple", "eval", "exec"}
+
+
+def built_from_source(source: str) -> list[str]:
+    """Each call in `source` of `namedtuple`, `eval` or `exec`, bare or as
+    an attribute, and of `re.compile`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name == "re.compile" or name.rpartition(".")[2] in FROM_SOURCE:
+                found.append((node.lineno, f"{name} (line {node.lineno})"))
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src").rglob("*.py")),
+                         ids=lambda p: str(p.relative_to(ROOT / "src")))
+def test_nothing_is_built_from_source(path):
+    # a record is an `errors.Record` and the flag scanner reads by hand, so
+    # start-up compiles no code and no pattern
+    assert built_from_source(path.read_text(encoding="utf-8")) == []
+
+
+def test_source_scan_flags_each_kind():
+    source = (
+        "import collections, re\n"
+        "from collections import namedtuple\n"
+        "A = namedtuple('A', 'x')\n"
+        "class B(collections.namedtuple('B', 'y')):\n"
+        "    pass\n"
+        "T = re.compile(r'\\d+')\n"
+        "x = eval('1 + 1') + builtins.eval('2')\n"
+        "exec('y = 1')\n"
+        "ok = compile('1', 'f', 'eval') or re.match('a', 'a')  # re.compile(\n"
+    )
+    assert built_from_source(source) == [
+        "namedtuple (line 3)", "collections.namedtuple (line 4)", "re.compile (line 6)",
+        "builtins.eval (line 7)", "eval (line 7)", "exec (line 8)",
     ]
 
 
