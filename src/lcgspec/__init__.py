@@ -5,7 +5,6 @@ from .builder import (
     MultiplierRecipe,
     ValidationReport,
     build_range,
-    build_single_dimension,
     validate,
 )
 from .empirical import FrequencyReport, dump_sequence, frequency_test
@@ -14,7 +13,6 @@ from .errors import (
     DimensionTooLarge,
     EmptyBox,
     ExpressionError,
-    FactorizationError,
     InvalidParams,
     LambdaInvalid,
     LcgspecError,
@@ -58,7 +56,6 @@ __all__ = [
     "DimensionTooLarge",
     "EmptyBox",
     "ExpressionError",
-    "FactorizationError",
     "FrequencyReport",
     "InvalidParams",
     "LambdaInvalid",
@@ -80,7 +77,6 @@ __all__ = [
     "b_coefficient",
     "brute_force_shortest",
     "build_range",
-    "build_single_dimension",
     "check_max_period",
     "compute_potential",
     "dual_basis",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidParams, LcgspecError, NoPotential, PotentialOne, Record, shown
+from .errors import InvalidParams, NoPotential, PotentialOne, Record, shown
 from .lattice import DEFAULT_ENUM_CAP, _check_cap, dual_basis, extend_dual_basis, shortest_vector
 from .lcg import PotentialProfile, compute_potential
 
@@ -347,24 +347,14 @@ def spectral_profile(a: int, N: int, dims: range,
         if results:
             basis = extend_dual_basis(basis, a, N)
         res = shortest_vector(basis, cap)
-        v_sq = res.norm_sq
-        bounds = None
-        if profile is not None:
-            bounds = theorem_bounds(a, profile, s)
-            if bounds.theorem_id == 1 and bounds.lower_sq is not None:
-                if v_sq != bounds.lower_sq:
-                    raise LcgspecError(
-                        f"solver value {shown(v_sq)} contradicts the exact dimension-2 "
-                        f"formula {shown(bounds.lower_sq)} for a={shown(a)}, N={shown(N)}"
-                    )
         results.append(SpectralResult(
             a=a,
             N=N,
             s=s,
-            v_sq=v_sq,
+            v_sq=res.norm_sq,
             vector=res.vector,
             profile=profile,
-            bounds=bounds,
+            bounds=None if profile is None else theorem_bounds(a, profile, s),
         ))
     return results
 

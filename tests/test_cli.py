@@ -380,6 +380,29 @@ class TestBuild:
         assert capsys.readouterr().err == (
             "error: an explicit a takes no shape: d, primes or exponents\n")
 
+    def test_a_multiplier_is_required(self, monkeypatch, capsys):
+        from lcgspec import cli
+
+        monkeypatch.setattr(cli, "build_range", _boom)
+        assert run(["build", "--tau", "2"]) == (2, "")
+        assert capsys.readouterr().err == (
+            "error: a multiplier is required: --a or --primes [--d]\n")
+
+    def test_validate_fails_a_forged_certificate(self, monkeypatch, capsys):
+        # the certificate claims v_2^2 >= 578 at a = 26, where the solver
+        # proves 577: the lower check fails and the build exits 1
+        from lcgspec import builder
+
+        real = builder.theorem_bounds
+        monkeypatch.setattr(builder, "theorem_bounds",
+                            lambda a, profile, s: real(a, profile, s)._replace(lower_sq=578))
+        code, out = run(["build", "--s", "2", "--a", "26", "--validate", "3"])
+        assert code == 1
+        lines = out.splitlines()
+        assert "validation up to s = 3: FAILED" in lines
+        assert "    v_2^2 >= 578 (theorem 1): FAILED" in lines
+        assert capsys.readouterr().err == ""
+
     def test_s_is_tau(self, capsys):
         # `--s S` is another spelling of `--tau S`: the same stdout, stderr
         # and exit code for every request but S < 2, whose message names tau

@@ -1,3 +1,4 @@
+import io
 import math
 import random
 import re
@@ -9,6 +10,7 @@ import pytest
 
 import expr_reference
 from lcgspec import errors, exprparse
+from lcgspec.cli import main
 from lcgspec.errors import BudgetExceeded, ExpressionError
 from lcgspec.exprparse import parse_endpoint, parse_int_expr
 
@@ -57,6 +59,27 @@ def test_parse_int_expr_guards_blowup():
     with pytest.raises(ExpressionError):
         parse_int_expr("2^(10^7)")
 
+
+# each refusal of an exponent, by the parser and by a command that reads the
+# value: an integer flag or a `uniformity` endpoint
+@pytest.mark.parametrize("parse, text, message", [
+    (parse_endpoint, "2^(1/2)", "exponent must be an integer"),
+    (parse_endpoint, "2^pi", "exponent must be an integer"),
+    (parse_int_expr, "2^-1", "negative exponent in an integer expression"),
+    (parse_int_expr, "(2^500)^10000", "expression result too large"),
+], ids=["rational", "constant", "negative", "result-bits"])
+def test_exponent_refusals(capsys, parse, text, message):
+    with pytest.raises(ExpressionError) as refusal:
+        parse(text)
+    assert str(refusal.value) == message
+    if parse is parse_endpoint:
+        argv = ["uniformity", "--a", "26", "--N", "625", "--interval", f"{text}:1"]
+    else:
+        argv = ["analyze", "--a", text, "--N", "625"]
+    out = io.StringIO()
+    assert main(argv, out) == 2
+    assert out.getvalue() == ""
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_products_are_bounded_before_they_are_made():

@@ -1,10 +1,10 @@
 """Every module-level import in the package is used, every public name has
-a caller, no module reaches the names kept only for the benchmark, no module
-reads the process environment, only the front ends import the flag parser,
-no record is a `typing.NamedTuple`, no module builds code from source,
-`import lcgspec.cli` loads a pinned set of modules, `argparse` loads only
-with help or a usage error, and `fractions` loads only with the first
-rational.
+a caller, no module reaches the names kept only for the benchmark, every
+error kind a module raises has an exit code, no module reads the process
+environment, only the front ends import the flag parser, no record is a
+`typing.NamedTuple`, no module builds code from source, `import lcgspec.cli`
+loads a pinned set of modules, `argparse` loads only with help or a usage
+error, and `fractions` loads only with the first rational.
 
 Stdlib `ast` scans: a name bound by a top-level `import` or `from ... import`
 must be read somewhere in the module, or be listed in its `__all__`; a public
@@ -21,6 +21,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from lcgspec import cli, errors
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "lcgspec"
@@ -140,13 +142,10 @@ BENCHMARK_ONLY = {"factorize": "numtheory", "build_single_dimension": "builder"}
 
 
 def benchmark_only_uses(modules: dict[str, str]) -> list[str]:
-    """Each module of `modules` (name -> source) but `__init__`, which
-    re-exports them, that reads or imports a name of BENCHMARK_ONLY defined
-    in another module."""
+    """Each module of `modules` (name -> source) that reads or imports a
+    name of BENCHMARK_ONLY defined in another module."""
     found = []
     for name, source in modules.items():
-        if name == "__init__":
-            continue
         used = names_read(source) | {alias.name for node in ast.walk(ast.parse(source))
                                      if isinstance(node, ast.ImportFrom) for alias in node.names}
         found += [f"{name}.{kept}" for kept, home in BENCHMARK_ONLY.items()
@@ -168,7 +167,74 @@ def test_benchmark_only_scan_flags_each_kind():
         "cli": "from .numtheory import factorize as f\nx = builder.build_single_dimension\n",
     }
     assert benchmark_only_uses(modules) == [
-        "builder.factorize", "cli.build_single_dimension", "cli.factorize",
+        "__init__.build_single_dimension", "builder.factorize", "cli.build_single_dimension",
+        "cli.factorize",
+    ]
+
+
+# the refusals the CLI exits on by kind, and the one kind raised only by the
+# benchmark's `factorize`, which no command reaches
+EXIT_KINDS = {kind.__name__ for kind in cli._EXIT_CODES}
+UNMAPPED_RAISE = ("numtheory", "factorize", "FactorizationError")
+
+
+def raised_kinds(source: str, kinds: set[str]) -> list[tuple[str, str, int]]:
+    """Each `raise K(...)` or bare `raise K` in `source` whose K, by name or
+    as an attribute, is one of `kinds`: the innermost function around it
+    (`<module>` for none), K and its line."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                kind = ast.unparse(exc).rpartition(".")[2]
+                if kind in kinds:
+                    found.append((where, kind, child.lineno))
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found, key=lambda item: item[2])
+
+
+def test_every_raised_error_kind_has_an_exit_code():
+    # `main` exits on a refusal by its exact kind, so a kind it does not map,
+    # or the base class itself, would end a command in a traceback
+    kinds = {name for name, value in vars(errors).items()
+             if isinstance(value, type) and issubclass(value, errors.LcgspecError)}
+    raised = [(path.stem, where, kind, line) for path in sorted(PACKAGE.glob("*.py"))
+              for where, kind, line in raised_kinds(path.read_text(encoding="utf-8"), kinds)]
+    assert raised  # the scan found the package
+    unmapped = [f"{module}.{where} raises {kind} (line {line})"
+                for module, where, kind, line in raised
+                if (kind not in EXIT_KINDS or kind == "LcgspecError")
+                and (module, where, kind) != UNMAPPED_RAISE]
+    assert unmapped == []
+
+
+def test_raise_scan_flags_each_kind():
+    source = (
+        "from . import errors\n"
+        "from .errors import A, B\n"
+        "if x:\n"
+        "    raise A('top')\n"
+        "def f():\n"
+        "    try:\n"
+        "        pass\n"
+        "    except OSError as exc:\n"
+        "        raise errors.B(str(exc)) from exc\n"
+        "    def g():\n"
+        "        raise A\n"
+        "    raise ValueError('A')  # raise A\n"
+        "class K:\n"
+        "    def h(self):\n"
+        "        raise\n"
+    )
+    assert raised_kinds(source, {"A", "B"}) == [
+        ("<module>", "A", 4), ("f", "B", 9), ("g", "A", 11),
     ]
 
 

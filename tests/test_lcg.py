@@ -229,6 +229,13 @@ def test_potential_error_kinds():
         compute_potential(6, 5)  # N | a-1 at the first power
 
 
+@pytest.mark.parametrize("a, N", [(1, 8), (5, 0)], ids=["a-1", "N-0"])
+def test_potential_refuses_a_below_2_or_N_below_1(a, N):
+    with pytest.raises(InvalidParams) as refusal:
+        compute_potential(a, N)
+    assert str(refusal.value) == f"need a >= 2 and N > 0, got a={a}, N={N}"
+
+
 # -- decimal normalization -----------------------------------------------
 
 

@@ -1,5 +1,6 @@
 """README's Library example runs and prints the values its comments state,
-and its column tables name the columns the CLI prints."""
+its export paragraph names what the package root exports, and its column
+tables name the columns the CLI prints."""
 
 import contextlib
 import io
@@ -8,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+import lcgspec
 from lcgspec.cli import main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -38,6 +40,16 @@ def test_library_example_prints_the_stated_values():
         assert f"# {stated}" in code
         pattern = re.escape(stated).replace(re.escape("..."), r"\d*")
         assert re.fullmatch(pattern, lines[i]), (stated, lines[i])
+
+
+def test_export_paragraph_names_the_root_exports():
+    # a bare name is exported; one qualified by its module is not
+    paragraph = re.search(r"^`import lcgspec` exports (.*?)\n\n", README.read_text(),
+                          re.M | re.S).group(1)
+    assert sorted(re.findall(r"`(\w+)`", paragraph)) == sorted(lcgspec.__all__)
+    kept = re.findall(r"`\w+\.(\w+)`", paragraph)
+    assert kept == ["build_single_dimension", "factorize", "FactorizationError"]
+    assert not any(hasattr(lcgspec, name) for name in kept)
 
 
 def column_table(command: str) -> list[tuple[str, str | None]]:
