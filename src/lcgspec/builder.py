@@ -125,30 +125,6 @@ class BuiltGenerator(Record):
         lows = [tb.lower_sq for tb in self.guaranteed]
         return None if None in lows else min(lows)
 
-    def certificate(self) -> list[dict]:
-        cert = [tb.to_json_dict(self.params.N) for tb in self.guaranteed]
-        for entry, tb in zip(cert, self.guaranteed):
-            entry["statement"] = tb.statement()
-            # always false, like uniform_lower_unverified; both stay because JSON
-            # readers (bench/lcgbench/checks.py) look them up
-            entry["lower_unverified"] = False
-        return cert
-
-    def to_json_dict(self) -> dict:
-        p, uniform = self.params, self.uniform_lower_sq
-        return {
-            "a": str(p.a),
-            "c": str(p.c),
-            "N": str(p.N),
-            "x0": str(p.x0),
-            "tau": self.profile.tau,
-            "lambda": str(self.profile.lam),
-            "covers": {"s_min": 2, "s_max": self.covers_s_max},
-            "uniform_lower_sq": None if uniform is None else str(uniform),
-            "uniform_lower_unverified": False,
-            "certificate": self.certificate(),
-        }
-
 
 def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
                 min_accuracy: int | None = None) -> BuiltGenerator:
@@ -230,23 +206,6 @@ class ValidationReport(Record):
     @property
     def ok(self) -> bool:
         return all(r.ok for r in self.rows)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "ok": self.ok,
-            "rows": [
-                {
-                    "s": r.result.s,
-                    "v_sq": str(r.result.v_sq),
-                    "mu": r.result.mu,
-                    "checks": [
-                        {"name": c.name, "passed": c.passed}
-                        for c in r.checks
-                    ],
-                }
-                for r in self.rows
-            ],
-        }
 
 
 def validate(gen: BuiltGenerator, s_max: int, cap: int = DEFAULT_ENUM_CAP) -> ValidationReport:

@@ -21,6 +21,7 @@ import sys
 from _json import encode_basestring_ascii as _quote
 from io import TextIOBase
 
+from . import _chunks
 from .builder import MultiplierRecipe, build_range, validate
 from .empirical import DEFAULT_BUDGET, dump_sequence, frequency_test
 from .errors import (
@@ -47,7 +48,7 @@ from .lattice import (
     shortest_vector,
 )
 from .lcg import LcgParams, _require_max_period
-from .spectral import _packing_cap_text, check_bounds, spectral_profile
+from .spectral import _exp, _log, _packing_cap_text, check_bounds, merit, spectral_profile
 
 EXIT_OK = 0
 EXIT_SCORECARD = 1
@@ -143,10 +144,11 @@ def _generator_params(args) -> LcgParams:
 
 
 def _open_named(path: str, mode: str = "r") -> TextIOBase:
-    """The named file, opened as UTF-8 text.  Failing to open it is a usage
-    error (exit 2); an OSError after that exits 5."""
+    """The named file, opened as UTF-8 text: read past a leading byte-order
+    mark, as Windows editors write one, and written without one.  Failing
+    to open it is a usage error (exit 2); an OSError after that exits 5."""
     try:
-        return open(path, mode, encoding="utf-8")
+        return open(path, mode, encoding="utf-8-sig" if mode == "r" else "utf-8")
     except OSError as exc:
         raise InvalidParams(f"[Errno {exc.errno}] {exc.strerror}: {shown(path)}") from None
 
@@ -211,6 +213,37 @@ _ANALYZE_COLUMNS = (
 )
 
 
+def _bounds_json(tb: TheoremBounds, N: int) -> dict:
+    """The bounds of a generator with modulus N, with their display roots
+    and the mu_s window they induce."""
+    lo, hi = tb.lower_sq, tb.upper_sq
+    return {
+        "theorem": tb.theorem_id,
+        "s": tb.s,
+        "lower": None if lo is None else _exp(0.5 * _log(lo)),
+        "upper": None if hi is None else _exp(0.5 * _log(hi)),
+        "lower_exact_sq": None if lo is None else str(lo),
+        "upper_exact_sq": None if hi is None else str(hi),
+        "mu_lower": None if lo is None else merit(tb.s, lo, N),
+        "mu_upper": None if hi is None else merit(tb.s, hi, N),
+        "conditions_met": list(tb.conditions_met),
+        "violations": list(tb.violations),
+    }
+
+
+def _result_json(r: SpectralResult) -> dict:
+    """The figures that vary with s; a, N and the profile are stated once."""
+    return {
+        "s": r.s,
+        "v_sq": str(r.v_sq),
+        "lg_v": r.lg_v,
+        "vector": [str(x) for x in r.vector],
+        "mu": r.mu,
+        "regime": r.regime,
+        "bounds": None if r.bounds is None else _bounds_json(r.bounds, r.N),
+    }
+
+
 def cmd_analyze(args, out: TextIOBase) -> int:
     _read_ints(args, "enum_cap")
     params = _generator_params(args)
@@ -225,7 +258,7 @@ def cmd_analyze(args, out: TextIOBase) -> int:
         _json_out({"a": str(a), "N": str(N),
                    "tau": None if pr is None else pr.tau,
                    "lambda": None if pr is None else str(pr.lam),
-                   "results": [r.to_json_dict() for r in results]}, out)
+                   "results": [_result_json(r) for r in results]}, out)
         return EXIT_OK
 
     if args.format == "csv":
@@ -255,6 +288,45 @@ def _parse_primes(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(primes), tuple(exps)
 
 
+def _statement(tb: TheoremBounds) -> str:
+    """The bounds as one line, e.g. `v_3^2 >= 5; v_3^2 <= 9 (theorem 2)`."""
+    v, lo, hi = f"v_{tb.s}^2", tb.lower_sq, tb.upper_sq
+    if lo is not None and lo == hi:
+        return f"{v} = {lo} (theorem {tb.theorem_id})"
+    parts = [] if lo is None else [f"{v} >= {lo}"]
+    if hi is not None:
+        parts.append(f"{v} <= {hi}")
+    return "; ".join(parts) + f" (theorem {tb.theorem_id})"
+
+
+def _validation_json(report: ValidationReport) -> dict:
+    """Each validated dimension's figures and checks, by name and outcome."""
+    return {
+        "ok": report.ok,
+        "rows": [{"s": row.result.s, "v_sq": str(row.result.v_sq), "mu": row.result.mu,
+                  "checks": [{"name": c.name, "passed": c.passed} for c in row.checks]}
+                 for row in report.rows],
+    }
+
+
+def _build_json(gen: BuiltGenerator, report: ValidationReport | None) -> dict:
+    """The build, its certificate, one entry per covered dimension, and the
+    report of `--validate` when it ran."""
+    p, uniform = gen.params, gen.uniform_lower_sq
+    return {
+        "a": str(p.a), "c": str(p.c), "N": str(p.N), "x0": str(p.x0),
+        "tau": gen.profile.tau, "lambda": str(gen.profile.lam),
+        "covers": {"s_min": 2, "s_max": gen.covers_s_max},
+        "uniform_lower_sq": None if uniform is None else str(uniform),
+        # always false, like each entry's lower_unverified; both stay because
+        # JSON readers (bench/lcgbench/checks.py) look them up
+        "uniform_lower_unverified": False,
+        "certificate": [{**_bounds_json(tb, p.N), "statement": _statement(tb),
+                         "lower_unverified": False} for tb in gen.guaranteed],
+        **({} if report is None else {"validation": _validation_json(report)}),
+    }
+
+
 def cmd_build(args, out: TextIOBase) -> int:
     if args.enum_cap is not None and args.validate is None:
         raise InvalidParams("--enum-cap needs --validate")
@@ -268,10 +340,7 @@ def cmd_build(args, out: TextIOBase) -> int:
     report = None if args.validate is None else validate(gen, args.validate, cap=cap)
 
     if args.format == "json":
-        payload = gen.to_json_dict()
-        if report is not None:
-            payload["validation"] = report.to_json_dict()
-        _json_out(payload, out)
+        _json_out(_build_json(gen, report), out)
         return EXIT_OK
 
     p = gen.params
@@ -281,7 +350,7 @@ def cmd_build(args, out: TextIOBase) -> int:
     if (uniform := gen.uniform_lower_sq) is not None:
         out.write(f"uniform lower bound: v_s^2 >= {uniform} for 2 <= s <= {gen.covers_s_max}\n")
     for tb in gen.guaranteed:
-        out.write("  " + tb.statement() + "\n")
+        out.write("  " + _statement(tb) + "\n")
     if report is not None:
         out.write(f"validation up to s = {args.validate}: "
                   f"{'ok' if report.ok else 'FAILED'}\n")
@@ -305,7 +374,28 @@ def _parse_interval(text: str) -> tuple[Fraction, Fraction, str, str]:
     return parse_endpoint(lo), parse_endpoint(hi), lo.strip(), hi.strip()
 
 
-# the fields of FrequencyReport.row(), each cell read from that row
+# the digits after the point of every figure of a uniformity row
+_ROW_DIGITS = 12
+
+
+def _render_ratio(p: int, q: int, digits: int) -> str:
+    """p/q (p >= 0 < q, not necessarily reduced) truncated at `digits`
+    fractional digits: the integer part, then `_chunks._fraction_digits` of
+    the remainder after a point, when it left any."""
+    ip, r = divmod(p, q)
+    f = _chunks._fraction_digits([r], q, digits)[0]
+    return f"{ip}.{f}" if f else str(ip)
+
+
+def _uniformity_row(report: FrequencyReport) -> dict[str, str]:
+    """The report's figures as decimal strings, an endpoint's label in place
+    of its value when one was given."""
+    labels = {"alpha": report.alpha_label, "beta": report.beta_label}
+    return {field: labels.get(field) or _render_ratio(p, q, _ROW_DIGITS)
+            for field, (p, q) in report._ratios().items()}
+
+
+# the fields of `_uniformity_row`, each cell read from that row
 _UNIFORMITY_COLUMNS = tuple(
     (field, text, lambda row, fmt, field=field: row[field])
     for field, text in [("alpha", "alpha"), ("beta", "beta"), ("m", "m"),
@@ -333,9 +423,9 @@ def cmd_uniformity(args, out: TextIOBase) -> int:
 
     if args.format == "json":
         _json_out({"a": str(params.a), "N": str(params.N),
-                   "rows": [r.row() for r in reports]}, out)
+                   "rows": [_uniformity_row(r) for r in reports]}, out)
     else:
-        _write_table(_UNIFORMITY_COLUMNS, [r.row() for r in reports], args.format, out)
+        _write_table(_UNIFORMITY_COLUMNS, [_uniformity_row(r) for r in reports], args.format, out)
     return EXIT_OK
 
 
@@ -400,9 +490,8 @@ def cmd_svp(args, out: TextIOBase) -> int:
         method = "enumeration"
 
     if args.format == "json":
-        payload = result.to_json_dict()
-        payload["method"] = method
-        _json_out(payload, out)
+        _json_out({"norm_sq": str(result.norm_sq), "vector": [str(x) for x in result.vector],
+                   "certified": result.certified, "method": method}, out)
     else:
         out.write(f"norm^2 = {result.norm_sq}\n")
         out.write("vector = (" + ", ".join(str(x) for x in result.vector) + ")\n")

@@ -2,10 +2,11 @@
 
 The frequency test counts orbit values with alpha <= X/N <= beta, comparing
 exact rationals on a closed interval, and reports the deviation of the hit
-rate from the interval width.  A full period visits every residue of Z_N
-exactly once, so the count is a closed form and no orbit is walked.  Dumps
-stream the orbit itself, so they are bounded by a budget on the count; a
-long dump shares its rendering with a second interpreter.
+rate from the interval width as exact ratios; the CLI renders them as
+decimals.  A full period visits every residue of Z_N exactly once, so the
+count is a closed form and no orbit is walked.  Dumps stream the orbit
+itself, so they are bounded by a budget on the count; a long dump shares its
+rendering with a second interpreter.
 """
 
 from __future__ import annotations
@@ -30,19 +31,10 @@ _WORKER_MIN_TERMS = 2**19
 _MAX_PER_LINE = 4096
 
 
-def _render_ratio(p: int, q: int, digits: int) -> str:
-    """p/q (p >= 0 < q, not necessarily reduced) truncated at `digits`
-    fractional digits: the integer part, then `_chunks._fraction_digits` of
-    the remainder after a point, when it left any."""
-    ip, r = divmod(p, q)
-    f = _chunks._fraction_digits([r], q, digits)[0]
-    return f"{ip}.{f}" if f else str(ip)
-
-
 class FrequencyReport(Record):
     """The count `m` of full-period values of `params` (LcgParams) in the
     closed interval [alpha, beta] (Fractions), and the endpoints' labels as
-    given ("" for none)."""
+    given ("" for none), which the CLI prints in place of their values."""
 
     __slots__ = ()
 
@@ -51,8 +43,9 @@ class FrequencyReport(Record):
         return tuple.__new__(cls, (params, alpha, beta, alpha_label, beta_label, m))
 
     def _ratios(self) -> dict[str, tuple[int, int]]:
-        """Every figure of `row`, in its field order, as an unreduced pair
-        (p, q), p >= 0 < q: width over ad*bd, delta = |m/N - width| over N*ad*bd."""
+        """Every figure of the report by its name, in the order the CLI
+        prints them, as an unreduced pair (p, q), p >= 0 < q: width over
+        ad*bd, delta = |m/N - width| over N*ad*bd."""
         an, ad = self.alpha.numerator, self.alpha.denominator
         bn, bd = self.beta.numerator, self.beta.denominator
         m, N = self.m, self.params.N
@@ -64,13 +57,6 @@ class FrequencyReport(Record):
     def delta(self) -> Fraction:
         import fractions
         return fractions.Fraction(*self._ratios()["delta"])
-
-    def row(self, digits: int = 12) -> dict[str, str]:
-        """The figures as decimal strings, an endpoint's label in place of
-        its value when one was given."""
-        labels = {"alpha": self.alpha_label, "beta": self.beta_label}
-        return {field: labels.get(field) or _render_ratio(p, q, digits)
-                for field, (p, q) in self._ratios().items()}
 
 
 def frequency_test(

@@ -21,10 +21,13 @@ changes none of them.
 
 Every `LatticeBasis` carries that data for its rows, from exactly one
 source: the constructor computes it for rows given from outside, `lll_reduce`
-leaves its own on the basis it returns, `extend_dual_basis` extends it by one
-row, and `dual_basis` writes it down in closed form: the rows N*e_0 and
-e_j - c_j*e_0, c_j = a^j mod N, have b*_0 = N*e_0 and b*_j = e_j, so
-d = [1, N^2, ..., N^2], lam[k][0] = -N*c_k and every other lam[k][j] is 0.
+leaves its own on the basis it returns, and `dual_basis` and
+`extend_dual_basis` write it down in closed form.  A row e_j - c_j*e_0,
+c_j = a^j mod N, after rows that span coordinates 0..j-1 and are 0 at j, has
+b*_j = e_j and d_(j+1) = d_j.  So `dual_basis` has d = [1, N^2, ..., N^2],
+lam[k][0] = -N*c_k and every other lam[k][j] 0, and the row that
+`extend_dual_basis` appends needs only the lam recurrence, started from
+<b_s, b_j> = -c_s*b_j[0] without a dot product.
 A direct congruence-scanning brute force, bounded by the same cap and by a
 step budget, is provided as an independent cross-check.  `shortest_vector`
 refuses an answer whose squared norm `errors._too_many_digits` calls too long.
@@ -132,13 +135,6 @@ class ShortestVectorResult(Record):
                 certified: bool) -> ShortestVectorResult:
         return tuple.__new__(cls, (norm_sq, vector, certified))
 
-    def to_json_dict(self) -> dict:
-        return {
-            "norm_sq": str(self.norm_sq),
-            "vector": [str(x) for x in self.vector],
-            "certified": self.certified,
-        }
-
 
 def _check_dual_params(a: int, N: int, s: int) -> None:
     """Refuse the (a, N, s) that no dual lattice has, in O(1)."""
@@ -186,9 +182,18 @@ def extend_dual_basis(basis: LatticeBasis, a: int, N: int) -> LatticeBasis:
         basis = basis._reduced
     s = basis.dim
     rows = tuple([r + (0,) for r in basis.rows])
-    rows += ((-pow(a, s, N),) + (0,) * (s - 1) + (1,),)
-    d, lam = basis._gs[0] + [0], [r + [0] for r in basis._gs[1]] + [[0] * (s + 1)]
-    _gs_row(rows, s, d, lam)
+    c = pow(a, s, N)
+    rows += ((-c,) + (0,) * (s - 1) + (1,),)
+    d, lam = basis._gs[0] + [basis._gs[0][s]], [r + [0] for r in basis._gs[1]]
+    # b*_s = e_s, and <b_s, b_j> = -c*b_j[0] (module docstring)
+    ls = [0] * (s + 1)
+    for j in range(s):
+        u = -c * rows[j][0]
+        lj = lam[j]
+        for i in range(j):
+            u = (d[i + 1] * u - ls[i] * lj[i]) // d[i]
+        ls[j] = u
+    lam.append(ls)
     return LatticeBasis._known(rows, (d, lam))
 
 
@@ -203,23 +208,17 @@ def _integral_gs(rows) -> tuple[list[int], list[list[int]]]:
     d = [1] + [0] * n
     lam = [[0] * n for _ in range(n)]
     for k in range(n):
-        _gs_row(rows, k, d, lam)
+        for j in range(k + 1):
+            u = sum(x * y for x, y in zip(rows[k], rows[j]))
+            for i in range(j):
+                u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
+            if j < k:
+                lam[k][j] = u
+            else:
+                d[k + 1] = u
+        if d[k + 1] == 0:
+            raise InvalidParams("basis rows are linearly dependent")
     return d, lam
-
-
-def _gs_row(rows, k: int, d: list[int], lam: list[list[int]]) -> None:
-    """Fill lam[k][0..k-1] and d[k+1] from rows 0..k, given the data of rows
-    0..k-1."""
-    for j in range(k + 1):
-        u = sum(x * y for x, y in zip(rows[k], rows[j]))
-        for i in range(j):
-            u = (d[i + 1] * u - lam[k][i] * lam[j][i]) // d[i]
-        if j < k:
-            lam[k][j] = u
-        else:
-            d[k + 1] = u
-    if d[k + 1] == 0:
-        raise InvalidParams("basis rows are linearly dependent")
 
 
 def lll_reduce(basis: LatticeBasis) -> LatticeBasis:

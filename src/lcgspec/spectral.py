@@ -109,8 +109,8 @@ class TheoremBounds(Record):
     and `upper_sq`: an int whenever the estimate is an integer expression,
     else a Fraction, and None for a side whose preconditions fail; each side
     present is asserted by `check_bounds`.  `conditions_met` and `violations`
-    are tuples of str.  The roots and the mu_s window the squares induce are
-    computed by `to_json_dict` when rendered.
+    are tuples of str.  The CLI renders the roots and the mu_s window that
+    the squares induce, and the one-line statement of the bounds.
     """
 
     __slots__ = ()
@@ -119,33 +119,6 @@ class TheoremBounds(Record):
                 upper_sq: int | Fraction | None, conditions_met: tuple[str, ...],
                 violations: tuple[str, ...]) -> TheoremBounds:
         return tuple.__new__(cls, (theorem_id, s, lower_sq, upper_sq, conditions_met, violations))
-
-    def statement(self) -> str:
-        """The bounds as one line, e.g. `v_3^2 >= 5; v_3^2 <= 9 (theorem 2)`."""
-        v, lo, hi = f"v_{self.s}^2", self.lower_sq, self.upper_sq
-        if lo is not None and lo == hi:
-            return f"{v} = {lo} (theorem {self.theorem_id})"
-        parts = [] if lo is None else [f"{v} >= {lo}"]
-        if hi is not None:
-            parts.append(f"{v} <= {hi}")
-        return "; ".join(parts) + f" (theorem {self.theorem_id})"
-
-    def to_json_dict(self, N: int) -> dict:
-        """The bounds of a generator with modulus N, with their display
-        roots and the mu_s window they induce."""
-        lo, hi = self.lower_sq, self.upper_sq
-        return {
-            "theorem": self.theorem_id,
-            "s": self.s,
-            "lower": None if lo is None else _exp(0.5 * _log(lo)),
-            "upper": None if hi is None else _exp(0.5 * _log(hi)),
-            "lower_exact_sq": None if lo is None else str(lo),
-            "upper_exact_sq": None if hi is None else str(hi),
-            "mu_lower": None if lo is None else merit(self.s, lo, N),
-            "mu_upper": None if hi is None else merit(self.s, hi, N),
-            "conditions_met": list(self.conditions_met),
-            "violations": list(self.violations),
-        }
 
 
 class BoundCheck(Record):
@@ -299,18 +272,6 @@ class SpectralResult(Record):
         """The code of the regime (s, tau) that the theorem of `bounds`
         covers; None without bounds."""
         return None if self.bounds is None else _REGIME[self.bounds.theorem_id]
-
-    def to_json_dict(self) -> dict:
-        """The figures that vary with s; a, N and the profile are shared."""
-        return {
-            "s": self.s,
-            "v_sq": str(self.v_sq),
-            "lg_v": self.lg_v,
-            "vector": [str(x) for x in self.vector],
-            "mu": self.mu,
-            "regime": self.regime,
-            "bounds": None if self.bounds is None else self.bounds.to_json_dict(self.N),
-        }
 
 
 def spectral_profile(a: int, N: int, dims: range,

@@ -21,7 +21,7 @@ from lcgspec import (
     spectral_test,
     theorem_bounds,
 )
-from lcgspec import lattice
+from lcgspec import cli, lattice
 from lcgspec.builder import (
     BuiltGenerator,
     MultiplierRecipe,
@@ -127,7 +127,7 @@ class TestBuildSingleDimension:
         assert g.profile == PotentialProfile(2, 1)
         assert g.covers_s_max == 2
         assert g.uniform_lower_sq == 577
-        assert g.certificate()[0]["statement"] == "v_2^2 = 577 (theorem 1)"
+        assert cli._build_json(g, None)["certificate"][0]["statement"] == "v_2^2 = 577 (theorem 1)"
 
     def test_tuned_large(self):
         g = build_single_dimension(2, MultiplierRecipe(a=1664525), min_accuracy=10**6)
@@ -183,7 +183,7 @@ class TestBuildRange:
         assert g.profile == PotentialProfile(6, 1)
         assert g.covers_s_max == 6
         assert g.uniform_lower_sq == (69069 - 20) ** 2 == 4767764401
-        stmts = [e["statement"] for e in g.certificate()]
+        stmts = [e["statement"] for e in cli._build_json(g, None)["certificate"]]
         assert len(stmts) == 5
         assert stmts[0] == "v_2^2 >= 4770250489; v_2^2 <= 4770526762 (theorem 6)"
         assert stmts[4] == "v_6^2 >= 4767764401; v_6^2 <= 4770526762 (theorem 2)"
@@ -236,7 +236,7 @@ class TestBuildRange:
 
 class TestCertificateJson:
     def test_shape(self):
-        d = build_range(6, 0, 1, MultiplierRecipe(a=69069)).to_json_dict()
+        d = cli._build_json(build_range(6, 0, 1, MultiplierRecipe(a=69069)), None)
         assert d["a"] == "69069" and d["c"] == "1" and d["x0"] == "0"
         assert d["N"] == str(69068**6)
         assert d["tau"] == 6 and d["lambda"] == "1"
@@ -254,7 +254,7 @@ class TestCertificateJson:
             guaranteed=(theorem_bounds(13, PotentialProfile(2, 9), 2),),
         )
         assert g.uniform_lower_sq == Fraction(122, 81)
-        d = g.to_json_dict()
+        d = cli._build_json(g, None)
         assert d["uniform_lower_sq"] == "122/81"
         assert d["uniform_lower_unverified"] is False
         assert "v_2^2 >= 122/81" in d["certificate"][0]["statement"]
@@ -306,7 +306,7 @@ class TestValidate:
         assert lower.name == "v_2^2 >= 626 (theorem 1)"
         assert not lower.passed
         assert rep.rows[0].checks[1].passed  # upper still holds
-        assert rep.to_json_dict()["ok"] is False
+        assert cli._validation_json(rep)["ok"] is False
 
     def test_theorem_3_check_gates(self):
         # a = 13, N = 16: v_2^2 = 10 clears theorem 3's 122/81, but not the
@@ -323,18 +323,19 @@ class TestValidate:
             assert rep.ok is ok
             first = rep.rows[0].checks[0]
             assert (first.kind, first.passed) == ("lower", ok)
-            assert rep.to_json_dict()["rows"][0]["checks"][0] == {"name": first.name, "passed": ok}
+            row = cli._validation_json(rep)["rows"][0]
+            assert row["checks"][0] == {"name": first.name, "passed": ok}
 
     def test_json_round_trip(self):
         g = build_single_dimension(2, MultiplierRecipe(a=26))
         rep = validate(g, 2)
-        d = rep.to_json_dict()
+        d = cli._validation_json(rep)
         assert d["ok"] is True
         assert d["rows"][0]["v_sq"] == "577"
         assert json.loads(json.dumps(d)) == d
         # bench/lcgbench/checks.py reads lower_unverified on each certificate
         # entry; a validation check carries its name and outcome only
-        assert [e["lower_unverified"] for e in g.to_json_dict()["certificate"]] == [False]
+        assert [e["lower_unverified"] for e in cli._build_json(g, rep)["certificate"]] == [False]
         assert [sorted(c) for c in d["rows"][0]["checks"]] == [["name", "passed"]] * 3
 
     def test_rejects_small_s_max(self):

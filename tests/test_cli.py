@@ -462,6 +462,16 @@ class TestUniformity:
         assert code == 0
         assert out.splitlines() == self.GOLDEN
 
+    def test_intervals_file_with_bom_and_crlf(self, tmp_path):
+        # as a Windows editor saves it: a UTF-8 byte-order mark, then CRLF line ends
+        text = "0.580815:0.850411\n1/pi^2:1-1/e\n0.2:0.9\n"
+        plain, windows = tmp_path / "plain.txt", tmp_path / "windows.txt"
+        plain.write_bytes(text.encode())
+        windows.write_bytes(b"\xef\xbb\xbf" + text.replace("\n", "\r\n").encode())
+        outputs = [run(["uniformity", "--a", "26", "--N", "625", "--intervals-file", str(f),
+                        "--format", "csv"]) for f in (plain, windows)]
+        assert outputs[0] == outputs[1] == (0, "\n".join(self.GOLDEN) + "\n")
+
     def test_json(self):
         code, out = run(["uniformity", "--a", "26", "--N", "625",
                          "--interval", "0:1", "--format", "json"])
@@ -536,6 +546,7 @@ class TestDump:
         assert code == 0
         assert out == ""
         assert path.read_text() == "n,x,u\n1,1,0.0016\n2,27,0.0432\n3,78,0.1248\n"
+        assert path.read_bytes().startswith(b"n,x,u\n")  # no byte-order mark
 
     def test_table_format(self):
         code, out = run(["dump", "--a", "26", "--N", "625", "--count", "5",

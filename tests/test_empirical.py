@@ -18,9 +18,9 @@ from lcgspec import (
     LcgParams,
     PeriodViolation,
 )
-from lcgspec import _chunks, empirical
+from lcgspec import _chunks, cli, empirical
 from lcgspec._chunks import _CHUNK
-from lcgspec.empirical import _render_ratio, dump_sequence, frequency_test
+from lcgspec.empirical import dump_sequence, frequency_test
 from lcgspec.lcg import default_digits
 from lcgspec.numtheory import factorize
 
@@ -28,7 +28,7 @@ P625 = LcgParams(26, 1, 625, 0)
 
 
 class TestFormatFraction:
-    """`_render_ratio`, which renders every figure of a `FrequencyReport` row."""
+    """`cli._render_ratio`, which renders every figure of a uniformity row."""
 
     @pytest.mark.parametrize(
         "value,digits,expected",
@@ -46,16 +46,16 @@ class TestFormatFraction:
     )
     def test_rendering(self, value, digits, expected):
         value = Fraction(value)
-        assert _render_ratio(value.numerator, value.denominator, digits) == expected
+        assert cli._render_ratio(value.numerator, value.denominator, digits) == expected
         # the pair need not be reduced
-        assert _render_ratio(7 * value.numerator, 7 * value.denominator, digits) == expected
+        assert cli._render_ratio(7 * value.numerator, 7 * value.denominator, digits) == expected
 
 
 class TestFrequencyTest:
     def test_decimal_endpoints(self):
         r = frequency_test(P625, Fraction(0.580815), Fraction(0.850411))
         assert r.m == 168
-        assert r.row()["m_over_N"] == "0.2688"
+        assert cli._uniformity_row(r)["m_over_N"] == "0.2688"
         assert float(r.delta) == pytest.approx(0.000796, abs=5e-7)
 
     def test_symbolic_endpoints_rounded(self):
@@ -78,7 +78,7 @@ class TestFrequencyTest:
     def test_whole_interval(self):
         r = frequency_test(P625, 0, 1)
         assert r.m == 625
-        assert r.row()["width"] == "1"
+        assert cli._uniformity_row(r)["width"] == "1"
         assert r.delta == 0
 
     def test_closed_decile_overlap(self):
@@ -213,16 +213,16 @@ def _walk_count(params, alpha, beta):
 class TestFrequencyReport:
     def test_row_and_labels(self):
         r = frequency_test(P625, Fraction(1, 5), Fraction(9, 10), alpha_label="1/5")
-        row = r.row()
+        row = cli._uniformity_row(r)
         assert row["alpha"] == "1/5"  # label wins over rendering
         assert row["beta"] == "0.9"
         assert row["m"] == "438"
         assert list(row) == ["alpha", "beta", "m", "m_over_N", "width", "delta"]
 
     def test_json_dict(self):
-        # `uniformity` JSON writes row() as is and N once above the rows
+        # `uniformity` JSON writes the row as is and N once above the rows
         assert not hasattr(empirical.FrequencyReport, "to_json_dict")
-        d = frequency_test(P625, 0, 1).row()
+        d = cli._uniformity_row(frequency_test(P625, 0, 1))
         assert d["m"] == "625" and "N" not in d
         assert d["delta"] == "0"
         assert frequency_test(P625, 0, 1)._fields == (
@@ -243,14 +243,20 @@ class TestFrequencyReport:
             assert r.m == m, (N, alpha, beta)
             width = beta - alpha
             assert r.delta == abs(Fraction(m, N) - width)
-            assert r.row(digits) == {
+            want = {
                 "alpha": _reference_decimal(alpha, digits),
                 "beta": _reference_decimal(beta, digits),
                 "m": str(m),
                 "m_over_N": _reference_decimal(Fraction(m, N), digits),
                 "width": _reference_decimal(width, digits),
                 "delta": _reference_decimal(abs(Fraction(m, N) - width), digits),
-            }, (N, alpha, beta, digits)
+            }
+            # the row renders each ratio at 12 digits; other counts go
+            # through the same renderer
+            assert {field: cli._render_ratio(p, q, digits)
+                    for field, (p, q) in r._ratios().items()} == want, (N, alpha, beta, digits)
+            if digits == 12:
+                assert cli._uniformity_row(r) == want, (N, alpha, beta)
             cases += 1
             terminating += 10**40 % N == 0
         assert 300 <= terminating <= 700
@@ -264,7 +270,7 @@ class TestFrequencyReport:
             alpha_label="0.580815",
             beta_label="0.850411",
         )
-        row = r.row()
+        row = cli._uniformity_row(r)
         assert ",".join(row) == "alpha,beta,m,m_over_N,width,delta"
         assert ",".join(row.values()) == "0.580815,0.850411,168,0.2688,0.269596,0.000796"
 

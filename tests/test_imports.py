@@ -1,10 +1,11 @@
 """Every module-level import in the package is used, every public name has
 a caller, no module reaches the names kept only for the benchmark, every
-error kind a module raises has an exit code, no module reads the process
-environment, only the front ends import the flag parser, no record is a
-`typing.NamedTuple`, no module builds code from source, `import lcgspec.cli`
-loads a pinned set of modules, `argparse` loads only with help or a usage
-error, and `fractions` loads only with the first rational.
+error kind a module raises has an exit code, only `cli` defines a renderer
+of an output shape, no module reads the process environment, only the front
+ends import the flag parser, no record is a `typing.NamedTuple`, no module
+builds code from source, `import lcgspec.cli` loads a pinned set of modules,
+`argparse` loads only with help or a usage error, and `fractions` loads only
+with the first rational.
 
 Stdlib `ast` scans: a name bound by a top-level `import` or `from ... import`
 must be read somewhere in the module, or be listed in its `__all__`; a public
@@ -235,6 +236,57 @@ def test_raise_scan_flags_each_kind():
     )
     assert raised_kinds(source, {"A", "B"}) == [
         ("<module>", "A", 4), ("f", "B", 9), ("g", "A", 11),
+    ]
+
+
+# the names records once rendered their JSON objects, certificate entries,
+# bound statements and uniformity rows by; `cli` renders every output shape
+RENDERERS = {"to_json_dict", "certificate", "row", "statement"}
+
+
+def renderer_definitions(source: str) -> list[str]:
+    """Each definition in `source` of a name of RENDERERS: a function or
+    method at any depth, or an attribute assigned in a class body."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name in RENDERERS:
+            found.append((node.lineno, f"{node.name} (line {node.lineno})"))
+        elif isinstance(node, ast.ClassDef):
+            found += [(sub.lineno, f"{node.name}.{target.id} (line {sub.lineno})")
+                      for sub in node.body if isinstance(sub, (ast.Assign, ast.AnnAssign))
+                      for target in (sub.targets if isinstance(sub, ast.Assign) else [sub.target])
+                      if isinstance(target, ast.Name) and target.id in RENDERERS]
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.stem != "cli"),
+                         ids=lambda p: p.name)
+def test_only_the_cli_renders_output(path):
+    # records hold values and figures; the one module that writes output shapes it
+    assert renderer_definitions(path.read_text(encoding="utf-8")) == []
+
+
+def test_renderer_scan_flags_each_kind():
+    source = (
+        "class K:\n"
+        "    def to_json_dict(self):\n"
+        "        row = {}  # a local, not a definition\n"
+        "        return row\n"
+        "    @property\n"
+        "    def row(self):\n"
+        "        pass\n"
+        "    statement = to_json_dict\n"
+        "    certificate: list = []\n"
+        "    rows = 0\n"
+        "def certificate():\n"
+        "    async def statement():\n"
+        "        pass\n"
+        "def rows():\n"
+        "    'def row'\n"
+    )
+    assert renderer_definitions(source) == [
+        "to_json_dict (line 2)", "row (line 6)", "K.statement (line 8)",
+        "K.certificate (line 9)", "certificate (line 11)", "statement (line 12)",
     ]
 
 

@@ -1,13 +1,15 @@
 import copy
 import gc
+import io
 import itertools
+import json
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from lcgspec import LcgParams, check_max_period, lattice
+from lcgspec import LcgParams, check_max_period, cli, lattice
 from lcgspec.errors import BudgetExceeded, DimensionTooLarge, EmptyBox, InvalidParams
 from lcgspec.lattice import (
     DEFAULT_ENUM_CAP,
@@ -519,8 +521,11 @@ def test_shortest_vector_identity_basis():
 
 
 def test_shortest_vector_json():
-    d = shortest_vector(dual_basis(5, 16, 2)).to_json_dict()
-    assert d == {"norm_sq": "10", "vector": ["1", "3"], "certified": True}
+    # `svp` writes the result's fields and the method that found it
+    out = io.StringIO()
+    assert cli.main(["svp", "--a", "5", "--N", "16", "--s", "2"], out) == 0
+    assert json.loads(out.getvalue()) == {"norm_sq": "10", "vector": ["1", "3"],
+                                          "certified": True, "method": "enumeration"}
 
 
 def test_enum_cap():

@@ -1,9 +1,11 @@
 """README's Library example runs and prints the values its comments state,
-its export paragraph names what the package root exports, and its column
-tables name the columns the CLI prints."""
+its export paragraph names what the package root exports, its column tables
+name the columns the CLI prints, and its list of JSON keys names every key
+of every object the commands write."""
 
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -74,3 +76,49 @@ def test_column_tables_match_the_headers(argv, header_line):
     assert outputs["csv"][0].split(",") == [csv for csv, _ in columns]
     assert (re.split(r" {2,}", outputs["text"][header_line])
             == [text for _, text in columns if text is not None])
+
+
+GOLDEN = README.parent / "tests" / "golden"
+
+
+def json_key_list() -> dict[str, dict[str, frozenset[str]]]:
+    """README's list of JSON keys: for each command, each object's place in
+    its output ("" for the top level) and the keys listed for it."""
+    section = re.search(r"^### JSON keys\n(.*?)(?=^##)", README.read_text(), re.M | re.S)
+    shapes: dict[str, dict[str, frozenset[str]]] = {}
+    for item in re.findall(r"^- (.*?)(?=^- |\Z)", section.group(1), re.M | re.S):
+        command, place, keys = re.fullmatch(r"`([\w-]+)`(?: `([\w.\[\]]+)`)?: (.*)", item.strip(),
+                                            re.S).groups()
+        shapes.setdefault(command, {})[place or ""] = frozenset(re.findall(r"`(\w+)`", keys))
+    return shapes
+
+
+def json_shapes(obj, place: str = "") -> set[tuple[str, frozenset[str]]]:
+    """(place, keys) of every JSON object within `obj`, placed as the README list places them."""
+    if isinstance(obj, dict):
+        found = {(place, frozenset(obj))}
+        for key, value in obj.items():
+            found |= json_shapes(value, f"{place}.{key}" if place else key)
+        return found
+    if isinstance(obj, list):
+        return set().union(*(json_shapes(value, place + "[]") for value in obj))
+    return set()
+
+
+def test_json_key_list_matches_the_outputs():
+    # the JSON goldens, whose first line is the exit code, and one uniformity
+    # run with labelled and rendered endpoints
+    outputs: dict[str, list] = {}
+    for path in sorted(GOLDEN.glob("*_json.out")):
+        status, _, text = path.read_text().partition("\n")
+        assert status == "exit 0", path.name
+        outputs.setdefault(path.name.partition("_")[0], []).append(json.loads(text))
+    out = io.StringIO()
+    assert main(["uniformity", "--a", "26", "--N", "625", "--interval", "1/pi^2:1-1/e",
+                 "--interval", "0.2:0.9", "--format", "json"], out=out) == 0
+    outputs["uniformity"].append(json.loads(out.getvalue()))
+    listed = json_key_list()
+    assert sorted(listed) == sorted(outputs) == ["analyze", "build", "svp", "uniformity"]
+    for command, docs in outputs.items():
+        seen = set().union(*map(json_shapes, docs))
+        assert seen == set(listed[command].items()), command

@@ -335,7 +335,7 @@ class TestTheoremBounds:
         tb = theorem_bounds(26, PotentialProfile(2, 1), 2)
         assert tb.theorem_id == 1
         assert tb.lower_sq == tb.upper_sq == 577
-        d = tb.to_json_dict(625)
+        d = cli._bounds_json(tb, 625)
         assert d["lower_exact_sq"] == d["upper_exact_sq"] == "577"
         assert tb.conditions_met == ("a >= 5",)
         assert tb.violations == ()
@@ -352,7 +352,7 @@ class TestTheoremBounds:
         tb = theorem_bounds(5, PotentialProfile(2, 2), 2)
         assert tb.theorem_id == 3
         assert tb.lower_sq == Fraction(10, 4)
-        assert "lower_unverified" not in tb.to_json_dict(8)
+        assert "lower_unverified" not in cli._bounds_json(tb, 8)
         assert tb.upper_sq == 8
         assert "lambda divides a-1" in tb.conditions_met
         assert spectral_test(5, 8, 2).v_sq == 8
@@ -383,7 +383,7 @@ class TestTheoremBounds:
         assert tb.theorem_id == 5
         assert tb.lower_sq == Fraction(4, 4) == 1
         # a Fraction, written as str writes it
-        assert tb.to_json_dict(32)["lower_exact_sq"] == "1"
+        assert cli._bounds_json(tb, 32)["lower_exact_sq"] == "1"
         assert tb.upper_sq == (4 // 2) ** 2 * math.comb(4, 2) == 24
         assert spectral_test(5, 32, 3).v_sq == 6
 
@@ -417,19 +417,19 @@ class TestTheoremBounds:
         assert tb.upper_sq == math.comb(4, 2) == 6
         tb = theorem_bounds(129, PotentialProfile(5, 1), 6)
         assert tb.theorem_id == 7
-        assert tb.to_json_dict(128**5)["upper_exact_sq"] == str(math.comb(10, 5)) == "252"
+        assert cli._bounds_json(tb, 128**5)["upper_exact_sq"] == str(math.comb(10, 5)) == "252"
 
     def test_mu_window_consistent(self):
         tb = theorem_bounds(129, PotentialProfile(5, 1), 5)
         N = 128**5
-        d = tb.to_json_dict(N)
+        d = cli._bounds_json(tb, N)
         assert d["mu_lower"] == pytest.approx(merit(5, 14161, N), rel=1e-13)
         assert d["mu_upper"] == pytest.approx(merit(5, 16642, N), rel=1e-13)
 
     def test_mu_window_past_float_range_is_null(self):
         # s = 35 > tau = 33: theorem 7's upper bound C(66, 33) puts mu near
         # 10^313, while its root stays a float
-        d = theorem_bounds(3, PotentialProfile(33, 1), 35).to_json_dict(2**33)
+        d = cli._bounds_json(theorem_bounds(3, PotentialProfile(33, 1), 35), 2**33)
         assert d["mu_upper"] is None and d["mu_lower"] is None
         assert d["upper_exact_sq"] == str(math.comb(66, 33))
         assert math.isfinite(d["upper"])
@@ -447,7 +447,7 @@ class TestTheoremBounds:
             theorem_bounds(5, PotentialProfile(2, 1), 1)
 
     def test_json_dict(self):
-        d = theorem_bounds(26, PotentialProfile(2, 1), 2).to_json_dict(625)
+        d = cli._bounds_json(theorem_bounds(26, PotentialProfile(2, 1), 2), 625)
         assert d["theorem"] == 1
         assert d["lower_exact_sq"] == "577"
         assert d["violations"] == []
@@ -458,13 +458,13 @@ class TestTheoremBounds:
         # replaced bound leaves no stale copy behind
         tb = theorem_bounds(26, PotentialProfile(2, 1), 2)
         tb = tb._replace(lower_sq=7, upper_sq=Fraction(9, 4))
-        d = tb.to_json_dict(625)
+        d = cli._bounds_json(tb, 625)
         assert (d["lower_exact_sq"], d["upper_exact_sq"]) == ("7", "9/4")
         assert d["lower"] == pytest.approx(7**0.5, rel=1e-15)
         assert d["upper"] == pytest.approx(1.5, rel=1e-15)
         assert d["mu_lower"] == merit(2, 7, 625)
         assert d["mu_upper"] == merit(2, Fraction(9, 4), 625)
-        d = tb._replace(lower_sq=None, upper_sq=700).to_json_dict(625)
+        d = cli._bounds_json(tb._replace(lower_sq=None, upper_sq=700), 625)
         assert (d["lower_exact_sq"], d["upper_exact_sq"]) == (None, "700")
         assert d["lower"] is None and d["mu_lower"] is None
         assert d["upper"] == pytest.approx(700**0.5, rel=1e-15)
@@ -486,7 +486,7 @@ class TestSpectralTest:
         a = 2**1030 + 1
         r = spectral_test(a, 2**2060, 2)
         assert r.v_sq == 1 + (a - 2) ** 2 and r.vector == (1, a - 2)
-        d = r.bounds.to_json_dict(r.N)
+        d = cli._bounds_json(r.bounds, r.N)
         assert d["lower"] is None and d["upper"] is None
         assert d["lower_exact_sq"] == d["upper_exact_sq"] == str(r.v_sq)
         assert r.mu == pytest.approx(math.pi, rel=1e-12)
@@ -529,7 +529,7 @@ class TestSpectralTest:
 
     def test_json_dict(self):
         # only what varies with s: a, N and the profile are stated once by `analyze`
-        d = spectral_test(26, 625, 2).to_json_dict()
+        d = cli._result_json(spectral_test(26, 625, 2))
         assert sorted(d) == ["bounds", "lg_v", "mu", "regime", "s", "v_sq", "vector"]
         assert d["s"] == 2 and d["v_sq"] == "577"
         assert d["vector"] == ["1", "24"]
@@ -538,7 +538,7 @@ class TestSpectralTest:
         json.dumps(d)
 
     def test_json_dict_without_profile(self):
-        d = spectral_test(23, 10**8 + 1, 2).to_json_dict()
+        d = cli._result_json(spectral_test(23, 10**8 + 1, 2))
         assert sorted(d) == ["bounds", "lg_v", "mu", "regime", "s", "v_sq", "vector"]
         assert d["regime"] is None and d["bounds"] is None
 
