@@ -6,9 +6,9 @@ N = (a-1)^(tau+l) / lambda with 1 <= lambda <= (a-1)^l.  `build_range` is
 the one construction; `build_single_dimension(s)` is `build_range(s, 0, 1)`.
 Such pairs land in the theorem regimes of `spectral` by construction, so
 every build ships with a certificate of per-dimension bounds, and `validate`
-re-checks small builds against the exact solver.  The bound decisions
-themselves are made by `spectral.check_bounds`, the same checks that mark
-`analyze`'s output.
+re-checks small builds against the exact solver: its rows are the solver's
+results with the certificate as their `bounds`, so their `checks` are the
+ones that mark `analyze`'s output.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .errors import (
 from .lattice import DEFAULT_ENUM_CAP
 from .lcg import LcgParams, _power_quotient, check_max_period, compute_potential
 from .numtheory import is_probable_prime
-from .spectral import b_coefficient, check_bounds, spectral_profile, theorem_bounds
+from .spectral import b_coefficient, spectral_profile, theorem_bounds
 
 # Largest exponent t = tau+l a build takes.  No larger t can succeed: N keeps
 # at least (a-1)^2 of (a-1)^t and a - 1 > b_t > 2^t/(2t+2), so N would have
@@ -114,9 +114,13 @@ class BuiltGenerator(Record):
 
     __slots__ = ()
 
-    def __new__(cls, params: LcgParams, profile: PotentialProfile, covers_s_max: int,
+    def __new__(cls, params: LcgParams, profile: PotentialProfile,
                 guaranteed: tuple[TheoremBounds, ...]) -> BuiltGenerator:
-        return tuple.__new__(cls, (params, profile, covers_s_max, guaranteed))
+        return tuple.__new__(cls, (params, profile, guaranteed))
+
+    @property
+    def covers_s_max(self) -> int:
+        return self.guaranteed[-1].s
 
     @property
     def uniform_lower_sq(self) -> int | Fraction | None:
@@ -167,7 +171,6 @@ def build_range(tau: int, l: int, lam: int, recipe: MultiplierRecipe,
     return BuiltGenerator(
         params=params,
         profile=profile,
-        covers_s_max=tau,
         guaranteed=tuple(theorem_bounds(a, profile, s) for s in range(2, tau + 1)),
     )
 
@@ -181,44 +184,30 @@ def build_single_dimension(s: int, recipe: MultiplierRecipe,
     return build_range(s, 0, 1, recipe, min_accuracy)
 
 
-class ValidationRow(Record):
-    """The solver's SpectralResult for one dimension and the BoundCheck
-    tuple it was held to."""
-
-    __slots__ = ()
-
-    def __new__(cls, result: SpectralResult, checks: tuple[BoundCheck, ...]) -> ValidationRow:
-        return tuple.__new__(cls, (result, checks))
-
-    @property
-    def ok(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-
 class ValidationReport(Record):
-    """One ValidationRow per validated dimension, in order."""
+    """One SpectralResult per validated dimension, in order, its `bounds`
+    the build's certificate entry (None beyond the covered dimensions)."""
 
     __slots__ = ()
 
-    def __new__(cls, rows: tuple[ValidationRow, ...]) -> ValidationReport:
+    def __new__(cls, rows: tuple[SpectralResult, ...]) -> ValidationReport:
         return tuple.__new__(cls, (rows,))
 
     @property
     def ok(self) -> bool:
-        return all(r.ok for r in self.rows)
+        return all(passed for row in self.rows for _, passed in row.checks)
 
 
 def validate(gen: BuiltGenerator, s_max: int, cap: int = DEFAULT_ENUM_CAP) -> ValidationReport:
     """Run the exact solver for s = 2..s_max and hold each v_s against the
     build's own certificate (not the bounds the solver attaches, so a forged
-    certificate is caught) plus the packing bound, by `check_bounds`.  Every
-    check is asserted; failures are reported, never raised.
+    certificate is caught) plus the packing bound.  Every check is asserted;
+    failures are reported, never raised.
     """
     if s_max < 2:
         raise InvalidParams(f"need s_max >= 2, got {shown(s_max)}")
     by_s = {tb.s: tb for tb in gen.guaranteed}
-    N = gen.params.N
     return ValidationReport(rows=tuple(
-        ValidationRow(res, check_bounds(res.s, N, res.v_sq, by_s.get(res.s)))
-        for res in spectral_profile(gen.params.a, N, range(2, s_max + 1), cap)
+        res._replace(bounds=by_s.get(res.s))
+        for res in spectral_profile(gen.params.a, gen.params.N, range(2, s_max + 1), cap)
     ))

@@ -48,7 +48,7 @@ from .lattice import (
     shortest_vector,
 )
 from .lcg import LcgParams, _require_max_period
-from .spectral import _exp, _log, _packing_cap_text, check_bounds, merit, spectral_profile
+from .spectral import _exp, _log, _packing_cap_text, merit, spectral_profile
 
 EXIT_OK = 0
 EXIT_SCORECARD = 1
@@ -65,12 +65,10 @@ _EXIT_CODES = {
     **dict.fromkeys((BudgetExceeded, DimensionTooLarge), EXIT_BUDGET),
 }
 
-_REGIME_LABEL = {
-    "S_EQ_TAU_2": "s = tau = 2",
-    "S_EQ_TAU_GE3": "s = tau >= 3",
-    "S_LT_TAU": "s < tau",
-    "S_GT_TAU": "s > tau",
-}
+# by theorem id, the regime (s, tau) it covers: its csv and JSON code, its text label
+_REGIMES = {1: ("S_EQ_TAU_2", "s = tau = 2"), 3: ("S_EQ_TAU_2", "s = tau = 2"),
+            2: ("S_EQ_TAU_GE3", "s = tau >= 3"), 5: ("S_EQ_TAU_GE3", "s = tau >= 3"),
+            6: ("S_LT_TAU", "s < tau"), 7: ("S_GT_TAU", "s > tau")}
 
 
 # json's spelling of the floats that float.__repr__ writes as words
@@ -188,11 +186,11 @@ def _dash(value) -> str:
 
 
 def _checks_cell(r, fmt: str) -> str:
-    """`lower`, `upper` or `B` per `check_bounds` check, " VIOLATED" appended
+    """`lower`, `upper` or `B` per check of `r.checks`, " VIOLATED" appended
     when the check fails; joined by ";" in csv and by spaces in text, "-"
     when there is none."""
-    marks = [("B" if chk.kind == "packing" else chk.kind) + ("" if chk.passed else " VIOLATED")
-             for chk in check_bounds(r.s, r.N, r.v_sq, r.bounds)]
+    marks = [("B" if kind == "packing" else kind) + ("" if passed else " VIOLATED")
+             for kind, passed in r.checks]
     return (";" if fmt == "csv" else " ").join(marks) or "-"
 
 
@@ -201,8 +199,8 @@ _ANALYZE_COLUMNS = (
     ("v_sq", "v^2", lambda r, fmt: str(r.v_sq)),
     ("lg_v", "lg v", _decimals("lg_v")),
     ("mu", "mu", _decimals("mu")),
-    ("regime", "regime", lambda r, fmt: "-" if r.regime is None else (
-        r.regime if fmt == "csv" else _REGIME_LABEL[r.regime])),
+    ("regime", "regime", lambda r, fmt: "-" if r.bounds is None else
+        _REGIMES[r.bounds.theorem_id][fmt == "text"]),
     ("tau", None, lambda r, fmt: _dash(r.profile and r.profile.tau)),
     ("lambda", None, lambda r, fmt: _dash(r.profile and r.profile.lam)),
     ("theorem", "thm", lambda r, fmt: _dash(r.bounds and r.bounds.theorem_id)),
@@ -239,7 +237,7 @@ def _result_json(r: SpectralResult) -> dict:
         "lg_v": r.lg_v,
         "vector": [str(x) for x in r.vector],
         "mu": r.mu,
-        "regime": r.regime,
+        "regime": r.bounds and _REGIMES[r.bounds.theorem_id][0],
         "bounds": None if r.bounds is None else _bounds_json(r.bounds, r.N),
     }
 
@@ -288,24 +286,37 @@ def _parse_primes(text: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(primes), tuple(exps)
 
 
+def _side(s: int, kind: str, tb: TheoremBounds | None) -> str:
+    """One bound on v_s in words: `v_3^2 >= 5` or `v_3^2 <= 9` for the lower
+    or upper side of `tb`, or `v_3 within the dimension-3 packing bound`."""
+    if kind == "packing":
+        return f"v_{s} within the dimension-{s} packing bound"
+    return f"v_{s}^2 >= {tb.lower_sq}" if kind == "lower" else f"v_{s}^2 <= {tb.upper_sq}"
+
+
 def _statement(tb: TheoremBounds) -> str:
     """The bounds as one line, e.g. `v_3^2 >= 5; v_3^2 <= 9 (theorem 2)`."""
-    v, lo, hi = f"v_{tb.s}^2", tb.lower_sq, tb.upper_sq
+    lo, hi = tb.lower_sq, tb.upper_sq
     if lo is not None and lo == hi:
-        return f"{v} = {lo} (theorem {tb.theorem_id})"
-    parts = [] if lo is None else [f"{v} >= {lo}"]
-    if hi is not None:
-        parts.append(f"{v} <= {hi}")
-    return "; ".join(parts) + f" (theorem {tb.theorem_id})"
+        return f"v_{tb.s}^2 = {lo} (theorem {tb.theorem_id})"
+    sides = [_side(tb.s, kind, tb) for kind, sq in (("lower", lo), ("upper", hi)) if sq is not None]
+    return "; ".join(sides) + f" (theorem {tb.theorem_id})"
+
+
+def _check_name(r: SpectralResult, kind: str) -> str:
+    """What a check of `r.checks` asserts, e.g. `v_2^2 >= 577 (theorem 1)`."""
+    name = _side(r.s, kind, r.bounds)
+    return name if kind == "packing" else f"{name} (theorem {r.bounds.theorem_id})"
 
 
 def _validation_json(report: ValidationReport) -> dict:
     """Each validated dimension's figures and checks, by name and outcome."""
     return {
         "ok": report.ok,
-        "rows": [{"s": row.result.s, "v_sq": str(row.result.v_sq), "mu": row.result.mu,
-                  "checks": [{"name": c.name, "passed": c.passed} for c in row.checks]}
-                 for row in report.rows],
+        "rows": [{"s": r.s, "v_sq": str(r.v_sq), "mu": r.mu,
+                  "checks": [{"name": _check_name(r, kind), "passed": passed}
+                             for kind, passed in r.checks]}
+                 for r in report.rows],
     }
 
 
@@ -354,11 +365,10 @@ def cmd_build(args, out: TextIOBase) -> int:
     if report is not None:
         out.write(f"validation up to s = {args.validate}: "
                   f"{'ok' if report.ok else 'FAILED'}\n")
-        for row in report.rows:
-            r = row.result
+        for r in report.rows:
             out.write(f"  s={r.s} v^2={r.v_sq} mu={r.mu:.4f}\n")
-            for chk in row.checks:
-                out.write(f"    {chk.name}: {'ok' if chk.passed else 'FAILED'}\n")
+            for kind, passed in r.checks:
+                out.write(f"    {_check_name(r, kind)}: {'ok' if passed else 'FAILED'}\n")
         if not report.ok:
             return EXIT_SCORECARD
     return EXIT_OK

@@ -4,14 +4,15 @@ v_s is the exact lattice minimum from `lattice`; mu_s rescales it against the
 best packing achievable at the same modulus.  For maximum-period parameter
 families, the potential profile (tau, lambda) selects one of four regimes and
 each regime carries proven lower/upper estimates on v_s; those are encoded
-here with their preconditions checked explicitly, and all of them asserted.
+here with their preconditions checked explicitly, and all of them asserted by
+`check_bounds` (read as `SpectralResult.checks`); `cli` words every bound.
 """
 
 from __future__ import annotations
 
 import math
 
-from .errors import InvalidParams, NoPotential, PotentialOne, Record, shown
+from .errors import InvalidParams, NoPotential, PotentialOne, Record, _too_many_digits, shown
 from .lattice import DEFAULT_ENUM_CAP, _check_cap, dual_basis, extend_dual_basis, shortest_vector
 from .lcg import PotentialProfile, compute_potential
 
@@ -20,10 +21,6 @@ from .lcg import PotentialProfile, compute_potential
 # v_s <= gamma_s N^(1/s), which is v_sq^s <= gamma_s^(2s) N^2, is decided
 # exactly, and the cap is printed from the same table.
 _GAMMA_POW_2S = {2: (4, 3), 3: (2, 1), 4: (4, 1), 5: (8, 1), 6: (64, 3), 7: (64, 1), 8: (256, 1)}
-
-# the regime, as (s, tau) selects it, that each theorem covers
-_REGIME = {1: "S_EQ_TAU_2", 3: "S_EQ_TAU_2", 2: "S_EQ_TAU_GE3", 5: "S_EQ_TAU_GE3",
-           6: "S_LT_TAU", 7: "S_GT_TAU"}
 
 
 def _log(x: int | Fraction) -> float:
@@ -110,7 +107,8 @@ class TheoremBounds(Record):
     else a Fraction, and None for a side whose preconditions fail; each side
     present is asserted by `check_bounds`.  `conditions_met` and `violations`
     are tuples of str.  The CLI renders the roots and the mu_s window that
-    the squares induce, and the one-line statement of the bounds.
+    the squares induce, the one-line statement of the bounds and the regime
+    that `theorem_id` covers.
     """
 
     __slots__ = ()
@@ -121,30 +119,19 @@ class TheoremBounds(Record):
         return tuple.__new__(cls, (theorem_id, s, lower_sq, upper_sq, conditions_met, violations))
 
 
-class BoundCheck(Record):
-    """One exact, asserted check of v_s: `kind` is "lower" or "upper" (a
-    theorem bound) or "packing"; a check that did not pass is a violation."""
-
-    __slots__ = ()
-
-    def __new__(cls, kind: str, name: str, passed: bool) -> BoundCheck:
-        return tuple.__new__(cls, (kind, name, passed))
-
-
-def check_bounds(s: int, N: int, v_sq: int, tb: TheoremBounds | None) -> tuple[BoundCheck, ...]:
+def check_bounds(s: int, N: int, v_sq: int,
+                 tb: TheoremBounds | None) -> tuple[tuple[str, bool], ...]:
     """v_sq held against the lower and upper bounds of `tb` and the packing
-    bound, by exact int/Fraction comparisons; a check is present, and
-    asserted, whenever its bound is.  The one place v_sq meets the theorem
-    bounds: `analyze`'s marks and `builder.validate`'s rows read these."""
+    bound, by exact int/Fraction comparisons: one (kind, passed) pair per
+    bound present, kind "lower", "upper" or "packing", each asserted.  The
+    one place v_sq meets the bounds; `SpectralResult.checks` calls it."""
     checks = []
     if tb is not None and tb.lower_sq is not None:
-        checks.append(BoundCheck("lower", f"v_{s}^2 >= {tb.lower_sq} (theorem {tb.theorem_id})",
-                                 v_sq >= tb.lower_sq))
+        checks.append(("lower", v_sq >= tb.lower_sq))
     if tb is not None and tb.upper_sq is not None:
-        checks.append(BoundCheck("upper", f"v_{s}^2 <= {tb.upper_sq} (theorem {tb.theorem_id})",
-                                 v_sq <= tb.upper_sq))
+        checks.append(("upper", v_sq <= tb.upper_sq))
     if (ok := within_packing_bound(s, N, v_sq)) is not None:
-        checks.append(BoundCheck("packing", f"v_{s} within the dimension-{s} packing bound", ok))
+        checks.append(("packing", ok))
     return tuple(checks)
 
 
@@ -152,7 +139,8 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
     """Select and evaluate the estimate matching (s, tau, lambda).
 
     Violated preconditions never raise: the affected side is omitted and the
-    reason recorded, so reports stay total.
+    reason recorded, so reports stay total.  A side with more digits than
+    Python prints is refused (InvalidParams), as no report could show it.
 
     Theorem 3's lower estimate v_2^2 >= (1 + (a-2)^2)/lambda^2 (s = tau = 2,
     lambda > 1), encoded as printed, always holds.  Let b = a - 1, so N | b^2,
@@ -234,6 +222,11 @@ def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
         theorem_id = 7
         upper_sq = math.comb(2 * tau, tau)  # sum of C(tau, k)^2
 
+    for side, sq in (("lower", lower_sq), ("upper", upper_sq)):
+        if sq is not None and (limit := _too_many_digits(sq.numerator)
+                               or _too_many_digits(sq.denominator)):
+            raise InvalidParams(f"theorem {theorem_id}'s {side} bound on v_{s}^2 has more than "
+                                f"{limit} digits")
     return TheoremBounds(
         theorem_id=theorem_id,
         s=s,
@@ -249,7 +242,8 @@ class SpectralResult(Record):
     `vector` (a tuple of ints), which the enumeration proved shortest;
     `profile` (PotentialProfile) and `bounds` (TheoremBounds) are None when
     (a, N) has no potential.  The display figures `lg_v` and `mu` and the
-    `regime` are computed when read."""
+    `checks` are computed when read; `builder.validate`'s rows carry a
+    build's certificate as their `bounds`."""
 
     __slots__ = ()
 
@@ -268,10 +262,9 @@ class SpectralResult(Record):
         return merit(self.s, self.v_sq, self.N)
 
     @property
-    def regime(self) -> str | None:
-        """The code of the regime (s, tau) that the theorem of `bounds`
-        covers; None without bounds."""
-        return None if self.bounds is None else _REGIME[self.bounds.theorem_id]
+    def checks(self) -> tuple[tuple[str, bool], ...]:
+        """`check_bounds` of v_sq against `bounds` and the packing bound."""
+        return check_bounds(self.s, self.N, self.v_sq, self.bounds)
 
 
 def spectral_profile(a: int, N: int, dims: range,

@@ -250,7 +250,6 @@ class TestCertificateJson:
         g = BuiltGenerator(
             params=LcgParams(13, 1, 16, 0),
             profile=PotentialProfile(2, 9),
-            covers_s_max=2,
             guaranteed=(theorem_bounds(13, PotentialProfile(2, 9), 2),),
         )
         assert g.uniform_lower_sq == Fraction(122, 81)
@@ -265,15 +264,16 @@ class TestValidate:
         g = build_single_dimension(2, MultiplierRecipe(a=26))
         rep = validate(g, 3)
         assert rep.ok
-        assert [r.result.s for r in rep.rows] == [2, 3]
-        names = [c.name for c in rep.rows[0].checks]
-        assert names == [
+        assert [r.s for r in rep.rows] == [2, 3]
+        rows = cli._validation_json(rep)["rows"]
+        assert [c["name"] for c in rows[0]["checks"]] == [
             "v_2^2 >= 577 (theorem 1)",
             "v_2^2 <= 577 (theorem 1)",
             "v_2 within the dimension-2 packing bound",
         ]
         # beyond coverage only the packing bound applies
-        assert [c.name for c in rep.rows[1].checks] == [
+        assert rep.rows[1].bounds is None
+        assert [c["name"] for c in rows[1]["checks"]] == [
             "v_3 within the dimension-3 packing bound"
         ]
 
@@ -281,15 +281,15 @@ class TestValidate:
         g = build_single_dimension(2, MultiplierRecipe(a=1664525))
         rep = validate(g, 3)
         assert rep.ok
-        assert rep.rows[0].result.v_sq == 1 + 1664523**2
+        assert rep.rows[0].v_sq == 1 + 1664523**2
 
     def test_beyond_tabulated_dimensions(self):
         g = build_single_dimension(2, MultiplierRecipe(a=26))
         rep = validate(g, 9)
         assert rep.ok
-        assert rep.rows[-1].result.s == 9
+        assert rep.rows[-1].s == 9
         assert rep.rows[-1].checks == ()  # no certificate, no tabulated constant
-        assert rep.rows[-1].result.v_sq == 4
+        assert rep.rows[-1].v_sq == 4
 
     def test_reports_failures_without_raising(self):
         good = build_single_dimension(2, MultiplierRecipe(a=26))
@@ -297,34 +297,32 @@ class TestValidate:
         fake = BuiltGenerator(
             params=good.params,
             profile=good.profile,
-            covers_s_max=2,
             guaranteed=(theorem_bounds(27, PotentialProfile(2, 1), 2),),
         )
         rep = validate(fake, 2)
         assert not rep.ok
-        lower = rep.rows[0].checks[0]
-        assert lower.name == "v_2^2 >= 626 (theorem 1)"
-        assert not lower.passed
-        assert rep.rows[0].checks[1].passed  # upper still holds
-        assert cli._validation_json(rep)["ok"] is False
+        assert rep.rows[0].checks[0] == ("lower", False)
+        assert rep.rows[0].checks[1] == ("upper", True)  # upper still holds
+        d = cli._validation_json(rep)
+        assert d["rows"][0]["checks"][0] == {"name": "v_2^2 >= 626 (theorem 1)", "passed": False}
+        assert d["ok"] is False
 
     def test_theorem_3_check_gates(self):
         # a = 13, N = 16: v_2^2 = 10 clears theorem 3's 122/81, but not the
         # same estimate without its lambda^2, 1 + (a-2)^2 = 122
         tb = theorem_bounds(13, PotentialProfile(2, 9), 2)
-        for lower_sq, ok in [(Fraction(122, 81), True), (122, False)]:
+        for lower_sq, ok, name in [(Fraction(122, 81), True, "v_2^2 >= 122/81 (theorem 3)"),
+                                   (122, False, "v_2^2 >= 122 (theorem 3)")]:
             g = BuiltGenerator(
                 params=LcgParams(13, 1, 16, 0),
                 profile=PotentialProfile(2, 9),
-                covers_s_max=2,
                 guaranteed=(tb._replace(lower_sq=lower_sq),),
             )
             rep = validate(g, 2)
             assert rep.ok is ok
-            first = rep.rows[0].checks[0]
-            assert (first.kind, first.passed) == ("lower", ok)
+            assert rep.rows[0].checks[0] == ("lower", ok)
             row = cli._validation_json(rep)["rows"][0]
-            assert row["checks"][0] == {"name": first.name, "passed": ok}
+            assert row["checks"][0] == {"name": name, "passed": ok}
 
     def test_json_round_trip(self):
         g = build_single_dimension(2, MultiplierRecipe(a=26))
@@ -346,9 +344,11 @@ class TestValidate:
     def test_rows_match_per_dimension_solver(self):
         g = build_range(6, 0, 1, MultiplierRecipe(a=69069))
         rep = validate(g, 8)
-        assert [r.result.s for r in rep.rows] == list(range(2, 9))
-        assert [r.result for r in rep.rows] == [
-            spectral_test(69069, g.params.N, s) for s in range(2, 9)
+        assert [r.s for r in rep.rows] == list(range(2, 9))
+        # the solver's results, each with the certificate as its bounds
+        assert [r.bounds for r in rep.rows] == [*g.guaranteed, None, None]
+        assert [r._replace(bounds=None) for r in rep.rows] == [
+            spectral_test(69069, g.params.N, s)._replace(bounds=None) for s in range(2, 9)
         ]
 
     def test_over_cap_refused_before_any_basis_or_list(self, monkeypatch):

@@ -290,6 +290,43 @@ def test_renderer_scan_flags_each_kind():
     ]
 
 
+# the phrases that word a bound in a statement or a check name; `cli` words
+# every bound, and a check elsewhere is only its kind and outcome
+BOUND_WORDING = ("(theorem ", "packing bound")
+
+
+def bound_wording(source: str) -> list[str]:
+    """Each f-string in `source` whose literal text holds a phrase of
+    BOUND_WORDING, by phrase and line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.JoinedStr):
+            text = "".join(v.value for v in node.values if isinstance(v, ast.Constant))
+            found += [(node.lineno, f"{phrase!r} (line {node.lineno})")
+                      for phrase in BOUND_WORDING if phrase in text]
+    return [text for _, text in sorted(found)]
+
+
+@pytest.mark.parametrize("path", sorted(p for p in PACKAGE.glob("*.py") if p.stem != "cli"),
+                         ids=lambda p: p.name)
+def test_only_the_cli_words_bounds(path):
+    assert bound_wording(path.read_text(encoding="utf-8")) == []
+
+
+def test_bound_wording_scan_flags_each_kind():
+    source = (
+        "a = f'v_{s}^2 >= {lo} (theorem {k})'\n"
+        "b = f'v_{s} within the dimension-{s} ' 'packing bound'\n"
+        "c = f'{x:{w}}' + f'(theorem {k}) packing bound'\n"
+        "ok = ('(theorem 1)', 'packing bound', f'theorem {k}', f'{\"(theorem \"}')\n"
+        "'a docstring: the packing bound (theorem 2)'\n"
+    )
+    assert bound_wording(source) == [
+        "'(theorem ' (line 1)", "'packing bound' (line 2)",
+        "'(theorem ' (line 3)", "'packing bound' (line 3)",
+    ]
+
+
 ENVIRONMENT = {"environ", "environb", "getenv", "getenvb", "putenv", "unsetenv"}
 
 

@@ -16,7 +16,7 @@ from lcgspec.errors import InvalidParams
 from lcgspec.lattice import LatticeBasis, dual_basis, lll_reduce, shortest_vector
 from lcgspec.lcg import LcgParams, check_max_period, compute_potential
 from lcgspec.scorecard import CheckResult
-from lcgspec.spectral import check_bounds, spectral_test, theorem_bounds
+from lcgspec.spectral import spectral_test
 
 
 def test_params_positional_keyword_and_unpacking():
@@ -73,10 +73,8 @@ def _every_record():
         check_max_period(params),
         compute_potential(26, 625),
         res.bounds,
-        check_bounds(2, 625, 577, res.bounds)[0],
         res,
         gen,
-        report.rows[0],
         report,
         frequency_test(params, 0, Fraction(1, 2)),
         shortest_vector(dual_basis(26, 625, 2)),

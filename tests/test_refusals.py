@@ -212,6 +212,37 @@ class TestAnswerTooLongToPrint:
         assert str(exc.value) == SQUARED_NORM.format(digit_limit)
 
 
+class TestTheoremBoundTooLongToPrint:
+    """A theorem bound too long to print is refused with exit 2, before
+    anything is written.  a = 10^3000 + 1, N = 10^4000 is theorem 3's
+    s = tau = 2 with lambda = 10^2000: its lower bound (1 + (a-2)^2)/lambda^2
+    has a numerator of 6,000 digits, though v_2^2 prints."""
+
+    A, N = 10**3000 + 1, 10**4000
+    REFUSAL = "theorem 3's lower bound on v_2^2 has more than {} digits"
+
+    @pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+    def test_analyze(self, capsys, fmt):
+        argv = ["analyze", "--a", "10^3000+1", "--N", "10^4000", "--s", "2", "--format", fmt]
+        assert run(argv) == (2, "")
+        assert capsys.readouterr().err == f"error: {self.REFUSAL.format(DEFAULT_LIMIT)}\n"
+
+    # at a limit of 640 digits, lambda = 10^2000 is refused first
+    @pytest.mark.parametrize("digit_limit", [DEFAULT_LIMIT, 0], ids=["default", "none"],
+                             indirect=True)
+    def test_library(self, digit_limit):
+        profile = compute_potential(self.A, self.N)
+        assert profile == PotentialProfile(2, 10**2000)
+        if digit_limit:
+            with pytest.raises(InvalidParams) as exc:
+                theorem_bounds(self.A, profile, 2)
+            assert str(exc.value) == self.REFUSAL.format(digit_limit)
+        else:
+            tb = theorem_bounds(self.A, profile, 2)
+            assert tb.lower_sq == Fraction(1 + (self.A - 2) ** 2, 10**4000)
+            assert tb.upper_sq == 2 * 10**2000
+
+
 @pytest.mark.parametrize("digit_limit", [0], ids=["none"], indirect=True)
 def test_without_a_limit_the_long_answer_is_returned(digit_limit):
     a, N = hexagonal_pair(640)

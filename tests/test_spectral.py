@@ -31,7 +31,6 @@ from lcgspec.lattice import (
     shortest_vector,
 )
 from lcgspec.spectral import (
-    BoundCheck,
     SpectralResult,
     _exp,
     _log,
@@ -262,45 +261,50 @@ class TestWithinPackingBound:
 
 
 class TestCheckBounds:
-    PACKING_2 = BoundCheck("packing", "v_2 within the dimension-2 packing bound", True)
+    PACKING_2 = ("packing", True)
 
     def test_bounds_met_with_equality(self):
         # theorem 1 at a = 26: v_2^2 = 577 is both bounds
         tb = theorem_bounds(26, PotentialProfile(2, 1), 2)
-        assert check_bounds(2, 625, 577, tb) == (
-            BoundCheck("lower", "v_2^2 >= 577 (theorem 1)", True),
-            BoundCheck("upper", "v_2^2 <= 577 (theorem 1)", True),
-            self.PACKING_2,
-        )
+        assert check_bounds(2, 625, 577, tb) == (("lower", True), ("upper", True), self.PACKING_2)
 
     @pytest.mark.parametrize("forged_a, lower, upper", [(27, False, True), (25, True, False)])
     def test_forged_bounds_fail(self, forged_a, lower, upper):
         # the theorem-1 bounds of a neighbouring multiplier, 1 + (a-2)^2, held
         # against v_2^2 = 577 of a = 26
         tb = theorem_bounds(forged_a, PotentialProfile(2, 1), 2)
-        sq = 1 + (forged_a - 2) ** 2
-        assert check_bounds(2, 625, 577, tb) == (
-            BoundCheck("lower", f"v_2^2 >= {sq} (theorem 1)", lower),
-            BoundCheck("upper", f"v_2^2 <= {sq} (theorem 1)", upper),
-            self.PACKING_2,
-        )
+        assert check_bounds(2, 625, 577, tb) == (("lower", lower), ("upper", upper), self.PACKING_2)
 
     @pytest.mark.parametrize("v_sq, passed", [(10, True), (1, False)])
     def test_theorem_3_lower_bound_is_asserted(self, v_sq, passed):
         # theorem 3 at a = 13, N = 16: lower 122/81, compared exactly; no upper
         tb = theorem_bounds(13, PotentialProfile(2, 9), 2)
-        assert check_bounds(2, 16, v_sq, tb) == (
-            BoundCheck("lower", "v_2^2 >= 122/81 (theorem 3)", passed),
-            BoundCheck("packing", "v_2 within the dimension-2 packing bound", True),
-        )
+        assert check_bounds(2, 16, v_sq, tb) == (("lower", passed), self.PACKING_2)
 
     def test_only_applicable_checks(self):
         upper_only = theorem_bounds(13, PotentialProfile(2, 9), 3)  # theorem 7
-        assert [c.kind for c in check_bounds(3, 16, 6, upper_only)] == ["upper", "packing"]
-        assert check_bounds(8, 625, 4, None) == (
-            BoundCheck("packing", "v_8 within the dimension-8 packing bound", True),
-        )
+        assert [kind for kind, _ in check_bounds(3, 16, 6, upper_only)] == ["upper", "packing"]
+        assert check_bounds(8, 625, 4, None) == (("packing", True),)
         assert check_bounds(9, 625, 4, None) == ()
+
+    def test_cli_words_each_check(self):
+        # a result's checks, named as `build --validate` prints them: a theorem
+        # bound's side and its theorem, or the packing bound's dimension
+        def names(s, N, v_sq, tb):
+            r = SpectralResult(0, N, s, v_sq, (), None, tb)
+            assert r.checks == check_bounds(s, N, v_sq, tb)
+            return [cli._check_name(r, kind) for kind, _ in r.checks]
+
+        packing = "v_2 within the dimension-2 packing bound"
+        for a, sq in [(26, 577), (27, 626), (25, 530)]:
+            tb = theorem_bounds(a, PotentialProfile(2, 1), 2)
+            assert names(2, 625, 577, tb) == [
+                f"v_2^2 >= {sq} (theorem 1)", f"v_2^2 <= {sq} (theorem 1)", packing]
+        assert names(2, 16, 10, theorem_bounds(13, PotentialProfile(2, 9), 2)) == [
+            "v_2^2 >= 122/81 (theorem 3)", packing]
+        assert names(3, 16, 6, theorem_bounds(13, PotentialProfile(2, 9), 3)) == [
+            "v_3^2 <= 6 (theorem 7)", "v_3 within the dimension-3 packing bound"]
+        assert names(8, 625, 4, None) == ["v_8 within the dimension-8 packing bound"]
 
 
 class TestRegime:
@@ -323,7 +327,8 @@ class TestRegime:
         a, profile = 1001, PotentialProfile(tau, lam)
         tb = theorem_bounds(a, profile, s)
         assert tb.theorem_id == theorem_id
-        assert SpectralResult(a, 10**9, s, 1, (), profile, tb).regime == expected
+        r = SpectralResult(a, 10**9, s, 1, (), profile, tb)
+        assert cli._result_json(r)["regime"] == expected
 
     def test_rejects_small_s(self):
         with pytest.raises(InvalidParams):
@@ -476,7 +481,7 @@ class TestSpectralTest:
         r = spectral_test(26, 625, 2)
         assert r.v_sq == 577
         assert r.vector == (1, 24)
-        assert r.regime == "S_EQ_TAU_2"
+        assert cli._result_json(r)["regime"] == "S_EQ_TAU_2"
         assert r.profile == PotentialProfile(2, 1)
         assert r.bounds.lower_sq == r.bounds.upper_sq == 577
         assert r.mu == pytest.approx(merit(2, 577, 625), rel=1e-15)
@@ -511,13 +516,13 @@ class TestSpectralTest:
     def test_no_potential_still_reports_lattice_figures(self):
         r = spectral_test(23, 10**8 + 1, 2)
         assert r.v_sq == 530
-        assert r.profile is None and r.regime is None and r.bounds is None
+        assert r.profile is None and cli._result_json(r)["regime"] is None and r.bounds is None
         assert spectral_test(23, 10**8 + 1, 6).v_sq == 447
 
     def test_bounds_attached_even_when_violated(self):
         r = spectral_test(69069, 2**32, 2)
         assert r.v_sq == 4243209856
-        assert r.regime == "S_LT_TAU"
+        assert cli._result_json(r)["regime"] == "S_LT_TAU"
         assert r.bounds.theorem_id == 6
         assert r.bounds.lower_sq is None
         assert "lambda > (a-1)^(tau-s)" in r.bounds.violations
@@ -590,11 +595,11 @@ class TestBoundSandwich:
             assert len(multipliers) == count, N
             for a in multipliers:
                 for r in spectral_profile(a, N, range(2, 9)):
-                    for chk in check_bounds(r.s, N, r.v_sq, r.bounds):
-                        checks.append(chk)
-                        if not chk.passed:
-                            failed.append((a, N, chk.name))
-                        if chk.kind == "lower":
+                    for kind, passed in check_bounds(r.s, N, r.v_sq, r.bounds):
+                        checks.append(kind)
+                        if not passed:
+                            failed.append((a, N, r.s, kind))
+                        if kind == "lower":
                             thm, gap = r.bounds.theorem_id, r.v_sq - r.bounds.lower_sq
                             closest[thm] = min(closest.get(thm, gap), gap)
         assert failed == []
@@ -615,7 +620,7 @@ class TestBoundSandwich:
                     continue
                 (r,) = spectral_profile(a, N, range(s, s + 1))
                 assert r.bounds.theorem_id == 2, (a, s)
-                assert all(chk.passed for chk in check_bounds(s, N, r.v_sq, r.bounds)), (a, s)
+                assert all(passed for _, passed in check_bounds(s, N, r.v_sq, r.bounds)), (a, s)
                 count += 1
                 gap = r.v_sq - r.bounds.lower_sq
                 closest[s] = min(closest.get(s, gap), gap)
@@ -631,8 +636,8 @@ class TestBoundSandwich:
         def holds(a, N, lam):
             (r,) = spectral_profile(a, N, range(2, 3))
             assert r.bounds.theorem_id == 3, (a, lam)
-            for chk in check_bounds(2, N, r.v_sq, r.bounds):
-                assert chk.passed, (a, lam, chk.name)
+            for kind, passed in check_bounds(2, N, r.v_sq, r.bounds):
+                assert passed, (a, lam, kind)
             assert r.v_sq * (a - 1) ** 2 >= N * N, (a, lam)
             return r.v_sq - r.bounds.lower_sq
 
@@ -751,8 +756,8 @@ class TestSpectralProfile:
     def test_no_potential(self):
         got = spectral_profile(23, 10**8 + 1, range(2, 7))
         assert [r.v_sq for r in got] == [530, 530, 530, 530, 447]
-        assert all(r.profile is None and r.regime is None and r.bounds is None
-                   for r in got)
+        assert all(r.profile is None and r.bounds is None
+                   and cli._result_json(r)["regime"] is None for r in got)
 
     @pytest.mark.parametrize("a, N", SWEEP_PAIRS + [(69069, 69068**6), (129, 2**35)])
     def test_range_starting_above_two(self, a, N):
