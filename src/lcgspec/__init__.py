@@ -3,7 +3,6 @@
 from .builder import (
     BuiltGenerator,
     MultiplierRecipe,
-    ValidationReport,
     build_range,
     validate,
 )
@@ -73,7 +72,6 @@ __all__ = [
     "SpectralResult",
     "TheoremBounds",
     "TooSmall",
-    "ValidationReport",
     "b_coefficient",
     "brute_force_shortest",
     "build_range",

@@ -6,7 +6,7 @@ N = (a-1)^(tau+l) / lambda with 1 <= lambda <= (a-1)^l.  `build_range` is
 the one construction; `build_single_dimension(s)` is `build_range(s, 0, 1)`.
 Such pairs land in the theorem regimes of `spectral` by construction, so
 every build ships with a certificate of per-dimension bounds, and `validate`
-re-checks small builds against the exact solver: its rows are the solver's
+re-checks small builds against the exact solver: it returns the solver's
 results with the certificate as their `bounds`, so their `checks` are the
 ones that mark `analyze`'s output.
 """
@@ -39,7 +39,9 @@ class MultiplierRecipe(Record):
     """Either an explicit multiplier `a`, or the shape d * prod(p_i^r_i) + 1,
     never both.
 
-    Every construction is checked, `_make` and `_replace` included."""
+    Every construction is checked, `_make` and `_replace` included.  A shape
+    whose every modulus would be too long to print is refused from the bit
+    lengths of its primes, before any of them is tested."""
 
     __slots__ = ()
 
@@ -58,15 +60,17 @@ class MultiplierRecipe(Record):
             raise InvalidParams("primes and exponents differ in length")
         if any(r < 1 for r in self.exponents):
             raise InvalidParams("exponents must be >= 1")
+        # kernel >= 2^bits, and every modulus N >= (a-1)^2 >= kernel^2 >= 2^(2*bits):
+        # refused before a prime is tested or the kernel is formed
+        bits = sum(r * (p.bit_length() - 1) for p, r in zip(self.primes, self.exponents))
+        if limit := _too_many_bits(2 * bits):
+            raise InvalidParams(f"every modulus built on this prime kernel has more than "
+                                f"{limit} digits")
         for i, p in enumerate(self.primes):
             if not is_probable_prime(p):
                 raise InvalidParams(f"{shown(p)} is not prime")
             if i and p <= self.primes[i - 1]:
                 raise InvalidParams("primes must be strictly increasing")
-        # kernel >= 2^bits > 10^limit: refused before it is formed, as any N >= kernel^2 would be
-        bits = sum(r * (p.bit_length() - 1) for p, r in zip(self.primes, self.exponents))
-        if limit := _too_many_bits(bits):
-            raise InvalidParams(f"prime kernel has more than {limit} digits")
         kernel = self.kernel()
         if math.gcd(self.d, kernel) != 1:
             raise InvalidParams(f"gcd(d, prod primes) = {shown(math.gcd(self.d, kernel))} != 1")
@@ -82,7 +86,9 @@ class MultiplierRecipe(Record):
         """Smallest multiplier of this shape with a - b > min_accuracy.
 
         An explicit `a` is only checked; a shaped recipe raises the whole
-        prime kernel to the least power j that clears it, found by bisection.
+        prime kernel to the least power j that clears it, found by bisection
+        between bounds read from bit lengths, so no power formed is much
+        longer than the answer.
         """
         if self.a is not None:
             if min_accuracy is not None and self.a - b <= min_accuracy:
@@ -94,10 +100,14 @@ class MultiplierRecipe(Record):
             return self.d * kernel + 1
         if kernel < 2:
             raise TooSmall("recipe kernel is 1; no room to satisfy min_accuracy")
-        # a - b > min_accuracy is d * kernel^j > need; kernel >= 2, so the
-        # bit length of need is a j that clears it
+        # a - b > min_accuracy is d * kernel^j > need.  With nb, db, kb the bit
+        # lengths of need (0 below 1), d and kernel (kb >= 2), d * kernel^j lies
+        # in [2^(db-1 + j*(kb-1)), 2^(db + j*kb)): every j below lo falls short
+        # of need, and hi clears it
         need = min_accuracy + b - 1
-        lo, hi = 1, max(1, need.bit_length())
+        nb, db, kb = max(need, 0).bit_length(), self.d.bit_length(), kernel.bit_length()
+        lo = max(1, (nb - 1 - db) // kb + 1)
+        hi = max(lo, -(-(nb + 1 - db) // (kb - 1)))
         while lo < hi:
             mid = (lo + hi) // 2
             if self.d * kernel**mid > need:
@@ -184,30 +194,16 @@ def build_single_dimension(s: int, recipe: MultiplierRecipe,
     return build_range(s, 0, 1, recipe, min_accuracy)
 
 
-class ValidationReport(Record):
-    """One SpectralResult per validated dimension, in order, its `bounds`
-    the build's certificate entry (None beyond the covered dimensions)."""
-
-    __slots__ = ()
-
-    def __new__(cls, rows: tuple[SpectralResult, ...]) -> ValidationReport:
-        return tuple.__new__(cls, (rows,))
-
-    @property
-    def ok(self) -> bool:
-        return all(passed for row in self.rows for _, passed in row.checks)
-
-
-def validate(gen: BuiltGenerator, s_max: int, cap: int = DEFAULT_ENUM_CAP) -> ValidationReport:
-    """Run the exact solver for s = 2..s_max and hold each v_s against the
-    build's own certificate (not the bounds the solver attaches, so a forged
-    certificate is caught) plus the packing bound.  Every check is asserted;
-    failures are reported, never raised.
+def validate(gen: BuiltGenerator, s_max: int,
+             cap: int = DEFAULT_ENUM_CAP) -> tuple[SpectralResult, ...]:
+    """The exact solver's results for s = 2..s_max, in order, each with
+    `bounds` replaced by the build's own certificate entry for its s (None
+    beyond `covers_s_max`), so its `checks` hold v_s against the certificate,
+    not the bounds the solver attaches, and a forged certificate is caught.
+    Every check is asserted; failures are reported, never raised.
     """
     if s_max < 2:
         raise InvalidParams(f"need s_max >= 2, got {shown(s_max)}")
     by_s = {tb.s: tb for tb in gen.guaranteed}
-    return ValidationReport(rows=tuple(
-        res._replace(bounds=by_s.get(res.s))
-        for res in spectral_profile(gen.params.a, gen.params.N, range(2, s_max + 1), cap)
-    ))
+    return tuple(res._replace(bounds=by_s.get(res.s))
+                 for res in spectral_profile(gen.params.a, gen.params.N, range(2, s_max + 1), cap))

@@ -309,20 +309,21 @@ def _check_name(r: SpectralResult, kind: str) -> str:
     return name if kind == "packing" else f"{name} (theorem {r.bounds.theorem_id})"
 
 
-def _validation_json(report: ValidationReport) -> dict:
-    """Each validated dimension's figures and checks, by name and outcome."""
+def _validation_json(rows: tuple[SpectralResult, ...], ok: bool) -> dict:
+    """Each validated dimension's figures and checks, by name and outcome,
+    and `ok`, whether every check passed."""
     return {
-        "ok": report.ok,
+        "ok": ok,
         "rows": [{"s": r.s, "v_sq": str(r.v_sq), "mu": r.mu,
                   "checks": [{"name": _check_name(r, kind), "passed": passed}
                              for kind, passed in r.checks]}
-                 for r in report.rows],
+                 for r in rows],
     }
 
 
-def _build_json(gen: BuiltGenerator, report: ValidationReport | None) -> dict:
+def _build_json(gen: BuiltGenerator, validation: dict | None) -> dict:
     """The build, its certificate, one entry per covered dimension, and the
-    report of `--validate` when it ran."""
+    `_validation_json` of `--validate` when it ran."""
     p, uniform = gen.params, gen.uniform_lower_sq
     return {
         "a": str(p.a), "c": str(p.c), "N": str(p.N), "x0": str(p.x0),
@@ -334,7 +335,7 @@ def _build_json(gen: BuiltGenerator, report: ValidationReport | None) -> dict:
         "uniform_lower_unverified": False,
         "certificate": [{**_bounds_json(tb, p.N), "statement": _statement(tb),
                          "lower_unverified": False} for tb in gen.guaranteed],
-        **({} if report is None else {"validation": _validation_json(report)}),
+        **({} if validation is None else {"validation": validation}),
     }
 
 
@@ -348,11 +349,14 @@ def cmd_build(args, out: TextIOBase) -> int:
     primes, exps = ((), ()) if args.primes is None else _parse_primes(args.primes)
     recipe = MultiplierRecipe(args.a, args.d, primes, exps)
     gen = build_range(args.tau, args.l, getattr(args, "lambda"), recipe, args.min_accuracy)
-    report = None if args.validate is None else validate(gen, args.validate, cap=cap)
+    rows = () if args.validate is None else validate(gen, args.validate, cap=cap)
+    # the one decision behind the ok/FAILED line, JSON `validation.ok` and the exit code
+    ok = all(passed for r in rows for _, passed in r.checks)
 
     if args.format == "json":
-        _json_out(_build_json(gen, report), out)
-        return EXIT_OK
+        _json_out(_build_json(gen, None if args.validate is None
+                              else _validation_json(rows, ok)), out)
+        return EXIT_OK if ok else EXIT_SCORECARD
 
     p = gen.params
     out.write(f"X_(n+1) = ({p.a} * X_n + {p.c}) mod {p.N}\n")
@@ -362,16 +366,13 @@ def cmd_build(args, out: TextIOBase) -> int:
         out.write(f"uniform lower bound: v_s^2 >= {uniform} for 2 <= s <= {gen.covers_s_max}\n")
     for tb in gen.guaranteed:
         out.write("  " + _statement(tb) + "\n")
-    if report is not None:
-        out.write(f"validation up to s = {args.validate}: "
-                  f"{'ok' if report.ok else 'FAILED'}\n")
-        for r in report.rows:
+    if args.validate is not None:
+        out.write(f"validation up to s = {args.validate}: {'ok' if ok else 'FAILED'}\n")
+        for r in rows:
             out.write(f"  s={r.s} v^2={r.v_sq} mu={r.mu:.4f}\n")
             for kind, passed in r.checks:
                 out.write(f"    {_check_name(r, kind)}: {'ok' if passed else 'FAILED'}\n")
-        if not report.ok:
-            return EXIT_SCORECARD
-    return EXIT_OK
+    return EXIT_OK if ok else EXIT_SCORECARD
 
 
 # -- uniformity --------------------------------------------------------------

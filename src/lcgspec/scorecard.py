@@ -272,11 +272,11 @@ def _c12(pool: dict) -> tuple[bool, str]:
         return False, f"uniform lower bound {uniform} != (69069 - 20)^2"
     # the exact solver against the certificate: both bounds and the packing
     # bound hold in every dimension it covers
-    report = validate(gen, 6)
-    for r in report.rows:
+    rows = validate(gen, 6)
+    for r in rows:
         if [passed for _, passed in r.checks] != [True] * 3:
             return False, f"s = {r.s}: v_s^2 = {r.v_sq} fails {r.checks}"
-    v_sq = [r.v_sq for r in report.rows]
+    v_sq = [r.v_sq for r in rows]
     return min(v_sq) >= uniform, (
         f"v_s^2 >= {uniform} = (69069 - 20)^2 certified for 2 <= s <= 6, "
         f"N = 69068^6 (~2^96.5); solver v_s^2 = {v_sq}"

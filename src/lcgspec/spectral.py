@@ -5,7 +5,7 @@ best packing achievable at the same modulus.  For maximum-period parameter
 families, the potential profile (tau, lambda) selects one of four regimes and
 each regime carries proven lower/upper estimates on v_s; those are encoded
 here with their preconditions checked explicitly, and all of them asserted by
-`check_bounds` (read as `SpectralResult.checks`); `cli` words every bound.
+`SpectralResult.checks`; `cli` words every bound.
 """
 
 from __future__ import annotations
@@ -105,10 +105,10 @@ class TheoremBounds(Record):
     """Proven estimates on v_s for one regime, as exact squares `lower_sq`
     and `upper_sq`: an int whenever the estimate is an integer expression,
     else a Fraction, and None for a side whose preconditions fail; each side
-    present is asserted by `check_bounds`.  `conditions_met` and `violations`
-    are tuples of str.  The CLI renders the roots and the mu_s window that
-    the squares induce, the one-line statement of the bounds and the regime
-    that `theorem_id` covers.
+    present is asserted by `SpectralResult.checks`.  `conditions_met` and
+    `violations` are tuples of str.  The CLI renders the roots and the mu_s
+    window that the squares induce, the one-line statement of the bounds and
+    the regime that `theorem_id` covers.
     """
 
     __slots__ = ()
@@ -117,22 +117,6 @@ class TheoremBounds(Record):
                 upper_sq: int | Fraction | None, conditions_met: tuple[str, ...],
                 violations: tuple[str, ...]) -> TheoremBounds:
         return tuple.__new__(cls, (theorem_id, s, lower_sq, upper_sq, conditions_met, violations))
-
-
-def check_bounds(s: int, N: int, v_sq: int,
-                 tb: TheoremBounds | None) -> tuple[tuple[str, bool], ...]:
-    """v_sq held against the lower and upper bounds of `tb` and the packing
-    bound, by exact int/Fraction comparisons: one (kind, passed) pair per
-    bound present, kind "lower", "upper" or "packing", each asserted.  The
-    one place v_sq meets the bounds; `SpectralResult.checks` calls it."""
-    checks = []
-    if tb is not None and tb.lower_sq is not None:
-        checks.append(("lower", v_sq >= tb.lower_sq))
-    if tb is not None and tb.upper_sq is not None:
-        checks.append(("upper", v_sq <= tb.upper_sq))
-    if (ok := within_packing_bound(s, N, v_sq)) is not None:
-        checks.append(("packing", ok))
-    return tuple(checks)
 
 
 def theorem_bounds(a: int, profile: PotentialProfile, s: int) -> TheoremBounds:
@@ -242,8 +226,8 @@ class SpectralResult(Record):
     `vector` (a tuple of ints), which the enumeration proved shortest;
     `profile` (PotentialProfile) and `bounds` (TheoremBounds) are None when
     (a, N) has no potential.  The display figures `lg_v` and `mu` and the
-    `checks` are computed when read; `builder.validate`'s rows carry a
-    build's certificate as their `bounds`."""
+    `checks` are computed when read; the results `builder.validate` returns
+    carry a build's certificate as their `bounds`."""
 
     __slots__ = ()
 
@@ -263,8 +247,18 @@ class SpectralResult(Record):
 
     @property
     def checks(self) -> tuple[tuple[str, bool], ...]:
-        """`check_bounds` of v_sq against `bounds` and the packing bound."""
-        return check_bounds(self.s, self.N, self.v_sq, self.bounds)
+        """v_sq held against the lower and upper sides of `bounds` and the
+        packing bound, by exact int/Fraction comparisons: one (kind, passed)
+        pair per bound present, kind "lower", "upper" or "packing", each
+        asserted.  The one place v_sq meets its bounds."""
+        tb, checks = self.bounds, []
+        if tb is not None and tb.lower_sq is not None:
+            checks.append(("lower", self.v_sq >= tb.lower_sq))
+        if tb is not None and tb.upper_sq is not None:
+            checks.append(("upper", self.v_sq <= tb.upper_sq))
+        if (ok := within_packing_bound(self.s, self.N, self.v_sq)) is not None:
+            checks.append(("packing", ok))
+        return tuple(checks)
 
 
 def spectral_profile(a: int, N: int, dims: range,

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import sys
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -16,12 +17,13 @@ from lcgspec import (
     LcgParams,
     PeriodBroken,
     PotentialProfile,
+    SpectralResult,
     TooSmall,
     compute_potential,
     spectral_test,
     theorem_bounds,
 )
-from lcgspec import cli, lattice
+from lcgspec import builder, cli, lattice
 from lcgspec.builder import (
     BuiltGenerator,
     MultiplierRecipe,
@@ -40,22 +42,35 @@ class TestMultiplierRecipe:
     @pytest.mark.parametrize("limit", [sys.get_int_max_str_digits(), 640, 0],
                              ids=["default", "640", "none"])
     def test_kernel_too_long_to_print_is_refused_unformed(self, limit):
-        # the kernel 2^r exceeds 10^limit once r > 10*limit/3: refused before
-        # it is formed, and with r at that edge no build succeeds either
-        default, edge = sys.get_int_max_str_digits(), 10 * limit // 3
+        # every modulus on the kernel 2^r is at least 2^(2r), which exceeds
+        # 10^limit once 2r > 10*limit/3: refused before the kernel is formed,
+        # and with r at that edge no build succeeds either
+        default, edge = sys.get_int_max_str_digits(), 10 * limit // 3 // 2
         sys.set_int_max_str_digits(limit)
         try:
             if not limit:  # no limit, no bound
                 assert MultiplierRecipe(primes=(2,), exponents=(10**5,)).kernel() == 2**10**5
                 return
             for exps in [(edge + 1,), (99999999999,)]:
-                with pytest.raises(InvalidParams,
-                                   match=f"^prime kernel has more than {limit} digits$"):
+                with pytest.raises(InvalidParams, match="^every modulus built on this prime "
+                                                        f"kernel has more than {limit} digits$"):
                     MultiplierRecipe(primes=(2,), exponents=exps)
             with pytest.raises(InvalidParams, match="has more than"):
                 build_range(2, 0, 1, MultiplierRecipe(primes=(2,), exponents=(edge,)))
         finally:
             sys.set_int_max_str_digits(default)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_long_kernel_is_refused_before_any_prime_is_tested(self, monkeypatch, r):
+        # (2^9689 - 1)^2 alone has 5833 digits; Miller-Rabin on it takes seconds
+        def boom(n):
+            raise AssertionError("a prime was tested")
+
+        monkeypatch.setattr(builder, "is_probable_prime", boom)
+        with pytest.raises(InvalidParams, match="^every modulus built on this prime kernel "
+                                                f"has more than {sys.get_int_max_str_digits()} "
+                                                "digits$"):
+            MultiplierRecipe(primes=(2**9689 - 1,), exponents=(r,))
 
     def test_explicit_min_accuracy_not_met(self):
         with pytest.raises(TooSmall):
@@ -86,6 +101,47 @@ class TestMultiplierRecipe:
             while d * k**j + 1 - b <= m:
                 j += 1
             assert r.resolve(b, m) == d * k**j + 1, (r, b, m)
+
+    def test_resolve_forms_no_power_much_longer_than_its_answer(self, monkeypatch):
+        # the least j with d * kernel^j > need, found by climbing, on seeded
+        # kernels up to 3^2000 and needs up to 2^12000, some of them <= 0; each
+        # power of the kernel that resolve forms has at most about twice the
+        # bits of its answer
+        formed = []
+
+        class Kernel(int):
+            def __pow__(self, j):
+                formed.append(j)
+                return int(self) ** j
+
+        real = MultiplierRecipe.kernel
+        monkeypatch.setattr(MultiplierRecipe, "kernel", lambda self: Kernel(real(self)))
+        rng = random.Random(55)
+        for _ in range(2000):
+            primes = rng.choice([(2,), (3,), (2, 3), (5, 7), (2, 10007), (3, 2**61 - 1)])
+            exps = tuple(rng.choice([1, 2, 3, rng.randint(1, 2000)]) for _ in primes)
+            d, k = rng.randint(1, 40), math.prod(p**e for p, e in zip(primes, exps))
+            if math.gcd(d, k) != 1 or 2 * sum(e * (p.bit_length() - 1)
+                                              for p, e in zip(primes, exps)) > 14000:
+                continue
+            b = rng.randint(0, 500)
+            need = (rng.choice([-10**6, -1, 0, 1]) if rng.random() < 0.2
+                    else rng.getrandbits(rng.randint(1, 12000)))
+            least = d * k
+            while least <= need:
+                least *= k
+            formed.clear()
+            a = MultiplierRecipe(None, d, primes, exps).resolve(b, need - b + 1)
+            assert a == least + 1, (d, primes, exps, need)
+            assert max(formed) * k.bit_length() <= 2 * (a.bit_length() + k.bit_length())
+
+    def test_resolve_bisects_within_bit_length_bounds(self):
+        # the first power the bisection once formed, 3^(2000 * 5000), has 16
+        # million bits and took seconds; the answer is (3^2000)^4
+        start = time.perf_counter()
+        a = MultiplierRecipe(primes=(3,), exponents=(2000,)).resolve(2, 2**10000)
+        assert time.perf_counter() - start < 1
+        assert a == 3**8000 + 1
 
     def test_unit_kernel_cannot_scale(self):
         with pytest.raises(TooSmall):
@@ -259,37 +315,43 @@ class TestCertificateJson:
         assert "v_2^2 >= 122/81" in d["certificate"][0]["statement"]
 
 
+def all_passed(rows):
+    """Whether every check of every validated row passed, as `build` decides."""
+    return all(passed for r in rows for _, passed in r.checks)
+
+
 class TestValidate:
     def test_exact_build_passes(self):
         g = build_single_dimension(2, MultiplierRecipe(a=26))
-        rep = validate(g, 3)
-        assert rep.ok
-        assert [r.s for r in rep.rows] == [2, 3]
-        rows = cli._validation_json(rep)["rows"]
-        assert [c["name"] for c in rows[0]["checks"]] == [
+        rows = validate(g, 3)
+        assert type(rows) is tuple and all(type(r) is SpectralResult for r in rows)
+        assert all_passed(rows)
+        assert [r.s for r in rows] == [2, 3]
+        json_rows = cli._validation_json(rows, True)["rows"]
+        assert [c["name"] for c in json_rows[0]["checks"]] == [
             "v_2^2 >= 577 (theorem 1)",
             "v_2^2 <= 577 (theorem 1)",
             "v_2 within the dimension-2 packing bound",
         ]
         # beyond coverage only the packing bound applies
-        assert rep.rows[1].bounds is None
-        assert [c["name"] for c in rows[1]["checks"]] == [
+        assert rows[1].bounds is None
+        assert [c["name"] for c in json_rows[1]["checks"]] == [
             "v_3 within the dimension-3 packing bound"
         ]
 
     def test_tuned_build_passes(self):
         g = build_single_dimension(2, MultiplierRecipe(a=1664525))
-        rep = validate(g, 3)
-        assert rep.ok
-        assert rep.rows[0].v_sq == 1 + 1664523**2
+        rows = validate(g, 3)
+        assert all_passed(rows)
+        assert rows[0].v_sq == 1 + 1664523**2
 
     def test_beyond_tabulated_dimensions(self):
         g = build_single_dimension(2, MultiplierRecipe(a=26))
-        rep = validate(g, 9)
-        assert rep.ok
-        assert rep.rows[-1].s == 9
-        assert rep.rows[-1].checks == ()  # no certificate, no tabulated constant
-        assert rep.rows[-1].v_sq == 4
+        rows = validate(g, 9)
+        assert all_passed(rows)
+        assert rows[-1].s == 9
+        assert rows[-1].checks == ()  # no certificate, no tabulated constant
+        assert rows[-1].v_sq == 4
 
     def test_reports_failures_without_raising(self):
         good = build_single_dimension(2, MultiplierRecipe(a=26))
@@ -299,11 +361,11 @@ class TestValidate:
             profile=good.profile,
             guaranteed=(theorem_bounds(27, PotentialProfile(2, 1), 2),),
         )
-        rep = validate(fake, 2)
-        assert not rep.ok
-        assert rep.rows[0].checks[0] == ("lower", False)
-        assert rep.rows[0].checks[1] == ("upper", True)  # upper still holds
-        d = cli._validation_json(rep)
+        rows = validate(fake, 2)
+        assert not all_passed(rows)
+        assert rows[0].checks[0] == ("lower", False)
+        assert rows[0].checks[1] == ("upper", True)  # upper still holds
+        d = cli._validation_json(rows, False)
         assert d["rows"][0]["checks"][0] == {"name": "v_2^2 >= 626 (theorem 1)", "passed": False}
         assert d["ok"] is False
 
@@ -318,22 +380,23 @@ class TestValidate:
                 profile=PotentialProfile(2, 9),
                 guaranteed=(tb._replace(lower_sq=lower_sq),),
             )
-            rep = validate(g, 2)
-            assert rep.ok is ok
-            assert rep.rows[0].checks[0] == ("lower", ok)
-            row = cli._validation_json(rep)["rows"][0]
+            rows = validate(g, 2)
+            assert all_passed(rows) is ok
+            assert rows[0].checks[0] == ("lower", ok)
+            row = cli._validation_json(rows, ok)["rows"][0]
             assert row["checks"][0] == {"name": name, "passed": ok}
 
     def test_json_round_trip(self):
         g = build_single_dimension(2, MultiplierRecipe(a=26))
-        rep = validate(g, 2)
-        d = cli._validation_json(rep)
+        rows = validate(g, 2)
+        d = cli._validation_json(rows, all_passed(rows))
         assert d["ok"] is True
         assert d["rows"][0]["v_sq"] == "577"
         assert json.loads(json.dumps(d)) == d
         # bench/lcgbench/checks.py reads lower_unverified on each certificate
         # entry; a validation check carries its name and outcome only
-        assert [e["lower_unverified"] for e in cli._build_json(g, rep)["certificate"]] == [False]
+        assert [e["lower_unverified"] for e in cli._build_json(g, d)["certificate"]] == [False]
+        assert cli._build_json(g, d)["validation"] is d
         assert [sorted(c) for c in d["rows"][0]["checks"]] == [["name", "passed"]] * 3
 
     def test_rejects_small_s_max(self):
@@ -343,11 +406,11 @@ class TestValidate:
 
     def test_rows_match_per_dimension_solver(self):
         g = build_range(6, 0, 1, MultiplierRecipe(a=69069))
-        rep = validate(g, 8)
-        assert [r.s for r in rep.rows] == list(range(2, 9))
+        rows = validate(g, 8)
+        assert [r.s for r in rows] == list(range(2, 9))
         # the solver's results, each with the certificate as its bounds
-        assert [r.bounds for r in rep.rows] == [*g.guaranteed, None, None]
-        assert [r._replace(bounds=None) for r in rep.rows] == [
+        assert [r.bounds for r in rows] == [*g.guaranteed, None, None]
+        assert [r._replace(bounds=None) for r in rows] == [
             spectral_test(69069, g.params.N, s)._replace(bounds=None) for s in range(2, 9)
         ]
 

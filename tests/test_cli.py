@@ -390,17 +390,25 @@ class TestBuild:
 
     def test_validate_fails_a_forged_certificate(self, monkeypatch, capsys):
         # the certificate claims v_2^2 >= 578 at a = 26, where the solver
-        # proves 577: the lower check fails and the build exits 1
+        # proves 577: the lower check fails and the build exits 1, in text
+        # and in JSON
         from lcgspec import builder
 
         real = builder.theorem_bounds
         monkeypatch.setattr(builder, "theorem_bounds",
                             lambda a, profile, s: real(a, profile, s)._replace(lower_sq=578))
-        code, out = run(["build", "--s", "2", "--a", "26", "--validate", "3"])
+        argv = ["build", "--s", "2", "--a", "26", "--validate", "3"]
+        code, out = run(argv)
         assert code == 1
         lines = out.splitlines()
         assert "validation up to s = 3: FAILED" in lines
         assert "    v_2^2 >= 578 (theorem 1): FAILED" in lines
+        code, out = run(argv + ["--format", "json"])
+        assert code == 1
+        validation = json.loads(out)["validation"]
+        assert validation["ok"] is False
+        assert validation["rows"][0]["checks"][0] == {"name": "v_2^2 >= 578 (theorem 1)",
+                                                       "passed": False}
         assert capsys.readouterr().err == ""
 
     def test_s_is_tau(self, capsys):

@@ -624,22 +624,49 @@ def test_lattice_module_is_integer_only():
     assert non_integer_arithmetic((PACKAGE / "lattice.py").read_text(encoding="utf-8")) == []
 
 
-# the functions that decide a bound or print one, by module
+# the functions that decide a bound or print one, by module; a method is
+# named `Class.method`
 BOUND_FUNCTIONS = {
-    "spectral.py": {"_iroot", "_packing_cap_text", "within_packing_bound", "check_bounds"},
+    "spectral.py": {"_iroot", "_packing_cap_text", "within_packing_bound",
+                    "SpectralResult.checks"},
     "scorecard.py": {"_c2"},
 }
+
+
+def bound_function_scan(source: str, names: set[str]) -> dict[str, list[str]]:
+    """`non_integer_arithmetic` of each top-level function or class method
+    of `source` named in `names`, by name."""
+    tree = ast.parse(source)
+    defs = [(node.name, node) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    defs += [(f"{node.name}.{item.name}", item) for node in tree.body
+             if isinstance(node, ast.ClassDef)
+             for item in node.body if isinstance(item, ast.FunctionDef)]
+    return {name: non_integer_arithmetic(ast.get_source_segment(source, node))
+            for name, node in defs if name in names}
 
 
 @pytest.mark.parametrize("module", sorted(BOUND_FUNCTIONS))
 def test_bound_functions_are_integer_only(module):
     # each named function is found, so a rename cannot skip the scan
-    source = (PACKAGE / module).read_text(encoding="utf-8")
-    found = {node.name: ast.get_source_segment(source, node) for node in ast.parse(source).body
-             if isinstance(node, ast.FunctionDef) and node.name in BOUND_FUNCTIONS[module]}
+    found = bound_function_scan((PACKAGE / module).read_text(encoding="utf-8"),
+                                BOUND_FUNCTIONS[module])
     assert sorted(found) == sorted(BOUND_FUNCTIONS[module])
-    assert {name: non_integer_arithmetic(text) for name, text in found.items()} == dict.fromkeys(
-        found, [])
+    assert found == dict.fromkeys(found, [])
+
+
+def test_bound_function_scan_reaches_the_checks_method():
+    # a float placed at the end of `SpectralResult.checks` fails the scan
+    source = (PACKAGE / "spectral.py").read_text(encoding="utf-8")
+    cls = next(node for node in ast.parse(source).body
+               if isinstance(node, ast.ClassDef) and node.name == "SpectralResult")
+    end = next(item for item in cls.body
+               if isinstance(item, ast.FunctionDef) and item.name == "checks").end_lineno
+    lines = source.splitlines(keepends=True)
+    mutant = "".join(lines[:end] + ["        _ = 0.5\n"] + lines[end:])
+    found = bound_function_scan(mutant, BOUND_FUNCTIONS["spectral.py"])
+    # lines are counted within the method's own source
+    assert [hit.split(" (line ")[0] for hit in found["SpectralResult.checks"]] == ["literal 0.5"]
+    assert [name for name, hits in found.items() if hits] == ["SpectralResult.checks"]
 
 
 def test_integer_scan_flags_each_kind():

@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import pytest
 
-from lcgspec.builder import MultiplierRecipe, build_single_dimension, validate
+from lcgspec.builder import MultiplierRecipe, build_single_dimension
 from lcgspec.empirical import frequency_test
 from lcgspec.errors import InvalidParams
 from lcgspec.lattice import LatticeBasis, dual_basis, lll_reduce, shortest_vector
@@ -65,7 +65,6 @@ def test_recipe_positional_keyword_replace_and_make():
 def _every_record():
     params = LcgParams(26, 1, 625)
     gen = build_single_dimension(2, MultiplierRecipe(a=26))
-    report = validate(gen, 3)
     res = spectral_test(26, 625, 2)
     return [
         params,
@@ -75,7 +74,6 @@ def _every_record():
         res.bounds,
         res,
         gen,
-        report,
         frequency_test(params, 0, Fraction(1, 2)),
         shortest_vector(dual_basis(26, 625, 2)),
         CheckResult(1, "title", True, "", 0.0),

@@ -6,6 +6,7 @@ too long to print is refused by the one digit rule of `errors`."""
 import io
 import math
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -135,7 +136,38 @@ def test_cli_refusals_of_huge_values_are_one_short_line(capsys, argv, code):
 def test_build_refuses_a_kernel_too_long_to_print_unformed(capsys, digit_limit, primes):
     # 2^99999999999 alone would take longer than any test
     assert run(["build", "--tau", "2", "--primes", primes]) == (2, "")
-    assert capsys.readouterr().err == f"error: prime kernel has more than {digit_limit} digits\n"
+    assert capsys.readouterr().err == (
+        f"error: every modulus built on this prime kernel has more than {digit_limit} digits\n")
+
+
+KERNEL_TOO_LONG = "every modulus built on this prime kernel"
+MODULUS_TOO_LONG = "modulus N = (a-1)^2/lambda"
+
+
+@pytest.mark.parametrize("argv, name", [
+    ("--primes 2^9689-1:2", KERNEL_TOO_LONG),
+    ("--primes 2^9689-1", KERNEL_TOO_LONG),
+    ("--primes 2^9689-1 --min-accuracy 2^10000*2^4000", KERNEL_TOO_LONG),
+    ("--primes 3:5000 --min-accuracy 2^10000*2^4000", MODULUS_TOO_LONG),
+    ("--primes 3:2000 --min-accuracy 2^10000", MODULUS_TOO_LONG),
+], ids=["mersenne-squared", "mersenne", "mersenne-min-accuracy", "3^5000-min-accuracy",
+        "3^2000-min-accuracy"])
+def test_build_refuses_a_modulus_too_long_to_print_at_once(monkeypatch, capsys, argv, name):
+    # refused from bit lengths: no long prime is tested (Miller-Rabin on
+    # 2^9689 - 1 takes over 20 s) and no power is formed far past the answer
+    from lcgspec import builder
+
+    real = builder.is_probable_prime
+
+    def short_only(n):
+        assert n.bit_length() <= 64, "a long prime was tested"
+        return real(n)
+
+    monkeypatch.setattr(builder, "is_probable_prime", short_only)
+    start = time.perf_counter()
+    assert run(["build", "--s", "2", *argv.split()]) == (2, "")
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == f"error: {name} has more than {DEFAULT_LIMIT} digits\n"
 
 
 def test_build_min_accuracy_past_the_digit_limit_names_the_modulus(capsys):

@@ -35,7 +35,6 @@ from lcgspec.spectral import (
     _exp,
     _log,
     _packing_cap_text,
-    check_bounds,
     spectral_profile,
     within_packing_bound,
 )
@@ -260,39 +259,43 @@ class TestWithinPackingBound:
         assert sides == {True, False}
 
 
+def checks_of(s, N, v_sq, tb):
+    """`SpectralResult.checks` of a result with these figures and bounds."""
+    return SpectralResult(0, N, s, v_sq, (), None, tb).checks
+
+
 class TestCheckBounds:
     PACKING_2 = ("packing", True)
 
     def test_bounds_met_with_equality(self):
         # theorem 1 at a = 26: v_2^2 = 577 is both bounds
         tb = theorem_bounds(26, PotentialProfile(2, 1), 2)
-        assert check_bounds(2, 625, 577, tb) == (("lower", True), ("upper", True), self.PACKING_2)
+        assert checks_of(2, 625, 577, tb) == (("lower", True), ("upper", True), self.PACKING_2)
 
     @pytest.mark.parametrize("forged_a, lower, upper", [(27, False, True), (25, True, False)])
     def test_forged_bounds_fail(self, forged_a, lower, upper):
         # the theorem-1 bounds of a neighbouring multiplier, 1 + (a-2)^2, held
         # against v_2^2 = 577 of a = 26
         tb = theorem_bounds(forged_a, PotentialProfile(2, 1), 2)
-        assert check_bounds(2, 625, 577, tb) == (("lower", lower), ("upper", upper), self.PACKING_2)
+        assert checks_of(2, 625, 577, tb) == (("lower", lower), ("upper", upper), self.PACKING_2)
 
     @pytest.mark.parametrize("v_sq, passed", [(10, True), (1, False)])
     def test_theorem_3_lower_bound_is_asserted(self, v_sq, passed):
         # theorem 3 at a = 13, N = 16: lower 122/81, compared exactly; no upper
         tb = theorem_bounds(13, PotentialProfile(2, 9), 2)
-        assert check_bounds(2, 16, v_sq, tb) == (("lower", passed), self.PACKING_2)
+        assert checks_of(2, 16, v_sq, tb) == (("lower", passed), self.PACKING_2)
 
     def test_only_applicable_checks(self):
         upper_only = theorem_bounds(13, PotentialProfile(2, 9), 3)  # theorem 7
-        assert [kind for kind, _ in check_bounds(3, 16, 6, upper_only)] == ["upper", "packing"]
-        assert check_bounds(8, 625, 4, None) == (("packing", True),)
-        assert check_bounds(9, 625, 4, None) == ()
+        assert [kind for kind, _ in checks_of(3, 16, 6, upper_only)] == ["upper", "packing"]
+        assert checks_of(8, 625, 4, None) == (("packing", True),)
+        assert checks_of(9, 625, 4, None) == ()
 
     def test_cli_words_each_check(self):
         # a result's checks, named as `build --validate` prints them: a theorem
         # bound's side and its theorem, or the packing bound's dimension
         def names(s, N, v_sq, tb):
             r = SpectralResult(0, N, s, v_sq, (), None, tb)
-            assert r.checks == check_bounds(s, N, v_sq, tb)
             return [cli._check_name(r, kind) for kind, _ in r.checks]
 
         packing = "v_2 within the dimension-2 packing bound"
@@ -595,7 +598,7 @@ class TestBoundSandwich:
             assert len(multipliers) == count, N
             for a in multipliers:
                 for r in spectral_profile(a, N, range(2, 9)):
-                    for kind, passed in check_bounds(r.s, N, r.v_sq, r.bounds):
+                    for kind, passed in r.checks:
                         checks.append(kind)
                         if not passed:
                             failed.append((a, N, r.s, kind))
@@ -620,7 +623,7 @@ class TestBoundSandwich:
                     continue
                 (r,) = spectral_profile(a, N, range(s, s + 1))
                 assert r.bounds.theorem_id == 2, (a, s)
-                assert all(passed for _, passed in check_bounds(s, N, r.v_sq, r.bounds)), (a, s)
+                assert all(passed for _, passed in r.checks), (a, s)
                 count += 1
                 gap = r.v_sq - r.bounds.lower_sq
                 closest[s] = min(closest.get(s, gap), gap)
@@ -636,7 +639,7 @@ class TestBoundSandwich:
         def holds(a, N, lam):
             (r,) = spectral_profile(a, N, range(2, 3))
             assert r.bounds.theorem_id == 3, (a, lam)
-            for kind, passed in check_bounds(2, N, r.v_sq, r.bounds):
+            for kind, passed in r.checks:
                 assert passed, (a, lam, kind)
             assert r.v_sq * (a - 1) ** 2 >= N * N, (a, lam)
             return r.v_sq - r.bounds.lower_sq
